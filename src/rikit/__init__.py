@@ -11,6 +11,7 @@ from .errors import (
     BudgetExhausted,
     DegenerateRatio,
     HajlaszViolated,
+    InvariantViolated,
     NotAttainable,
     NotLipschitzOnSubset,
     NotQuasiconcave,

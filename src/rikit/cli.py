@@ -181,7 +181,7 @@ def load_space_file(text) -> MMS:
         return MMS.from_dict(json.load(fh))
 
 
-def load_point_fn(path, space: MMS | None = None):
+def load_point_fn(path):
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
@@ -202,7 +202,7 @@ def load_curves(path) -> CurveFamily:
         return CurveFamily.from_dict(json.load(fh))
 
 
-def _fn_input(args, space=None):
+def _fn_input(args):
     """A function input for norms: WeightedSamples or decreasing GridFn."""
     with open(args.fn) as fh:
         data = json.load(fh)
@@ -241,7 +241,7 @@ def cmd_norm(args):
 
 def cmd_maximal(args):
     space = load_space_file(args.space)
-    vals, _ = load_point_fn(args.fn, space)
+    vals, _ = load_point_fn(args.fn)
     out_vals = maximal_metric(space, vals, args.p)
     out = Path(args.out)
     write_json(out / "maximal.json", {"values": list(map(float, out_vals))})
@@ -298,16 +298,25 @@ def cmd_capacity(args):
 
 def cmd_hajlasz(args):
     space = load_space_file(args.space)
-    vals, _ = load_point_fn(args.fn, space)
+    vals, _ = load_point_fn(args.fn)
     res = minimal_hajlasz(space, vals, args.p, tol=args.tol)
     write_json(Path(args.out) / "hajlasz.json", res.to_dict())
     print(repr(res.optimum))
     return 0
 
 
+def _write_scan_trace(out: Path, trace):
+    write_csv(out / "scan_trace.csv",
+              ("stage", "sigma", "test_a", "test_b", "pass"),
+              [(r["stage"], r["sigma"],
+                r.get("fn_gap", r.get("level_test")),
+                r.get("grad_gap", r.get("grad_test")), r["pass"])
+               for r in trace])
+
+
 def cmd_regularize(args):
     space = load_space_file(args.space)
-    vals, _ = load_point_fn(args.fn, space)
+    vals, _ = load_point_fn(args.fn)
     spec = parse_space(args.spec)
     if args.curves == "pairs":
         curves = CurveFamily.pairs(space)
@@ -316,28 +325,18 @@ def cmd_regularize(args):
     if args.hajlasz == "auto":
         h = minimal_hajlasz(space, vals, 2.0).minimizer
     else:
-        h, _ = load_point_fn(args.hajlasz, space)
+        h, _ = load_point_fn(args.hajlasz)
     out = Path(args.out)
     try:
         res = lipschitz_truncation(space, vals, h, spec, curves, args.eps,
                                    c_delta=args.c_delta)
     except BudgetExhausted as err:
-        write_csv(out / "scan_trace.csv",
-                  ("stage", "sigma", "test_a", "test_b", "pass"),
-                  [(r["stage"], r["sigma"],
-                    r.get("fn_gap", r.get("level_test")),
-                    r.get("grad_gap", r.get("grad_test")), r["pass"])
-                   for r in err.trace])
+        _write_scan_trace(out, err.trace)
         print(f"budget exhausted in stage {err.stage} at sigma="
               f"{err.sigma_reached!r}", file=sys.stderr)
         return 3
     write_json(out / "liptrunc.json", res.to_dict())
-    write_csv(out / "scan_trace.csv",
-              ("stage", "sigma", "test_a", "test_b", "pass"),
-              [(r["stage"], r["sigma"],
-                r.get("fn_gap", r.get("level_test")),
-                r.get("grad_gap", r.get("grad_test")), r["pass"])
-               for r in res.trace])
+    _write_scan_trace(out, res.trace)
     print(f"norm_gap={res.norm_gap!r} sigma={res.sigma!r} "
           f"exceptional={len(res.exceptional)}")
     return 0

@@ -7,8 +7,6 @@ for CSV or JSON emission; the CLI wraps these functions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,22 +29,6 @@ from .regularize import lipschitz_truncation, truncation_convergence_report
 from .spaces import FundamentalFn, NormSpec, lorentz_embedding_ratio
 
 INF = math.inf
-
-
-def thread_count():
-    """Worker cap from RIKIT_THREADS (default 1, serial)."""
-    try:
-        return max(1, int(os.environ.get("RIKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = thread_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +137,7 @@ def lorentz_embedding_preset(trials=10_000, seed=20240416, q_hi=8.0):
         r = lorentz_embedding_ratio(u, phi, q, p)
         return (q, p, r.ratio, r.bound, r.ratio <= r.bound * (1 + 1e-10))
 
-    rows = _map_ordered(run, cases)
+    rows = [run(case) for case in cases]
     violations = sum(1 for row in rows if not row[4])
     return rows, violations
 
@@ -173,13 +155,13 @@ def herz_riesz_preset(p=1.0, seeds=100):
     for name, maker in HERZ_FAMILIES.items():
         space = maker()
 
-        def run(seed, space=space):
+        def run(seed):
             rng = np.random.default_rng(seed)
             u = rng.normal(size=space.n)
             hr = herz_riesz_ratios(space, u, p)
             return hr.min_ratio, hr.max_ratio
 
-        pairs = _map_ordered(run, range(seeds))
+        pairs = [run(seed) for seed in range(seeds)]
         lows = [a for a, _ in pairs]
         highs = [b for _, b in pairs]
         out[name] = {

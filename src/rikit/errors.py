@@ -93,3 +93,10 @@ class HajlaszViolated(RikitError):
         self.witness = witness
         self.gap = gap
         super().__init__(f"Hajlasz inequality fails at pair {witness} by {gap}")
+
+
+class InvariantViolated(RikitError):
+    """A computed result breaks an invariant the library guarantees.
+
+    Raised instead of ``assert`` so the check also runs under ``python -O``.
+    """

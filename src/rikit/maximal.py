@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroFunction
+from .errors import InvariantViolated, ZeroFunction
 from .metric import MMS
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
@@ -795,7 +795,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         for (a, b) in IMPLICATIONS:
             if a in verdicts and b in verdicts and verdicts[a].is_true:
                 if verdicts[b].status == FALSE:
-                    raise AssertionError(
+                    raise InvariantViolated(
                         f"criteria coherence violated: ({a}) true but ({b}) false"
                     )
                 if verdicts[b].status == INCONCLUSIVE:

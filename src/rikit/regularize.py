@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhausted, HajlaszViolated, NotLipschitzOnSubset
+from .errors import (BudgetExhausted, HajlaszViolated, InvariantViolated,
+                     NotLipschitzOnSubset)
 from .metric import MMS, CurveFamily, is_upper_gradient
 from .rearrange import WeightedSamples
 from .spaces import NormSpec, norm
@@ -68,7 +69,7 @@ def truncate(u, sigma, space: MMS | None = None,
 
 
 def glue_gradient(space: MMS, u, g, k, curves: CurveFamily):
-    """Zero the gradient on the level set {u = k} and re-verify.
+    """Zero the gradient on the level set {u = k} and re-check.
 
     Returns (new_gradient, verdict, closed_under_subcurves).  The verdict
     is guaranteed on families closed under subcurves (the splitting
@@ -211,8 +212,8 @@ def _first_level_at_least(anchor, lo):
 
 
 def lipschitz_truncation(space: MMS, u, h, spec: NormSpec,
-                         curves: CurveFamily, eps, c_delta=None,
-                         verify=True, solver_gap=False) -> LipTruncResult:
+                         curves: CurveFamily, eps,
+                         c_delta=None) -> LipTruncResult:
     """Produce a 2*sigma-Lipschitz function within eps of u.
 
     Follows the constructive route: pick eta = eps / (6 c^2); truncate u
@@ -222,10 +223,9 @@ def lipschitz_truncation(space: MMS, u, h, spec: NormSpec,
     high set of h and extend by the upper McShane formula with constant
     2*sigma, truncated back at sigma.
 
-    The scan loops track the doubled pair gradient for speed; with
-    ``solver_gap`` set (Lebesgue specs only) the result also carries
-    ``norm_gap_solver``, recomputed with the minimal upper gradient of
-    u - u_eps over the given curve family.
+    The scan loops track the doubled pair gradient; ``curves`` is not
+    read.  The result is checked against its three invariants before it
+    is returned (InvariantViolated on failure).
 
     Raises BudgetExhausted when a scan runs out of doublings; this is the
     expected outcome for weak-type norms without absolute continuity.
@@ -312,26 +312,26 @@ def lipschitz_truncation(space: MMS, u, h, spec: NormSpec,
         ),
         trace=trace,
     )
-    if verify:
-        _verify_lip_trunc(space, u, result)
+    _check_lip_trunc(space, u, result)
     return result
 
 
-def _verify_lip_trunc(space: MMS, u, res: LipTruncResult, tol=1e-9):
-    """Exhaustive pairwise check of the three typed invariants."""
+def _check_lip_trunc(space: MMS, u, res: LipTruncResult, tol=1e-9):
+    """Check the three invariants of a truncation result on every pair."""
     ue = res.u_eps
     L = res.lipschitz_constant
-    assert float(np.max(np.abs(ue))) <= res.sigma + tol
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert abs(ue[i] - ue[j]) <= L * space.dist[i, j] + tol * (1 + L)
-    exc = set(res.exceptional)
-    for i in range(n):
-        if i not in exc:
-            assert abs(ue[i] - u[i]) <= tol * (1 + abs(u[i])), (
-                f"u_eps differs from u off the exceptional set at {i}"
-            )
+    if not float(np.max(np.abs(ue))) <= res.sigma + tol:
+        raise InvariantViolated(f"|u_eps| exceeds sigma={res.sigma!r}")
+    ok = np.abs(ue[:, None] - ue[None, :]) <= L * space.dist + tol * (1 + L)
+    if not np.all(ok):
+        i, j = sorted(map(int, np.argwhere(~ok)[0]))
+        raise InvariantViolated(f"u_eps is not {L!r}-Lipschitz on pair ({i}, {j})")
+    off = np.ones(space.n, dtype=bool)
+    off[list(res.exceptional)] = False
+    bad = off & ~(np.abs(ue - u) <= tol * (1 + np.abs(u)))
+    if np.any(bad):
+        raise InvariantViolated(
+            f"u_eps differs from u off the exceptional set at {int(np.argmax(bad))}")
 
 
 @dataclass

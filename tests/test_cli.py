@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import rikit.maximal as maximal
 from rikit.cli import main, parse_space, spec_shorthand, write_json
 from rikit.metric import CurveFamily, Curve, path_space
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement
@@ -258,3 +259,11 @@ def test_demo_lip_trunc_sweep_small(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "failures=0" in out
+
+
+def test_criteria_incoherence_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(maximal, "criterion_B", lambda *args: math.inf)
+    rc = main(["--out", str(tmp_path), "criteria", "--space", "lp:2",
+               "--p", "1"])
+    assert rc == 2
+    assert "criteria coherence violated" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Edge cases: zero functions, infinite markers, tails, and thread safety."""
+"""Edge cases: zero functions, infinite markers and tails."""
 
 import json
 import math
@@ -97,16 +97,6 @@ def test_normed_families_triangle_inequality():
             nb = norm(WeightedSamples(b, w), spec)
             ns = norm(WeightedSamples(a + b, w), spec)
             assert ns <= (na + nb) * (1 + 1e-10), spec.family
-
-
-def test_thread_parallelism_deterministic(tmp_path, monkeypatch):
-    from rikit.demo import lorentz_embedding_preset
-
-    serial, v1 = lorentz_embedding_preset(trials=300, seed=99)
-    monkeypatch.setenv("RIKIT_THREADS", "4")
-    parallel, v2 = lorentz_embedding_preset(trials=300, seed=99)
-    assert v1 == v2 == 0
-    assert serial == parallel  # ordered map keeps results bit-identical
 
 
 def test_norm_of_non_decreasing_gridfn_rearranges():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rikit.errors import ZeroFunction
+import rikit.maximal as maximal
+from rikit.errors import InvariantViolated, ZeroFunction
 from rikit.maximal import (
     boyd_upper_lowerbound,
     criterion_B,
@@ -396,6 +397,13 @@ def test_criteria_p1_always_true_for_ac_ri():
         rep = density_criteria_report(spec, p=1)
         assert rep.conditions["i"].is_true
         assert rep.density_verdict
+
+
+def test_criteria_incoherence_raises_typed_error(monkeypatch):
+    # (v) holds for L^2 at p = 1, so a forced-false (iv) breaks (v) => (iv)
+    monkeypatch.setattr(maximal, "criterion_B", lambda *args: math.inf)
+    with pytest.raises(InvariantViolated, match="coherence"):
+        density_criteria_report(NormSpec.lp(2), p=1)
 
 
 def test_psi_majorant_criteria_consistency():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rikit.solver as solver
 from rikit.errors import AllDegenerate
 from rikit.metric import (
     MMS,
@@ -23,6 +24,7 @@ from rikit.metric import (
     single_curve_modulus_oracle,
     tree_space,
 )
+from rikit.regularize import check_hajlasz
 
 INF = math.inf
 
@@ -279,6 +281,38 @@ def test_twice_hajlasz_is_upper_gradient_on_pairs():
         res = minimal_hajlasz(s, u, 2)
         g = 2.0 * res.minimizer
         assert is_upper_gradient(s, u, g, CurveFamily.pairs(s), tol=1e-6).ok
+
+
+@pytest.mark.parametrize("p", [1.05, 1.2, 2.0, 3.0])
+@pytest.mark.parametrize("n", [8, 12])
+def test_hajlasz_single_path_certified(n, p, monkeypatch):
+    # seeded ramps on which L-BFGS-B alone misses tolerance in some
+    # subsolves, so the Newton polish has to carry them to the certificate
+    polish = solver._dual_newton_polish
+    subsolve = solver.solve_separable_power
+    polished, certs = [], []
+
+    def counting_polish(*args):
+        polished.append(1)
+        return polish(*args)
+
+    def recording_subsolve(*args):
+        res = subsolve(*args)
+        certs.append(res.certificate)
+        return res
+
+    monkeypatch.setattr(solver, "_dual_newton_polish", counting_polish)
+    monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
+    rng = np.random.default_rng(n)
+    u = np.cumsum(rng.uniform(0.1, 1.0, n))
+    s = path_space(n)
+    res = minimal_hajlasz(s, u, p)
+    assert polished
+    # the subsolve residual includes the relative duality gap
+    assert all(c["kkt_residual"] <= res.tolerance for c in certs)
+    assert all(isinstance(c["iterations"], int) for c in certs)
+    assert res.certificate["kkt_residual"] <= res.tolerance
+    check_hajlasz(s, u, res.minimizer)
 
 
 # -- capacity ------------------------------------------------------------------------

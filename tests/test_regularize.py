@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from rikit.demo import marcinkiewicz_gap_tables, radial_profile
-from rikit.errors import BudgetExhausted, HajlaszViolated, NotLipschitzOnSubset
+from rikit.errors import (
+    BudgetExhausted,
+    HajlaszViolated,
+    InvariantViolated,
+    NotLipschitzOnSubset,
+)
 from rikit.metric import (
     Curve,
     CurveFamily,
@@ -16,6 +21,8 @@ from rikit.metric import (
     path_space,
 )
 from rikit.regularize import (
+    LipTruncResult,
+    _check_lip_trunc,
     check_hajlasz,
     glue_gradient,
     lipschitz_bound,
@@ -302,6 +309,29 @@ def test_lip_trunc_same_profile_succeeds_in_lp():
     res = lipschitz_truncation(prof.space, prof.values, prof.hajlasz,
                                NormSpec.lp(2), prof.curves, eps=0.5)
     assert res.norm_gap < 0.5
+
+
+@pytest.mark.parametrize("u_eps, exceptional", [
+    ([0.0, 0.5, 1.0, 1.5], (0, 1, 2, 3)),   # |u_eps| above sigma
+    ([0.0, 1.0, 0.0, 0.0], (0, 1, 2, 3)),   # not 2*sigma-Lipschitz
+    ([0.0, 0.25, 0.5, 0.75], ()),           # differs from u off the set
+])
+def test_lip_trunc_invariants_raise_typed_error(u_eps, exceptional):
+    s = path_space(4)
+    u = np.array([0.0, 0.25, 0.5, 0.5])
+    res = LipTruncResult(u_eps=np.array(u_eps), lipschitz_constant=0.5,
+                         sigma=1.0, sigma0=1.0, exceptional=exceptional,
+                         eta=0.1, norm_gap=0.0)
+    with pytest.raises(InvariantViolated):
+        _check_lip_trunc(s, u, res)
+
+
+def test_lip_trunc_invariants_pass_on_valid_result():
+    s = path_space(4)
+    u = np.array([0.0, 0.25, 0.5, 0.5])
+    res = LipTruncResult(u_eps=u.copy(), lipschitz_constant=0.5, sigma=1.0,
+                         sigma0=1.0, exceptional=(), eta=0.1, norm_gap=0.0)
+    _check_lip_trunc(s, u, res)
 
 
 # -- convergence report ----------------------------------------------------------------------

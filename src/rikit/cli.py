@@ -318,18 +318,14 @@ def cmd_regularize(args):
     space = load_space_file(args.space)
     vals, _ = load_point_fn(args.fn)
     spec = parse_space(args.spec)
-    if args.curves == "pairs":
-        curves = CurveFamily.pairs(space)
-    else:
-        curves = load_curves(args.curves)
     if args.hajlasz == "auto":
         h = minimal_hajlasz(space, vals, 2.0).minimizer
     else:
         h, _ = load_point_fn(args.hajlasz)
     out = Path(args.out)
     try:
-        res = lipschitz_truncation(space, vals, h, spec, curves, args.eps,
-                                   c_delta=args.c_delta)
+        res = lipschitz_truncation(space, vals, h, spec, CurveFamily.empty(),
+                                   args.eps, c_delta=args.c_delta)
     except BudgetExhausted as err:
         _write_scan_trace(out, err.trace)
         print(f"budget exhausted in stage {err.stage} at sigma="
@@ -482,7 +478,6 @@ def build_parser():
     s.add_argument("--spec", required=True)
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--hajlasz", default="auto")
-    s.add_argument("--curves", default="pairs")
     s.add_argument("--c-delta", type=float, default=None)
     s.set_defaults(run=cmd_regularize)
 

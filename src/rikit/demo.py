@@ -232,7 +232,7 @@ def lip_trunc_sweep_preset(instances=20, eps_values=(0.5, 0.1, 0.02),
         for eps in eps_values:
             try:
                 res = lipschitz_truncation(space, u, h, spec,
-                                           CurveFamily.pairs(space), eps)
+                                           CurveFamily.empty(), eps)
                 ok = res.norm_gap < eps
                 size = len(res.exceptional)
                 monotone = prev_size is None or size <= prev_size

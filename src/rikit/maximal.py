@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolated, ZeroFunction
-from .metric import MMS
+from .metric import MMS, _ball_index
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
     FundamentalFn,
@@ -97,20 +97,18 @@ def maximal_metric(space: MMS, u, p) -> np.ndarray:
     if p < 1:
         raise ValueError("p >= 1 required")
     u = np.abs(np.asarray(u, dtype=float))
-    n = space.n
     w = space.weights
-    up = u ** p
-    out = np.zeros(n)
-    for c in range(n):
-        order = np.argsort(space.dist[c], kind="stable")
-        ds = space.dist[c][order]
-        cw = np.cumsum(w[order])
-        cf = np.cumsum((w * up)[order])
-        ends = np.nonzero(np.diff(np.append(ds, INF)) > 0)[0]
-        means = (cf[ends] / cw[ends]) ** (1.0 / p)
-        for e, m in zip(ends, means):
-            members = order[: e + 1]
-            np.maximum.at(out, members, m)
+    wup = w * u ** p
+    out = np.zeros(space.n)
+    for _, order, ds, last in _ball_index(space):
+        cw = np.cumsum(w[order], axis=1)
+        cf = np.cumsum(wup[order], axis=1)
+        ends = last & (ds < INF)
+        means = np.full(ds.shape, -INF)
+        means[ends] = (cf[ends] / cw[ends]) ** (1.0 / p)
+        # the balls about a center holding its k-th nearest point end at k or later
+        suffix = np.maximum.accumulate(means[:, ::-1], axis=1)[:, ::-1]
+        np.maximum.at(out, order.ravel(), suffix.ravel())
     return out
 
 

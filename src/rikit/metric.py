@@ -19,6 +19,7 @@ from .solver import SolveResult, constraint_generation, solve_norm_sum
 
 INF = math.inf
 TRIANGLE_SLACK = 1e-12
+BLOCK = 1 << 16  # entries per block of distance rows in the ball sweeps
 
 
 class MMS:
@@ -175,15 +176,12 @@ def grid_space(rows, cols):
 def tree_space(branching, depth):
     """Complete rooted tree with unit edges; distances via ancestor depths."""
     parents = [-1]
-    level = [0]
-    depths = [0]
     frontier = [0]
     for d in range(depth):
         nxt = []
         for node in frontier:
             for _ in range(branching):
                 parents.append(node)
-                depths.append(d + 1)
                 nxt.append(len(parents) - 1)
         frontier = nxt
     n = len(parents)
@@ -433,62 +431,78 @@ class BallInfo:
     members: tuple
 
 
-def enumerate_balls(space: MMS):
-    """Distinct closed-prefix balls per center.
+def _ball_index(space: MMS):
+    """Distance-sorted rows, in blocks of max(1, BLOCK // n) centres.
 
-    For each center the sorted distinct distances u_1 < u_2 < ... generate
-    the balls {y : d(c, y) <= u_k}; the generating radius is u_k (the
-    infimum of open-ball radii realizing the set).  Singletons (u_0 = 0)
-    are included with radius 0.
+    Yields (first, order, ds, last) for the block starting at centre
+    ``first``: the stable row-wise argsort, the sorted distances, and the
+    mask of entries that end their tie group.  The distinct closed balls
+    about a centre are the prefixes order[: k + 1] with last[k] set, of
+    radius ds[k].
     """
-    out = []
-    d = space.dist
-    for c in range(space.n):
-        order = np.argsort(d[c], kind="stable")
-        ds = d[c][order]
-        n = len(ds)
-        for k in range(n):
-            if k + 1 < n and ds[k + 1] == ds[k]:
-                continue
-            out.append(BallInfo(c, float(ds[k]), tuple(int(i) for i in order[: k + 1])))
-    return out
+    step = max(1, BLOCK // max(space.n, 1))
+    for first in range(0, space.n, step):
+        rows = space.dist[first:first + step]
+        order = np.argsort(rows, axis=1, kind="stable")
+        ds = np.take_along_axis(rows, order, axis=1)
+        last = np.ones(ds.shape, dtype=bool)
+        np.not_equal(ds[:, 1:], ds[:, :-1], out=last[:, :-1])
+        yield first, order, ds, last
+
+
+def _prefix_deviation(ww, uo, ends, means):
+    """sum_{k <= e} ww[k] |uo[k] - m| for each prefix end e and its mean m."""
+    inside = np.arange(len(uo)) <= ends[:, None]
+    return np.sum(np.where(inside, ww * np.abs(uo - means[:, None]), 0.0), axis=1)
 
 
 def poincare_ratio(space: MMS, u, g, p, lam=1.0):
     """Worst-ball ratio of the p-Poincare inequality; a c_PI lower bound.
 
-    Balls where both sides vanish are skipped; AllDegenerate is raised if
-    every ball is skipped.
+    The balls are the distinct closed balls {y : d(c, y) <= r} about each
+    center c, r running over the distances from c (the infimum of the
+    open-ball radii realizing the set); g^p is averaged over the closed
+    ball of radius lam * r about c.  Singletons and balls where both sides
+    vanish are skipped; AllDegenerate is raised if every ball is skipped.
+    Returns the ratio and the first worst ball in (center, radius) order.
     """
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)
     w = space.weights
-    d = space.dist
     best = None
     best_ball = None
-    for ball in enumerate_balls(space):
-        members = np.asarray(ball.members)
-        if len(members) < 2:
-            continue
-        bw = w[members]
-        diam = float(np.max(d[np.ix_(members, members)]))
-        if diam <= 0:
-            continue
-        u_b = float(np.sum(bw * u[members]) / np.sum(bw))
-        lhs = float(np.sum(bw * np.abs(u[members] - u_b)) / np.sum(bw))
-        lam_members = np.where(d[ball.center] <= lam * ball.radius)[0]
-        lw = w[lam_members]
-        rhs_root = float(np.sum(lw * g[lam_members] ** p) / np.sum(lw)) ** (1.0 / p)
-        denom = diam * rhs_root
-        if lhs <= 0 and denom <= 0:
-            continue
-        ratio = INF if denom <= 0 else lhs / denom
-        if best is None or ratio > best:
-            best = ratio
-            best_ball = ball
+    for first, order, ds, last in _ball_index(space):
+        for r, o in enumerate(order):
+            ends = np.nonzero(last[r, 1:])[0] + 1
+            # prefix diameters: running max over the rows of the sorted
+            # submatrix, each row up to its diagonal
+            diam = np.maximum.accumulate(np.maximum.accumulate(
+                space.dist[np.ix_(o, o)], axis=1).diagonal())[ends]
+            ww = w[o]
+            cw = np.cumsum(np.append(0.0, ww))  # cw[k]: the k nearest points
+            cg = np.cumsum(np.append(0.0, ww * g[o] ** p))
+            mw = cw[ends + 1]
+            lhs = _prefix_deviation(ww, u[o], ends, np.cumsum((u * w)[o])[ends] / mw) / mw
+            # the lam-ball holds the k nearest points, those within lam * r
+            k = np.searchsorted(ds[r], lam * ds[r, ends], side="right")
+            denom = diam * (cg[k] / cw[k]) ** (1.0 / p)
+            keep = ~(diam <= 0) & ~((lhs <= 0) & (denom <= 0))
+            ratio = np.divide(lhs, denom, out=np.full(len(lhs), INF),
+                              where=~(denom <= 0))[keep]
+            if not len(ratio):
+                continue
+            # strict improvement keeps the first worst ball; nan never wins
+            # (a nan ball makes every larger ball about its center nan too)
+            j = int(np.argmax(np.where(np.isnan(ratio), -INF, ratio)))
+            if best is not None and not ratio[j] > best:
+                continue
+            best = ratio[j]
+            e = int(ends[keep][j])
+            best_ball = BallInfo(first + r, float(ds[r, e]),
+                                 tuple(int(i) for i in o[: e + 1]))
     if best is None:
         raise AllDegenerate("every ball was skipped")
-    return best, best_ball
+    return float(best), best_ball
 
 
 def rearranged(space: MMS, values):

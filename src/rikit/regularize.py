@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (BudgetExhausted, HajlaszViolated, InvariantViolated,
                      NotLipschitzOnSubset)
-from .metric import MMS, CurveFamily, is_upper_gradient
+from .metric import (MMS, CurveFamily, _ball_index, _prefix_deviation,
+                     is_upper_gradient)
 from .rearrange import WeightedSamples
 from .spaces import NormSpec, norm
 
@@ -113,12 +114,8 @@ def lipschitz_bound(space: MMS, u):
     u = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(u)):
         return INF
-    n = space.n
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = max(best, abs(u[i] - u[j]) / space.dist[i, j])
-    return best
+    i, j = np.triu_indices(space.n, 1)
+    return float(np.max(np.abs(u[i] - u[j]) / space.dist[i, j], initial=0.0))
 
 
 def sharp_maximal(space: MMS, u) -> np.ndarray:
@@ -127,45 +124,36 @@ def sharp_maximal(space: MMS, u) -> np.ndarray:
     For each center the distinct closed balls are generated by the sorted
     distances; the (1/r) factor uses the largest in-ball distance, the
     supremum of the factor over the open-ball radii realizing the set.
-    An L-Lipschitz input yields values at most 2L.
+    Balls of radius 0 are skipped.  An L-Lipschitz input yields values at
+    most 2L.
     """
     u = np.asarray(u, dtype=float)
     w = space.weights
-    n = space.n
-    out = np.zeros(n)
-    for c in range(n):
-        order = np.argsort(space.dist[c], kind="stable")
-        ds = space.dist[c][order]
-        uw = (u * w)[order]
-        ww = w[order]
-        cw = np.cumsum(ww)
-        cu = np.cumsum(uw)
-        best = 0.0
-        for e in range(1, n):
-            if e + 1 < n and ds[e + 1] == ds[e]:
-                continue
-            r = ds[e]
-            if r <= 0:
-                continue
-            mean = cu[e] / cw[e]
-            dev = float(np.sum(ww[: e + 1] * np.abs(u[order[: e + 1]] - mean)))
-            best = max(best, dev / cw[e] / r)
-        out[c] = best
+    out = np.zeros(space.n)
+    for first, order, ds, last in _ball_index(space):
+        for r, o in enumerate(order):
+            ends = np.nonzero(last[r] & (ds[r] > 0))[0]
+            ww = w[o]
+            cw = np.cumsum(ww)[ends]
+            means = np.cumsum((u * w)[o])[ends] / cw
+            dev = _prefix_deviation(ww, u[o], ends, means)
+            # fmax: a nan ball value never wins, as in a max from 0
+            out[first + r] = np.fmax.reduce(dev / cw / ds[r, ends], initial=0.0)
     return out
 
 
 def check_hajlasz(space: MMS, u, h, tol=1e-7):
-    """Verify |u(x) - u(y)| <= d(x, y)(h(x) + h(y)) on every pair."""
+    """Verify |u(x) - u(y)| <= d(x, y)(h(x) + h(y)) on every pair; the
+    first violating pair i < j in row-major order raises HajlaszViolated."""
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    n = space.n
     scale = 1.0 + float(np.max(np.abs(u[np.isfinite(u)]), initial=0.0))
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = abs(u[i] - u[j])
-            rhs = space.dist[i, j] * (h[i] + h[j])
-            if lhs > rhs + tol * scale:
-                raise HajlaszViolated((i, j), float(lhs - rhs))
+    lhs = np.abs(u[:, None] - u[None, :])
+    rhs = space.dist * (h[:, None] + h[None, :])
+    bad = np.triu(lhs > rhs + tol * scale, 1)
+    if np.any(bad):
+        i, j = map(int, np.argwhere(bad)[0])
+        raise HajlaszViolated((i, j), float(lhs[i, j] - rhs[i, j]))
 
 
 @dataclass

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize as sopt
 
 from .errors import SolverStall
 
@@ -104,7 +103,8 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL):
     pos = colsum > 0
     lam_scale = float(np.min(cost[pos] / colsum[pos])) * p if np.any(pos) else 1.0
     lam0 = np.full(m, 0.5 * lam_scale)
-    res = sopt.minimize(
+    from scipy.optimize import minimize
+    res = minimize(
         neg_dual,
         lam0,
         jac=True,
@@ -213,8 +213,9 @@ def _power_certificate(x, lam, A, b, cost, p):
 
 def _solve_lp_min(cost, A, b, tol):
     """min cost @ x s.t. A x >= b, x >= 0 (vertex optimum via HiGHS)."""
+    from scipy.optimize import linprog
     m, n = A.shape
-    res = sopt.linprog(
+    res = linprog(
         c=cost, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * n, method="highs"
     )
     if not res.success:
@@ -311,6 +312,7 @@ def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
     SolveResult whose optimum is the exact (unmollified) objective at the
     solver's solution.
     """
+    from scipy.optimize import linprog, minimize
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
@@ -321,7 +323,7 @@ def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
 
     if p == 1.0:
         cost = np.concatenate((w_u, w_g))
-        res = sopt.linprog(
+        res = linprog(
             c=cost, A_ub=-A, b_ub=-b,
             bounds=[(float(l), None) for l in lb], method="highs",
         )
@@ -354,7 +356,7 @@ def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
             "jac": lambda z: A,
         })
     z0 = np.maximum(lb, 0.0) + 1e-3
-    res = sopt.minimize(
+    res = minimize(
         objective, z0, jac=True, method="SLSQP",
         bounds=[(float(l), None) for l in lb], constraints=cons,
         options={"maxiter": 800, "ftol": 1e-14},
@@ -370,6 +372,7 @@ def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
 
 def _recover_duals(z, A, b, lb, objective):
     """Nonnegative least-squares multipliers on the active rows."""
+    from scipy.optimize import nnls
     if len(b) == 0:
         return np.zeros(0)
     _, grad = objective(z)
@@ -383,7 +386,7 @@ def _recover_duals(z, A, b, lb, objective):
     if not np.any(free):
         return lam
     try:
-        sol, _ = sopt.nnls(A[act][:, free].T, grad[free])
+        sol, _ = nnls(A[act][:, free].T, grad[free])
         lam[act] = sol
     except RuntimeError:  # nnls iteration cap: keep the zero multipliers
         pass

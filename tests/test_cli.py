@@ -196,7 +196,7 @@ def test_regularize_cli_budget_exhausted_exit_3(tmp_path, capsys):
     write_json(curves, prof.curves.to_dict())
     rc = main(["--out", str(tmp_path), "regularize", "--space", str(spath),
                "--fn", str(fn), "--spec", "weak-marc:power:0.5",
-               "--eps", "0.5", "--hajlasz", str(hj), "--curves", str(curves)])
+               "--eps", "0.5", "--hajlasz", str(hj)])
     assert rc == 3
     assert (tmp_path / "scan_trace.csv").exists()
 

@@ -1,11 +1,15 @@
 """Source-level rules for the library package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "rikit").glob("*.py"))
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SRC = sorted((SRC_DIR / "rikit").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -14,3 +18,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is most of the import time; only the solver needs it
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = "import rikit, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

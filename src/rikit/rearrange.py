@@ -257,41 +257,33 @@ def distribution(u: WeightedSamples, t) -> float:
     return float(np.sum(u.weights[mask]))
 
 
-def _sorted_desc(u: WeightedSamples):
-    """Indices sorting |values| descending, ties broken by ascending index."""
-    a = np.abs(u.values)
-    return np.lexsort((np.arange(len(a)), -a))
-
-
 def decreasing_rearrangement(u: WeightedSamples) -> GridFn:
     """Sort-based exact rearrangement of |u| onto (0, total_weight].
 
-    Adjacent equal values are merged (block weights summed in descending
-    order) and trailing zeros dropped, so equimeasurable inputs produce
-    identical GridFns.
+    Samples are sorted canonically: |value| descending and, among equal
+    values, weight descending.  Each block of equal values becomes one
+    cell whose width is the sequential sum of its weights in that order;
+    the edges are the running sum of the cell widths, and the trailing
+    zero block is dropped.  The order depends only on the multiset of
+    (|value|, weight) pairs, so equimeasurable inputs (any permutation
+    in particular) produce bit-identical GridFns.
     """
-    order = _sorted_desc(u)
-    vals = np.abs(u.values)[order]
-    w = u.weights[order]
-    # merge equal-value blocks with a canonical summation order
-    merged_vals = []
-    merged_w = []
-    i = 0
-    n = len(vals)
-    while i < n:
-        j = i
-        while j + 1 < n and vals[j + 1] == vals[i]:
-            j += 1
-        block = np.sort(w[i : j + 1])[::-1]
-        merged_vals.append(vals[i])
-        merged_w.append(float(np.sum(block)))
-        i = j + 1
-    # drop trailing zero block
-    if merged_vals and merged_vals[-1] == 0.0:
-        merged_vals.pop()
-        merged_w.pop()
-    edges = np.concatenate(([0.0], np.cumsum(merged_w)))
-    return GridFn(edges, merged_vals)
+    w = u.weights
+    vals = np.abs(u.values)
+    order = np.lexsort((-w, -vals))
+    vals, w = vals[order], w[order]
+    if len(vals) == 0:
+        return GridFn([0.0], [])
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    # w0 - (-w1) - (-w2) - ...: subtraction reduces strictly left to right,
+    # where np.add.reduceat may regroup a block pairwise
+    signed = -w
+    signed[starts] = w[starts]
+    merged_w = np.subtract.reduceat(signed, starts)
+    merged_vals = vals[starts]
+    if merged_vals[-1] == 0.0:
+        merged_vals, merged_w = merged_vals[:-1], merged_w[:-1]
+    return GridFn(np.concatenate(([0.0], np.cumsum(merged_w))), merged_vals)
 
 
 def gridfn_distribution(f: GridFn, t) -> float:
@@ -331,37 +323,31 @@ def superlevel_family(u: WeightedSamples, t) -> SuperlevelSet:
         level = INF if np.any(~np.isfinite(a)) else (float(np.max(a)) if len(a) else 0.0)
         return SuperlevelSet(indices=(), target_measure=t, level=level)
 
-    order = _sorted_desc(u)
-    a = np.abs(u.values)[order]
-    w = u.weights[order]
-    cw = np.cumsum(w)
+    a = np.abs(u.values)
+    order = np.argsort(-a, kind="stable")  # ties by ascending index
+    a = a[order]
+    acc = np.concatenate(([0.0], np.cumsum(u.weights[order])))
     # cut level: value of the cell of the rearrangement containing t
-    j = int(np.searchsorted(cw, t - MEASURE_ATOL, side="left"))
-    j = min(j, len(a) - 1)
-    level = float(a[j])
+    j = int(np.searchsorted(acc[1:], t - MEASURE_ATOL, side="left"))
+    level = float(a[min(j, len(a) - 1)])
 
-    chosen = []
-    acc = 0.0
-    # everything strictly above the level is forced in
-    k = 0
-    while k < len(a) and a[k] > level:
-        chosen.append(int(order[k]))
-        acc += w[k]
-        k += 1
-    # fill with equal-to-level samples, lowest original index first
-    eq_positions = [k2 for k2 in range(k, len(a)) if a[k2] == level]
-    eq_positions.sort(key=lambda k2: order[k2])
-    for k2 in eq_positions:
-        if acc >= t - MEASURE_ATOL:
-            break
-        nxt = acc + w[k2]
-        if nxt <= t + MEASURE_ATOL:
-            chosen.append(int(order[k2]))
-            acc = nxt
-        else:
-            raise NotAttainable(t, lower=acc, upper=nxt)
-    if abs(acc - t) > MEASURE_ATOL:
-        raise NotAttainable(t, lower=acc, upper=acc)
+    # everything strictly above the level is forced in; the samples equal
+    # to it follow in index order, each taken while the measure stays
+    # within t, so acc[k + i] is the measure before the i-th of them
+    k = int(np.count_nonzero(a > level))
+    m = int(np.count_nonzero(a == level))
+    before, after = acc[k : k + m], acc[k + 1 : k + m + 1]
+    done = before >= t - MEASURE_ATOL
+    over = after > t + MEASURE_ATOL
+    stop = np.flatnonzero(done | over)
+    i = int(stop[0]) if len(stop) else m
+    if i < m and not done[i]:
+        raise NotAttainable(t, lower=float(before[i]), upper=float(after[i]))
+    reached = float(acc[k + i])
+    if abs(reached - t) > MEASURE_ATOL:
+        raise NotAttainable(t, lower=reached, upper=reached)
     return SuperlevelSet(
-        indices=tuple(sorted(chosen)), target_measure=t, level=level
+        indices=tuple(sorted(order[: k + i].tolist())),
+        target_measure=t,
+        level=level,
     )

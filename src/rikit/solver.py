@@ -251,7 +251,11 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
 
     ``rows`` is the full (possibly large) constraint matrix; the working
     set starts from the most-violated row at x = 0 and grows one row at a
-    time (most violated first, ties to the lowest index).
+    time (most violated first, ties to the lowest index).  The final
+    certificate carries the last working-set solve's ``duality_gap``
+    (zero duals on the other rows extend its dual to the full program),
+    ``iterations`` (L-BFGS-B iterations summed over rounds) and
+    ``rounds``.
     """
     rows = np.asarray(rows, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -266,8 +270,10 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     in_active = set(active)
     x = np.zeros(n)
     duals_full = np.zeros(m)
-    for _ in range(m + 1):
+    iterations = 0
+    for rounds in range(1, m + 2):
         sub = solve_separable_power(cost, rows[active], b[active], p, tol)
+        iterations += sub.certificate.get("iterations", 0)
         x = sub.minimizer
         duals_full = np.zeros(m)
         duals_full[active] = sub.certificate["duals"]
@@ -295,8 +301,11 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
             float(np.max(np.abs(duals_full * slacks), initial=0.0)),
         ) / scale,
         "active_set": list(map(int, active)),
+        "iterations": iterations,
+        "rounds": rounds,
     }
-    cert.update({k: sub.certificate[k] for k in ("vertex", "dual_degenerate")
+    cert.update({k: sub.certificate[k]
+                 for k in ("duality_gap", "vertex", "dual_degenerate")
                  if k in sub.certificate})
     result = SolveResult(float(np.sum(np.asarray(cost) * x ** p)) if p > 1
                          else float(np.asarray(cost) @ x), x, cert, tol)

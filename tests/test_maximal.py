@@ -406,6 +406,20 @@ def test_criteria_incoherence_raises_typed_error(monkeypatch):
         density_criteria_report(NormSpec.lp(2), p=1)
 
 
+@pytest.mark.parametrize("alpha", [0.51, 0.53, 0.55, 0.57])
+def test_power_log_index_estimate_certifies_nothing(alpha):
+    # the grid Zippin estimate under-reads the index of these shapes
+    # (0.496 against 0.55 for power_log(0.55, 1)), and concavity on a grid
+    # window misses the convexity of phi^q near 0, so neither may certify
+    # a condition that the exact (iv) and (vii) contradict
+    for beta in (0.8, 1.0, 1.2):
+        spec = NormSpec.marcinkiewicz_p(FundamentalFn.power_log(alpha, beta), 2.0)
+        rep = density_criteria_report(spec, p=2, complete_space=True)
+        for cid in ("v", "vi", "viii", "c-i", "c-ii", "c-iii"):
+            assert rep.conditions[cid].status == "inconclusive", (alpha, beta, cid)
+    assert not zippin_upper(FundamentalFn.power_log(alpha, 1.0)).beta_exact
+
+
 def test_psi_majorant_criteria_consistency():
     # M^p_loc fundamental function: criteria run on the majorant shape
     phi = FundamentalFn.power(0.25)

@@ -315,6 +315,26 @@ def test_hajlasz_single_path_certified(n, p, monkeypatch):
     check_hajlasz(s, u, res.minimizer)
 
 
+@pytest.mark.parametrize("p", [1.05, 2.0, 3.0])
+def test_constraint_generation_certificate_carries_gap_and_counts(p, monkeypatch):
+    subsolve = solver.solve_separable_power
+    iterations = []
+
+    def recording_subsolve(*args):
+        res = subsolve(*args)
+        iterations.append(res.certificate["iterations"])
+        return res
+
+    monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
+    u = np.cumsum(np.random.default_rng(12).uniform(0.1, 1.0, 12))
+    res = minimal_hajlasz(path_space(12), u, p)
+    cert = res.certificate
+    assert cert["rounds"] == len(iterations) >= 2
+    assert cert["iterations"] == sum(iterations)
+    # the gap is in units of the power objective sum w h^p = optimum^p
+    assert 0.0 <= cert["duality_gap"] <= res.tolerance * (1.0 + res.optimum ** p)
+
+
 # -- capacity ------------------------------------------------------------------------
 
 

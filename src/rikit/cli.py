@@ -34,9 +34,7 @@ from .metric import (
 )
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .regularize import lipschitz_truncation
-from .spaces import FundamentalFn, NormSpec, norm
-
-INF = math.inf
+from .spaces import _FAMILIES, FundamentalFn, NormSpec, PowerLogPhi, PowerPhi, norm
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +44,8 @@ INF = math.inf
 SHORTHAND_HELP = (
     "space shorthand: lp:P | lorentz:P,Q | lorentz-weak:P | marc:PHI | "
     "weak-marc:PHI | lambda:PHI | lambda-q:Q:PHI | marc-p:P:PHI | "
-    "marc-p-loc:P:PHI | max:SPEC|SPEC|... | @spec.json ; "
+    "marc-p-loc:P:PHI | max:SPEC|SPEC|... | @spec.json (any family; "
+    "orlicz_lux has no shorthand) ; "
     "PHI is power:ALPHA[,COEFF[,CAP]] or powerlog:ALPHA,BETA"
 )
 
@@ -61,43 +60,7 @@ def _parse_phi(text):
     raise ValueError(f"unknown shape {text!r} (use power:... or powerlog:...)")
 
 
-def parse_space(text) -> NormSpec:
-    """Expand shorthand (or @file.json) into a norm specification."""
-    text = text.strip()
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return NormSpec.from_dict(json.load(fh))
-    fam, _, rest = text.partition(":")
-    if fam == "lp":
-        return NormSpec.lp(float(rest))
-    if fam == "lorentz":
-        p, q = (float(x) for x in rest.split(","))
-        return NormSpec.lorentz(p, q)
-    if fam == "lorentz-weak":
-        return NormSpec.lorentz_weak(float(rest))
-    if fam == "marc":
-        return NormSpec.marcinkiewicz(_parse_phi(rest))
-    if fam == "weak-marc":
-        return NormSpec.weak_marcinkiewicz(_parse_phi(rest))
-    if fam == "lambda":
-        return NormSpec.lambda_phi(_parse_phi(rest))
-    if fam == "lambda-q":
-        q, _, phi = rest.partition(":")
-        return NormSpec.lambda_q(_parse_phi(phi), float(q))
-    if fam == "marc-p":
-        p, _, phi = rest.partition(":")
-        return NormSpec.marcinkiewicz_p(_parse_phi(phi), float(p))
-    if fam == "marc-p-loc":
-        p, _, phi = rest.partition(":")
-        return NormSpec.marcinkiewicz_p_loc(_parse_phi(phi), float(p))
-    if fam == "max":
-        return NormSpec.intersection_max(*[parse_space(s) for s in rest.split("|")])
-    raise ValueError(f"unknown space shorthand {text!r}; {SHORTHAND_HELP}")
-
-
 def _phi_shorthand(phi):
-    from .spaces import PowerPhi, PowerLogPhi
-
     if isinstance(phi, PowerPhi):
         if math.isinf(phi.cap) and phi.coeff == 1.0:
             return f"power:{phi.alpha:g}"
@@ -109,33 +72,45 @@ def _phi_shorthand(phi):
     return None
 
 
+def _parts_shorthand(parts):
+    texts = [spec_shorthand(s) for s in parts]
+    return "|".join(texts) if all(texts) else None
+
+
+_BY_PREFIX = {f.prefix: f for f in _FAMILIES.values() if f.prefix}
+_PARSE_PART = {"phi": _parse_phi,
+               "parts": lambda text: [parse_space(s) for s in text.split("|")]}
+_PART_SHORTHAND = {"phi": _phi_shorthand, "parts": _parts_shorthand}
+
+
+def parse_space(text) -> NormSpec:
+    """Expand shorthand (or @file.json) into a norm specification."""
+    text = text.strip()
+    if text.startswith("@"):
+        with open(text[1:]) as fh:
+            return NormSpec.from_dict(json.load(fh))
+    prefix, _, rest = text.partition(":")
+    fam = _BY_PREFIX.get(prefix)
+    if fam is None:
+        raise ValueError(f"unknown space shorthand {text!r}; {SHORTHAND_HELP}")
+    args = {}
+    if fam.part is not None:
+        rest, _, part = rest.partition(":") if fam.fields else ("", "", rest)
+        args[fam.part] = _PARSE_PART[fam.part](part)
+    values = rest.split(",") if fam.fields else []
+    if len(values) != len(fam.fields):
+        raise ValueError(f"{prefix} takes {len(fam.fields)} numbers: {text!r}")
+    args.update(zip(fam.fields, map(float, values)))
+    return fam.make(**args)
+
+
 def spec_shorthand(spec: NormSpec):
     """Canonical shorthand for a spec, or None when not expressible."""
-    fam = spec.family
-    if fam == "lp":
-        return f"lp:{spec.p:g}"
-    if fam == "lorentz_pq":
-        return f"lorentz:{spec.p:g},{spec.q:g}"
-    if fam == "lorentz_pinf":
-        return f"lorentz-weak:{spec.p:g}"
-    phi_s = _phi_shorthand(spec.phi) if spec.phi is not None else None
-    if fam == "marcinkiewicz" and phi_s:
-        return f"marc:{phi_s}"
-    if fam == "weak_marcinkiewicz" and phi_s:
-        return f"weak-marc:{phi_s}"
-    if fam == "lambda_phi" and phi_s:
-        return f"lambda:{phi_s}"
-    if fam == "lambda_q_phi" and phi_s:
-        return f"lambda-q:{spec.q:g}:{phi_s}"
-    if fam == "marcinkiewicz_p" and phi_s:
-        return f"marc-p:{spec.p:g}:{phi_s}"
-    if fam == "marcinkiewicz_p_loc" and phi_s:
-        return f"marc-p-loc:{spec.p:g}:{phi_s}"
-    if fam == "intersection_max":
-        parts = [spec_shorthand(s) for s in spec.parts]
-        if all(parts):
-            return "max:" + "|".join(parts)
-    return None
+    fam = _FAMILIES[spec.family]
+    pieces = [fam.prefix, ",".join(f"{getattr(spec, f):g}" for f in fam.fields)]
+    if fam.part in _PART_SHORTHAND:
+        pieces.append(_PART_SHORTHAND[fam.part](getattr(spec, fam.part)))
+    return None if None in pieces else ":".join(p for p in pieces if p)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +294,7 @@ def cmd_regularize(args):
     vals, _ = load_point_fn(args.fn)
     spec = parse_space(args.spec)
     if args.hajlasz == "auto":
-        h = minimal_hajlasz(space, vals, 2.0).minimizer
+        h = minimal_hajlasz(space, vals, 2.0, tol=args.tol).minimizer
     else:
         h, _ = load_point_fn(args.hajlasz)
     out = Path(args.out)

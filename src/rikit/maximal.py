@@ -450,16 +450,28 @@ def m_phi(phi: FundamentalFn, s, t_grid=None) -> float:
     if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= 1.0):
         return s ** (-phi.alpha)
     if t_grid is None:
-        t_grid = np.unique(np.concatenate((
-            geometric_grid(1e-12, 1.0, 192),
-            phi.kinks(1e-12, 1.0),
-            phi.kinks(1e-12, 1.0) / s,
-            [1.0],
-        )))
-        t_grid = t_grid[(t_grid > 0) & (t_grid <= 1.0)]
+        return float(_m_phi_at(phi, np.asarray([s], dtype=float))[0])
     num = np.asarray(phi(t_grid), dtype=float)
     den = np.maximum(np.asarray(phi(s * t_grid), dtype=float), 1e-300)
     return float(np.max(num / den))
+
+
+def _m_phi_at(phi, ss):
+    """m_phi at every s in ss at once, each over its own default grid.
+
+    The grid of one s is a shared base (192 geometric points, phi's kinks
+    and 1) joined with phi's kinks divided by s, all within (0, 1].
+    """
+    kinks = phi.kinks(1e-12, 1.0)
+    base = np.unique(np.concatenate((geometric_grid(1e-12, 1.0, 192), kinks, [1.0])))
+    base = base[(base > 0) & (base <= 1.0)]
+    ss = ss[:, None]
+    ts = np.concatenate((np.broadcast_to(base, (len(ss), len(base))), kinks / ss),
+                        axis=1)
+    num = np.asarray(phi(ts.ravel()), dtype=float).reshape(ts.shape)
+    den = np.asarray(phi((ss * ts).ravel()), dtype=float).reshape(ts.shape)
+    ratios = num / np.maximum(den, 1e-300)
+    return np.max(np.where((ts > 0) & (ts <= 1.0), ratios, -INF), axis=1)
 
 
 def m_phi_norm(phi: FundamentalFn, p) -> float:
@@ -477,8 +489,9 @@ def m_phi_norm(phi: FundamentalFn, p) -> float:
         return INF
 
     def integrand(s):
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.asarray([m_phi(phi, float(x)) ** p for x in arr])
+        ms = _m_phi_at(phi, np.atleast_1d(np.asarray(s, dtype=float)))
+        # scalar powers: numpy's vector pow may round apart from the C library's
+        return np.asarray([m ** p for m in ms.tolist()])
 
     val = _dyadic_integral(integrand, 1.0)
     if not math.isfinite(val):

@@ -164,45 +164,33 @@ def path_space(n, spacing=1.0, weights=None):
 
 def grid_space(rows, cols):
     """Unit-edge lattice graph with shortest-path (Manhattan) distances."""
-    coords = [(r, c) for r in range(rows) for c in range(cols)]
-    n = len(coords)
-    d = np.zeros((n, n))
-    for i, (r1, c1) in enumerate(coords):
-        for j, (r2, c2) in enumerate(coords):
-            d[i, j] = abs(r1 - r2) + abs(c1 - c2)
-    return MMS(d, np.ones(n))
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    d = np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])
+    return MMS(d.astype(float), np.ones(rows * cols))
 
 
 def tree_space(branching, depth):
-    """Complete rooted tree with unit edges; distances via ancestor depths."""
-    parents = [-1]
-    frontier = [0]
-    for d in range(depth):
-        nxt = []
-        for node in frontier:
-            for _ in range(branching):
-                parents.append(node)
-                nxt.append(len(parents) - 1)
-        frontier = nxt
-    n = len(parents)
+    """Complete rooted tree with unit edges; distances via ancestor depths.
 
-    def ancestors(i):
-        out = []
-        while i != -1:
-            out.append(i)
-            i = parents[i]
-        return out
-
-    anc = [ancestors(i) for i in range(n)]
-    anc_sets = [dict((a, k) for k, a in enumerate(a_list)) for a_list in anc]
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k, a in enumerate(anc[i]):
-                if a in anc_sets[j]:
-                    dist[i, j] = dist[j, i] = k + anc_sets[j][a]
-                    break
-    return MMS(dist, np.ones(n))
+    Nodes are numbered breadth first, so node i > 0 has parent
+    (i - 1) // branching.
+    """
+    n = sum(branching ** k for k in range(depth + 1))
+    # up[k, i]: the k-th ancestor of node i, held at the root once reached
+    up = [np.arange(n)]
+    for _ in range(depth):
+        up.append(np.maximum(up[-1] - 1, 0) // max(branching, 1))
+    up = np.asarray(up)
+    level = np.sum(up > 0, axis=0)
+    # two nodes share their ancestors at depths 0 .. the depth of their
+    # common ancestor; anc holds each node's ancestor at depth k, or -1
+    common = np.full((n, n), -1)
+    for k in range(depth + 1):
+        steps = level - k
+        anc = np.where(steps >= 0, up[np.maximum(steps, 0), np.arange(n)], -1)
+        common += (anc[:, None] == anc[None, :]) & (anc[:, None] >= 0)
+    dist = level[:, None] + level[None, :] - 2 * common
+    return MMS(dist.astype(float), np.ones(n))
 
 
 def parse_generator(text):

@@ -11,7 +11,9 @@ Orlicz-inverse shapes fall back to panel quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -425,24 +427,13 @@ class PsiMajorantPhi(FundamentalFn):
 # norm specifications
 # ---------------------------------------------------------------------------
 
-_FAMILIES = (
-    "lp",
-    "lorentz_pq",
-    "lorentz_pinf",
-    "lambda_phi",
-    "lambda_q_phi",
-    "marcinkiewicz",
-    "weak_marcinkiewicz",
-    "marcinkiewicz_p",
-    "marcinkiewicz_p_loc",
-    "orlicz_lux",
-    "intersection_max",
-)
-
 
 @dataclass(eq=False)
 class NormSpec:
-    """Algebraic description of a rearrangement-invariant (quasi)norm."""
+    """Algebraic description of a rearrangement-invariant (quasi)norm.
+
+    What differs between families is declared once, in ``_FAMILIES``.
+    """
 
     family: str
     p: float | None = None
@@ -450,31 +441,14 @@ class NormSpec:
     phi: FundamentalFn | None = None
     orlicz: OrliczN | None = None
     parts: tuple = ()
-    quasi_hint: bool | None = field(default=None)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise UnsupportedCombination(f"unknown family {self.family!r}")
+        _family_of(self.family)
 
-    @property
+    @cached_property
     def quasi_only(self):
-        """True when the functional may fail the triangle inequality.
-
-        Computed lazily for the Lambda^q family (it is a genuine norm
-        exactly when phi^q is quasi-concave).
-        """
-        if self.quasi_hint is None:
-            if self.family == "lambda_q_phi":
-                hi = (min(1.0, self.phi.cap)
-                      if math.isfinite(self.phi.cap) else 1.0)
-                ok = is_quasiconcave(self.phi, power=self.q,
-                                     window=(1e-8 * hi, hi)).ok
-                self.quasi_hint = not ok
-            elif self.family == "intersection_max":
-                self.quasi_hint = any(s.quasi_only for s in self.parts)
-            else:
-                self.quasi_hint = False
-        return self.quasi_hint
+        """True when the functional may fail the triangle inequality."""
+        return _FAMILIES[self.family].quasi(self)
 
     # -- constructors -------------------------------------------------------
 
@@ -490,13 +464,13 @@ class NormSpec:
             raise UnsupportedCombination("Lorentz requires p, q >= 1")
         if math.isinf(q):
             raise UnsupportedCombination("use lorentz_weak for q = inf")
-        return cls("lorentz_pq", p=float(p), q=float(q), quasi_hint=q > p)
+        return cls("lorentz_pq", p=float(p), q=float(q))
 
     @classmethod
     def lorentz_weak(cls, p):
         if p < 1:
             raise UnsupportedCombination("weak Lorentz requires p >= 1")
-        return cls("lorentz_pinf", p=float(p), quasi_hint=True)
+        return cls("lorentz_pinf", p=float(p))
 
     @classmethod
     def lambda_phi(cls, phi):
@@ -514,19 +488,19 @@ class NormSpec:
 
     @classmethod
     def weak_marcinkiewicz(cls, phi):
-        return cls("weak_marcinkiewicz", phi=phi, quasi_hint=True)
+        return cls("weak_marcinkiewicz", phi=phi)
 
     @classmethod
     def marcinkiewicz_p(cls, phi, p):
         if p < 1:
             raise UnsupportedCombination("M^p requires p >= 1")
-        return cls("marcinkiewicz_p", phi=phi, p=float(p), quasi_hint=True)
+        return cls("marcinkiewicz_p", phi=phi, p=float(p))
 
     @classmethod
     def marcinkiewicz_p_loc(cls, phi, p):
         if p < 1:
             raise UnsupportedCombination("M^p_loc requires p >= 1")
-        return cls("marcinkiewicz_p_loc", phi=phi, p=float(p), quasi_hint=True)
+        return cls("marcinkiewicz_p_loc", phi=phi, p=float(p))
 
     @classmethod
     def orlicz_lux(cls, orlicz):
@@ -542,128 +516,37 @@ class NormSpec:
 
     @property
     def absolutely_continuous(self):
-        """Whether the family's norm is absolutely continuous.
-
-        None means unknown (cannot be decided from sampled data).
-        """
-        fam = self.family
-        if fam == "lp":
-            return not math.isinf(self.p)
-        if fam == "lorentz_pq":
-            return True
-        if fam in ("lambda_phi", "lambda_q_phi"):
-            return True
-        if fam in ("lorentz_pinf", "marcinkiewicz", "weak_marcinkiewicz",
-                   "marcinkiewicz_p", "marcinkiewicz_p_loc"):
-            return False
-        if fam == "orlicz_lux":
-            return None
-        if fam == "intersection_max":
-            vals = [s.absolutely_continuous for s in self.parts]
-            if any(v is False for v in vals):
-                return False
-            if any(v is None for v in vals):
-                return None
-            return True
-        return None
+        """Whether the norm is absolutely continuous; None when undecidable."""
+        return _FAMILIES[self.family].ac(self)
 
     def fundamental_phi(self):
-        """Fundamental function of the space as a shape object, or None."""
-        fam = self.family
-        if fam in ("lp", "lorentz_pq", "lorentz_pinf"):
-            return PowerPhi(1.0 / self.p)
-        if fam in ("lambda_phi", "marcinkiewicz", "weak_marcinkiewicz"):
-            return self.phi
-        if fam == "orlicz_lux":
-            return OrliczInversePhi(self.orlicz)
-        if fam in ("marcinkiewicz_p", "marcinkiewicz_p_loc"):
-            # dominates phi; equals it iff phi^p is quasi-concave
-            return PsiMajorantPhi(self.phi, self.p)
-        if fam == "lambda_q_phi":
-            return _LambdaQFundamental(self.phi, self.q)
-        if fam == "intersection_max":
-            return _MaxPhi([s.fundamental_phi() for s in self.parts])
-        return None
+        """Fundamental function of the space as a shape object."""
+        return _FAMILIES[self.family].fundamental(self)
 
     def boyd_alpha_exact(self):
         """Exact upper Boyd index where the dilation norm has a closed form."""
-        fam = self.family
-        if fam in ("lp", "lorentz_pq", "lorentz_pinf"):
-            return 1.0 / self.p
-        if fam in ("lambda_phi", "lambda_q_phi", "marcinkiewicz",
-                   "weak_marcinkiewicz", "marcinkiewicz_p"):
-            pe = self.phi.power_exponent() if self.phi is not None else None
-            if pe is not None:
-                return pe[1]
-        return None
+        return _FAMILIES[self.family].boyd(self)
 
     def describe(self):
-        fam = self.family
-        if fam == "lp":
-            return f"L^{self.p:g}"
-        if fam == "lorentz_pq":
-            return f"L^({self.p:g},{self.q:g})"
-        if fam == "lorentz_pinf":
-            return f"L^({self.p:g},inf)"
-        if fam == "lambda_phi":
-            return "Lambda_phi"
-        if fam == "lambda_q_phi":
-            return f"Lambda^{self.q:g}_phi"
-        if fam == "marcinkiewicz":
-            return "M_phi"
-        if fam == "weak_marcinkiewicz":
-            return "M*_phi"
-        if fam == "marcinkiewicz_p":
-            return f"M^{self.p:g}_phi"
-        if fam == "marcinkiewicz_p_loc":
-            return f"M^{self.p:g}_phi,loc"
-        if fam == "orlicz_lux":
-            return "L^Psi"
-        return "max(" + ", ".join(s.describe() for s in self.parts) + ")"
+        return _FAMILIES[self.family].label.format(
+            p=self.p, q=self.q, parts=", ".join(s.describe() for s in self.parts))
 
     # -- serialization --------------------------------------------------------
 
     def to_dict(self):
-        d = {"family": self.family}
-        if self.p is not None:
-            d["p"] = self.p
-        if self.q is not None:
-            d["q"] = self.q
-        if self.phi is not None:
-            d["phi"] = _phi_to_dict(self.phi)
-        if self.orlicz is not None:
-            d["orlicz"] = self.orlicz.to_dict()
-        if self.parts:
-            d["parts"] = [s.to_dict() for s in self.parts]
+        fam = _FAMILIES[self.family]
+        d = {"family": self.family, **{f: getattr(self, f) for f in fam.fields}}
+        if fam.part is not None:
+            d[fam.part] = _PART_CODECS[fam.part][0](getattr(self, fam.part))
         return d
 
     @classmethod
     def from_dict(cls, d):
-        fam = d["family"]
-        phi = _phi_from_dict(d["phi"]) if "phi" in d else None
-        if fam == "lp":
-            return cls.lp(d["p"])
-        if fam == "lorentz_pq":
-            return cls.lorentz(d["p"], d["q"])
-        if fam == "lorentz_pinf":
-            return cls.lorentz_weak(d["p"])
-        if fam == "lambda_phi":
-            return cls.lambda_phi(phi)
-        if fam == "lambda_q_phi":
-            return cls.lambda_q(phi, d["q"])
-        if fam == "marcinkiewicz":
-            return cls.marcinkiewicz(phi)
-        if fam == "weak_marcinkiewicz":
-            return cls.weak_marcinkiewicz(phi)
-        if fam == "marcinkiewicz_p":
-            return cls.marcinkiewicz_p(phi, d["p"])
-        if fam == "marcinkiewicz_p_loc":
-            return cls.marcinkiewicz_p_loc(phi, d["p"])
-        if fam == "orlicz_lux":
-            return cls.orlicz_lux(OrliczN.from_dict(d["orlicz"]))
-        if fam == "intersection_max":
-            return cls.intersection_max(*[cls.from_dict(s) for s in d["parts"]])
-        raise UnsupportedCombination(f"unknown family {fam!r}")
+        fam = _family_of(d["family"])
+        args = {f: d[f] for f in fam.fields}
+        if fam.part is not None:
+            args[fam.part] = _PART_CODECS[fam.part][1](d[fam.part])
+        return fam.make(**args)
 
 
 class _LambdaQFundamental(FundamentalFn):
@@ -781,6 +664,119 @@ def _phi_from_dict(d):
 
 
 # ---------------------------------------------------------------------------
+# norm families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything that differs between norm families, declared once."""
+
+    make: Callable          # public constructor, called with keyword arguments
+    prefix: str | None      # CLI shorthand prefix; None: no shorthand
+    fields: tuple           # numeric fields, in shorthand order
+    part: str | None        # structural argument: "phi", "orlicz" or "parts"
+    label: str              # describe() format over p, q and parts
+    evaluate: Callable      # (decreasing rearrangement, spec) -> norm value
+    ac: Callable            # spec -> absolutely continuous (None: unknown)
+    quasi: Callable         # spec -> may fail the triangle inequality
+    fundamental: Callable   # spec -> fundamental function shape
+    boyd: Callable          # spec -> exact upper Boyd index, or None
+
+
+def _family_of(name):
+    if name not in _FAMILIES:
+        raise UnsupportedCombination(f"unknown family {name!r}")
+    return _FAMILIES[name]
+
+
+def _phi_index(spec):
+    pe = spec.phi.power_exponent()
+    return pe[1] if pe is not None else None
+
+
+def _lambda_q_quasi(spec):
+    # Lambda^q_phi is a genuine norm exactly when phi^q is quasi-concave
+    hi = min(1.0, spec.phi.cap)
+    return not is_quasiconcave(spec.phi, power=spec.q, window=(1e-8 * hi, hi)).ok
+
+
+def _max_ac(spec):
+    vals = {s.absolutely_continuous for s in spec.parts}
+    return False if False in vals else None if None in vals else True
+
+
+# structural arguments: (to_dict, from_dict) per kind
+_PART_CODECS = {
+    "phi": (_phi_to_dict, _phi_from_dict),
+    "orlicz": (OrliczN.to_dict, OrliczN.from_dict),
+    "parts": (lambda parts: [s.to_dict() for s in parts],
+              lambda ds: [NormSpec.from_dict(d) for d in ds]),
+}
+
+_FAMILIES = {
+    "lp": _Family(
+        NormSpec.lp, "lp", ("p",), None, "L^{p:g}", lambda u, s: _norm_lp(u, s.p),
+        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False,
+        fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
+    "lorentz_pq": _Family(
+        NormSpec.lorentz, "lorentz", ("p", "q"), None, "L^({p:g},{q:g})",
+        lambda u, s: _norm_lorentz_pq(u, s.p, s.q),
+        ac=lambda s: True, quasi=lambda s: s.q > s.p,
+        fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
+    "lorentz_pinf": _Family(
+        NormSpec.lorentz_weak, "lorentz-weak", ("p",), None, "L^({p:g},inf)",
+        lambda u, s: _sup_star_phi(u, PowerPhi(1.0 / s.p)),
+        ac=lambda s: False, quasi=lambda s: True,
+        fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
+    "lambda_phi": _Family(
+        NormSpec.lambda_phi, "lambda", (), "phi", "Lambda_phi",
+        lambda u, s: _norm_lambda_phi(u, s.phi),
+        ac=lambda s: True, quasi=lambda s: False,
+        fundamental=lambda s: s.phi, boyd=_phi_index),
+    "lambda_q_phi": _Family(
+        NormSpec.lambda_q, "lambda-q", ("q",), "phi", "Lambda^{q:g}_phi",
+        lambda u, s: _norm_lambda_q(u, s.phi, s.q),
+        ac=lambda s: True, quasi=_lambda_q_quasi,
+        fundamental=lambda s: _LambdaQFundamental(s.phi, s.q), boyd=_phi_index),
+    "marcinkiewicz": _Family(
+        NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
+        lambda u, s: _sup_mp_phi(u, s.phi, 1.0, window_hi=None),
+        ac=lambda s: False, quasi=lambda s: False,
+        fundamental=lambda s: s.phi, boyd=_phi_index),
+    "weak_marcinkiewicz": _Family(
+        NormSpec.weak_marcinkiewicz, "weak-marc", (), "phi", "M*_phi",
+        lambda u, s: _sup_star_phi(u, s.phi),
+        ac=lambda s: False, quasi=lambda s: True,
+        fundamental=lambda s: s.phi, boyd=_phi_index),
+    # the M^p fundamental shape dominates phi; equal iff phi^p is quasi-concave
+    "marcinkiewicz_p": _Family(
+        NormSpec.marcinkiewicz_p, "marc-p", ("p",), "phi", "M^{p:g}_phi",
+        lambda u, s: _sup_mp_phi(u, s.phi, s.p, window_hi=None),
+        ac=lambda s: False, quasi=lambda s: True,
+        fundamental=lambda s: PsiMajorantPhi(s.phi, s.p), boyd=_phi_index),
+    "marcinkiewicz_p_loc": _Family(
+        NormSpec.marcinkiewicz_p_loc, "marc-p-loc", ("p",), "phi", "M^{p:g}_phi,loc",
+        lambda u, s: _sup_mp_phi(u, s.phi, s.p, window_hi=1.0),
+        ac=lambda s: False, quasi=lambda s: True,
+        fundamental=lambda s: PsiMajorantPhi(s.phi, s.p), boyd=lambda s: None),
+    # no shorthand: the CLI reaches it through a JSON spec file
+    "orlicz_lux": _Family(
+        NormSpec.orlicz_lux, None, (), "orlicz", "L^Psi",
+        lambda u, s: _norm_orlicz(u, s.orlicz),
+        ac=lambda s: None, quasi=lambda s: False,
+        fundamental=lambda s: OrliczInversePhi(s.orlicz), boyd=lambda s: None),
+    # recurses through the module-level norm, so wrappers of it see each part
+    "intersection_max": _Family(
+        lambda parts: NormSpec.intersection_max(*parts), "max", (), "parts",
+        "max({parts})", lambda u, s: max(norm(u, t) for t in s.parts),
+        ac=_max_ac, quasi=lambda s: any(t.quasi_only for t in s.parts),
+        fundamental=lambda s: _MaxPhi([t.fundamental_phi() for t in s.parts]),
+        boyd=lambda s: None),
+}
+
+
+# ---------------------------------------------------------------------------
 # norm evaluation
 # ---------------------------------------------------------------------------
 
@@ -809,31 +805,7 @@ def norm(u, spec: NormSpec) -> float:
     equimeasurable changes by construction.  Returns ``math.inf`` when the
     defining integral or supremum diverges.
     """
-    ustar = _as_decreasing(u)
-    fam = spec.family
-    if fam == "lp":
-        return _norm_lp(ustar, spec.p)
-    if fam == "lorentz_pq":
-        return _norm_lorentz_pq(ustar, spec.p, spec.q)
-    if fam == "lorentz_pinf":
-        return _sup_star_phi(ustar, PowerPhi(1.0 / spec.p))
-    if fam == "lambda_phi":
-        return _norm_lambda_phi(ustar, spec.phi)
-    if fam == "lambda_q_phi":
-        return _norm_lambda_q(ustar, spec.phi, spec.q)
-    if fam == "marcinkiewicz":
-        return _sup_mp_phi(ustar, spec.phi, 1.0, window_hi=None)
-    if fam == "weak_marcinkiewicz":
-        return _sup_star_phi(ustar, spec.phi)
-    if fam == "marcinkiewicz_p":
-        return _sup_mp_phi(ustar, spec.phi, spec.p, window_hi=None)
-    if fam == "marcinkiewicz_p_loc":
-        return _sup_mp_phi(ustar, spec.phi, spec.p, window_hi=1.0)
-    if fam == "orlicz_lux":
-        return _norm_orlicz(ustar, spec.orlicz)
-    if fam == "intersection_max":
-        return max(norm(ustar, s) for s in spec.parts)
-    raise UnsupportedCombination(f"unknown family {fam!r}")
+    return float(_FAMILIES[spec.family].evaluate(_as_decreasing(u), spec))
 
 
 def _norm_lp(ustar, p):
@@ -847,8 +819,6 @@ def _norm_lp(ustar, p):
 
 def _norm_lorentz_pq(ustar, p, q):
     if ustar.tail > 0 or ustar.has_inf():
-        if ustar.ncells == 0 and ustar.tail == 0:
-            return 0.0
         return INF
     e = ustar.edges
     v = ustar.values
@@ -1113,8 +1083,6 @@ def _mp_tail_candidate(ustar, phi, p):
 
 def _norm_orlicz(ustar, orlicz: OrliczN):
     if ustar.tail > 0 or ustar.has_inf():
-        if ustar.ncells == 0 and ustar.tail == 0:
-            return 0.0
         return INF
     v = ustar.values
     if len(v) == 0 or float(np.max(v)) == 0.0:
@@ -1200,18 +1168,14 @@ def is_quasiconcave(f, power=1.0, window=(1e-8, 1.0), rel_tol=1e-10):
                                      "not strictly positive on window")
     g = vals ** power
     scale = float(np.max(g))
-    for i in range(len(ts) - 1):
-        if g[i + 1] < g[i] - rel_tol * scale:
-            return QuasiconcavityVerdict(
-                False, (float(ts[i]), float(ts[i + 1])), "power not increasing"
-            )
     ratios = g / ts
-    for i in range(len(ts) - 1):
-        if ratios[i + 1] > ratios[i] * (1.0 + rel_tol) + rel_tol * scale / ts[i + 1]:
-            return QuasiconcavityVerdict(
-                False, (float(ts[i]), float(ts[i + 1])),
-                "power over t not decreasing",
-            )
+    for bad, reason in ((g[1:] < g[:-1] - rel_tol * scale, "power not increasing"),
+                        (ratios[1:] > ratios[:-1] * (1.0 + rel_tol)
+                         + rel_tol * scale / ts[1:], "power over t not decreasing")):
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            return QuasiconcavityVerdict(False, (float(ts[i]), float(ts[i + 1])),
+                                         reason)
     return QuasiconcavityVerdict(True)
 
 

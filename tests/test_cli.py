@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import rikit.maximal as maximal
-from rikit.cli import main, parse_space, spec_shorthand, write_json
-from rikit.metric import CurveFamily, Curve, path_space
+from rikit.cli import SHORTHAND_HELP, main, parse_space, spec_shorthand, write_json
+from rikit.metric import CurveFamily, Curve, minimal_hajlasz, path_space
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from rikit.spaces import FundamentalFn, NormSpec, norm
 
@@ -62,6 +63,23 @@ def test_parse_space_from_file(tmp_path):
     assert norm(u, loaded) == norm(u, spec)
 
 
+def test_every_shorthand_prefix_is_documented():
+    from pathlib import Path
+
+    from rikit.spaces import _FAMILIES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prefixes = [f.prefix for f in _FAMILIES.values() if f.prefix]
+    assert len(prefixes) == 10
+    for prefix in prefixes:
+        # not preceded by a letter or dash, so "marc:" is not found in "weak-marc:"
+        pattern = rf"(?<![\w-]){re.escape(prefix)}:"
+        assert re.search(pattern, SHORTHAND_HELP), prefix
+        assert re.search(pattern, readme), prefix
+    for text in (SHORTHAND_HELP, readme):
+        assert "orlicz_lux" in text and "@spec.json" in text
+
+
 def test_parse_space_rejects_unknown():
     with pytest.raises(ValueError):
         parse_space("banach:2")
@@ -70,13 +88,15 @@ def test_parse_space_rejects_unknown():
 # -- golden equivalence ----------------------------------------------------------
 
 
-def test_norm_cli_bit_identical(tmp_path, capsys, sample_fn):
+@pytest.mark.parametrize("text", ["lorentz:3,1", "weak-marc:power:0.5"])
+def test_norm_cli_bit_identical(tmp_path, capsys, sample_fn, text):
     u, path = sample_fn
-    rc = main(["--out", str(tmp_path), "norm", "--space", "lorentz:3,1",
+    rc = main(["--out", str(tmp_path), "norm", "--space", text,
                "--fn", str(path)])
     assert rc == 0
     printed = capsys.readouterr().out.strip()
-    assert printed == repr(norm(u, NormSpec.lorentz(3, 1)))
+    assert printed == repr(norm(u, parse_space(text)))
+    assert float(printed) == norm(u, parse_space(text))
 
 
 def test_rearrange_cli_matches_library(tmp_path, capsys, sample_fn):
@@ -180,6 +200,27 @@ def test_regularize_cli_success(tmp_path, capsys, sample_space):
     data = json.loads((tmp_path / "liptrunc.json").read_text())
     assert data["norm_gap"] < 0.25
     assert (tmp_path / "scan_trace.csv").exists()
+
+
+def test_regularize_cli_auto_hajlasz_uses_global_tol(tmp_path, sample_space,
+                                                     monkeypatch):
+    import rikit.cli as cli
+
+    s, spath = sample_space
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"values": [0.0, 30.0, 0.5, 0.2, 0.1]}))
+    tols = []
+
+    def recording(space, vals, p, tol=1e-8):
+        tols.append(tol)
+        return minimal_hajlasz(space, vals, p, tol=tol)
+
+    monkeypatch.setattr(cli, "minimal_hajlasz", recording)
+    rc = main(["--out", str(tmp_path), "--tol", "1e-6", "regularize",
+               "--space", str(spath), "--fn", str(fn), "--spec", "lp:2",
+               "--eps", "0.25"])
+    assert rc == 0
+    assert tols == [1e-6]
 
 
 def test_regularize_cli_budget_exhausted_exit_3(tmp_path, capsys):

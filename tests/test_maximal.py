@@ -23,7 +23,14 @@ from rikit.maximal import (
 )
 from rikit.metric import MMS, grid_space, path_space, tree_space
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement
-from rikit.spaces import FundamentalFn, NormSpec, norm, psi_majorant_phi
+from rikit.spaces import (
+    FundamentalFn,
+    NormSpec,
+    _dyadic_integral,
+    _MaxPhi,
+    norm,
+    psi_majorant_phi,
+)
 
 INF = math.inf
 
@@ -318,6 +325,42 @@ def test_m_phi_closed_forms():
     assert m_phi_norm(phi, 2) == pytest.approx((3.0 / (3 - 2)) ** 0.5, rel=1e-6)
     assert m_phi_norm(FundamentalFn.power(0.0), 2) == pytest.approx(1.0)
     assert m_phi_norm(FundamentalFn.power(0.5), 2) == INF
+
+
+def _m_phi_loop(phi, s):
+    # one grid per s, built and evaluated on its own
+    t_grid = np.unique(np.concatenate((
+        np.geomspace(1e-12, 1.0, 192), phi.kinks(1e-12, 1.0),
+        phi.kinks(1e-12, 1.0) / s, [1.0])))
+    t_grid = t_grid[(t_grid > 0) & (t_grid <= 1.0)]
+    num = np.asarray(phi(t_grid), dtype=float)
+    den = np.maximum(np.asarray(phi(s * t_grid), dtype=float), 1e-300)
+    return float(np.max(num / den))
+
+
+def _m_phi_norm_loop(phi, p):
+    def integrand(s):
+        arr = np.atleast_1d(np.asarray(s, dtype=float))
+        return np.asarray([_m_phi_loop(phi, float(x)) ** p for x in arr])
+
+    val = _dyadic_integral(integrand, 1.0)
+    return val ** (1.0 / p) if math.isfinite(val) else INF
+
+
+@pytest.mark.parametrize("phi", [
+    FundamentalFn.power_log(0.5, 1.0),
+    FundamentalFn.power_log(0.3, -0.5),
+    FundamentalFn.sampled([0.1, 0.3, 0.7, 1.0], [0.4, 0.6, 0.9, 1.0]),
+    psi_majorant_phi(FundamentalFn.power_log(0.55, 1.0), 2.0,
+                     np.geomspace(1e-8, 1.0, 48)),
+    _MaxPhi([FundamentalFn.power(0.3), FundamentalFn.power(0.6, 2.0)]),
+], ids=["powerlog", "powerlog-neg", "sampled", "psi", "max"])
+def test_m_phi_matches_per_s_loop(phi):
+    for s in (1e-9, 0.013, 0.37, 0.5, 0.99):
+        assert m_phi(phi, s) == _m_phi_loop(phi, s)
+    for p in (1.0, 1.5):
+        got, want = m_phi_norm(phi, p), _m_phi_norm_loop(phi, p)
+        assert got == want, (got.hex(), want.hex())
 
 
 # -- criteria report -------------------------------------------------------------------------

@@ -47,7 +47,10 @@ def random_space(rng, n=None):
 
 
 def grid_search_min(objective, bounds, step=1e-2, refine=3):
-    """Exhaustive grid search with local refinement (the small-instance oracle)."""
+    """Exhaustive grid search with local refinement (the small-instance oracle).
+
+    ``objective`` maps an (N, d) array of points to N values (inf where
+    infeasible)."""
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     best_x, best_v = None, INF
@@ -56,7 +59,7 @@ def grid_search_min(objective, bounds, step=1e-2, refine=3):
         axes = [np.arange(l, u + h / 2, h) for l, u in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.array([objective(x) for x in pts])
+        vals = objective(pts)
         k = int(np.argmin(vals))
         if vals[k] < best_v:
             best_v, best_x = float(vals[k]), pts[k]
@@ -222,10 +225,15 @@ def test_minimal_gradient_grid_oracle_path3():
     res = minimal_upper_gradient(s, u, fam, p)
 
     def feasible_cost(g):
+        infeasible = np.zeros(len(g), dtype=bool)
         for c in fam:
-            if line_integral(s, g, c) < abs(u[c.vertices[0]] - u[c.vertices[-1]]) - 1e-9:
-                return INF
-        return float(np.sum(s.weights * g ** p)) ** (1.0 / p)
+            # the trapezoid edge rule of line_integral, on every point at once
+            integral = 0.0
+            for a, b in zip(c.vertices[:-1], c.vertices[1:]):
+                integral = integral + s.dist[a, b] * (g[:, a] + g[:, b]) / 2.0
+            infeasible |= integral < abs(u[c.vertices[0]] - u[c.vertices[-1]]) - 1e-9
+        cost = np.sum(s.weights * g ** p, axis=1) ** (1.0 / p)
+        return np.where(infeasible, INF, cost)
 
     oracle, _ = grid_search_min(feasible_cost, [(0.0, 3.0)] * 3, step=5e-2)
     assert res.optimum == pytest.approx(oracle, abs=1e-4)
@@ -262,11 +270,12 @@ def test_hajlasz_three_point_grid_oracle():
     res = minimal_hajlasz(s, u, p)
 
     def feasible_cost(h):
+        infeasible = np.zeros(len(h), dtype=bool)
         for i in range(3):
             for j in range(i + 1, 3):
-                if d[i, j] * (h[i] + h[j]) < abs(u[i] - u[j]) - 1e-9:
-                    return INF
-        return float(np.sum(s.weights * h ** p)) ** (1.0 / p)
+                infeasible |= d[i, j] * (h[:, i] + h[:, j]) < abs(u[i] - u[j]) - 1e-9
+        cost = np.sum(s.weights * h ** p, axis=1) ** (1.0 / p)
+        return np.where(infeasible, INF, cost)
 
     oracle, _ = grid_search_min(feasible_cost, [(0.0, 3.0)] * 3, step=5e-2)
     assert res.optimum == pytest.approx(oracle, abs=1e-4)
@@ -364,11 +373,10 @@ def test_capacity_two_point_grid_oracle():
     res = capacity(s, [0], fam, p)
 
     def objective(x):
-        u1, g0, g1 = x
-        u = np.array([1.0, u1])
-        if (g0 + g1) / 2 < abs(u[0] - u[1]) - 1e-9:
-            return INF
-        return (1.0 + u1 ** p) ** (1 / p) + (g0 ** p + g1 ** p) ** (1 / p)
+        u1, g0, g1 = x.T
+        infeasible = (g0 + g1) / 2 < np.abs(1.0 - u1) - 1e-9
+        vals = (1.0 + u1 ** p) ** (1 / p) + (g0 ** p + g1 ** p) ** (1 / p)
+        return np.where(infeasible, INF, vals)
 
     oracle, _ = grid_search_min(objective, [(0.0, 1.0), (0.0, 1.5), (0.0, 1.5)],
                                 step=2e-2)
@@ -381,10 +389,9 @@ def test_capacity_p1_two_point():
     res = capacity(s, [0], fam, 1)
 
     def objective(x):
-        u1, g0, g1 = x
-        if (g0 + g1) / 2 < abs(1.0 - u1) - 1e-9:
-            return INF
-        return 1.0 + u1 + g0 + g1
+        u1, g0, g1 = x.T
+        return np.where((g0 + g1) / 2 < np.abs(1.0 - u1) - 1e-9, INF,
+                        1.0 + u1 + g0 + g1)
 
     oracle, _ = grid_search_min(objective, [(0.0, 1.0)] * 3, step=2e-2)
     assert res.optimum == pytest.approx(oracle, abs=1e-4)
@@ -439,6 +446,60 @@ def test_tree_distances():
     assert t.dist[3, 4] == 2.0
     assert t.dist[3, 5] == 4.0
     assert t.dist[0, 3] == 2.0
+
+
+def _grid_dist_loop(rows, cols):
+    coords = [(r, c) for r in range(rows) for c in range(cols)]
+    d = np.zeros((len(coords), len(coords)))
+    for i, (r1, c1) in enumerate(coords):
+        for j, (r2, c2) in enumerate(coords):
+            d[i, j] = abs(r1 - r2) + abs(c1 - c2)
+    return d
+
+
+def _tree_dist_loop(branching, depth):
+    parents, frontier = [-1], [0]
+    for _ in range(depth):
+        nxt = []
+        for node in frontier:
+            for _ in range(branching):
+                parents.append(node)
+                nxt.append(len(parents) - 1)
+        frontier = nxt
+    n = len(parents)
+
+    def ancestors(i):
+        out = []
+        while i != -1:
+            out.append(i)
+            i = parents[i]
+        return out
+
+    anc = [ancestors(i) for i in range(n)]
+    anc_sets = [dict((a, k) for k, a in enumerate(a_list)) for a_list in anc]
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k, a in enumerate(anc[i]):
+                if a in anc_sets[j]:
+                    dist[i, j] = dist[j, i] = k + anc_sets[j][a]
+                    break
+    return dist
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (3, 4), (6, 6)])
+def test_grid_space_matches_loop(rows, cols):
+    d = grid_space(rows, cols).dist
+    assert d.dtype == np.float64
+    assert np.array_equal(d, _grid_dist_loop(rows, cols))
+
+
+@pytest.mark.parametrize("branching,depth", [(0, 3), (1, 0), (1, 4), (2, 3),
+                                             (3, 2), (4, 3)])
+def test_tree_space_matches_loop(branching, depth):
+    d = tree_space(branching, depth).dist
+    assert d.dtype == np.float64
+    assert np.array_equal(d, _tree_dist_loop(branching, depth))
 
 
 def test_mms_validation():

@@ -273,6 +273,47 @@ def test_quasiconcave_linear_boundary():
     assert is_quasiconcave(phi, power=1, window=(1e-6, 1.0)).ok
 
 
+def _quasiconcave_loop(f, power, window, rel_tol=1e-10):
+    # the per-pair scan is_quasiconcave replaced, after its shared prechecks
+    lo, hi = window
+    if isinstance(f, GridFn):
+        ts = f.edges[(f.edges > lo) & (f.edges <= hi)]
+        vals = np.asarray(f.value_at(ts), dtype=float)
+    else:
+        ts = f.eval_grid(lo, hi)
+        vals = np.asarray(f(ts), dtype=float)
+    g = vals ** power
+    scale = float(np.max(g))
+    for i in range(len(ts) - 1):
+        if g[i + 1] < g[i] - rel_tol * scale:
+            return (False, (float(ts[i]), float(ts[i + 1])), "power not increasing")
+    ratios = g / ts
+    for i in range(len(ts) - 1):
+        if ratios[i + 1] > ratios[i] * (1.0 + rel_tol) + rel_tol * scale / ts[i + 1]:
+            return (False, (float(ts[i]), float(ts[i + 1])),
+                    "power over t not decreasing")
+    return (True, None, "")
+
+
+def test_quasiconcave_matches_pairwise_loop():
+    rng = np.random.default_rng(21)
+    cases = [(FundamentalFn.power(1.0 / 3), p, (1e-6, 1.0)) for p in (1, 2, 3, 4)]
+    cases.append((FundamentalFn.power_log(0.5, 1.0), 2.0, (1e-8, 1.0)))
+    for _ in range(40):
+        cases.append((random_quasiconcave_phi(rng), float(rng.uniform(1, 4)),
+                      (1e-6, 2.0)))
+        n = int(rng.integers(2, 10))
+        edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, n))))
+        f = GridFn(edges, rng.uniform(0.1, 3.0, n))
+        cases.append((f, float(rng.uniform(1, 3)), (0.0, float(edges[-1]))))
+    outcomes = set()
+    for f, power, window in cases:
+        v = is_quasiconcave(f, power=power, window=window)
+        assert (v.ok, v.witness, v.reason) == _quasiconcave_loop(f, power, window)
+        outcomes.add(v.reason)
+    assert outcomes == {"", "power not increasing", "power over t not decreasing"}
+
+
 # -- least concave majorant ------------------------------------------------------------
 
 

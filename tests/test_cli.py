@@ -3,15 +3,17 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rikit.cli as cli
 import rikit.maximal as maximal
 from rikit.cli import SHORTHAND_HELP, main, parse_space, spec_shorthand, write_json
 from rikit.metric import CurveFamily, Curve, minimal_hajlasz, path_space
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement
-from rikit.spaces import FundamentalFn, NormSpec, norm
+from rikit.spaces import _FAMILIES, FundamentalFn, NormSpec, norm
 
 
 @pytest.fixture
@@ -64,10 +66,6 @@ def test_parse_space_from_file(tmp_path):
 
 
 def test_every_shorthand_prefix_is_documented():
-    from pathlib import Path
-
-    from rikit.spaces import _FAMILIES
-
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     prefixes = [f.prefix for f in _FAMILIES.values() if f.prefix]
     assert len(prefixes) == 10
@@ -212,8 +210,6 @@ def test_regularize_cli_success(tmp_path, capsys, sample_space):
 
 def test_regularize_cli_auto_hajlasz_uses_global_tol(tmp_path, sample_space,
                                                      monkeypatch):
-    import rikit.cli as cli
-
     s, spath = sample_space
     fn = tmp_path / "fn.json"
     fn.write_text(json.dumps({"values": [0.0, 30.0, 0.5, 0.2, 0.1]}))

@@ -351,10 +351,12 @@ def _m_phi_norm_loop(phi, p):
     FundamentalFn.power_log(0.5, 1.0),
     FundamentalFn.power_log(0.3, -0.5),
     FundamentalFn.sampled([0.1, 0.3, 0.7, 1.0], [0.4, 0.6, 0.9, 1.0]),
+    # convex then concave: the supremum sits where s t meets the kink at 0.2
+    FundamentalFn.sampled([0.2, 0.6, 1.0], [0.1, 0.6, 0.7]),
     psi_majorant_phi(FundamentalFn.power_log(0.55, 1.0), 2.0,
                      np.geomspace(1e-8, 1.0, 48)),
     _MaxPhi([FundamentalFn.power(0.3), FundamentalFn.power(0.6, 2.0)]),
-], ids=["powerlog", "powerlog-neg", "sampled", "psi", "max"])
+], ids=["powerlog", "powerlog-neg", "sampled", "sampled-kink", "psi", "max"])
 def test_m_phi_matches_per_s_loop(phi):
     for s in (1e-9, 0.013, 0.37, 0.5, 0.99):
         assert m_phi(phi, s) == _m_phi_loop(phi, s)

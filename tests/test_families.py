@@ -1,7 +1,7 @@
 """Golden per-family behaviour: one spec of each of the 11 norm families.
 
-The expected values were recorded from the family-by-family if-chains that
-the family table replaced, so any change in dispatch shows up here.
+Every member that reads the family table is pinned for each family, so a
+wrong entry or a wrong lookup shows up here.
 """
 
 import pytest

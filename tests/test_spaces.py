@@ -274,7 +274,7 @@ def test_quasiconcave_linear_boundary():
 
 
 def _quasiconcave_loop(f, power, window, rel_tol=1e-10):
-    # the per-pair scan is_quasiconcave replaced, after its shared prechecks
+    # the reference: a scan pair by pair, after is_quasiconcave's prechecks
     lo, hi = window
     if isinstance(f, GridFn):
         ts = f.edges[(f.edges > lo) & (f.edges <= hi)]

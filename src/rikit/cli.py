@@ -50,14 +50,20 @@ SHORTHAND_HELP = (
 )
 
 
+_PHI_SHAPES = {"power": (FundamentalFn.power, "power:alpha[,coeff[,cap]]", 1, 3),
+               "powerlog": (FundamentalFn.power_log,
+                            "powerlog:alpha,beta[,coeff[,cap]]", 2, 4)}
+
+
 def _parse_phi(text):
     kind, _, args = text.partition(":")
+    if kind not in _PHI_SHAPES:
+        raise ValueError(f"unknown shape {text!r} (use power:... or powerlog:...)")
+    make, form, least, most = _PHI_SHAPES[kind]
     nums = [float(x) for x in args.split(",")] if args else []
-    if kind == "power":
-        return FundamentalFn.power(*nums)
-    if kind == "powerlog":
-        return FundamentalFn.power_log(*nums)
-    raise ValueError(f"unknown shape {text!r} (use power:... or powerlog:...)")
+    if not least <= len(nums) <= most:
+        raise ValueError(f"{kind} takes the form {form}: {text!r}")
+    return make(*nums)
 
 
 def _phi_shorthand(phi):

@@ -23,32 +23,38 @@ BLOCK = 1 << 16  # entries per block of distance rows in the ball sweeps
 
 
 class MMS:
-    """Finite metric measure space: distance matrix plus point weights."""
+    """Finite metric measure space: distance matrix plus point weights.
+
+    ``MMS(dist, weights)`` and ``MMS.from_dict``, and so every matrix read
+    from a file, check the shape, symmetry, zero diagonal, positive
+    off-diagonal entries and positive weights in O(n^2), and the triangle
+    inequality in O(n^3).  The path, grid and tree generators run the same
+    O(n^2) checks and then certify their matrix as the shortest-path metric
+    of their edge list in O(n^2 * degree) (``_certify_shortest_paths``).
+    """
 
     __slots__ = ("dist", "weights", "labels")
 
     def __init__(self, dist, weights, labels=None):
-        d = np.asarray(dist, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        n = len(w)
-        if d.shape != (n, n):
-            raise ValueError("distance matrix shape must match weights")
-        if not np.allclose(d, d.T, rtol=0, atol=TRIANGLE_SLACK):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diag(d) != 0):
-            raise ValueError("distance matrix must have zero diagonal")
-        off = d + np.eye(n) * 1.0
-        if np.any(off <= 0):
-            raise ValueError("off-diagonal distances must be strictly positive")
-        if not np.all((w > 0) & np.isfinite(w)):
-            raise ValueError("weights must be strictly positive")
+        d, w = _checked(dist, weights)
         # triangle inequality within declared slack
-        for k in range(n):
+        for k in range(len(w)):
             if np.any(d > d[:, [k]] + d[[k], :] + TRIANGLE_SLACK):
                 raise ValueError("triangle inequality violated")
         self.dist = d
         self.weights = w
-        self.labels = list(labels) if labels is not None else list(range(n))
+        self.labels = list(labels) if labels is not None else list(range(len(w)))
+
+    @classmethod
+    def _graph(cls, dist, weights, edges):
+        """A space whose matrix is certified through its edges (a, b)."""
+        d, w = _checked(dist, weights)
+        _certify_shortest_paths(d, *edges)
+        space = cls.__new__(cls)
+        space.dist = d
+        space.weights = w
+        space.labels = list(range(len(w)))
+        return space
 
     @property
     def n(self):
@@ -67,6 +73,63 @@ class MMS:
     @classmethod
     def from_dict(cls, d):
         return cls(d["dist"], d["weights"])
+
+
+def _checked(dist, weights):
+    """The O(n^2) checks shared by every way of building an MMS."""
+    d = np.asarray(dist, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n = len(w)
+    if d.shape != (n, n):
+        raise ValueError("distance matrix shape must match weights")
+    if not np.allclose(d, d.T, rtol=0, atol=TRIANGLE_SLACK):
+        raise ValueError("distance matrix must be symmetric")
+    if np.any(np.diag(d) != 0):
+        raise ValueError("distance matrix must have zero diagonal")
+    off = d + np.eye(n) * 1.0
+    if np.any(off <= 0):
+        raise ValueError("off-diagonal distances must be strictly positive")
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise ValueError("weights must be strictly positive")
+    return d, w
+
+
+def _certify_shortest_paths(d, a, b):
+    """Prove that d is the shortest-path metric of the edges (a[e], b[e]).
+
+    Each edge is taken both ways, with length l(k, j) = d[k, j] > 0.  Let
+    reach[i, j] be the minimum over the neighbours k of j of d[i, k] + l(k, j).
+    Off the diagonal, d <= reach says that every row is 1-Lipschitz across
+    every edge, so d is at most the shortest-path metric; reach <= d says
+    that every entry is reached through a neighbour at a smaller distance,
+    so by induction on d, d is at least it.  Together they read reach == d
+    off the diagonal, and then d is a metric.  Sums and comparisons are exact
+    because d must hold integers below 2^53.  Rows go in blocks, so that the
+    rows x 2m temporary holds about BLOCK entries.
+    """
+    n = len(d)
+    if n < 2:
+        return
+    src = np.concatenate((a, b))
+    dst = np.concatenate((b, a))
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    length = d[src, dst]
+    if not np.all(length > 0):
+        raise ValueError("edges must join distinct points")
+    counts = np.bincount(dst, minlength=n)
+    if not np.all(counts > 0):
+        raise ValueError("every point needs a neighbour")
+    starts = np.cumsum(counts) - counts
+    step = max(1, BLOCK // len(src))
+    for first in range(0, n, step):
+        rows = d[first:first + step]
+        if not (np.array_equal(rows, np.rint(rows)) and np.all(rows < 2.0 ** 53)):
+            raise ValueError("certified distances must be integers below 2**53")
+        reach = np.minimum.reduceat(rows[:, src] + length, starts, axis=1)
+        reach[np.arange(len(rows)), np.arange(first, first + len(rows))] = 0.0
+        if not np.array_equal(reach, rows):
+            raise ValueError("distances are not the shortest-path metric of the edges")
 
 
 @dataclass(frozen=True)
@@ -156,17 +219,27 @@ class CurveFamily:
 
 
 def path_space(n, spacing=1.0, weights=None):
+    """Path on n points, spacing apart: the metric of the edges (i, i + 1)."""
+    spacing = float(spacing)
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise ValueError("spacing must be positive and finite")
     idx = np.arange(n)
-    d = np.abs(idx[:, None] - idx[None, :]) * float(spacing)
-    w = np.full(n, 1.0) if weights is None else np.asarray(weights, dtype=float)
-    return MMS(d, w)
+    d = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    w = np.full(n, 1.0) if weights is None else weights
+    space = MMS._graph(d, w, (idx[:-1], idx[1:]))
+    space.dist *= spacing
+    return space
 
 
 def grid_space(rows, cols):
     """Unit-edge lattice graph with shortest-path (Manhattan) distances."""
-    r, c = np.divmod(np.arange(rows * cols), cols)
+    idx = np.arange(rows * cols)
+    r, c = np.divmod(idx, cols)
     d = np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])
-    return MMS(d.astype(float), np.ones(rows * cols))
+    right = idx[c < cols - 1]
+    down = idx[r < rows - 1]
+    edges = (np.concatenate((right, down)), np.concatenate((right + 1, down + cols)))
+    return MMS._graph(d.astype(float), np.ones(rows * cols), edges)
 
 
 def tree_space(branching, depth):
@@ -190,20 +263,25 @@ def tree_space(branching, depth):
         anc = np.where(steps >= 0, up[np.maximum(steps, 0), np.arange(n)], -1)
         common += (anc[:, None] == anc[None, :]) & (anc[:, None] >= 0)
     dist = level[:, None] + level[None, :] - 2 * common
-    return MMS(dist.astype(float), np.ones(n))
+    child = np.arange(1, n)
+    return MMS._graph(dist.astype(float), np.ones(n),
+                      ((child - 1) // max(branching, 1), child))
+
+
+_GENERATORS = {"path": (path_space, "path:n"), "grid": (grid_space, "grid:m,n"),
+               "tree": (tree_space, "tree:b,d")}
 
 
 def parse_generator(text):
     """Expand 'path:n', 'grid:m,n' or 'tree:b,d' into an MMS."""
     kind, _, args = text.partition(":")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator {text!r}")
+    make, form = _GENERATORS[kind]
     nums = [int(x) for x in args.split(",")] if args else []
-    if kind == "path":
-        return path_space(*nums)
-    if kind == "grid":
-        return grid_space(*nums)
-    if kind == "tree":
-        return tree_space(*nums)
-    raise ValueError(f"unknown generator {text!r}")
+    if len(nums) != form.count(",") + 1:
+        raise ValueError(f"{kind} takes the form {form}: {text!r}")
+    return make(*nums)
 
 
 # -- curve integrals and upper gradients -----------------------------------------
@@ -344,23 +422,19 @@ def minimal_hajlasz(space: MMS, u, p, tol=1e-8) -> SolveResult:
         raise ValueError("p >= 1 required")
     u = np.asarray(u, dtype=float)
     n = space.n
-    rows = []
-    b = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            drop = abs(u[i] - u[j])
-            if drop <= 0:
-                continue
-            row = np.zeros(n)
-            row[i] = row[j] = space.dist[i, j]
-            rows.append(row)
-            b.append(drop)
-    if not rows:
+    # one row per pair i < j in row-major order, unless its drop is 0
+    i, j = np.triu_indices(n, 1)
+    b = np.abs(u[i] - u[j])
+    keep = ~(b <= 0)
+    i, j, b = i[keep], j[keep], b[keep]
+    if not len(b):
         return SolveResult(0.0, np.zeros(n), {
             "slacks": np.zeros(0), "duals": np.zeros(0),
             "kkt_residual": 0.0, "note": "constant function"}, tol)
-    res = constraint_generation(space.weights, np.stack(rows), np.asarray(b),
-                                float(p), tol)
+    rows = np.zeros((len(b), n))
+    k = np.arange(len(b))
+    rows[k, i] = rows[k, j] = space.dist[i, j]
+    res = constraint_generation(space.weights, rows, b, float(p), tol)
     res.optimum = res.optimum ** (1.0 / p) if p > 1 else res.optimum
     res.certificate["objective"] = "weighted p-norm"
     return res

@@ -252,6 +252,18 @@ def test_validation_error_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,form", [
+    (["norm", "--space", "marc:power:", "--fn", "u.json"], "power:alpha[,coeff[,cap]]"),
+    (["generate", "grid:3"], "grid:m,n"),
+    (["generate", "path:"], "path:n"),
+    (["generate", "tree:2"], "tree:b,d"),
+])
+def test_wrong_number_count_exits_2(tmp_path, capsys, argv, form):
+    rc = main(["--out", str(tmp_path)] + argv)
+    assert rc == 2
+    assert form in capsys.readouterr().err
+
+
 def test_demo_marcinkiewicz_gap(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "demo", "marcinkiewicz-gap",
                "--alpha", "2", "--n", "3", "--grid", "80"])

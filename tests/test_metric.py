@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rikit.metric as metric
 import rikit.solver as solver
 from rikit.errors import AllDegenerate
 from rikit.metric import (
     MMS,
+    TRIANGLE_SLACK,
     Curve,
     CurveFamily,
     capacity,
@@ -500,6 +504,184 @@ def test_tree_space_matches_loop(branching, depth):
     d = tree_space(branching, depth).dist
     assert d.dtype == np.float64
     assert np.array_equal(d, _tree_dist_loop(branching, depth))
+
+
+def _path_dist_loop(n, spacing):
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            d[i, j] = abs(i - j) * float(spacing)
+    return d
+
+
+@pytest.mark.parametrize("n,spacing", [
+    (n, h) for n in (0, 1, 2, 5, 17, 60)
+    for h in (1.0, 0.1, 1.0 / 3.0) + ((1.0 / (n - 1),) if n > 1 else ())])
+def test_path_space_matches_loop(n, spacing):
+    d = path_space(n, spacing=spacing).dist
+    assert d.dtype == np.float64
+    assert np.array_equal(d, _path_dist_loop(n, spacing))
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.inf, math.nan])
+def test_path_space_rejects_bad_spacing(spacing):
+    with pytest.raises(ValueError):
+        path_space(4, spacing=spacing)
+
+
+def _triangle_loop_ok(d):
+    """The O(n^3) triangle check of MMS(dist, weights), kept as the oracle."""
+    return not any(np.any(d > d[:, [k]] + d[[k], :] + TRIANGLE_SLACK)
+                   for k in range(len(d)))
+
+
+GENERATED = [
+    (path_space, (60,)), (path_space, (60, 0.1)), (path_space, (60, 1.0 / 3.0)),
+    (path_space, (60, 1.0 / 59.0)), (path_space, (2,)), (grid_space, (6, 10)),
+    (grid_space, (1, 7)), (grid_space, (2, 2)), (tree_space, (0, 3)),
+    (tree_space, (1, 4)), (tree_space, (2, 4)), (tree_space, (3, 3)),
+]
+
+
+@pytest.mark.parametrize("make,args", GENERATED)
+def test_generated_spaces_pass_triangle_loop(make, args):
+    s = make(*args)
+    assert s.n <= 60
+    assert _triangle_loop_ok(s.dist)
+
+
+def _generated(monkeypatch, make, *args):
+    """The integer matrix, weights and edges a generator certifies."""
+    seen = []
+    graph = MMS._graph.__func__
+
+    def recording(cls, dist, weights, edges):
+        seen.append((np.array(dist, dtype=float), np.array(weights, dtype=float), edges))
+        return graph(cls, dist, weights, edges)
+
+    monkeypatch.setattr(MMS, "_graph", classmethod(recording))
+    make(*args)
+    monkeypatch.undo()
+    (got,) = seen
+    return got
+
+
+# Every edge of these graphs is continued in a straight line by another edge,
+# so lengthening it changes a distance.  (In a 2 x k grid or a 2-point path
+# the lengthened edge gives another shortest-path metric.)
+@pytest.mark.parametrize("make,args", [
+    (path_space, (3,)), (path_space, (6, 0.1)), (grid_space, (3, 3)),
+    (grid_space, (3, 4)), (grid_space, (1, 5)), (tree_space, (1, 3)),
+    (tree_space, (2, 2)), (tree_space, (3, 2)),
+])
+def test_certificate_rejects_perturbed_pair(monkeypatch, make, args):
+    d, w, edges = _generated(monkeypatch, make, *args)
+    assert MMS._graph(d, w, edges).dist is not None
+    i, j = np.triu_indices(len(d), 1)
+    for a, b in zip(i, j):
+        for delta in (-1.0, 1.0):
+            bad = d.copy()
+            bad[a, b] += delta
+            bad[b, a] += delta
+            with pytest.raises(ValueError):
+                MMS._graph(bad, w, edges)
+
+
+def test_certificate_needs_integers_and_neighbours():
+    d = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(float)
+    edges = (np.arange(3), np.arange(1, 4))
+    with pytest.raises(ValueError, match="integers"):
+        MMS._graph(d * 0.5, np.ones(4), edges)
+    with pytest.raises(ValueError, match="neighbour"):
+        MMS._graph(d, np.ones(4), (edges[0][:2], edges[1][:2]))
+    with pytest.raises(ValueError, match="distinct"):
+        MMS._graph(d, np.ones(4), (np.arange(4), np.arange(4)))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A random connected graph with integer edge lengths and its Floyd-Warshall
+    matrix: a random spanning tree plus a few random edges."""
+    n = draw(st.integers(2, 9))
+    a = [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    b = list(range(1, n))
+    for x, y in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if x != y:
+            a.append(x)
+            b.append(y)
+    lengths = draw(st.lists(st.integers(1, 4), min_size=len(a), max_size=len(a)))
+    d = np.full((n, n), INF)
+    np.fill_diagonal(d, 0.0)
+    for x, y, ell in zip(a, b, lengths):
+        d[x, y] = d[y, x] = min(d[x, y], ell)
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return d, (np.asarray(a), np.asarray(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs())
+def test_certificate_accepts_floyd_warshall(graph):
+    d, edges = graph
+    s = MMS._graph(d, np.ones(len(d)), edges)
+    assert np.array_equal(s.dist, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_certificate_accepts_only_metrics(graph, data):
+    d, edges = graph
+    n = len(d)
+    bad = d.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if i != j:
+            bad[i, j] = bad[j, i] = data.draw(st.integers(1, 8))
+    try:
+        s = MMS._graph(bad, np.ones(n), edges)
+    except ValueError:
+        return
+    assert _triangle_loop_ok(s.dist)
+
+
+def _hajlasz_rows_loop(space, u):
+    n = space.n
+    rows, b = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            drop = abs(u[i] - u[j])
+            if drop <= 0:
+                continue
+            row = np.zeros(n)
+            row[i] = row[j] = space.dist[i, j]
+            rows.append(row)
+            b.append(drop)
+    return np.stack(rows), np.asarray(b)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("space,u", [
+    (path_space(7), np.sin(np.arange(7) / 3.0)),
+    (path_space(6, 0.1), [0.0, 1.0, 1.0, 0.0, 2.0, 1.0]),
+    (grid_space(3, 3), np.arange(9.0) % 4),
+    (grid_space(2, 4), [1.0, 1.0, 1.0, 2.0, 2.0, 0.0, 0.0, 0.0]),
+    (path_space(5), [0.0, INF, INF, 1.0, -INF]),  # inf - inf keeps its nan row
+])
+def test_hajlasz_rows_match_loop(space, u, monkeypatch):
+    seen = []
+
+    def recording(weights, rows, b, p, tol):
+        seen.append((rows, b))
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(metric, "constraint_generation", recording)
+    with pytest.raises(RuntimeError, match="recorded"):
+        minimal_hajlasz(space, u, 2)
+    (rows, b), = seen
+    want_rows, want_b = _hajlasz_rows_loop(space, np.asarray(u, dtype=float))
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(b, want_b, equal_nan=True)
 
 
 def test_mms_validation():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ball_sweeps import space_and_fn
 
 from rikit.demo import marcinkiewicz_gap_tables, radial_profile
 from rikit.errors import (
@@ -191,6 +194,23 @@ def test_mcshane_lipschitz_everywhere_random():
         w = mcshane_extend(s, subset, raw, L)
         assert lipschitz_bound(s, w) <= L * (1 + 1e-9)
         assert np.allclose(w[subset], raw[subset])
+
+
+@settings(max_examples=200, deadline=None)
+@given(space_and_fn(), st.data())
+def test_mcshane_extend_properties(su, data):
+    # path, grid, tree and tied shortest-path spaces, random subsets, and L
+    # at or above the Lipschitz constant of v on the subset; the floor keeps
+    # L d(x, y) well above the rounding of v(y) + L d(x, y)
+    s, v = su
+    subset = sorted(data.draw(st.sets(st.integers(0, s.n - 1), min_size=1)))
+    i, j = np.triu_indices(len(subset), 1)
+    a, b = np.asarray(subset)[i], np.asarray(subset)[j]
+    lip = float(np.max(np.abs(v[a] - v[b]) / s.dist[a, b], initial=0.0))
+    L = max(lip, 0.01) * data.draw(st.sampled_from((1.0, 1.5, 4.0)))
+    w = mcshane_extend(s, subset, v, L)
+    np.testing.assert_allclose(w[subset], v[subset], rtol=0.0, atol=1e-12)
+    assert lipschitz_bound(s, w) <= L * (1 + 1e-9)
 
 
 # -- sharp maximal function ------------------------------------------------------------

@@ -27,3 +27,15 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_generators_do_not_load_scipy():
+    # the generators certify their spaces with numpy alone; an import of
+    # scipy.sparse.csgraph alone would cost about 0.4 s of start-up
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = ("import rikit, sys; rikit.path_space(5); rikit.grid_space(3, 4); "
+            "rikit.tree_space(2, 3); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -545,9 +545,7 @@ GENERATED = [
 
 @pytest.mark.parametrize("make,args", GENERATED)
 def test_generated_spaces_pass_triangle_loop(make, args):
-    s = make(*args)
-    assert s.n <= 60
-    assert _triangle_loop_ok(s.dist)
+    assert _triangle_loop_ok(make(*args).dist)
 
 
 def _generated(monkeypatch, make, *args):
@@ -576,7 +574,7 @@ def _generated(monkeypatch, make, *args):
 ])
 def test_certificate_rejects_perturbed_pair(monkeypatch, make, args):
     d, w, edges = _generated(monkeypatch, make, *args)
-    assert MMS._graph(d, w, edges).dist is not None
+    assert np.array_equal(MMS._graph(d, w, edges).dist, d)
     i, j = np.triu_indices(len(d), 1)
     for a, b in zip(i, j):
         for delta in (-1.0, 1.0):

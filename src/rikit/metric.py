@@ -220,6 +220,8 @@ class CurveFamily:
 
 def path_space(n, spacing=1.0, weights=None):
     """Path on n points, spacing apart: the metric of the edges (i, i + 1)."""
+    if n < 0:
+        raise ValueError(f"a path needs n >= 0 points, got {n}")
     spacing = float(spacing)
     if not (spacing > 0 and math.isfinite(spacing)):
         raise ValueError("spacing must be positive and finite")
@@ -233,6 +235,8 @@ def path_space(n, spacing=1.0, weights=None):
 
 def grid_space(rows, cols):
     """Unit-edge lattice graph with shortest-path (Manhattan) distances."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"a grid needs rows, cols >= 0, got {rows}, {cols}")
     idx = np.arange(rows * cols)
     r, c = np.divmod(idx, cols)
     d = np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])
@@ -248,6 +252,8 @@ def tree_space(branching, depth):
     Nodes are numbered breadth first, so node i > 0 has parent
     (i - 1) // branching.
     """
+    if branching < 0 or depth < 0:
+        raise ValueError(f"a tree needs branching, depth >= 0, got {branching}, {depth}")
     n = sum(branching ** k for k in range(depth + 1))
     # up[k, i]: the k-th ancestor of node i, held at the root once reached
     up = [np.arange(n)]
@@ -281,7 +287,13 @@ def parse_generator(text):
     nums = [int(x) for x in args.split(",")] if args else []
     if len(nums) != form.count(",") + 1:
         raise ValueError(f"{kind} takes the form {form}: {text!r}")
-    return make(*nums)
+    try:
+        space = make(*nums)
+    except ValueError as err:
+        raise ValueError(f"{kind} takes the form {form}: {text!r} ({err})") from None
+    if space.n == 0:
+        raise ValueError(f"{kind} takes the form {form} with at least one point: {text!r}")
+    return space
 
 
 # -- curve integrals and upper gradients -----------------------------------------
@@ -549,8 +561,9 @@ def poincare_ratio(space: MMS, u, g, p, lam=1.0):
             k = np.searchsorted(ds[r], lam * ds[r, ends], side="right")
             denom = diam * (cg[k] / cw[k]) ** (1.0 / p)
             keep = ~(diam <= 0) & ~((lhs <= 0) & (denom <= 0))
-            ratio = np.divide(lhs, denom, out=np.full(len(lhs), INF),
-                              where=~(denom <= 0))[keep]
+            with np.errstate(over="ignore"):  # a tiny denominator: ratio inf
+                ratio = np.divide(lhs, denom, out=np.full(len(lhs), INF),
+                                  where=~(denom <= 0))[keep]
             if not len(ratio):
                 continue
             # strict improvement keeps the first worst ball; nan never wins

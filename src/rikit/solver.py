@@ -4,21 +4,21 @@ Two program classes cover all solver-backed operations:
 
 * separable power programs  min sum_i c_i x_i^p  s.t.  A x >= b, x >= 0,
   solved in the dual (closed-form primal recovery per dual iterate) by
-  L-BFGS-B ascent, then one damped dual Newton polish when the duality-gap
-  certificate misses tolerance; the p = 1 corner is a linear program and
-  is handed to HiGHS, which returns a vertex optimum and exact duals;
+  projected dual Newton steps, warm-started from the previous round's
+  duals under constraint generation; a cold start first takes L-BFGS-B to
+  where Newton can begin; the p = 1 corner is a linear program and is
+  handed to HiGHS, which returns a vertex optimum and exact duals;
 
 * norm-sum programs  min ||u||_p + ||g||_p  s.t.  A z >= b, z >= lb,
   solved with SLSQP on a mollified objective (p > 1) or as a linear
   program (p = 1); duals are recovered from the active set by nonnegative
   least squares.
-
-Constraint generation adds the most-violated row first and re-solves.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +27,10 @@ from .errors import SolverStall
 
 DEFAULT_TOL = 1e-8
 LBFGS_MAXITER = 20_000
+NEWTON_MAXITER = 200
+NEWTON_BACKTRACK = 60
+NEWTON_TAIL = 1e-4
+NEWTON_DAMP = 1e-6
 INFEASIBLE = math.inf
 
 
@@ -38,25 +42,19 @@ class SolveResult:
     minimizer: np.ndarray
     certificate: dict = field(default_factory=dict)
     tolerance: float = DEFAULT_TOL
+    telemetry: dict = field(default_factory=dict)
 
     def to_dict(self):
-        cert = {}
-        for k, v in self.certificate.items():
-            if isinstance(v, np.ndarray):
-                cert[k] = [float(x) for x in v]
-            else:
-                cert[k] = v
-        return {
-            "optimum": float(self.optimum),
-            "minimizer": [float(x) for x in self.minimizer],
-            "certificate": cert,
-            "tolerance": self.tolerance,
-        }
+        cert = {k: [float(x) for x in v] if isinstance(v, np.ndarray) else v
+                for k, v in self.certificate.items()}
+        return {"optimum": float(self.optimum),
+                "minimizer": [float(x) for x in self.minimizer],
+                "certificate": cert, "tolerance": self.tolerance,
+                "telemetry": self.telemetry}
 
 
-X_CAP = 1e30  # transient dual iterates may map far outside the feasible
-# range for p near 1; capping keeps gradients finite and is inactive at
-# any converged optimum of the instances this library builds
+X_CAP = 1e30  # transient dual iterates may map far outside the feasible range
+# for p near 1; the cap keeps gradients finite and is inactive at an optimum
 
 
 def _power_primal(lam, A, cost, p):
@@ -67,34 +65,70 @@ def _power_primal(lam, A, cost, p):
     return np.minimum(x, X_CAP)
 
 
-def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL):
+def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
     """min sum_i cost_i x_i^p over x >= 0 with A x >= b (A >= 0, b >= 0).
 
-    For p > 1 the dual is maximized by L-BFGS-B from a bounded start;
-    when the certificate at that point misses ``tol``, one damped Newton
-    polish runs from it and is kept if it lowers the KKT residual.  The
-    certificate's ``iterations`` counts the L-BFGS-B iterations.  p = 1
-    is a linear program solved by HiGHS.  Raises SolverStall when the
-    final residual (which includes the relative duality gap) exceeds tol.
+    For p > 1, dual Newton (``_dual_newton``) maximizes the concave dual
+    from the warm duals ``lam0`` (one per row) when given.  A cold start,
+    or a warm one that stalls, first takes L-BFGS-B from a bounded point
+    to where Newton can begin.  ``iterations`` in the certificate counts
+    both kinds; ``telemetry`` splits them, names the stage that met tol
+    and times each stage.  p = 1 is a linear program solved by HiGHS.
+    Raises SolverStall when the residual (which includes the relative
+    duality gap) exceeds tol.
     """
-    cost = np.asarray(cost, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    cost, A, b = (np.asarray(v, dtype=float) for v in (cost, A, b))
     m, n = A.shape
     if m == 0:
         x = np.zeros(n)
-        return SolveResult(0.0, x, _power_certificate(x, np.zeros(0), A, b, cost, p), tol)
+        return SolveResult(0.0, x, _power_certificate(x, np.zeros(0), A, b, cost, p), tol,
+                           _telemetry("trivial", [0]))
     if p == 1.0:
         return _solve_lp_min(cost, A, b, tol)
+    tele = _telemetry("newton", [m])
+    starts = [None] if lam0 is None else [np.maximum(np.asarray(lam0, dtype=float), 0.0), None]
+    for lam in starts:  # None: a cold start
+        if lam is None:
+            lam, tele["lbfgs_iterations"] = _timed(tele, "lbfgs", _lbfgs_start, cost, A, b, p)
+        x, cert, its = _timed(tele, "newton", _dual_newton, lam, A, b, cost, p, tol)
+        tele["newton_iterations"] += its
+        if cert["kkt_residual"] <= tol:
+            break
+    return _finish(SolveResult(float(np.sum(cost * x ** p)), x, cert, tol, tele))
+
+
+def _telemetry(stage, working_set):
+    return {"stage": stage, "lbfgs_iterations": 0, "newton_iterations": 0,
+            "working_set": list(working_set), "wall_s": {}}
+
+
+def _timed(tele, stage, fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    tele["wall_s"][stage] = tele["wall_s"].get(stage, 0.0) + time.perf_counter() - t0
+    return out
+
+
+def _finish(result):
+    """Count the iterations; return the result, or raise SolverStall."""
+    tele = result.telemetry
+    result.certificate["iterations"] = tele["lbfgs_iterations"] + tele["newton_iterations"]
+    kkt = result.certificate["kkt_residual"]
+    if kkt > result.tolerance:
+        raise SolverStall(result, f"solver stalled in stage {result.telemetry['stage']!r} "
+                                  f"at kkt_residual {kkt:.3g} > tol {result.tolerance:g}")
+    return result
+
+
+def _lbfgs_start(cost, A, b, p):
+    """L-BFGS-B dual ascent from a bounded start: Newton's initializer."""
+    from scipy.optimize import minimize
 
     def neg_dual(lam):
         x = _power_primal(lam, A, cost, p)
         with np.errstate(over="ignore"):
             val = lam @ b - np.sum(cost * x ** p * (p - 1.0))
-        grad = b - A @ x
-        if not math.isfinite(val):
-            val = -INFEASIBLE
-        return -val, -grad
+        return (-val if math.isfinite(val) else INFEASIBLE), A @ x - b
 
     # start inside the region where the closed-form primal stays bounded:
     # with lam0 below p * min(cost / colsum), every ratio a_i/(p c_i) <= 1/2,
@@ -102,72 +136,86 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL):
     colsum = A.sum(axis=0)
     pos = colsum > 0
     lam_scale = float(np.min(cost[pos] / colsum[pos])) * p if np.any(pos) else 1.0
-    lam0 = np.full(m, 0.5 * lam_scale)
-    from scipy.optimize import minimize
-    res = minimize(
-        neg_dual,
-        lam0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, None)] * m,
-        options={"maxiter": LBFGS_MAXITER, "ftol": 1e-16, "gtol": 1e-12},
-    )
-    lam = np.maximum(res.x, 0.0)
-    x = _power_primal(lam, A, cost, p)
-    cert = _power_certificate(x, lam, A, b, cost, p)
-    if cert["kkt_residual"] > tol:
-        lam_n = _dual_newton_polish(lam, A, b, cost, p)
-        x_n = _power_primal(lam_n, A, cost, p)
-        cert_n = _power_certificate(x_n, lam_n, A, b, cost, p)
-        if cert_n["kkt_residual"] < cert["kkt_residual"]:
-            x, cert = x_n, cert_n
-    cert["iterations"] = int(res.nit)
-    result = SolveResult(float(np.sum(cost * x ** p)), x, cert, tol)
-    if cert["kkt_residual"] > tol:
-        raise SolverStall(result)
-    return result
+    res = minimize(neg_dual, np.full(len(b), 0.5 * lam_scale), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * len(b),
+                   options={"maxiter": LBFGS_MAXITER, "ftol": 1e-16, "gtol": 1e-12})
+    return np.maximum(res.x, 0.0), int(res.nit)
 
 
-def _dual_newton_polish(lam, A, b, cost, p, iters=60):
-    """Damped Newton steps on the dual optimality system.
+def _dual_newton(lam, A, b, cost, p, tol):
+    """Projected Newton ascent on the dual from duals lam >= 0.
 
-    The dual gradient is b - A x(lam); its Jacobian on coordinates with
-    positive inner product is -A diag(x / ((p-1) a)) A^T.  Quadratic local
-    convergence rescues the flat regimes where first-order ascent crawls.
+    Each step maximizes the dual's second-order model over lam >= 0 (an
+    NNLS problem on the Cholesky factor of the negated Hessian
+    A diag(x/((p-1)a)) A^T, damped Levenberg-Marquardt style because
+    duplicate rows make it singular); violated rows whose support holds
+    no primal mass jump to their one-row optimum instead.  An Armijo
+    search on the dual value follows; where that value is flat to
+    rounding a step counts only if it halves the certificate's residual.
+    Convergence is quadratic, so the run goes on past tol, to
+    tol * NEWTON_TAIL or until no step helps.  Returns the least-residual
+    primal, its certificate and the step count.
     """
-    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
-    best = lam.copy()
-    best_val = -INFEASIBLE
-    damping = 1e-10
-    for _ in range(iters):
-        a = A.T @ lam
+    from scipy.optimize import nnls
+
+    def point(lam):
         x = _power_primal(lam, A, cost, p)
-        grad = b - A @ x
-        act = np.where((lam > 0) | (grad > 0))[0]
-        if len(act) == 0:
-            break
-        d = np.where(a > 0, x / np.maximum((p - 1.0) * a, 1e-300), 0.0)
-        J = (A[act] * d[None, :]) @ A[act].T
-        J += damping * np.eye(len(act))
-        try:
-            step = np.linalg.solve(J, grad[act])
-        except np.linalg.LinAlgError:
-            break
-        lam_new = lam.copy()
-        lam_new[act] = np.maximum(lam[act] + step, 0.0)
-        x_new = _power_primal(lam_new, A, cost, p)
-        with np.errstate(over="ignore"):
-            val = float(lam_new @ b - (p - 1.0) * np.sum(cost * x_new ** p))
-        if math.isfinite(val) and val > best_val:
-            best_val = val
-            best = lam_new
-            lam = lam_new
-            damping = max(damping * 0.5, 1e-14)
-        else:
-            damping *= 10.0
-            if damping > 1e6:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(lam @ b - (p - 1.0) * np.sum(cost * x ** p))
+        # the Lagrangian at a capped x is no dual value
+        return lam, x, val if np.all(x < X_CAP) else -INFEASIBLE, A @ x
+
+    # A_i x at the duals e_i: row i alone is met at lam_i = (b_i/unit_i)^(p-1)
+    with np.errstate(over="ignore"):
+        unit = np.sum(A * (A / (p * cost)) ** (1.0 / (p - 1.0)), axis=1)
+    lam, x, val, ax = point(lam)
+    cert = _power_certificate(x, lam, A, b, cost, p)
+    best = (x, cert)
+    it = 0
+    while it < NEWTON_MAXITER and best[1]["kkt_residual"] > tol * NEWTON_TAIL:
+        it += 1
+        g = b - ax
+        # the step moves the positive duals and the n (the model's rank)
+        # worst-violated rows at 0; a row that loads no column moves no x
+        enter = np.flatnonzero((lam <= 0) & (g > 0))
+        moving = lam > 0
+        moving[enter[np.argsort(-g[enter], kind="stable")[:A.shape[1]]]] = True
+        dead, model = moving & (unit > 0) & (ax <= 0), moving & (unit > 0) & (ax > 0)
+        step = np.zeros_like(lam)
+        with np.errstate(divide="ignore", over="ignore"):
+            step[dead] = (b[dead] / unit[dead]) ** (p - 1.0) - lam[dead]
+        if model.any():
+            a = A.T @ lam
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(a > 0, x / ((p - 1.0) * a), 0.0)
+            H = (A[model] * d) @ A[model].T
+            mu = NEWTON_DAMP * min(1.0, float(np.linalg.norm(g[model]) / (1 + np.max(b)))) + 1e-10
+            H += np.diag(mu * np.diag(H) + 1e-14 * float(np.max(np.diag(H))))
+            try:
+                L = np.linalg.cholesky(H)
+            except np.linalg.LinAlgError:
                 break
-    return best
+            # max g.s - s.H.s/2 over lam + s >= 0, as an NNLS in y = lam + s
+            y = nnls(L.T, np.linalg.solve(L, H @ lam[model] + g[model]))[0]
+            step[model] = y - lam[model]
+        slope, t = float(g @ step), 1.0
+        for _ in range(NEWTON_BACKTRACK):
+            cand = point(np.maximum(lam + t * step, 0.0))
+            gain = cand[2] - val
+            rounding = 1e-14 * (1.0 + abs(val))
+            if gain > rounding and gain >= 1e-4 * t * slope:
+                break
+            if abs(gain) <= rounding and _power_certificate(
+                    cand[1], cand[0], A, b, cost, p)["kkt_residual"] < 0.5 * cert["kkt_residual"]:
+                break
+            t *= 0.5 if math.isfinite(gain) else 1e-3  # overflow: far shorter
+        else:
+            break
+        lam, x, val, ax = cand
+        cert = _power_certificate(x, lam, A, b, cost, p)
+        if cert["kkt_residual"] < best[1]["kkt_residual"]:
+            best = (x, cert)
+    return best[0], best[1], it
 
 
 def _power_certificate(x, lam, A, b, cost, p):
@@ -177,22 +225,11 @@ def _power_certificate(x, lam, A, b, cost, p):
     value at lam bounds the suboptimality by weak duality; it is robust
     where coordinate stationarity is noise-amplified (p near 1).
     """
-    if len(b) == 0:
-        return {"slacks": np.zeros(0), "duals": lam, "primal_violation": 0.0,
-                "complementarity": 0.0, "duality_gap": 0.0, "kkt_residual": 0.0}
-    slacks = A @ x - b
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    viol = float(np.max(-slacks, initial=0.0))
-    comp = float(np.max(np.abs(lam * slacks), initial=0.0))
     ax = A @ x
-    need = np.where(b > 0,
-                    np.where(ax > 0, b / np.maximum(ax, 1e-300), INFEASIBLE),
-                    0.0)
+    cert, scale = _feasibility(ax - b, lam, b)
+    need = np.where(b > 0, np.where(ax > 0, b / np.maximum(ax, 1e-300), INFEASIBLE), 0.0)
     factor = max(1.0, float(np.max(need, initial=1.0)))
-    if not math.isfinite(factor):
-        f_feas = INFEASIBLE
-    else:
-        f_feas = float(np.sum(cost * (factor * x) ** p))
+    f_feas = float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor) else INFEASIBLE
     if p > 1.0:
         x_dual = _power_primal(lam, A, cost, p)
         dual_val = float(lam @ b - (p - 1.0) * np.sum(cost * x_dual ** p))
@@ -200,118 +237,93 @@ def _power_certificate(x, lam, A, b, cost, p):
         dual_val = float(lam @ b)
     gap = max(0.0, f_feas - dual_val)
     gap_rel = gap / (1.0 + abs(f_feas)) if math.isfinite(f_feas) else INFEASIBLE
-    kkt = max(viol / scale, comp / scale, gap_rel)
-    return {
-        "slacks": slacks,
-        "duals": lam,
-        "primal_violation": viol,
-        "complementarity": comp,
-        "duality_gap": gap if math.isfinite(f_feas) else "unbounded",
-        "kkt_residual": kkt,
-    }
+    cert["duality_gap"] = gap if math.isfinite(f_feas) else "unbounded"
+    cert["kkt_residual"] = max(cert["kkt_residual"], gap_rel)
+    return cert
+
+
+def _feasibility(slacks, lam, b):
+    """Slacks, duals, violation, complementarity and their residual; scale."""
+    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    viol = float(np.max(-slacks, initial=0.0))
+    comp = float(np.max(np.abs(lam * slacks), initial=0.0))
+    return {"slacks": slacks, "duals": lam, "primal_violation": viol,
+            "complementarity": comp, "kkt_residual": max(viol, comp) / scale}, scale
 
 
 def _solve_lp_min(cost, A, b, tol):
     """min cost @ x s.t. A x >= b, x >= 0 (vertex optimum via HiGHS)."""
     from scipy.optimize import linprog
     m, n = A.shape
-    res = linprog(
-        c=cost, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * n, method="highs"
-    )
+    tele = _telemetry("highs", [m])
+    res = _timed(tele, "highs", lambda: linprog(c=cost, A_ub=-A, b_ub=-b,
+                                                 bounds=[(0.0, None)] * n, method="highs"))
     if not res.success:
         partial = SolveResult(INFEASIBLE, np.zeros(n), {"status": res.message}, tol)
         raise SolverStall(partial, f"LP failed: {res.message}")
     x = np.asarray(res.x)
     lam = np.asarray(res.ineqlin.marginals) * -1.0  # >=-form multipliers
     slacks = A @ x - b
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    viol = float(np.max(-slacks, initial=0.0))
-    comp = float(np.max(np.abs(lam * slacks), initial=0.0))
-    red = cost - A.T @ lam
-    stat = float(np.max(-red, initial=0.0))
+    cert, scale = _feasibility(slacks, lam, b)
+    stat = float(np.max(A.T @ lam - cost, initial=0.0))
     degenerate = bool(np.any((np.abs(slacks) <= 1e-10) & (np.abs(lam) <= 1e-10)))
-    cert = {
-        "slacks": slacks,
-        "duals": lam,
-        "primal_violation": viol,
-        "complementarity": comp,
-        "stationarity": stat,
-        "kkt_residual": max(viol, comp, stat) / scale,
-        "vertex": True,
-        "dual_degenerate": degenerate,
-    }
-    result = SolveResult(float(cost @ x), x, cert, tol)
-    if cert["kkt_residual"] > tol:
-        raise SolverStall(result)
-    return result
+    cert.update(stationarity=stat, vertex=True, dual_degenerate=degenerate,
+                kkt_residual=max(cert["kkt_residual"], stat / scale))
+    return _finish(SolveResult(float(cost @ x), x, cert, tol, tele))
 
 
 def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     """Solve the separable power program by generating violated rows.
 
-    ``rows`` is the full (possibly large) constraint matrix; the working
-    set starts from the most-violated row at x = 0 and grows one row at a
-    time (most violated first, ties to the lowest index).  The final
-    certificate carries the last working-set solve's ``duality_gap``
-    (zero duals on the other rows extend its dual to the full program),
-    ``iterations`` (L-BFGS-B iterations summed over rounds) and
-    ``rounds``.
+    ``rows`` is the full (possibly large) constraint matrix.  The working
+    set starts from the most-violated row at x = 0; each round solves it
+    and adds the most-violated row and every row violated by at least
+    half as much (ties to the lowest index).  The first round starts
+    cold, each later one warm from the last duals, zeros for new rows.
+    The certificate carries the last solve's ``duality_gap`` (zero duals
+    on the other rows extend its dual to the full program), the summed
+    ``iterations`` and ``rounds``; ``telemetry`` sums the rounds' and
+    lists the working-set size per round.
     """
-    rows = np.asarray(rows, dtype=float)
-    b = np.asarray(b, dtype=float)
+    rows, b = np.asarray(rows, dtype=float), np.asarray(b, dtype=float)
     m, n = rows.shape
-    keep = b > 0
-    if not np.any(keep):
+    if not np.any(b > 0):
         x = np.zeros(n)
-        return SolveResult(
-            0.0, x, _power_certificate(x, np.zeros(m), rows, b, np.asarray(cost), p), tol
-        )
+        return SolveResult(0.0, x, _power_certificate(x, np.zeros(m), rows, b, np.asarray(cost),
+                                                      p), tol, _telemetry("trivial", []))
     active = [int(np.argmax(b))]
     in_active = set(active)
-    x = np.zeros(n)
-    duals_full = np.zeros(m)
-    iterations = 0
+    lam = None
+    tele = _telemetry("", [])
+    scale = 1.0 + float(np.max(np.abs(b)))
     for rounds in range(1, m + 2):
-        sub = solve_separable_power(cost, rows[active], b[active], p, tol)
-        iterations += sub.certificate.get("iterations", 0)
+        sub = solve_separable_power(cost, rows[active], b[active], p, tol, lam)
+        tele["stage"] = sub.telemetry["stage"]
+        tele["working_set"] += sub.telemetry["working_set"]
+        for k in ("lbfgs_iterations", "newton_iterations"):
+            tele[k] += sub.telemetry[k]
+        for stage, secs in sub.telemetry["wall_s"].items():
+            tele["wall_s"][stage] = tele["wall_s"].get(stage, 0.0) + secs
         x = sub.minimizer
-        duals_full = np.zeros(m)
-        duals_full[active] = sub.certificate["duals"]
         viol = b - rows @ x
         worst = int(np.argmax(viol))
-        scale = 1.0 + float(np.max(np.abs(b)))
         if viol[worst] <= tol * scale or worst in in_active:
             break
         # most violated first, then every row violated at a comparable level
         batch = np.nonzero(viol >= 0.5 * viol[worst])[0]
-        ordered = [worst] + [int(i) for i in batch if int(i) != worst]
-        for i in ordered:
-            if i not in in_active:
-                active.append(i)
-                in_active.add(i)
-    slacks = rows @ x - b
-    scale = 1.0 + float(np.max(np.abs(b)))
-    cert = {
-        "slacks": slacks,
-        "duals": duals_full,
-        "primal_violation": float(np.max(-slacks, initial=0.0)),
-        "complementarity": float(np.max(np.abs(duals_full * slacks), initial=0.0)),
-        "kkt_residual": max(
-            float(np.max(-slacks, initial=0.0)),
-            float(np.max(np.abs(duals_full * slacks), initial=0.0)),
-        ) / scale,
-        "active_set": list(map(int, active)),
-        "iterations": iterations,
-        "rounds": rounds,
-    }
+        new = [worst] + [int(i) for i in batch if int(i) != worst and int(i) not in in_active]
+        active += new
+        in_active.update(new)
+        lam = np.concatenate((sub.certificate["duals"], np.zeros(len(new))))
+    duals_full = np.zeros(m)
+    duals_full[active] = sub.certificate["duals"]
+    cert, _ = _feasibility(rows @ x - b, duals_full, b)
+    cert.update(active_set=list(map(int, active)), rounds=rounds)
     cert.update({k: sub.certificate[k]
                  for k in ("duality_gap", "vertex", "dual_degenerate")
                  if k in sub.certificate})
-    result = SolveResult(float(np.sum(np.asarray(cost) * x ** p)) if p > 1
-                         else float(np.asarray(cost) @ x), x, cert, tol)
-    if cert["kkt_residual"] > tol:
-        raise SolverStall(result)
-    return result
+    return _finish(SolveResult(float(np.sum(np.asarray(cost) * x ** p)) if p > 1
+                               else float(np.asarray(cost) @ x), x, cert, tol, tele))
 
 
 def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
@@ -332,15 +344,11 @@ def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
 
     if p == 1.0:
         cost = np.concatenate((w_u, w_g))
-        res = linprog(
-            c=cost, A_ub=-A, b_ub=-b,
-            bounds=[(float(l), None) for l in lb], method="highs",
-        )
+        res = linprog(c=cost, A_ub=-A, b_ub=-b, bounds=[(float(l), None) for l in lb],
+                      method="highs")
         if not res.success:
-            raise SolverStall(
-                SolveResult(INFEASIBLE, lb.copy(), {"status": res.message}, tol),
-                f"LP failed: {res.message}",
-            )
+            raise SolverStall(SolveResult(INFEASIBLE, lb.copy(), {"status": res.message}, tol),
+                              f"LP failed: {res.message}")
         z = np.asarray(res.x)
         lam = -np.asarray(res.ineqlin.marginals)
         return _norm_sum_result(z, lam, A, b, lb, w_u, w_g, p, split, tol,
@@ -359,17 +367,11 @@ def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
 
     cons = []
     if len(b):
-        cons.append({
-            "type": "ineq",
-            "fun": lambda z: A @ z - b,
-            "jac": lambda z: A,
-        })
+        cons.append({"type": "ineq", "fun": lambda z: A @ z - b, "jac": lambda z: A})
     z0 = np.maximum(lb, 0.0) + 1e-3
-    res = minimize(
-        objective, z0, jac=True, method="SLSQP",
-        bounds=[(float(l), None) for l in lb], constraints=cons,
-        options={"maxiter": 800, "ftol": 1e-14},
-    )
+    res = minimize(objective, z0, jac=True, method="SLSQP",
+                   bounds=[(float(l), None) for l in lb], constraints=cons,
+                   options={"maxiter": 800, "ftol": 1e-14})
     z = np.maximum(np.asarray(res.x), lb)
     lam = _recover_duals(z, A, b, lb, objective)
     result = _norm_sum_result(z, lam, A, b, lb, w_u, w_g, p, split, tol)
@@ -407,14 +409,10 @@ def _norm_sum_result(z, lam, A, b, lb, w_u, w_g, p, split, tol, extra=None):
     ng = float(np.sum(w_g * np.abs(z[split:]) ** p)) ** (1.0 / p) if split < len(z) else 0.0
     slacks = A @ z - b if len(b) else np.zeros(0)
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    cert = {
-        "slacks": slacks,
-        "duals": lam,
-        "primal_violation": float(np.max(-slacks, initial=0.0)),
-        "complementarity": float(np.max(np.abs(lam * slacks), initial=0.0)) if len(b) else 0.0,
-        "kkt_residual": float(np.max(-slacks, initial=0.0)) / scale,
-        "norm_parts": [nu, ng],
-    }
+    cert = {"slacks": slacks, "duals": lam,
+            "primal_violation": float(np.max(-slacks, initial=0.0)),
+            "complementarity": float(np.max(np.abs(lam * slacks), initial=0.0)) if len(b) else 0.0,
+            "kkt_residual": float(np.max(-slacks, initial=0.0)) / scale, "norm_parts": [nu, ng]}
     if extra:
         cert.update(extra)
     return SolveResult(nu + ng, z, cert, tol)

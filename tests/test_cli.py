@@ -264,6 +264,17 @@ def test_wrong_number_count_exits_2(tmp_path, capsys, argv, form):
     assert form in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,form", [
+    ("path:0", "path:n"), ("grid:0,3", "grid:m,n"), ("tree:2,-1", "tree:b,d"),
+    ("tree:-1,2", "tree:b,d"), ("path:-2", "path:n"), ("grid:2,-1", "grid:m,n"),
+])
+def test_generate_without_points_exits_2(tmp_path, capsys, kind, form):
+    rc = main(["--out", str(tmp_path), "generate", kind])
+    assert rc == 2
+    assert form in capsys.readouterr().err
+    assert not (tmp_path / "mms.json").exists()
+
+
 def test_demo_marcinkiewicz_gap(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "demo", "marcinkiewicz-gap",
                "--alpha", "2", "--n", "3", "--grid", "80"])

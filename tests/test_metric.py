@@ -300,27 +300,22 @@ def test_twice_hajlasz_is_upper_gradient_on_pairs():
 @pytest.mark.parametrize("n", [8, 12])
 def test_hajlasz_single_path_certified(n, p, monkeypatch):
     # seeded ramps on which L-BFGS-B alone misses tolerance in some
-    # subsolves, so the Newton polish has to carry them to the certificate
-    polish = solver._dual_newton_polish
+    # subsolves; dual Newton has to carry every one to the certificate
     subsolve = solver.solve_separable_power
-    polished, certs = [], []
-
-    def counting_polish(*args):
-        polished.append(1)
-        return polish(*args)
+    results = []
 
     def recording_subsolve(*args):
         res = subsolve(*args)
-        certs.append(res.certificate)
+        results.append(res)
         return res
 
-    monkeypatch.setattr(solver, "_dual_newton_polish", counting_polish)
     monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
     rng = np.random.default_rng(n)
     u = np.cumsum(rng.uniform(0.1, 1.0, n))
     s = path_space(n)
     res = minimal_hajlasz(s, u, p)
-    assert polished
+    assert results and all(r.telemetry["stage"] == "newton" for r in results)
+    certs = [r.certificate for r in results]
     # the subsolve residual includes the relative duality gap
     assert all(c["kkt_residual"] <= res.tolerance for c in certs)
     assert all(isinstance(c["iterations"], int) for c in certs)

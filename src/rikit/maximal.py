@@ -18,6 +18,7 @@ from .errors import InvariantViolated, ZeroFunction
 from .metric import MMS, _ball_index
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
+    _FAMILIES,
     FundamentalFn,
     NormSpec,
     PowerPhi,
@@ -599,12 +600,11 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     if phi is None:
         raise ValueError("spec has no computable fundamental function")
     pe0 = _power_near_zero(phi)
-    fam = spec.family
+    rule = _FAMILIES[spec.family].density
     verdicts = {}
 
-    lorentz_like = fam in ("lp", "lorentz_pq")
-    p0 = spec.p if fam in ("lp", "lorentz_pq", "lorentz_pinf") else None
-    q0 = spec.q if fam == "lorentz_pq" else (p0 if fam == "lp" else None)
+    lorentz_like = rule == "lorentz"
+    p0, q0 = (spec.p, spec.p if spec.q is None else spec.q) if lorentz_like else (None, None)
 
     # (ii)  X embeds in Lambda^p_{psi,fm}
     if lorentz_like:
@@ -619,9 +619,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
                 {"target": (f"L^({p0:g},{p:g})" if p <= p0 else f"L^{p:g}")
                  + " locally", "q0": q0},
                 "second Lorentz index rule")
-    elif fam in ("lorentz_pinf",) or (
-        fam in ("marcinkiewicz", "weak_marcinkiewicz") and pe0 is not None
-    ):
+    elif rule == "weak" or (rule == "weak-power" and pe0 is not None):
         verdicts["ii"] = ConditionVerdict(
             "ii", FALSE, {}, "weak-type space never embeds in a Lambda space")
     else:
@@ -635,7 +633,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
             "iii", TRUE if ok else FALSE,
             {"phi_comparable": p == p0, "into_Lp": q0 <= p0 and p == p0},
             "fundamental-function comparability")
-    elif fam == "lorentz_pinf":
+    elif rule == "weak":
         verdicts["iii"] = ConditionVerdict(
             "iii", FALSE, {"into_Lp": False}, "weak space is not inside L^p")
     else:

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllDegenerate
-from .solver import SolveResult, constraint_generation, solve_norm_sum
+from .errors import AllDegenerate, SolverStall
+from .solver import (
+    SolveResult,
+    _add_telemetry,
+    _feasibility,
+    _finish,
+    _telemetry,
+    constraint_generation,
+    solve_separable_power,
+)
 
 INF = math.inf
 TRIANGLE_SLACK = 1e-12
@@ -456,8 +464,19 @@ def capacity(space: MMS, fixed_set, curves: CurveFamily, p,
              tol=1e-8) -> SolveResult:
     """Sobolev capacity: min ||u||_p + ||g||_p over u >= chi_E, upper-gradient g.
 
-    With an empty curve family the optimum is exactly ||chi_E||_p with
-    u = chi_E and g = 0 (the trivial regime).
+    z = (u, g) >= 0 meets both orientations of |u(a) - u(b)| <= int_gamma g
+    per curve and e_i . z >= 1 per point i of E.  For p > 1, Hoelder's
+    (a + b)^p = min over theta of a^p theta^(1-p) + b^p (1-theta)^(1-p)
+    makes capacity^p a minimum of separable power programs, with costs
+    mu theta^(1-p) on u and mu (1-theta)^(1-p) on g; secant steps on logit
+    theta, in a bracket, solve theta = ||u|| / (||u|| + ||g||), each solve
+    warm from the last duals.  The minimizer is the best iterate made
+    exactly feasible, an upper bound; the best duals, scaled into the
+    norm-sum dual, give ``lower_bound`` = lam.b / max(||(A^T lam)^+_u /
+    mu||_{p',mu}, ||(A^T lam)^+_g / mu||_{p',mu}).  ``kkt_residual`` holds
+    their gap (``duality_gap``) over 1 + optimum; SolverStall is raised
+    when it exceeds tol.  An empty curve family gives exactly ||chi_E||_p,
+    with u = chi_E and g = 0 (the trivial regime).
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -466,33 +485,92 @@ def capacity(space: MMS, fixed_set, curves: CurveFamily, p,
         raise ValueError("capacity needs a nonempty set")
     n = space.n
     mu = space.weights
-    chi = np.zeros(n)
-    chi[fixed] = 1.0
     if len(curves) == 0:
         opt = float(np.sum(mu[fixed])) ** (1.0 / p)
-        return SolveResult(opt, np.concatenate((chi, np.zeros(n))), {
-            "slacks": np.zeros(0), "duals": np.zeros(0),
+        return SolveResult(opt, np.isin(np.arange(2 * n), fixed).astype(float), {
+            "slacks": np.zeros(0), "duals": np.zeros(0), "duality_gap": 0.0,
             "kkt_residual": 0.0, "note": "empty family: ||chi_E||_p exactly",
             "norm_parts": [opt, 0.0]}, tol)
-    rows = []
-    for c in curves:
-        coef = _edge_weights(space, c)
-        row = np.zeros(2 * n)
-        row[n:] = coef
-        a, bb = c.vertices[0], c.vertices[-1]
-        # two orientations of |u(a) - u(b)| <= int_gamma g
-        r1 = row.copy()
-        r1[a] -= 1.0
-        r1[bb] += 1.0
-        r2 = row.copy()
-        r2[a] += 1.0
-        r2[bb] -= 1.0
-        rows.extend([r1, r2])
-    A = np.stack(rows)
-    b = np.zeros(len(rows))
-    lb = np.concatenate((chi, np.zeros(n)))
-    weights = np.concatenate((mu, mu))
-    return solve_norm_sum(weights, A, b, lb, float(p), split=n, tol=tol)
+    p, q = float(p), INF if p == 1 else p / (p - 1.0)  # q: the dual exponent
+    coef = np.stack([_edge_weights(space, c) for c in curves])
+    ends = np.array([(c.vertices[0], c.vertices[-1]) for c in curves])
+    k = np.arange(len(curves))
+    A = np.zeros((2 * len(k) + len(fixed), 2 * n))
+    A[:2 * len(k), n:] = np.repeat(coef, 2, axis=0)
+    A[2 * k, ends[:, 0]] = A[2 * k + 1, ends[:, 1]] = -1.0
+    A[2 * k, ends[:, 1]] = A[2 * k + 1, ends[:, 0]] = 1.0
+    A[2 * len(k) + np.arange(len(fixed)), fixed] = 1.0
+    b = np.concatenate((np.zeros(2 * len(k)), np.ones(len(fixed))))
+    # u = 1, g = 0 is feasible: the first upper bound
+    z_best = np.concatenate((np.ones(n), np.zeros(n)))
+    upper, lower, lam_best = _norm(mu, z_best[:n], p), 0.0, np.zeros(len(b))
+    tele = _telemetry("", [])
+    t, lam, last, lo, hi = 0.0, np.zeros(len(b)), None, -INF, INF
+    for rounds in range(1, CAPACITY_ROUNDS + 1):
+        # theta^(1-p) and (1-theta)^(1-p) at theta = 1/(1+exp(-t)), in logs
+        cost = np.concatenate((mu * math.exp((p - 1.0) * np.logaddexp(0.0, -t)),
+                               mu * math.exp((p - 1.0) * np.logaddexp(0.0, t))))
+        try:
+            sub = solve_separable_power(cost, A, b, p, tol, lam)
+        except SolverStall as err:
+            sub = err.result
+        _add_telemetry(tele, sub.telemetry)
+        lam, z = sub.certificate["duals"], sub.minimizer
+        cand = _feasible_rescale(z, fixed, coef, ends)
+        value = _norm(mu, cand[:n], p) + _norm(mu, cand[n:], p)
+        if value < upper:  # False for nan: no rescaling existed
+            z_best, upper = cand, value
+        c = np.maximum(A.T @ lam, 0.0) / np.concatenate((mu, mu))
+        top = max(_norm(mu, c[:n], q), _norm(mu, c[n:], q))
+        if top > 0 and float(lam @ b) / top > lower:
+            lower, lam_best = float(lam @ b) / top, lam / top
+        if upper - lower <= tol * (1.0 + upper) or p == 1.0:
+            break
+        # F(t) = log(||u|| / ||g||) - t falls through 0 at the optimal theta
+        with np.errstate(divide="ignore"):
+            f = float(np.log(_norm(mu, z[:n], p)) - np.log(_norm(mu, z[n:], p))) - t
+        step = f  # the fixed-point step t = log(||u|| / ||g||)
+        if sub.certificate["kkt_residual"] <= tol:  # a stalled solve places no bracket end
+            lo, hi = (t, hi) if f > 0 else (lo, t)
+            if last is not None and math.isfinite(f - last[1]) and f != last[1]:
+                step = f * (t - last[0]) / (last[1] - f)  # secant
+            last = (t, f)
+        t = min(max(t + step, -LOGIT_MAX), LOGIT_MAX)
+        if math.isfinite(lo + hi) and not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    tele["theta_rounds"] = rounds
+    cert, _ = _feasibility(A @ z_best - b, lam_best, b)
+    gap = max(0.0, upper - lower)
+    cert.update(duality_gap=gap, lower_bound=lower,
+                norm_parts=[_norm(mu, z_best[:n], p), _norm(mu, z_best[n:], p)],
+                kkt_residual=max(cert["kkt_residual"], gap / (1.0 + upper)))
+    return _finish(SolveResult(upper, z_best, cert, tol, tele))
+
+
+CAPACITY_ROUNDS = 100  # theta rounds; the bisection fallback halves the bracket
+LOGIT_MAX = 36.0  # |logit theta| past which 1 - theta or theta is below rounding
+
+
+def _norm(mu, v, r):
+    """||v||_{r, mu} of v >= 0, scaled by its largest entry against overflow."""
+    top = float(np.max(v, initial=0.0))
+    if math.isinf(r) or not 0.0 < top < INF:
+        return top
+    return top * float(np.sum(mu * (v / top) ** r)) ** (1.0 / r)
+
+
+def _feasible_rescale(z, fixed, coef, ends):
+    """z = (u, g) made exactly feasible; non-finite where min u_E = 0.
+
+    u goes over min u_E; g rises by deficit / sum(coef) on each vertex of a
+    short curve, which meets it at no cost to the others (coef >= 0).
+    """
+    n = len(z) // 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = z[:n] / np.min(z[fixed])
+        deficit = np.abs(u[ends[:, 0]] - u[ends[:, 1]]) - coef @ z[n:]
+        lift = np.maximum(deficit, 0.0) / coef.sum(axis=1)
+        return np.concatenate((u, z[n:] + np.max(lift[:, None] * (coef > 0), axis=0)))
 
 
 # -- Poincare ratios ---------------------------------------------------------------

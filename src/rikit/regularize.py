@@ -72,10 +72,11 @@ def truncate(u, sigma, space: MMS | None = None,
 def glue_gradient(space: MMS, u, g, k, curves: CurveFamily):
     """Zero the gradient on the level set {u = k} and re-check.
 
-    Returns (new_gradient, verdict, closed_under_subcurves).  The verdict
-    is guaranteed on families closed under subcurves (the splitting
-    argument needs first/last hits of the level set); otherwise the check
-    still runs and reports any violation.
+    Returns (new_gradient, verdict, closed_under_subcurves).  On families
+    closed under subcurves, with g an upper gradient of u, splitting at a
+    curve's first and last hits of the level set bounds any violation by
+    g's trapezoid mass on the two edges into those hits; elsewhere the
+    check still runs and reports any violation.
     """
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)

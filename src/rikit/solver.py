@@ -1,18 +1,13 @@
 """Convex program machinery with KKT certificates.
 
-Two program classes cover all solver-backed operations:
-
-* separable power programs  min sum_i c_i x_i^p  s.t.  A x >= b, x >= 0,
-  solved in the dual (closed-form primal recovery per dual iterate) by
-  projected dual Newton steps, warm-started from the previous round's
-  duals under constraint generation; a cold start first takes L-BFGS-B to
-  where Newton can begin; the p = 1 corner is a linear program and is
-  handed to HiGHS, which returns a vertex optimum and exact duals;
-
-* norm-sum programs  min ||u||_p + ||g||_p  s.t.  A z >= b, z >= lb,
-  solved with SLSQP on a mollified objective (p > 1) or as a linear
-  program (p = 1); duals are recovered from the active set by nonnegative
-  least squares.
+Every solver-backed operation runs on one program class, the separable
+power program  min sum_i c_i x_i^p  s.t.  A x >= b, x >= 0.  It is solved
+in the dual (closed-form primal recovery per dual iterate) by projected
+dual Newton steps, warm-started from the previous round's duals under
+constraint generation; a cold start first takes L-BFGS-B to where Newton
+can begin.  The p = 1 corner is a linear program and is handed to HiGHS,
+which returns a vertex optimum and exact duals.  Capacity's norm-sum
+program reduces to a family of these (``metric.capacity``).
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ NEWTON_MAXITER = 200
 NEWTON_BACKTRACK = 60
 NEWTON_TAIL = 1e-4
 NEWTON_DAMP = 1e-6
+NEWTON_STALL = 20  # steps without a lower least residual before Newton gives up
 INFEASIBLE = math.inf
 
 
@@ -66,7 +62,11 @@ def _power_primal(lam, A, cost, p):
 
 
 def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
-    """min sum_i cost_i x_i^p over x >= 0 with A x >= b (A >= 0, b >= 0).
+    """min sum_i cost_i x_i^p over x >= 0 with A x >= b (b >= 0).
+
+    Rows of A may hold entries of either sign: the closed-form primal
+    (max(A^T lam, 0) / (p cost))^(1/(p-1)) is the Lagrangian's minimizer
+    over x >= 0 for both.
 
     For p > 1, dual Newton (``_dual_newton``) maximizes the concave dual
     from the warm duals ``lam0`` (one per row) when given.  A cold start,
@@ -102,6 +102,16 @@ def _telemetry(stage, working_set):
             "working_set": list(working_set), "wall_s": {}}
 
 
+def _add_telemetry(tele, sub):
+    """Fold one subsolve's telemetry into a running total."""
+    tele["stage"] = sub["stage"]
+    tele["working_set"] += sub["working_set"]
+    for k in ("lbfgs_iterations", "newton_iterations"):
+        tele[k] += sub[k]
+    for stage, secs in sub["wall_s"].items():
+        tele["wall_s"][stage] = tele["wall_s"].get(stage, 0.0) + secs
+
+
 def _timed(tele, stage, fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
@@ -133,7 +143,7 @@ def _lbfgs_start(cost, A, b, p):
     # start inside the region where the closed-form primal stays bounded:
     # with lam0 below p * min(cost / colsum), every ratio a_i/(p c_i) <= 1/2,
     # which matters enormously for p near 1 (the exponent 1/(p-1) blows up)
-    colsum = A.sum(axis=0)
+    colsum = np.maximum(A, 0.0).sum(axis=0)
     pos = colsum > 0
     lam_scale = float(np.min(cost[pos] / colsum[pos])) * p if np.any(pos) else 1.0
     res = minimize(neg_dual, np.full(len(b), 0.5 * lam_scale), jac=True, method="L-BFGS-B",
@@ -148,13 +158,15 @@ def _dual_newton(lam, A, b, cost, p, tol):
     Each step maximizes the dual's second-order model over lam >= 0 (an
     NNLS problem on the Cholesky factor of the negated Hessian
     A diag(x/((p-1)a)) A^T, damped Levenberg-Marquardt style because
-    duplicate rows make it singular); violated rows whose support holds
-    no primal mass jump to their one-row optimum instead.  An Armijo
-    search on the dual value follows; where that value is flat to
-    rounding a step counts only if it halves the certificate's residual.
+    duplicate rows make it singular); violated rows whose positive support
+    holds no primal mass jump instead to the one-row dual that closes their
+    violation.  An Armijo search on the dual value follows; where that
+    value is flat to rounding a step counts only if it lowers the
+    certificate's residual.
     Convergence is quadratic, so the run goes on past tol, to
-    tol * NEWTON_TAIL or until no step helps.  Returns the least-residual
-    primal, its certificate and the step count.
+    tol * NEWTON_TAIL, until no step helps, or until NEWTON_STALL steps in
+    a row leave the least residual where it was.  Returns the
+    least-residual primal, its certificate and the step count.
     """
     from scipy.optimize import nnls
 
@@ -165,14 +177,16 @@ def _dual_newton(lam, A, b, cost, p, tol):
         # the Lagrangian at a capped x is no dual value
         return lam, x, val if np.all(x < X_CAP) else -INFEASIBLE, A @ x
 
-    # A_i x at the duals e_i: row i alone is met at lam_i = (b_i/unit_i)^(p-1)
+    # A_i^+ x at lam = e_i: lam_i = (g_i / unit_i)^(p-1) closes a dead row's g_i
+    pos = np.maximum(A, 0.0)
     with np.errstate(over="ignore"):
-        unit = np.sum(A * (A / (p * cost)) ** (1.0 / (p - 1.0)), axis=1)
+        unit = np.sum(pos * (pos / (p * cost)) ** (1.0 / (p - 1.0)), axis=1)
     lam, x, val, ax = point(lam)
     cert = _power_certificate(x, lam, A, b, cost, p)
     best = (x, cert)
-    it = 0
-    while it < NEWTON_MAXITER and best[1]["kkt_residual"] > tol * NEWTON_TAIL:
+    it = last_gain = 0
+    while (it < NEWTON_MAXITER and it - last_gain < NEWTON_STALL
+           and best[1]["kkt_residual"] > tol * NEWTON_TAIL):
         it += 1
         g = b - ax
         # the step moves the positive duals and the n (the model's rank)
@@ -180,10 +194,11 @@ def _dual_newton(lam, A, b, cost, p, tol):
         enter = np.flatnonzero((lam <= 0) & (g > 0))
         moving = lam > 0
         moving[enter[np.argsort(-g[enter], kind="stable")[:A.shape[1]]]] = True
-        dead, model = moving & (unit > 0) & (ax <= 0), moving & (unit > 0) & (ax > 0)
+        mass = pos @ x > 0
+        dead, model = moving & (unit > 0) & ~mass, moving & (unit > 0) & mass
         step = np.zeros_like(lam)
         with np.errstate(divide="ignore", over="ignore"):
-            step[dead] = (b[dead] / unit[dead]) ** (p - 1.0) - lam[dead]
+            step[dead] = (g[dead] / unit[dead]) ** (p - 1.0) - lam[dead]
         if model.any():
             a = A.T @ lam
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,7 +221,7 @@ def _dual_newton(lam, A, b, cost, p, tol):
             if gain > rounding and gain >= 1e-4 * t * slope:
                 break
             if abs(gain) <= rounding and _power_certificate(
-                    cand[1], cand[0], A, b, cost, p)["kkt_residual"] < 0.5 * cert["kkt_residual"]:
+                    cand[1], cand[0], A, b, cost, p)["kkt_residual"] < cert["kkt_residual"]:
                 break
             t *= 0.5 if math.isfinite(gain) else 1e-3  # overflow: far shorter
         else:
@@ -214,7 +229,7 @@ def _dual_newton(lam, A, b, cost, p, tol):
         lam, x, val, ax = cand
         cert = _power_certificate(x, lam, A, b, cost, p)
         if cert["kkt_residual"] < best[1]["kkt_residual"]:
-            best = (x, cert)
+            best, last_gain = (x, cert), it
     return best[0], best[1], it
 
 
@@ -229,7 +244,8 @@ def _power_certificate(x, lam, A, b, cost, p):
     cert, scale = _feasibility(ax - b, lam, b)
     need = np.where(b > 0, np.where(ax > 0, b / np.maximum(ax, 1e-300), INFEASIBLE), 0.0)
     factor = max(1.0, float(np.max(need, initial=1.0)))
-    f_feas = float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor) else INFEASIBLE
+    with np.errstate(over="ignore"):  # a huge rescaling: the gap is inf
+        f_feas = float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor) else INFEASIBLE
     if p > 1.0:
         x_dual = _power_primal(lam, A, cost, p)
         dual_val = float(lam @ b - (p - 1.0) * np.sum(cost * x_dual ** p))
@@ -259,7 +275,8 @@ def _solve_lp_min(cost, A, b, tol):
     res = _timed(tele, "highs", lambda: linprog(c=cost, A_ub=-A, b_ub=-b,
                                                  bounds=[(0.0, None)] * n, method="highs"))
     if not res.success:
-        partial = SolveResult(INFEASIBLE, np.zeros(n), {"status": res.message}, tol)
+        partial = SolveResult(INFEASIBLE, np.zeros(n), {
+            "status": res.message, "duals": np.zeros(m), "kkt_residual": INFEASIBLE}, tol, tele)
         raise SolverStall(partial, f"LP failed: {res.message}")
     x = np.asarray(res.x)
     lam = np.asarray(res.ineqlin.marginals) * -1.0  # >=-form multipliers
@@ -298,12 +315,7 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     scale = 1.0 + float(np.max(np.abs(b)))
     for rounds in range(1, m + 2):
         sub = solve_separable_power(cost, rows[active], b[active], p, tol, lam)
-        tele["stage"] = sub.telemetry["stage"]
-        tele["working_set"] += sub.telemetry["working_set"]
-        for k in ("lbfgs_iterations", "newton_iterations"):
-            tele[k] += sub.telemetry[k]
-        for stage, secs in sub.telemetry["wall_s"].items():
-            tele["wall_s"][stage] = tele["wall_s"].get(stage, 0.0) + secs
+        _add_telemetry(tele, sub.telemetry)
         x = sub.minimizer
         viol = b - rows @ x
         worst = int(np.argmax(viol))
@@ -324,95 +336,3 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
                  if k in sub.certificate})
     return _finish(SolveResult(float(np.sum(np.asarray(cost) * x ** p)) if p > 1
                                else float(np.asarray(cost) @ x), x, cert, tol, tele))
-
-
-def solve_norm_sum(weights, A, b, lb, p, split, tol=1e-9):
-    """min ||z[:split]||_{p,w} + ||z[split:]||_{p,w}  s.t.  A z >= b, z >= lb.
-
-    Weighted p-norms with the weight vector split accordingly.  Returns a
-    SolveResult whose optimum is the exact (unmollified) objective at the
-    solver's solution.
-    """
-    from scipy.optimize import linprog, minimize
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    n = len(lb)
-    w_u = w[:split]
-    w_g = w[split:]
-
-    if p == 1.0:
-        cost = np.concatenate((w_u, w_g))
-        res = linprog(c=cost, A_ub=-A, b_ub=-b, bounds=[(float(l), None) for l in lb],
-                      method="highs")
-        if not res.success:
-            raise SolverStall(SolveResult(INFEASIBLE, lb.copy(), {"status": res.message}, tol),
-                              f"LP failed: {res.message}")
-        z = np.asarray(res.x)
-        lam = -np.asarray(res.ineqlin.marginals)
-        return _norm_sum_result(z, lam, A, b, lb, w_u, w_g, p, split, tol,
-                                extra={"vertex": True})
-
-    eps = 1e-12
-
-    def objective(z):
-        su = np.sum(w_u * np.maximum(z[:split], 0.0) ** p) + eps
-        sg = np.sum(w_g * np.maximum(z[split:], 0.0) ** p) + eps
-        fu, fg = su ** (1.0 / p), sg ** (1.0 / p)
-        grad = np.empty_like(z)
-        grad[:split] = w_u * np.maximum(z[:split], 0.0) ** (p - 1.0) * fu ** (1.0 - p)
-        grad[split:] = w_g * np.maximum(z[split:], 0.0) ** (p - 1.0) * fg ** (1.0 - p)
-        return fu + fg, grad
-
-    cons = []
-    if len(b):
-        cons.append({"type": "ineq", "fun": lambda z: A @ z - b, "jac": lambda z: A})
-    z0 = np.maximum(lb, 0.0) + 1e-3
-    res = minimize(objective, z0, jac=True, method="SLSQP",
-                   bounds=[(float(l), None) for l in lb], constraints=cons,
-                   options={"maxiter": 800, "ftol": 1e-14})
-    z = np.maximum(np.asarray(res.x), lb)
-    lam = _recover_duals(z, A, b, lb, objective)
-    result = _norm_sum_result(z, lam, A, b, lb, w_u, w_g, p, split, tol)
-    feas_tol = 1e-6 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    if result.certificate["primal_violation"] > feas_tol:
-        raise SolverStall(result, "norm-sum program did not reach feasibility")
-    return result
-
-
-def _recover_duals(z, A, b, lb, objective):
-    """Nonnegative least-squares multipliers on the active rows."""
-    from scipy.optimize import nnls
-    if len(b) == 0:
-        return np.zeros(0)
-    _, grad = objective(z)
-    slacks = A @ z - b
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    act = np.where(slacks <= 1e-6 * scale)[0]
-    lam = np.zeros(len(b))
-    if len(act) == 0:
-        return lam
-    free = z > lb + 1e-9
-    if not np.any(free):
-        return lam
-    try:
-        sol, _ = nnls(A[act][:, free].T, grad[free])
-        lam[act] = sol
-    except RuntimeError:  # nnls iteration cap: keep the zero multipliers
-        pass
-    return lam
-
-
-def _norm_sum_result(z, lam, A, b, lb, w_u, w_g, p, split, tol, extra=None):
-    nu = float(np.sum(w_u * np.abs(z[:split]) ** p)) ** (1.0 / p)
-    ng = float(np.sum(w_g * np.abs(z[split:]) ** p)) ** (1.0 / p) if split < len(z) else 0.0
-    slacks = A @ z - b if len(b) else np.zeros(0)
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    cert = {"slacks": slacks, "duals": lam,
-            "primal_violation": float(np.max(-slacks, initial=0.0)),
-            "complementarity": float(np.max(np.abs(lam * slacks), initial=0.0)) if len(b) else 0.0,
-            "kkt_residual": float(np.max(-slacks, initial=0.0)) / scale, "norm_parts": [nu, ng]}
-    if extra:
-        cert.update(extra)
-    return SolveResult(nu + ng, z, cert, tol)

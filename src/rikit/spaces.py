@@ -682,6 +682,8 @@ class _Family:
     quasi: Callable         # spec -> may fail the triangle inequality
     fundamental: Callable   # spec -> fundamental function shape
     boyd: Callable          # spec -> exact upper Boyd index, or None
+    density: str | None = None  # density-report rule: "lorentz" (index rules
+    # of L^(p,q), L^p = L^(p,p)), "weak", "weak-power" (weak if phi is a power)
 
 
 def _family_of(name):
@@ -717,17 +719,17 @@ _PART_CODECS = {
 _FAMILIES = {
     "lp": _Family(
         NormSpec.lp, "lp", ("p",), None, "L^{p:g}", lambda u, s: _norm_lp(u, s.p),
-        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False,
+        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False, density="lorentz",
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lorentz_pq": _Family(
         NormSpec.lorentz, "lorentz", ("p", "q"), None, "L^({p:g},{q:g})",
         lambda u, s: _norm_lorentz_pq(u, s.p, s.q),
-        ac=lambda s: True, quasi=lambda s: s.q > s.p,
+        ac=lambda s: True, quasi=lambda s: s.q > s.p, density="lorentz",
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lorentz_pinf": _Family(
         NormSpec.lorentz_weak, "lorentz-weak", ("p",), None, "L^({p:g},inf)",
         lambda u, s: _sup_star_phi(u, PowerPhi(1.0 / s.p)),
-        ac=lambda s: False, quasi=lambda s: True,
+        ac=lambda s: False, quasi=lambda s: True, density="weak",
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lambda_phi": _Family(
         NormSpec.lambda_phi, "lambda", (), "phi", "Lambda_phi",
@@ -742,12 +744,12 @@ _FAMILIES = {
     "marcinkiewicz": _Family(
         NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
         lambda u, s: _sup_mp_phi(u, s.phi, 1.0, window_hi=None),
-        ac=lambda s: False, quasi=lambda s: False,
+        ac=lambda s: False, quasi=lambda s: False, density="weak-power",
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "weak_marcinkiewicz": _Family(
         NormSpec.weak_marcinkiewicz, "weak-marc", (), "phi", "M*_phi",
         lambda u, s: _sup_star_phi(u, s.phi),
-        ac=lambda s: False, quasi=lambda s: True,
+        ac=lambda s: False, quasi=lambda s: True, density="weak-power",
         fundamental=lambda s: s.phi, boyd=_phi_index),
     # the M^p fundamental shape dominates phi; equal iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(

@@ -4,13 +4,18 @@ Every member that reads the family table is pinned for each family, so a
 wrong entry or a wrong lookup shows up here.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from rikit.cli import parse_space, spec_shorthand
+from rikit.maximal import density_criteria_report
 from rikit.rearrange import WeightedSamples
 from rikit.spaces import FundamentalFn, NormSpec, OrliczN, norm
 
 power = FundamentalFn.power
+DENSITY_GOLDEN = Path(__file__).resolve().parent / "golden" / "density_reports.json"
 
 U = WeightedSamples([3.0, -1.0, 2.0, 0.5, 0.25], [0.5, 1.0, 0.25, 2.0, 0.75])
 TS = (0.25, 1.0, 3.0)
@@ -132,3 +137,43 @@ def test_quasi_only_direct_lorentz_and_weak_marcinkiewicz():
     assert NormSpec("lorentz_pq", p=2.0, q=3.0).quasi_only is True
     assert NormSpec("lorentz_pq", p=3.0, q=2.0).quasi_only is False
     assert NormSpec("weak_marcinkiewicz", phi=power(0.5)).quasi_only is True
+
+
+# -- density reports -----------------------------------------------------------------
+
+# one spec per family, where its report finishes in seconds; the power-log
+# Marcinkiewicz shapes take the other side of the weak-type rule
+DENSITY_SPECS = {
+    "lp": NormSpec.lp(2),
+    "lorentz_pq": NormSpec.lorentz(2, 3),
+    "lorentz_pinf": NormSpec.lorentz_weak(2.5),
+    "lambda_phi": NormSpec.lambda_phi(power(0.5)),
+    "lambda_q_phi": NormSpec.lambda_q(power(0.75), 2),
+    "marcinkiewicz": NormSpec.marcinkiewicz(power(0.5, 2.0)),
+    "marcinkiewicz/powerlog": NormSpec.marcinkiewicz(FundamentalFn.power_log(0.4, 1.0)),
+    "weak_marcinkiewicz": NormSpec.weak_marcinkiewicz(power(0.5, 1.0, 4.0)),
+    "weak_marcinkiewicz/powerlog": NormSpec.weak_marcinkiewicz(
+        FundamentalFn.power_log(0.4, 1.0)),
+    "marcinkiewicz_p": NormSpec.marcinkiewicz_p(
+        FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]), 2),
+    "marcinkiewicz_p_loc": NormSpec.marcinkiewicz_p_loc(power(0.75), 2),
+    "orlicz_lux": NormSpec.orlicz_lux(OrliczN([1.0, 2.0], [1.0, 4.0])),
+    "intersection_max": NormSpec.intersection_max(NormSpec.lp(2), NormSpec.lorentz(3, 1)),
+}
+DENSITY_P = (1.0, 1.5, 2.0, 3.0)
+
+
+def density_reports(name):
+    """to_dict() of the reports for one spec, keyed 'p/complete', as JSON reads it."""
+    spec = DENSITY_SPECS[name]
+    return json.loads(json.dumps({
+        f"{p:g}/{int(complete)}": density_criteria_report(spec, p, complete).to_dict()
+        for p in DENSITY_P for complete in (False, True)}))
+
+
+@pytest.mark.parametrize("name", list(DENSITY_SPECS))
+def test_density_reports_match_golden(name):
+    # recorded before the family rules moved into the family table
+    golden = json.loads(DENSITY_GOLDEN.read_text())
+    assert set(DENSITY_SPECS) == set(golden)
+    assert density_reports(name) == golden[name]

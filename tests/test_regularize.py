@@ -19,6 +19,8 @@ from rikit.metric import (
     Curve,
     CurveFamily,
     MMS,
+    is_upper_gradient,
+    line_integral,
     minimal_hajlasz,
     minimal_upper_gradient,
     path_space,
@@ -145,6 +147,56 @@ def test_glue_warns_without_subcurves():
     g = np.array([1.0, 1.0, 0.0])
     _, _, closed = glue_gradient(s, u, g, 1.0, fam)
     assert not closed
+
+
+@st.composite
+def glue_instances(draw):
+    """A space, u with ties, an upper gradient g, a level k, a subcurve-closed family."""
+    s, u = draw(space_and_fn().filter(lambda su: su[0].n >= 2))
+    vertex = st.integers(0, s.n - 1)
+    curves = set()
+    for _ in range(draw(st.integers(1, 4))):
+        walk = [draw(vertex)]
+        for _ in range(draw(st.integers(1, 5))):
+            walk.append(draw(vertex.filter(lambda v, last=walk[-1]: v != last)))
+        curves.update(c.vertices for c in Curve(tuple(walk)).subcurves())
+    fam = CurveFamily([Curve(v) for v in sorted(curves)])
+    # the local Lipschitz constant charges every edge its full drop at both
+    # ends, so it and anything above it is an upper gradient along any curve
+    off = s.dist + np.diag(np.full(s.n, np.inf))
+    lip = np.max(np.abs(u[:, None] - u[None, :]) / off, axis=1)
+    bump = np.asarray(draw(st.lists(st.sampled_from((1.0, 1.0, 1.5, 3.0)),
+                                    min_size=s.n, max_size=s.n)))
+    k = draw(st.one_of(st.sampled_from(sorted(set(u.tolist()))), st.just(7.7)))
+    return s, u, lip * bump, k, fam
+
+
+@settings(max_examples=200, deadline=None)
+@given(glue_instances())
+def test_glue_verdict_on_subcurve_closed_families(inst):
+    # splitting a curve at its first and last hits of {u = k} bounds what
+    # glueing can lose by g's trapezoid mass on the two edges into those hits
+    s, u, g, k, fam = inst
+    assert is_upper_gradient(s, u, g, fam).ok
+    new_g, verdict, closed = glue_gradient(s, u, g, k, fam)
+    assert closed
+    np.testing.assert_array_equal(new_g, np.where(u == k, 0.0, g))
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(u))))
+    worst = 0.0
+    for c in fam:
+        v = c.vertices
+        gap = abs(u[v[0]] - u[v[-1]]) - line_integral(s, new_g, c)
+        hits = [i for i, x in enumerate(v) if u[x] == k]
+        mass = 0.0
+        if hits and hits[0] > 0:
+            mass += s.dist[v[hits[0] - 1], v[hits[0]]] * g[v[hits[0]]] / 2.0
+        if hits and hits[-1] < len(v) - 1:
+            mass += s.dist[v[hits[-1]], v[hits[-1] + 1]] * g[v[hits[-1]]] / 2.0
+        assert gap <= mass + tol, (v, hits)
+        worst = max(worst, gap)
+    assert verdict.ok == (worst <= tol)
+    if not verdict.ok:
+        assert verdict.violation == pytest.approx(worst, rel=1e-12)
 
 
 # -- McShane extension --------------------------------------------------------------

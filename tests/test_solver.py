@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import rikit.solver as solver
 from rikit.errors import SolverStall
 from rikit.metric import (
+    MMS,
     Curve,
     CurveFamily,
     grid_space,
@@ -172,6 +173,42 @@ def test_telemetry_survives_json():
     assert json.loads(json.dumps(res.to_dict()))["telemetry"] == tele
     lp = modulus(path_space(6), CurveFamily.path_subpaths(6), 1.0)
     assert lp.telemetry["stage"] == "highs" and "highs" in lp.telemetry["wall_s"]
+
+
+def test_newton_without_progress_stops_early(monkeypatch):
+    # criterion 06 at p = 1.003: x = (a/pc)^338 underflows, the residual
+    # stays inf, and Newton used to spend all its iterations before the
+    # cold retry; replay the criterion's draws up to that instance
+    rng = np.random.default_rng(606060)
+
+    def random_space(n):
+        pts = rng.uniform(0, 3, size=(n, 2))
+        d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+        return MMS(d, rng.uniform(0.2, 2.0, n))
+
+    for _ in range(100):
+        s = random_space(int(rng.integers(3, 7)))
+        rng.integers(2, 5), rng.permutation(s.n), rng.uniform(1.2, 4.0)
+    for _ in range(51):
+        s = random_space(5)
+        all_curves = [Curve((i, j)) for i in range(5) for j in range(5) if i != j]
+        rng.shuffle(all_curves)
+        k = int(rng.integers(1, len(all_curves) - 3))
+        p = float(rng.uniform(1.0, 3.0))
+    assert p == pytest.approx(1.003, abs=1e-3)
+    runs = []
+    newton = solver._dual_newton
+
+    def counting_newton(*args):
+        out = newton(*args)
+        runs.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_dual_newton", counting_newton)
+    small = modulus(s, CurveFamily(all_curves[:k]), p)
+    big = modulus(s, CurveFamily(all_curves[:k + 3]), p)
+    assert max(runs) <= 20
+    assert small.optimum <= big.optimum + 1e-7
 
 
 def test_stall_names_stage_and_residual():

@@ -39,3 +39,30 @@ def test_generators_do_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _minimize_users(tree):
+    """Top-level functions (or '<module>') that import or call a minimize."""
+    users = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "minimize" for a in node.names):
+                users.add(owner)
+            elif isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "minimize":
+                    users.add(owner)
+    return users
+
+
+def test_one_solver_path():
+    # every program runs through solve_separable_power: no SLSQP anywhere,
+    # and scipy's minimize only brings a cold dual Newton start near
+    users = set()
+    for path in SRC:
+        text = path.read_text()
+        assert "SLSQP" not in text, path.name
+        users |= {(path.name, fn) for fn in _minimize_users(ast.parse(text))}
+    assert users == {("solver.py", "_lbfgs_start")}

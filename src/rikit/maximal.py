@@ -243,14 +243,13 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
         exact = True
     else:
         hi = phi.cap if math.isfinite(phi.cap) else 1e4
+        tg = np.unique(np.concatenate((
+            geometric_grid(1e-10, max(hi * 4, 1.0), 512),
+            phi.kinks(1e-10, max(hi * 4, 1.0)),
+        )))
+        den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
         for s in s_grid:
-            tg = np.unique(np.concatenate((
-                geometric_grid(1e-10, max(hi * 4, 1.0), 512),
-                phi.kinks(1e-10, max(hi * 4, 1.0)),
-            )))
-            vals = np.asarray(phi(s * tg), dtype=float) / np.maximum(
-                np.asarray(phi(tg), dtype=float), 1e-300
-            )
+            vals = np.asarray(phi(s * tg), dtype=float) / den
             ks.append((float(s), float(np.max(vals))))
         beta = min(math.log(k) / math.log(s) for (s, k) in ks if k > 0)
         exact = False

@@ -560,9 +560,41 @@ class _LambdaQFundamental(FundamentalFn):
     def __call__(self, t):
         scalar = np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([_phi_weight_integral(self.phi, 0.0, x, self.q) for x in ts])
+        if _has_generic_piece(self.phi, 0.0, float(np.max(ts, initial=0.0))):
+            out = self._swept(ts)
+        else:
+            out = np.array([_phi_weight_integral(self.phi, 0.0, x, self.q) for x in ts])
         out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
         return float(out[0]) if scalar else out
+
+    def _swept(self, ts):
+        """int_0^t phi^q ds/s at every t, swept over the sorted points.
+
+        One head integral runs up to the smallest point; each gap between
+        sorted neighbours (phi's kinks added, so no gap straddles one) takes
+        four Gauss panels on the log axis, all in one phi call; a cumulative
+        sum joins them.
+        """
+        out = np.zeros(len(ts))
+        pos = ts > 0
+        if not np.any(pos):
+            return out
+        lo, hi = float(np.min(ts[pos])), float(np.max(ts))
+        head = _phi_weight_integral(self.phi, 0.0, lo, self.q)
+        if not math.isfinite(head):
+            out[pos] = INF
+            return out
+        knots = np.unique(np.concatenate((ts[pos], self.phi.kinks(lo, hi))))
+        logs = np.log(knots)
+        cuts = np.linspace(logs[:-1], logs[1:], 5, axis=1)
+        mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+        xs = np.exp(mid[..., None] + half[..., None] * _GAUSS_X)
+        vals = np.asarray(self.phi(xs.ravel()), dtype=float).reshape(xs.shape) ** self.q
+        gaps = np.sum(half * (vals @ _GAUSS_W), axis=1)
+        cum = head + np.concatenate(([0.0], np.cumsum(gaps)))
+        out[pos] = cum[np.searchsorted(knots, ts[pos])]
+        return out
 
     def kinks(self, lo, hi):
         return self.phi.kinks(lo, hi)
@@ -624,6 +656,11 @@ class _MaxPhi(FundamentalFn):
 
     def value_inf(self):
         return max(p.value_inf() for p in self.phis)
+
+
+def _has_generic_piece(phi, lo, hi):
+    """Whether phi needs quadrature (a "generic" piece) somewhere in (lo, hi)."""
+    return any(kind == "generic" for (_, _, kind, _) in phi.pieces(lo, hi))
 
 
 def _clip_pieces(pieces, lo, hi):
@@ -973,23 +1010,29 @@ def _norm_lambda_q(ustar, phi, q):
 
 
 def _sup_star_phi(ustar, phi):
-    """sup_t u*(t) phi(t): exact (phi increasing on each constant cell)."""
-    best = 0.0
-    e = ustar.edges
+    """sup_t u*(t) phi(t): exact (phi increasing on each constant cell).
+
+    ``phi`` is evaluated once, on the array of right cell edges.
+    """
     v = ustar.values
-    for i in range(len(v)):
-        pv = float(phi(e[i + 1]))
-        if not math.isfinite(v[i]):
-            if pv > 0:
-                return INF
-            continue
-        best = max(best, v[i] * pv)
+    pv = np.asarray(phi(ustar.edges[1:]), dtype=float)
+    best = _masked_sup(v, pv)
     if ustar.tail > 0:
         top = phi.value_inf()
         if not math.isfinite(top):
             return INF
         best = max(best, ustar.tail * top)
     return best
+
+
+def _masked_sup(vals, phis):
+    """max(0, sup of vals * phis over finite vals), or inf where an infinite
+    val meets phis > 0.  Nan products are skipped, as ``max(best, x)`` skips them.
+    """
+    finite = np.isfinite(vals)
+    if np.any(~finite & (phis > 0)):
+        return INF
+    return float(np.fmax.reduce(vals[finite] * phis[finite], initial=0.0))
 
 
 def _mp_values(ustar, p, ts):
@@ -1009,10 +1052,7 @@ def _sup_mp_phi(ustar, phi, p, window_hi=None):
     """
     if ustar.ncells == 0 and ustar.tail == 0:
         return 0.0
-    has_generic = any(
-        kind == "generic"
-        for (_, _, kind, _) in phi.pieces(1e-12, max(1.0, ustar.support_end, 2.0))
-    )
+    has_generic = _has_generic_piece(phi, 1e-12, max(1.0, ustar.support_end, 2.0))
     hi_default = max(ustar.support_end, 1.0)
     if math.isfinite(phi.cap):
         hi_default = max(hi_default, phi.cap)
@@ -1027,13 +1067,9 @@ def _sup_mp_phi(ustar, phi, p, window_hi=None):
     ts = ts[(ts > 0) & (ts <= hi)]
     phis = np.asarray(phi(ts), dtype=float)
     mps = _mp_values(ustar, p, ts)
-    best = 0.0
-    for mp_val, ph in zip(mps, phis):
-        if not math.isfinite(mp_val):
-            if ph > 0:
-                return INF
-            continue
-        best = max(best, mp_val * ph)
+    best = _masked_sup(mps, phis)
+    if math.isinf(best):
+        return INF
     # limit candidate as t -> 0+
     first = ustar.values[0] if ustar.ncells else ustar.tail
     p0 = phi.phi0plus()

@@ -1,6 +1,8 @@
 """Maximal operators, indices, and boundedness criteria."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from rikit.spaces import (
     FundamentalFn,
     NormSpec,
+    OrliczN,
     _dyadic_integral,
     _MaxPhi,
     norm,
@@ -487,3 +490,38 @@ def test_criteria_intersection_max_space():
     assert rep.conditions["iv"].is_true
     assert rep.conditions["v"].is_true
     assert rep.density_verdict
+
+
+# -- golden index reports ---------------------------------------------------------
+
+INDEX_GOLDEN = Path(__file__).resolve().parent / "golden" / "indices_reports.json"
+_POWER = FundamentalFn.power(0.6)
+_REPORT_SHAPES = {f"powerlog({a},{b})": FundamentalFn.power_log(a, b)
+                  for a in (0.3, 0.5, 0.7) for b in (0.5, 1.0)}
+
+# the benchmark's 21 index specs, then one each through the weak-type supremum,
+# the Orlicz fundamental and the windowed M^p supremum
+INDEX_SPECS = {
+    "lorentz(3,2)": NormSpec.lorentz(3.0, 2.0),
+    "marc_p(power(0.6),2)": NormSpec.marcinkiewicz_p(_POWER, 2.0),
+    "lambda(powerlog(0.5,1.0))": NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0)),
+    **{f"marc({k})": NormSpec.marcinkiewicz(phi) for k, phi in _REPORT_SHAPES.items()},
+    **{f"marc_p({k},{q})": NormSpec.marcinkiewicz_p(phi, q)
+       for k, phi in _REPORT_SHAPES.items() for q in (2.0, 3.0)},
+    "weak_marc(powerlog(0.4,1))":
+        NormSpec.weak_marcinkiewicz(FundamentalFn.power_log(0.4, 1)),
+    "orlicz([1,2],[1,4])": NormSpec.orlicz_lux(OrliczN([1, 2], [1, 4])),
+    "marc_p_loc(power(0.75),2)": NormSpec.marcinkiewicz_p_loc(FundamentalFn.power(0.75), 2),
+}
+
+
+def index_report_dict(name):
+    return json.loads(json.dumps(indices_report(INDEX_SPECS[name]).to_dict()))
+
+
+@pytest.mark.parametrize("name", list(INDEX_SPECS))
+def test_indices_reports_match_golden(name):
+    # recorded before the sup-type norms lost their per-point loops
+    golden = json.loads(INDEX_GOLDEN.read_text())
+    assert set(INDEX_SPECS) == set(golden)
+    assert index_report_dict(name) == golden[name]

@@ -66,3 +66,18 @@ def test_one_solver_path():
         assert "SLSQP" not in text, path.name
         users |= {(path.name, fn) for fn in _minimize_users(ast.parse(text))}
     assert users == {("solver.py", "_lbfgs_start")}
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_sup_norms_have_no_python_loops():
+    # the sup-type norms take their supremum with numpy, not per point
+    tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    bodies = {top.name: top for top in tree.body
+              if isinstance(top, ast.FunctionDef)
+              and top.name in ("_sup_mp_phi", "_sup_star_phi")}
+    assert set(bodies) == {"_sup_mp_phi", "_sup_star_phi"}
+    loops = [(name, node.lineno) for name, fn in bodies.items()
+             for node in ast.walk(fn) if isinstance(node, _LOOPS)]
+    assert not loops, f"loops at {loops}"

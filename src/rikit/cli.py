@@ -46,7 +46,7 @@ SHORTHAND_HELP = (
     "weak-marc:PHI | lambda:PHI | lambda-q:Q:PHI | marc-p:P:PHI | "
     "marc-p-loc:P:PHI | max:SPEC|SPEC|... | @spec.json (any family; "
     "orlicz_lux has no shorthand) ; "
-    "PHI is power:ALPHA[,COEFF[,CAP]] or powerlog:ALPHA,BETA"
+    "PHI is power:ALPHA[,COEFF[,CAP]] or powerlog:ALPHA,BETA[,COEFF[,CAP]]"
 )
 
 
@@ -68,14 +68,16 @@ def _parse_phi(text):
 
 def _phi_shorthand(phi):
     if isinstance(phi, PowerPhi):
-        if math.isinf(phi.cap) and phi.coeff == 1.0:
-            return f"power:{phi.alpha:g}"
-        if math.isinf(phi.cap):
-            return f"power:{phi.alpha:g},{phi.coeff:g}"
-        return f"power:{phi.alpha:g},{phi.coeff:g},{phi.cap:g}"
-    if isinstance(phi, PowerLogPhi):
-        return f"powerlog:{phi.alpha:g},{phi.beta:g}"
-    return None
+        head = ["power", phi.alpha]
+    elif isinstance(phi, PowerLogPhi):
+        head = ["powerlog", phi.alpha, phi.beta]
+    else:
+        return None
+    # trailing defaults (coeff 1, cap inf) are left out
+    nums = head[1:] + [phi.coeff, phi.cap]
+    if math.isinf(phi.cap):
+        nums = nums[:-2] if phi.coeff == 1.0 else nums[:-1]
+    return f"{head[0]}:" + ",".join(f"{x:g}" for x in nums)
 
 
 def _parts_shorthand(parts):

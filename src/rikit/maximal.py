@@ -26,6 +26,7 @@ from .spaces import (
     _MaxPhi,
     _dyadic_integral,
     _gauss_log,
+    _mp_values,
     geometric_grid,
     norm,
 )
@@ -42,13 +43,9 @@ def maximal_decreasing(ustar: GridFn, p, t) -> float:
     """M_p u*(t) = ((1/t) int_0^t u*^p)^{1/p}, exact per cell."""
     if p < 1:
         raise ValueError("p >= 1 required")
-    t = float(t)
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t > 0 required")
-    s = ustar.integral_to(t, p)
-    if not math.isfinite(s):
-        return INF
-    return (s / t) ** (1.0 / p)
+    return float(_mp_values(ustar, p, np.asarray([t], dtype=float))[0])
 
 
 def hardy(a, ustar: GridFn, t) -> float:
@@ -118,8 +115,12 @@ class HerzRiesz:
     samples: tuple
 
 
-def herz_riesz_ratios(space: MMS, u, p, t_grid=None) -> HerzRiesz:
-    """Ratios M_p u*(t) / (M_p u)*(t) over a grid inside (0, meas)."""
+def herz_riesz_ratios(space: MMS, u, p) -> HerzRiesz:
+    """Ratios M_p u*(t) / (M_p u)*(t) on 48 geometric points inside (0, meas).
+
+    The grid runs from min(min weight / 4, meas / 8) to just below the
+    total measure; points where (M_p u)* vanishes are skipped.
+    """
     u = np.asarray(u, dtype=float)
     if not np.any(u != 0):
         raise ZeroFunction("Herz-Riesz ratios need a nonzero function")
@@ -128,20 +129,15 @@ def herz_riesz_ratios(space: MMS, u, p, t_grid=None) -> HerzRiesz:
     mstar = decreasing_rearrangement(
         WeightedSamples(maximal_metric(space, u, p), space.weights)
     )
-    if t_grid is None:
-        lo = float(np.min(space.weights)) / 4.0
-        t_grid = geometric_grid(min(lo, meas / 8), meas * (1 - 1e-9), 48)
-    samples = []
-    for t in np.asarray(t_grid, dtype=float):
-        num = maximal_decreasing(ustar, p, t)
-        den = mstar.value_at(t)
-        if den <= 0:
-            continue
-        samples.append((float(t), num / den))
-    if not samples:
+    lo = float(np.min(space.weights)) / 4.0
+    ts = geometric_grid(min(lo, meas / 8), meas * (1 - 1e-9), 48)
+    nums = _mp_values(ustar, p, ts)
+    dens = mstar.value_at(ts)
+    used = dens > 0
+    if not np.any(used):
         raise ZeroFunction("no usable grid points")
-    ratios = [r for (_, r) in samples]
-    return HerzRiesz(min(ratios), max(ratios), tuple(samples))
+    ratios = (nums[used] / dens[used]).tolist()
+    return HerzRiesz(min(ratios), max(ratios), tuple(zip(ts[used].tolist(), ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +257,13 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     )
 
 
-def _default_boyd_candidates(meas_scale=1.0):
+def _default_boyd_candidates():
     """Decreasing test functions: indicators and truncated power profiles."""
     cands = []
     for a in (0.125, 0.5, 1.0, 4.0):
-        cands.append(GridFn([0.0, a * meas_scale], [1.0]))
+        cands.append(GridFn([0.0, a], [1.0]))
     for theta in (0.2, 0.5, 0.8):
-        edges = np.concatenate(([0.0], np.geomspace(1e-4, 4.0, 40))) * meas_scale
+        edges = np.concatenate(([0.0], np.geomspace(1e-4, 4.0, 40)))
         vals = edges[1:] ** (-theta)
         cands.append(GridFn(edges, vals))
     return cands
@@ -324,13 +320,13 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
     )
 
 
-def indices_report(spec: NormSpec, s_grid=None, candidates=None) -> IndexReport:
+def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
     """Combined Zippin/Boyd report for a norm specification."""
     phi = spec.fundamental_phi()
     if phi is None:
         raise ValueError("spec has no computable fundamental function")
     z = zippin_upper(phi, s_grid)
-    b = boyd_upper_lowerbound(spec, candidates, s_grid)
+    b = boyd_upper_lowerbound(spec, s_grid=s_grid)
     return IndexReport(
         k_samples=z.k_samples,
         h_samples=b.h_samples,
@@ -378,10 +374,10 @@ def _inv_power_piece(a, b, kind, params, p):
     return _gauss_log(lambda s: np.asarray(fn(s)) ** (-p) * s, a, b)
 
 
-def _phi_inv_power_integral(phi, t, p):
-    """int_0^t phi(s)^{-p} ds, exact per piece; inf on divergence."""
+def _phi_inv_power_integral(phi, lo, hi, p):
+    """int_lo^hi phi(s)^{-p} ds, exact per piece; inf on divergence."""
     total = 0.0
-    for (a, b, kind, params) in phi.pieces(0.0, t):
+    for (a, b, kind, params) in phi.pieces(lo, hi):
         total += _inv_power_piece(a, b, kind, params, p)
         if not math.isfinite(total):
             return INF
@@ -414,18 +410,13 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     )))
     ts = ts[(ts > 0) & (ts <= delta)]
     # one cumulative sweep for the inner integral at every grid point
-    head = _phi_inv_power_integral(phi, float(ts[0]), p)
-    if not math.isfinite(head):
-        return INF
     inners = np.empty(len(ts))
-    inners[0] = head
-    for j in range(1, len(ts)):
-        seg = 0.0
-        for (a, b, kind, params) in phi.pieces(float(ts[j - 1]), float(ts[j])):
-            seg += _inv_power_piece(a, b, kind, params, p)
-            if not math.isfinite(seg):
-                return INF
-        inners[j] = inners[j - 1] + seg
+    total, a = 0.0, 0.0
+    for j, b in enumerate(ts.tolist()):
+        total += _phi_inv_power_integral(phi, a, b, p)
+        if not math.isfinite(total):
+            return INF
+        inners[j], a = total, b
     vals = np.asarray(phi(ts), dtype=float) ** p * inners / ts
     best = float(np.max(vals))
     # refinement-doubling check toward zero (values on descending quarters)
@@ -443,21 +434,17 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     return best
 
 
-def m_phi(phi: FundamentalFn, s, t_grid=None) -> float:
+def m_phi(phi: FundamentalFn, s) -> float:
     """m_phi(s) = sup_{0<t<1} phi(t) / phi(st) for s in (0, 1)."""
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
     if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= 1.0):
         return s ** (-phi.alpha)
-    if t_grid is None:
-        return float(_m_phi_at(phi, np.asarray([s], dtype=float))[0])
-    num = np.asarray(phi(t_grid), dtype=float)
-    den = np.maximum(np.asarray(phi(s * t_grid), dtype=float), 1e-300)
-    return float(np.max(num / den))
+    return float(_m_phi_at(phi, np.asarray([s], dtype=float))[0])
 
 
 def _m_phi_at(phi, ss):
-    """m_phi at every s in ss at once, each over its own default grid.
+    """m_phi at every s in ss at once, each over its own grid.
 
     The grid of one s is a shared base (192 geometric points, phi's kinks
     and 1) joined with phi's kinks divided by s, all within (0, 1].

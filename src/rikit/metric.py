@@ -381,12 +381,8 @@ def modulus(space: MMS, curves: CurveFamily, p, tol=1e-8) -> SolveResult:
     """p-modulus: min sum_i w_i rho_i^p with int_gamma rho ds >= 1 per curve."""
     if p < 1:
         raise ValueError("modulus requires p >= 1")
-    n = space.n
-    if len(curves) == 0:
-        return SolveResult(0.0, np.zeros(n), {
-            "slacks": np.zeros(0), "duals": np.zeros(0),
-            "kkt_residual": 0.0, "note": "empty family"}, tol)
-    rows = np.stack([_edge_weights(space, c) for c in curves])
+    # (len(curves), n) rows, also for an empty family
+    rows = np.reshape([_edge_weights(space, c) for c in curves], (len(curves), space.n))
     b = np.ones(len(curves))
     return constraint_generation(space.weights, rows, b, float(p), tol)
 
@@ -422,13 +418,9 @@ def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p,
     if p < 1:
         raise ValueError("p >= 1 required")
     u = np.asarray(u, dtype=float)
-    n = space.n
-    if len(curves) == 0:
-        return SolveResult(0.0, np.zeros(n), {
-            "slacks": np.zeros(0), "duals": np.zeros(0),
-            "kkt_residual": 0.0, "note": "empty family"}, tol)
-    rows = np.stack([_edge_weights(space, c) for c in curves])
-    b = np.asarray([_endpoint_drop(u, c) for c in curves])
+    # (len(curves), n) rows, also for an empty family
+    rows = np.reshape([_edge_weights(space, c) for c in curves], (len(curves), space.n))
+    b = np.asarray([_endpoint_drop(u, c) for c in curves], dtype=float)
     res = constraint_generation(space.weights, rows, b, float(p), tol)
     power_opt = res.optimum
     res.optimum = power_opt ** (1.0 / p) if p > 1 else power_opt
@@ -447,10 +439,6 @@ def minimal_hajlasz(space: MMS, u, p, tol=1e-8) -> SolveResult:
     b = np.abs(u[i] - u[j])
     keep = ~(b <= 0)
     i, j, b = i[keep], j[keep], b[keep]
-    if not len(b):
-        return SolveResult(0.0, np.zeros(n), {
-            "slacks": np.zeros(0), "duals": np.zeros(0),
-            "kkt_residual": 0.0, "note": "constant function"}, tol)
     rows = np.zeros((len(b), n))
     k = np.arange(len(b))
     rows[k, i] = rows[k, j] = space.dist[i, j]
@@ -656,12 +644,3 @@ def poincare_ratio(space: MMS, u, g, p, lam=1.0):
     if best is None:
         raise AllDegenerate("every ball was skipped")
     return float(best), best_ball
-
-
-def rearranged(space: MMS, values):
-    """Decreasing rearrangement of a point function over (P, mu)."""
-    from .rearrange import WeightedSamples, decreasing_rearrangement
-
-    return decreasing_rearrangement(
-        WeightedSamples(np.asarray(values, dtype=float), space.weights)
-    )

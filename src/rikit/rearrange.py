@@ -110,24 +110,8 @@ class GridFn:
         return out
 
     def integral_to(self, t, power=1.0):
-        """Exact integral of f^power over (0, t]."""
-        t = float(t)
-        if t <= 0:
-            return 0.0
-        cells = self.cell_integrals(power)
-        cum = np.concatenate(([0.0], np.cumsum(cells)))
-        if t >= self.support_end:
-            total = cum[-1]
-            extra = t - self.support_end
-            if extra > 0 and self.tail > 0:
-                total += self.tail ** power * extra
-            return float(total)
-        i = int(np.searchsorted(self.edges, t, side="left"))
-        head = cum[i - 1]
-        v = self.values[i - 1]
-        if not math.isfinite(v):
-            return INF
-        return float(head + v ** power * (t - self.edges[i - 1]))
+        """Integral of f^power over (0, t]: ``integrals_at`` at one point."""
+        return float(self.integrals_at([t], power)[0])
 
     def total_integral(self, power=1.0):
         """Integral of f^power over (0, inf); inf if the tail is positive."""
@@ -143,9 +127,9 @@ class GridFn:
         cells = self.cell_integrals(power)
         cum = np.concatenate(([0.0], np.cumsum(cells)))
         idx = np.searchsorted(self.edges, ts, side="left")
-        idx = np.clip(idx, 1, None)
-        out = np.empty(len(ts))
-        inside = idx <= self.ncells
+        out = np.zeros(len(ts))
+        # t <= 0 stays 0 and never multiplies an inf cell by a zero width
+        inside = (idx <= self.ncells) & (ts > 0)
         if np.any(inside):
             i = idx[inside]
             v = self.values[i - 1]
@@ -155,13 +139,12 @@ class GridFn:
                 INF,
             )
             out[inside] = cum[i - 1] + part
-        beyond = ~inside
+        beyond = idx > self.ncells
         if np.any(beyond):
             extra = ts[beyond] - self.support_end
             tail_part = self.tail ** power * np.maximum(extra, 0.0) \
                 if self.tail > 0 else 0.0
             out[beyond] = cum[-1] + tail_part
-        out[ts <= 0] = 0.0
         return out
 
     def has_inf(self):

@@ -200,6 +200,23 @@ def _first_level_at_least(anchor, lo):
     return sigma
 
 
+def _double_until(stage, sigma, keys, test, trace):
+    """Double sigma until ``test`` passes; return the passing level.
+
+    ``test(sigma)`` gives (a, b, ok); each level appends a trace row with
+    a and b under ``keys``.  BudgetExhausted(stage, last level, trace)
+    after SCAN_DOUBLINGS failed levels.
+    """
+    for _ in range(SCAN_DOUBLINGS):
+        a, b, ok = test(sigma)
+        trace.append({"stage": stage, "sigma": sigma, keys[0]: a, keys[1]: b,
+                      "pass": bool(ok)})
+        if ok:
+            return sigma
+        sigma *= 2.0
+    raise BudgetExhausted(stage, sigma / 2.0, trace)
+
+
 def lipschitz_truncation(space: MMS, u, h, spec: NormSpec,
                          curves: CurveFamily, eps,
                          c_delta=None) -> LipTruncResult:
@@ -234,44 +251,26 @@ def lipschitz_truncation(space: MMS, u, h, spec: NormSpec,
     def spec_norm(vals):
         return norm(WeightedSamples(vals, w), spec)
 
-    # stage 1: sigma0 > 1/eps with small truncation gap surrogate
-    anchor = _scan_grid_anchor(u)
-    sigma0 = _first_level_at_least(anchor, 1.0 / eps)
-    found0 = None
-    for _ in range(SCAN_DOUBLINGS):
-        over = np.abs(u) > sigma0
-        gap_fn = spec_norm(np.where(over, u - np.clip(u, -sigma0, sigma0), 0.0))
+    def gap_test(level):
+        over = np.abs(u) > level
+        gap_fn = spec_norm(np.where(over, u - np.clip(u, -level, level), 0.0))
         gap_gr = spec_norm(np.where(over, g, 0.0))
-        ok = gap_fn + gap_gr < eta
-        trace.append({"stage": "sigma0", "sigma": sigma0,
-                      "fn_gap": gap_fn, "grad_gap": gap_gr, "pass": bool(ok)})
-        if ok:
-            found0 = sigma0
-            break
-        sigma0 *= 2.0
-    if found0 is None:
-        raise BudgetExhausted("sigma0", sigma0 / 2.0, trace)
-    sigma0 = found0
-    v = np.clip(u, -sigma0, sigma0)
+        return gap_fn, gap_gr, gap_fn + gap_gr < eta
 
-    # stage 2: sigma >= sigma0 with small high-set tests against h
-    sigma = sigma0
-    found = None
-    for _ in range(SCAN_DOUBLINGS):
-        high = h > sigma
-        lvl = spec_norm(np.where(high, sigma, 0.0))
+    def high_set_test(level):
+        high = h > level
+        lvl = spec_norm(np.where(high, level, 0.0))
         grd = spec_norm(np.where(high, g, 0.0))
-        keep = ~high
-        ok = lvl < eta and grd < eta and bool(np.any(keep))
-        trace.append({"stage": "sigma", "sigma": sigma,
-                      "level_test": lvl, "grad_test": grd, "pass": bool(ok)})
-        if ok:
-            found = sigma
-            break
-        sigma *= 2.0
-    if found is None:
-        raise BudgetExhausted("sigma", sigma / 2.0, trace)
-    sigma = found
+        return lvl, grd, lvl < eta and grd < eta and bool(np.any(~high))
+
+    # stage 1: sigma0 > 1/eps with small truncation gap surrogate
+    sigma0 = _first_level_at_least(_scan_grid_anchor(u), 1.0 / eps)
+    sigma0 = _double_until("sigma0", sigma0, ("fn_gap", "grad_gap"), gap_test, trace)
+    v = np.clip(u, -sigma0, sigma0)
+    # stage 2: sigma >= sigma0 with small high-set tests against h
+    sigma = _double_until("sigma", sigma0, ("level_test", "grad_test"),
+                          high_set_test, trace)
+
     high_set = np.nonzero(h > sigma)[0]
     keep = np.nonzero(h <= sigma)[0]
 

@@ -43,8 +43,12 @@ def geometric_grid(lo, hi, n):
 DEFAULT_SUP_POINTS = 512
 
 
-def default_sup_grid(lo=1e-8, hi=1.0, n=DEFAULT_SUP_POINTS):
-    return geometric_grid(lo, hi, n)
+def _positive_cap(cap):
+    """The cap as a float; ValueError unless it is positive (inf allowed)."""
+    cap = float(cap)
+    if not cap > 0:
+        raise ValueError(f"cap must be positive, got {cap!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +81,9 @@ class FundamentalFn:
         return OrliczInversePhi(orlicz, cap)
 
     @staticmethod
-    def sampled(gridfn_or_ts, vals=None, cap=None):
-        if isinstance(gridfn_or_ts, GridFn):
-            g = gridfn_or_ts
-            return SampledPhi(g.edges[1:], g.values, cap)
-        return SampledPhi(gridfn_or_ts, vals, cap)
+    def sampled(ts, vals, cap=None):
+        """Piecewise-linear shape through (0, 0) and the nodes (ts, vals)."""
+        return SampledPhi(ts, vals, cap)
 
     # shape protocol ----------------------------------------------------------
 
@@ -130,7 +132,7 @@ class PowerPhi(FundamentalFn):
             raise ValueError("coeff must be positive")
         self.alpha = float(alpha)
         self.coeff = float(coeff)
-        self.cap = float(cap)
+        self.cap = _positive_cap(cap)
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -187,7 +189,7 @@ class PowerLogPhi(FundamentalFn):
         elif beta < 0:
             t_sw = min(t_sw, math.exp(beta / (1.0 - alpha)))
         self.t_switch = t_sw
-        self.cap = min(float(cap), INF)
+        self.cap = _positive_cap(cap)
 
     def _raw(self, t):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -272,7 +274,7 @@ class OrliczInversePhi(FundamentalFn):
 
     def __init__(self, orlicz: OrliczN, cap=INF):
         self.orlicz = orlicz
-        self.cap = float(cap)
+        self.cap = _positive_cap(cap)
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -314,7 +316,7 @@ class SampledPhi(FundamentalFn):
             raise ValueError("node values must be nonnegative")
         self.ts = np.concatenate(([0.0], ts))
         self.vals = np.concatenate(([0.0], vals))
-        self.cap = float(ts[-1] if cap is None else cap)
+        self.cap = float(ts[-1]) if cap is None else _positive_cap(cap)
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -361,16 +363,10 @@ class PsiMajorantPhi(FundamentalFn):
         self.phi = phi
         self.p = float(p)
         if base_grid is None:
-            base_grid = default_sup_grid()
-        base = np.unique(
-            np.concatenate(
-                (
-                    np.asarray(base_grid, dtype=float),
-                    phi.kinks(float(np.min(base_grid)), 1.0),
-                    [1.0],
-                )
-            )
-        )
+            base_grid = geometric_grid(1e-8, 1.0, DEFAULT_SUP_POINTS)
+        base_grid = np.asarray(base_grid, dtype=float)
+        base = np.unique(np.concatenate(
+            (base_grid, phi.kinks(float(np.min(base_grid)), 1.0), [1.0])))
         base = base[(base > 0) & (base <= 1.0)]
         self.base = base
         ratios = np.asarray(phi(base), dtype=float) / base ** (1.0 / p)
@@ -674,15 +670,20 @@ def _phi_to_dict(phi):
     if isinstance(phi, PowerPhi):
         return {"form": "power", "alpha": phi.alpha, "coeff": phi.coeff,
                 "cap": phi.cap if math.isfinite(phi.cap) else None}
-    if isinstance(phi, PowerLogPhi):
-        return {"form": "power_log", "alpha": phi.alpha, "beta": phi.beta,
-                "coeff": phi.coeff}
-    if isinstance(phi, OrliczInversePhi):
-        return {"form": "orlicz_inverse", "orlicz": phi.orlicz.to_dict()}
     if isinstance(phi, SampledPhi):
         return {"form": "sampled", "t": list(map(float, phi.ts[1:])),
                 "v": list(map(float, phi.vals[1:])), "cap": phi.cap}
-    raise UnsupportedCombination(f"cannot serialize shape {type(phi).__name__}")
+    # these two forms write a cap only when it is finite
+    if isinstance(phi, PowerLogPhi):
+        d = {"form": "power_log", "alpha": phi.alpha, "beta": phi.beta,
+             "coeff": phi.coeff}
+    elif isinstance(phi, OrliczInversePhi):
+        d = {"form": "orlicz_inverse", "orlicz": phi.orlicz.to_dict()}
+    else:
+        raise UnsupportedCombination(f"cannot serialize shape {type(phi).__name__}")
+    if math.isfinite(phi.cap):
+        d["cap"] = phi.cap
+    return d
 
 
 def _phi_from_dict(d):
@@ -692,9 +693,9 @@ def _phi_from_dict(d):
         return PowerPhi(d["alpha"], d.get("coeff", 1.0),
                         INF if cap is None else cap)
     if form == "power_log":
-        return PowerLogPhi(d["alpha"], d["beta"], d.get("coeff", 1.0))
+        return PowerLogPhi(d["alpha"], d["beta"], d.get("coeff", 1.0), d.get("cap", INF))
     if form == "orlicz_inverse":
-        return OrliczInversePhi(OrliczN.from_dict(d["orlicz"]))
+        return OrliczInversePhi(OrliczN.from_dict(d["orlicz"]), d.get("cap", INF))
     if form == "sampled":
         return SampledPhi(d["t"], d["v"], d.get("cap"))
     raise UnsupportedCombination(f"unknown shape form {form!r}")
@@ -1250,18 +1251,22 @@ def least_concave_majorant(f: GridFn) -> GridFn:
 
 
 def psi_majorant_phi(phi: FundamentalFn, p, grid=None) -> PsiMajorantPhi:
-    """The majorant shape of the local Marcinkiewicz-type norm (callable)."""
+    """The majorant shape of the local Marcinkiewicz-type norm (callable).
+
+    Its supremum runs over ``grid`` (default: 512 geometric points on
+    [1e-8, 1]) plus phi's kinks and 1.
+    """
     return PsiMajorantPhi(phi, p, grid)
 
 
-def psi_majorant(phi: FundamentalFn, p, grid=None) -> GridFn:
-    """Grid sampling of the majorant: psi(t) on cells ending at grid points.
+def psi_majorant(phi: FundamentalFn, p) -> GridFn:
+    """The majorant sampled on its default base grid, as a GridFn.
 
     psi(0) = 0, psi(t) = t^{1/p} sup_{t<=s<=1} phi(s)/s^{1/p} on (0, 1],
-    psi = phi beyond 1 (the returned GridFn covers (0, 1] with the tail
-    frozen at phi(1)).
+    psi = phi beyond 1.  The cells end at the base points of
+    ``psi_majorant_phi(phi, p)`` and the tail is frozen at phi(1).
     """
-    shape = PsiMajorantPhi(phi, p, grid)
+    shape = PsiMajorantPhi(phi, p)
     ts = shape.base
     vals = np.asarray(shape(ts), dtype=float)
     edges = np.concatenate(([0.0], ts))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_spaces import CAP_U, CAPPED_SPECS
 
 import rikit.cli as cli
 import rikit.maximal as maximal
@@ -46,6 +47,8 @@ def sample_space(tmp_path):
     "marc-p:2:power:0.25",
     "marc-p-loc:2:power:0.25",
     "max:lp:2|lp:4",
+    "lambda:powerlog:0.4,1,2",
+    "marc:powerlog:0.4,1,2,0.05",
 ])
 def test_shorthand_roundtrip(text):
     spec = parse_space(text)
@@ -250,6 +253,23 @@ def test_validation_error_exit_2(tmp_path):
     rc = main(["--out", str(tmp_path), "norm", "--space", "nope:1",
                "--fn", "/does/not/exist.json"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("text", ["marc:power:0.5,1,-1", "lambda:power:0.5,1,0",
+                                  "weak-marc:powerlog:0.4,1,1,-2"])
+def test_cap_not_positive_exits_2(tmp_path, sample_fn, text):
+    _, path = sample_fn
+    rc = main(["--out", str(tmp_path), "norm", "--space", text, "--fn", str(path)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("spec", CAPPED_SPECS, ids=["powerlog", "orlicz-inverse"])
+def test_finite_cap_survives_spec_json(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    loaded = parse_space(f"@{path}")
+    assert loaded.to_dict() == spec.to_dict()
+    assert norm(CAP_U, loaded) == norm(CAP_U, spec)
 
 
 @pytest.mark.parametrize("argv,form", [

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_rearrange import _integral_to_loop
 
 import rikit.maximal as maximal
 from rikit.errors import InvariantViolated, ZeroFunction
@@ -31,6 +32,7 @@ from rikit.spaces import (
     OrliczN,
     _dyadic_integral,
     _MaxPhi,
+    geometric_grid,
     norm,
     psi_majorant_phi,
 )
@@ -146,6 +148,42 @@ def test_herz_two_sided_on_families():
             hr = herz_riesz_ratios(space, u, 1)
             assert hr.min_ratio > 0.05
             assert hr.max_ratio < 20.0
+
+
+def _herz_riesz_loop(space, u, p):
+    # herz_riesz_ratios as it ran before: one point of the grid at a time
+    meas = space.total_measure
+    ustar = decreasing_rearrangement(WeightedSamples(u, space.weights))
+    mstar = decreasing_rearrangement(
+        WeightedSamples(maximal_metric(space, u, p), space.weights))
+    lo = float(np.min(space.weights)) / 4.0
+    samples = []
+    for t in geometric_grid(min(lo, meas / 8), meas * (1 - 1e-9), 48).tolist():
+        s = _integral_to_loop(ustar, t, p)
+        num = (s / t) ** (1.0 / p) if math.isfinite(s) else INF
+        den = mstar.value_at(t)
+        if den > 0:
+            samples.append((t, num / den))
+    return samples
+
+
+@pytest.mark.parametrize("space", [path_space(40), grid_space(8, 8), tree_space(2, 4)],
+                         ids=["path", "grid", "tree"])
+def test_herz_matches_per_point_loop(space):
+    rng = np.random.default_rng(space.n)
+    for _ in range(3):
+        u = rng.normal(size=space.n) * (rng.uniform(size=space.n) < 0.7)
+        for p in (1.0, 2.0, 3.0):
+            hr = herz_riesz_ratios(space, u, p)
+            want = _herz_riesz_loop(space, u, p)
+            assert len(hr.samples) == len(want)
+            assert [t for t, _ in hr.samples] == [t for t, _ in want]
+            got, ref = np.array([r for _, r in hr.samples]), np.array([r for _, r in want])
+            if p == 1.0:
+                assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref.tolist()]
+            else:
+                assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+            assert (hr.min_ratio, hr.max_ratio) == (min(got), max(got))
 
 
 # -- Hardy operator ---------------------------------------------------------------

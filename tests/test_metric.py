@@ -251,6 +251,23 @@ def test_minimal_gradient_empty_family_is_zero():
     assert res.optimum == 0.0
 
 
+@pytest.mark.parametrize("p", [1.0, 1.05, 2.0, 3.0])
+def test_zero_programs_are_trivial_solves(p):
+    # no rows to meet: the constraint-generation solver answers x = 0 with
+    # a full certificate, the same for every program
+    s = path_space(5)
+    u = np.linspace(0.0, 2.0, 5)
+    for res in (modulus(s, CurveFamily.empty(), p),
+                minimal_upper_gradient(s, u, CurveFamily.empty(), p),
+                minimal_hajlasz(s, np.full(5, 1.5), p)):
+        assert res.optimum == 0.0
+        assert np.array_equal(res.minimizer, np.zeros(5))
+        assert res.certificate["kkt_residual"] == 0
+        assert res.certificate["duality_gap"] == 0
+        assert "note" not in res.certificate
+        assert res.telemetry["stage"] == "trivial"
+
+
 # -- Hajlasz gradients -------------------------------------------------------------
 
 

@@ -276,6 +276,44 @@ def test_gridfn_roundtrip_and_csv():
     assert rows == [(0.0, 0.5, 3.0), (0.5, 2.0, 1.0)]
 
 
+def _integral_to_loop(f, t, power):
+    # the scalar cell calculus GridFn.integral_to ran before it went through
+    # integrals_at
+    if t <= 0:
+        return 0.0
+    cum = np.concatenate(([0.0], np.cumsum(f.cell_integrals(power))))
+    if t >= f.support_end:
+        total = cum[-1]
+        extra = t - f.support_end
+        if extra > 0 and f.tail > 0:
+            total += f.tail ** power * extra
+        return float(total)
+    i = int(np.searchsorted(f.edges, t, side="left"))
+    v = f.values[i - 1]
+    if not math.isfinite(v):
+        return INF
+    return float(cum[i - 1] + v ** power * (t - f.edges[i - 1]))
+
+
+def test_integral_to_matches_scalar_loop():
+    # exact at power 1; two ulps apart at most where numpy's array pow and
+    # scalar pow round differently
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(0, 8))
+        edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, n))))
+        vals = rng.uniform(0.0, 5.0, n)
+        if n and rng.random() < 0.2:
+            vals[rng.integers(n)] = INF
+        f = GridFn(edges, vals, tail=rng.choice([0.0, rng.uniform(0.1, 1.0)]))
+        ts = np.concatenate((edges, rng.uniform(-0.5, edges[-1] + 2.0, 6)))
+        for t in ts.tolist():
+            assert f.integral_to(t) == _integral_to_loop(f, t, 1.0)
+            for power in (2.0, 2.5):
+                got, want = f.integral_to(t, power), _integral_to_loop(f, t, power)
+                assert got == want or abs(got - want) <= 2 * np.spacing(want)
+
+
 def test_gridfn_integral_with_tail():
     f = GridFn([0.0, 1.0], [2.0], tail=1.0)
     assert f.integral_to(3.0) == pytest.approx(2.0 + 2.0)

@@ -1,6 +1,8 @@
 """Truncation machinery and the constructive Lipschitz regularization."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +433,51 @@ def test_marcinkiewicz_gap_demo():
     # gap columns are non-increasing for both tables
     for col in ([r.fn_gap for r in weak_rows], [r.fn_gap for r in lp_rows]):
         assert all(b <= a + 1e-10 for a, b in zip(col[:-1], col[1:]))
+
+
+# -- golden truncation traces ------------------------------------------------------------
+
+LIPTRUNC_GOLDEN = Path(__file__).resolve().parent / "golden" / "liptrunc.json"
+
+
+def _pointwise_hajlasz(space, u):
+    """h_i = max_j |u_i - u_j| / d(i, j): a Hajlasz gradient of u, no solver."""
+    diff = np.abs(u[:, None] - u[None, :])
+    d = np.where(space.dist > 0, space.dist, np.inf)
+    return np.max(diff / d, axis=1)
+
+
+def liptrunc_cases():
+    """The recorded truncation results, keyed instance/norm."""
+    # the spike sits on a light point, so it lands in the exceptional set;
+    # the ramp's gradient is raised at one point, so the sigma scan doubles
+    w = np.ones(20)
+    w[7] = 1e-8
+    spike = np.random.default_rng(9).uniform(0, 1, 20)
+    spike[7] += 45.0
+    ramp = np.linspace(0.0, 12.0, 20)
+    bump = np.zeros(20)
+    bump[3] = 300.0
+    out = {}
+    for uname, s, u, extra in (("spike", path_space(20, weights=w), spike, 0.0),
+                               ("ramp", path_space(20), ramp, bump)):
+        h = _pointwise_hajlasz(s, u) + extra
+        for sname, spec in (("lp2", NormSpec.lp(2)),
+                            ("lorentz21", NormSpec.lorentz(2, 1))):
+            res = lipschitz_truncation(s, u, h, spec, CurveFamily.pairs(s), 0.1)
+            out[f"{uname}/{sname}"] = res.to_dict()
+    prof = radial_profile(alpha=2.0, dim=3, grid=60, r_min=1e-40)
+    spec = NormSpec.weak_marcinkiewicz(FundamentalFn.power(0.5))
+    try:
+        lipschitz_truncation(prof.space, prof.values, prof.hajlasz, spec,
+                             prof.curves, eps=0.5)
+    except BudgetExhausted as err:
+        out["radial/weak_marcinkiewicz"] = {
+            "stage": err.stage, "sigma_reached": err.sigma_reached,
+            "trace": err.trace}
+    return json.loads(json.dumps(out))
+
+
+def test_liptrunc_matches_golden():
+    golden = json.loads(LIPTRUNC_GOLDEN.read_text())
+    assert liptrunc_cases() == golden

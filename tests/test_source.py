@@ -81,3 +81,38 @@ def test_sup_norms_have_no_python_loops():
     loops = [(name, node.lineno) for name, fn in bodies.items()
              for node in ast.walk(fn) if isinstance(node, _LOOPS)]
     assert not loops, f"loops at {loops}"
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the methods of those classes."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name
+        if isinstance(top, ast.ClassDef):
+            yield from (node.name for node in top.body
+                        if isinstance(node, ast.FunctionDef))
+
+
+def _references(tree):
+    """Every name, attribute and imported name the tree mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def test_every_definition_is_used():
+    # a definition nothing mentions is a second path nobody runs; dunder
+    # methods are called by the language, not by name
+    root = SRC_DIR.parent
+    used = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (root / folder).rglob("*.py"):
+            used.update(_references(ast.parse(path.read_text())))
+    unused = [f"{path.name}:{name}" for path in SRC
+              for name in _definitions(ast.parse(path.read_text()))
+              if name not in used and not name.startswith("__")]
+    assert not unused, f"never referenced: {unused}"

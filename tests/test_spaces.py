@@ -1,5 +1,6 @@
 """Norm zoo: closed-form examples, embedding constants, and majorants."""
 
+import json
 import math
 
 import numpy as np
@@ -445,3 +446,42 @@ def test_spec_serialization_roundtrip():
     for spec in specs:
         back = NormSpec.from_dict(spec.to_dict())
         assert norm(u, back) == pytest.approx(norm(u, spec), rel=1e-12)
+
+
+# the issue's example: a cap dropped by to_dict changes the norm of CAP_U
+CAP_U = WeightedSamples([3.0, 1.0, 0.5], [0.01, 0.02, 0.5])
+CAPPED_SPECS = [
+    NormSpec.lambda_phi(FundamentalFn.power_log(0.4, 1.0, cap=0.02)),
+    NormSpec.lambda_phi(FundamentalFn.orlicz_inverse(OrliczN([1.0, 2.0], [1.0, 4.0]),
+                                                     cap=0.5)),
+]
+
+
+@pytest.mark.parametrize("spec", CAPPED_SPECS, ids=["powerlog", "orlicz-inverse"])
+def test_finite_cap_survives_to_dict(spec):
+    d = spec.to_dict()
+    assert d["phi"]["cap"] == spec.phi.cap
+    back = NormSpec.from_dict(json.loads(json.dumps(d)))
+    assert back.to_dict() == d
+    assert norm(CAP_U, back) == norm(CAP_U, spec)
+
+
+def test_infinite_cap_is_not_written():
+    for phi in (FundamentalFn.power_log(0.4, 1.0),
+                FundamentalFn.orlicz_inverse(OrliczN([1.0, 2.0], [1.0, 4.0]))):
+        d = NormSpec.lambda_phi(phi).to_dict()
+        assert "cap" not in d["phi"]
+        assert NormSpec.from_dict(d).phi.cap == INF
+
+
+@pytest.mark.parametrize("make", [
+    lambda cap: FundamentalFn.power(0.5, 1.0, cap),
+    lambda cap: FundamentalFn.power_log(0.4, 1.0, 1.0, cap),
+    lambda cap: FundamentalFn.orlicz_inverse(OrliczN([1.0, 2.0], [1.0, 4.0]), cap),
+    lambda cap: FundamentalFn.sampled([1.0, 2.0], [1.0, 1.5], cap),
+], ids=["power", "powerlog", "orlicz-inverse", "sampled"])
+def test_cap_must_be_positive(make):
+    for cap in (0.0, -1.0, -INF, math.nan):
+        with pytest.raises(ValueError):
+            make(cap)
+    assert make(0.5).cap == 0.5

@@ -66,6 +66,12 @@ def _parse_phi(text):
     return make(*nums)
 
 
+def _number(x):
+    """Shortest text that reads back as the same float; "3", not "3.0"."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _phi_shorthand(phi):
     if isinstance(phi, PowerPhi):
         head = ["power", phi.alpha]
@@ -77,7 +83,7 @@ def _phi_shorthand(phi):
     nums = head[1:] + [phi.coeff, phi.cap]
     if math.isinf(phi.cap):
         nums = nums[:-2] if phi.coeff == 1.0 else nums[:-1]
-    return f"{head[0]}:" + ",".join(f"{x:g}" for x in nums)
+    return f"{head[0]}:" + ",".join(map(_number, nums))
 
 
 def _parts_shorthand(parts):
@@ -115,7 +121,7 @@ def parse_space(text) -> NormSpec:
 def spec_shorthand(spec: NormSpec):
     """Canonical shorthand for a spec, or None when not expressible."""
     fam = _FAMILIES[spec.family]
-    pieces = [fam.prefix, ",".join(f"{getattr(spec, f):g}" for f in fam.fields)]
+    pieces = [fam.prefix, ",".join(_number(getattr(spec, f)) for f in fam.fields)]
     if fam.part in _PART_SHORTHAND:
         pieces.append(_PART_SHORTHAND[fam.part](getattr(spec, fam.part)))
     return None if None in pieces else ":".join(p for p in pieces if p)

@@ -217,6 +217,10 @@ def _zippin_exact_alpha(phi):
     return None
 
 
+# the dilation factors s of the index reports, built once
+_S_GRID = np.geomspace(2.0, 4096.0, 12)
+
+
 def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     """k_X(s) = sup_t phi(st)/phi(t) and the upper fundamental index.
 
@@ -225,9 +229,7 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     the true index (0.496 against 0.55 for ``power_log(0.55, 1.0)``) and
     certifies no inequality.
     """
-    if s_grid is None:
-        s_grid = np.geomspace(2.0, 4096.0, 12)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     if np.any(s_grid <= 1):
         raise ValueError("s grid must be > 1")
     alpha = _zippin_exact_alpha(phi)
@@ -266,7 +268,11 @@ def _default_boyd_candidates():
         edges = np.concatenate(([0.0], np.geomspace(1e-4, 4.0, 40)))
         vals = edges[1:] ** (-theta)
         cands.append(GridFn(edges, vals))
-    return cands
+    return tuple(cands)
+
+
+# built once: every report without its own candidates shares them
+_BOYD_CANDIDATES = _default_boyd_candidates()
 
 
 def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> IndexReport:
@@ -274,11 +280,13 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
 
     Closed-form families report the exact index; otherwise candidate
     functions give lower bounds only (flagged, never used to certify a
-    strict inequality downstream).
+    strict inequality downstream).  Where the family table gives a row
+    evaluator (the sup-M_p families), one call per candidate returns its
+    norm and the norms of all its dilations E_{1/s}: row 0 divides the
+    candidate's edges by 1, row k + 1 by 1/s_k, exactly as ``dilation``
+    does.  Other families take ``norm(dilation(f, 1/s))`` once per s.
     """
-    if s_grid is None:
-        s_grid = np.geomspace(2.0, 4096.0, 12)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     exact = spec.boyd_alpha_exact()
     if exact is not None:
         hs = [(float(s), float(s ** exact)) for s in s_grid]
@@ -289,25 +297,26 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
             lower_bound_only=False,
             note="dilation norm closed form",
         )
-    if candidates is None:
-        candidates = _default_boyd_candidates()
-    usable = []
-    for f in candidates:
+    if not np.all((s_grid > 0) & np.isfinite(s_grid)):
+        raise ValueError("s grid must be positive and finite")
+    rows = _FAMILIES[spec.family].rows
+    divisors = np.concatenate(([1.0], 1.0 / s_grid))
+    bases, dilated = [], []
+    for f in _BOYD_CANDIDATES if candidates is None else candidates:
         if not f.is_decreasing(tol=0.0):
             raise ValueError("Boyd candidates must be decreasing GridFns")
-        base = norm(f, spec)
+        vals = rows(f, spec, divisors) if rows is not None else [norm(f, spec)]
+        base = float(vals[0])
         if base > 0 and math.isfinite(base):
-            usable.append((f, base))
-    if not usable:
+            bases.append(base)
+            dilated.append(vals[1:] if rows is not None else
+                           [norm(dilation(f, 1.0 / s), spec) for s in s_grid])
+    if not bases:
         raise ValueError("no candidate with nonzero finite norm")
-    hs = []
-    for s in s_grid:
-        best = 0.0
-        for f, base in usable:
-            val = norm(dilation(f, 1.0 / s), spec)
-            if math.isfinite(val):
-                best = max(best, val / base)
-        hs.append((float(s), best))
+    dilated = np.asarray(dilated, dtype=float)
+    ratios = np.where(np.isfinite(dilated), dilated / np.asarray(bases)[:, None], 0.0)
+    best = np.max(ratios, axis=0, initial=0.0)
+    hs = [(float(s), float(h)) for s, h in zip(s_grid, best)]
     alpha_est = max(
         math.log(h) / math.log(s) for (s, h) in hs if h > 0
     )

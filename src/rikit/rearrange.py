@@ -124,28 +124,8 @@ class GridFn:
     def integrals_at(self, ts, power=1.0):
         """Vectorized integral of f^power over (0, t] for each t in ts."""
         ts = np.asarray(ts, dtype=float)
-        cells = self.cell_integrals(power)
-        cum = np.concatenate(([0.0], np.cumsum(cells)))
-        idx = np.searchsorted(self.edges, ts, side="left")
-        out = np.zeros(len(ts))
-        # t <= 0 stays 0 and never multiplies an inf cell by a zero width
-        inside = (idx <= self.ncells) & (ts > 0)
-        if np.any(inside):
-            i = idx[inside]
-            v = self.values[i - 1]
-            part = np.where(
-                np.isfinite(v),
-                v ** power * (ts[inside] - self.edges[i - 1]),
-                INF,
-            )
-            out[inside] = cum[i - 1] + part
-        beyond = idx > self.ncells
-        if np.any(beyond):
-            extra = ts[beyond] - self.support_end
-            tail_part = self.tail ** power * np.maximum(extra, 0.0) \
-                if self.tail > 0 else 0.0
-            out[beyond] = cum[-1] + tail_part
-        return out
+        return _integrals_rows(self.edges[None], self.values, self.tail, ts,
+                               [len(ts)], power)
 
     def has_inf(self):
         return bool(np.any(~np.isfinite(self.values)))
@@ -176,6 +156,45 @@ class GridFn:
             f"values={np.array2string(self.values, precision=6)}, "
             f"tail={self.tail})"
         )
+
+
+def _integrals_rows(edges, values, tail, ts, counts, power):
+    """Integral of f_k^power over (0, t] at the points of every row k.
+
+    f_k has the breakpoints ``edges[k]`` (a rows x (cells + 1) array) and
+    shares ``values`` and ``tail``.  ``ts`` holds the points of row 0, then
+    row 1, and so on, ``counts[k]`` of them for row k.  Each row's cells,
+    cumulative sums and points take the same arithmetic as a GridFn of its
+    own, so every row is bit-identical to ``integrals_at`` on that GridFn.
+    """
+    ncells = len(values)
+    # pow on a fresh copy: numpy's vector pow rounds strided input apart;
+    # an inf value times its positive width is the inf marker of its cell
+    cells = values.copy() ** power * (edges[:, 1:] - edges[:, :-1])
+    cum = np.zeros((len(edges), ncells + 1))
+    np.cumsum(cells, axis=1, out=cum[:, 1:])
+    idx = np.empty(len(ts), dtype=np.intp)
+    row = np.empty(len(ts), dtype=np.intp)
+    start = 0
+    for k, n in enumerate(counts):
+        idx[start:start + n] = np.searchsorted(edges[k], ts[start:start + n], side="left")
+        row[start:start + n] = k
+        start += n
+    out = np.zeros(len(ts))
+    # t <= 0 stays 0 and never multiplies an inf cell by a zero width
+    inside = (idx <= ncells) & (ts > 0)
+    if inside.any():
+        i, r = idx[inside], row[inside]
+        v = values[i - 1]
+        part = np.where(np.isfinite(v), v ** power * (ts[inside] - edges[r, i - 1]), INF)
+        out[inside] = cum[r, i - 1] + part
+    beyond = idx > ncells
+    if beyond.any():
+        r = row[beyond]
+        extra = ts[beyond] - edges[r, -1]
+        tail_part = tail ** power * np.maximum(extra, 0.0) if tail > 0 else 0.0
+        out[beyond] = cum[r, -1] + tail_part
+    return out
 
 
 def indicator_gridfn(measure):

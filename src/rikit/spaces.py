@@ -26,6 +26,7 @@ from .rearrange import (
     INF,
     GridFn,
     WeightedSamples,
+    _integrals_rows,
     decreasing_rearrangement,
     indicator_gridfn,
 )
@@ -115,9 +116,10 @@ class FundamentalFn:
             return float(self(self.cap))
         return INF
 
-    def eval_grid(self, lo, hi, n=256):
+    def eval_grid(self, lo, hi):
+        """256 geometric points on [lo, hi] with the endpoints and kinks."""
         pts = [np.asarray([lo, hi], dtype=float), self.kinks(lo, hi)]
-        pts.append(geometric_grid(lo, hi, n))
+        pts.append(geometric_grid(lo, hi, 256))
         g = np.unique(np.concatenate(pts))
         return g[(g >= lo) & (g <= hi)]
 
@@ -722,6 +724,15 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     density: str | None = None  # density-report rule: "lorentz" (index rules
     # of L^(p,q), L^p = L^(p,p)), "weak", "weak-power" (weak if phi is a power)
+    rows: Callable | None = None  # (decreasing rearrangement, spec, edge divisors
+    # c) -> the norm of each dilate with edges / c_k; None: no row evaluator
+
+
+def _sup_mp_family(p_of, window_hi):
+    """evaluate and rows of a sup-M_p family: the norm is the row c = 1."""
+    def rows(u, s, c):
+        return _sup_mp_phi(u, s.phi, p_of(s), window_hi, c)
+    return {"evaluate": lambda u, s: rows(u, s, _UNIT)[0], "rows": rows}
 
 
 def _family_of(name):
@@ -781,7 +792,7 @@ _FAMILIES = {
         fundamental=lambda s: _LambdaQFundamental(s.phi, s.q), boyd=_phi_index),
     "marcinkiewicz": _Family(
         NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
-        lambda u, s: _sup_mp_phi(u, s.phi, 1.0, window_hi=None),
+        **_sup_mp_family(lambda s: 1.0, None),
         ac=lambda s: False, quasi=lambda s: False, density="weak-power",
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "weak_marcinkiewicz": _Family(
@@ -792,12 +803,12 @@ _FAMILIES = {
     # the M^p fundamental shape dominates phi; equal iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(
         NormSpec.marcinkiewicz_p, "marc-p", ("p",), "phi", "M^{p:g}_phi",
-        lambda u, s: _sup_mp_phi(u, s.phi, s.p, window_hi=None),
+        **_sup_mp_family(lambda s: s.p, None),
         ac=lambda s: False, quasi=lambda s: True,
         fundamental=lambda s: PsiMajorantPhi(s.phi, s.p), boyd=_phi_index),
     "marcinkiewicz_p_loc": _Family(
         NormSpec.marcinkiewicz_p_loc, "marc-p-loc", ("p",), "phi", "M^{p:g}_phi,loc",
-        lambda u, s: _sup_mp_phi(u, s.phi, s.p, window_hi=1.0),
+        **_sup_mp_family(lambda s: s.p, 1.0),
         ac=lambda s: False, quasi=lambda s: True,
         fundamental=lambda s: PsiMajorantPhi(s.phi, s.p), boyd=lambda s: None),
     # no shorthand: the CLI reaches it through a JSON spec file
@@ -949,13 +960,15 @@ def _gauss_log(f_of_t, a, b, panels=4):
     return total
 
 
-def _dyadic_integral(g, b, max_levels=200, rel_tol=1e-13):
+def _dyadic_integral(g, b):
     """Integral of g over (0, b) by dyadic refinement toward 0.
 
     Divergence is classified by the refinement-doubling rule: either the
     accumulated value doubles across two consecutive refinements, or the
     per-level pieces stop decaying geometrically (the borderline 1/t case).
-    Otherwise the geometric tail of the remaining levels is extrapolated.
+    Otherwise the geometric tail of the remaining levels is extrapolated,
+    once it falls below 1e-13 of the total; refinement stops after 200
+    levels.
     """
     total = 0.0
     hi = b
@@ -963,7 +976,7 @@ def _dyadic_integral(g, b, max_levels=200, rel_tol=1e-13):
     flat = 0
     prev_total = 0.0
     prev_piece = None
-    for level in range(max_levels):
+    for level in range(200):
         lo = hi / 2.0
         piece = _gauss_log(lambda t: np.asarray(g(t)) * t, lo, hi, panels=1)
         total += piece
@@ -982,7 +995,7 @@ def _dyadic_integral(g, b, max_levels=200, rel_tol=1e-13):
             else:
                 flat = 0
                 tail_est = piece * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-                if tail_est < rel_tol * max(total, 1e-300):
+                if tail_est < 1e-13 * max(total, 1e-300):
                     return total + tail_est
         prev_total = total
         prev_piece = piece
@@ -1017,7 +1030,7 @@ def _sup_star_phi(ustar, phi):
     """
     v = ustar.values
     pv = np.asarray(phi(ustar.edges[1:]), dtype=float)
-    best = _masked_sup(v, pv)
+    best = float(_masked_sup(v, pv, [0])[0]) if len(v) else 0.0
     if ustar.tail > 0:
         top = phi.value_inf()
         if not math.isfinite(top):
@@ -1026,91 +1039,135 @@ def _sup_star_phi(ustar, phi):
     return best
 
 
-def _masked_sup(vals, phis):
-    """max(0, sup of vals * phis over finite vals), or inf where an infinite
-    val meets phis > 0.  Nan products are skipped, as ``max(best, x)`` skips them.
+def _masked_sup(vals, phis, starts):
+    """Per nonempty run vals[starts[k]:starts[k + 1]]: max(0, sup of vals * phis
+    over finite vals), or inf where an infinite val meets phis > 0.  Nan
+    products are skipped, as ``max(best, x)`` skips them.
     """
     finite = np.isfinite(vals)
-    if np.any(~finite & (phis > 0)):
-        return INF
-    return float(np.fmax.reduce(vals[finite] * phis[finite], initial=0.0))
+    prods = np.where(phis > 0, INF, 0.0)  # read only where vals are infinite
+    prods[finite] = vals[finite] * phis[finite]
+    return np.fmax(np.fmax.reduceat(prods, starts), 0.0)
+
+
+def _mp_rows(ustar, p, edges, ts, counts):
+    """M_p u*(t) = ((1/t) int_0^t u*^p)^{1/p} at the points of each row of
+    edges, laid out as for ``rearrange._integrals_rows``."""
+    ints = _integrals_rows(edges, ustar.values, ustar.tail, ts, counts, p)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(ints), (ints / ts) ** (1.0 / p), INF)
 
 
 def _mp_values(ustar, p, ts):
-    """M_p u*(t) = ((1/t) int_0^t u*^p)^{1/p} at the given points."""
-    ints = ustar.integrals_at(ts, p)
-    with np.errstate(invalid="ignore"):
-        out = np.where(np.isfinite(ints), (ints / ts) ** (1.0 / p), INF)
-    return out
+    """M_p u*(t) at the given points: ``_mp_rows`` on ustar's own edges."""
+    return _mp_rows(ustar, p, ustar.edges[None], ts, [len(ts)])
 
 
-def _sup_mp_phi(ustar, phi, p, window_hi=None):
-    """sup over the window of M_p u*(t) phi(t); exact for power/affine phi.
+# the edge divisor of a plain norm: edges / 1.0 is exact
+_UNIT = np.ones(1)
 
-    ``window_hi=None`` is the global norm (sup over t > 0); otherwise the
-    sup runs over (0, window_hi], evaluated at a merged grid of cell edges,
-    shape breakpoints and window endpoints, plus limit candidates.
+
+def _sup_mp_phi(ustar, phi, p, window_hi, c):
+    """sup over the window of M_p u*(t) phi(t), once per edge divisor c_k.
+
+    Row k is the value for ``GridFn(ustar.edges / c_k, ustar.values,
+    ustar.tail)``, bit for bit, so a norm is the row c = 1 (``_UNIT``) and
+    the dilations E_{1/s} of one function take c = 1/s in the same array
+    pass.  Exact for power/affine phi.  ``window_hi=None`` is the global
+    norm (sup over t > 0); otherwise the sup runs over (0, window_hi].  It
+    is taken at the points of ``_sup_points``, plus limit candidates.
     """
+    c = np.asarray(c, dtype=float)
     if ustar.ncells == 0 and ustar.tail == 0:
-        return 0.0
-    has_generic = _has_generic_piece(phi, 1e-12, max(1.0, ustar.support_end, 2.0))
-    hi_default = max(ustar.support_end, 1.0)
-    if math.isfinite(phi.cap):
-        hi_default = max(hi_default, phi.cap)
-    hi = window_hi if window_hi is not None else 2.0 * hi_default
-    pts = [ustar.edges[ustar.edges > 0], phi.kinks(0.0, hi), np.asarray([hi])]
-    if window_hi is None or window_hi >= 1.0:
-        pts.append(np.asarray([1.0]))
-    if has_generic:
-        lo = min(ustar.edges[1] if ustar.ncells else hi, hi) * 1e-6
-        pts.append(geometric_grid(max(lo, hi * 1e-14), hi, DEFAULT_SUP_POINTS))
-    ts = np.unique(np.concatenate(pts))
-    ts = ts[(ts > 0) & (ts <= hi)]
+        return np.zeros(len(c))
+    edges = ustar.edges[None] / c[:, None]
+    ts, counts, starts = _sup_points(ustar, phi, window_hi, edges)
     phis = np.asarray(phi(ts), dtype=float)
-    mps = _mp_values(ustar, p, ts)
-    best = _masked_sup(mps, phis)
-    if math.isinf(best):
-        return INF
+    mps = _mp_rows(ustar, p, edges, ts, counts.tolist())
+    best = _masked_sup(mps, phis, starts)
     # limit candidate as t -> 0+
     first = ustar.values[0] if ustar.ncells else ustar.tail
     p0 = phi.phi0plus()
     if p0 > 0:
         if not math.isfinite(first):
-            return INF
-        best = max(best, first * p0)
+            return np.full(len(c), INF)
+        best = np.maximum(best, first * p0)
     if window_hi is not None:
         return best
     # tail behaviour for the global norm
-    tail_cand = _mp_tail_candidate(ustar, phi, p)
-    if not math.isfinite(tail_cand):
-        return INF
-    return max(best, tail_cand)
+    tails = _mp_tail_rows(ustar, phi, p, c)
+    return np.where(np.isfinite(tails), np.maximum(best, tails), INF)
 
 
-def _mp_tail_candidate(ustar, phi, p):
-    """Limit of M_p u*(t) phi(t) as t -> inf (0.0 when it vanishes)."""
-    total = ustar.total_integral(p)
+def _sup_points(ustar, phi, window_hi, edges):
+    """The points where ``_sup_mp_phi`` takes each row's supremum.
+
+    Row k's points are its cell edges, phi's kinks, the window end hi_k and
+    1, kept where they lie in (0, hi_k], plus a geometric grid where phi has
+    a generic piece.  All of them are positive, and duplicates stay, since
+    a maximum ignores them.  Returns the points of row 0, then row 1, and
+    so on, with each row's count and the index where its points start.
+    """
+    rows, ncells = len(edges), ustar.ncells
+    ends = edges[:, -1]
+    hi = np.maximum(ends, 1.0)
+    if math.isfinite(phi.cap):
+        hi = np.maximum(hi, phi.cap)
+    hi = 2.0 * hi if window_hi is None else np.full(rows, float(window_hi))
+    # kinks are a fixed set cut to (lo, hi), so one call serves every row
+    kinks = phi.kinks(0.0, float(hi.max()))
+    generic = [_has_generic_piece(phi, 1e-12, max(1.0, e, 2.0)) for e in ends]
+    grid = DEFAULT_SUP_POINTS if any(generic) else 0
+    ts = np.empty((rows, ncells + len(kinks) + 2 + grid))
+    ts[:, :ncells] = edges[:, 1:]
+    ts[:, ncells:-grid - 2] = kinks
+    ts[:, -grid - 2] = hi
+    ts[:, -grid - 1] = 1.0
+    if grid:
+        lo = np.minimum(edges[:, 1] if ncells else hi, hi) * 1e-6
+        ts[:, -grid:] = np.geomspace(np.maximum(lo, hi * 1e-14), hi, grid, axis=1)
+    keep = ts <= hi[:, None]
+    if grid and not all(generic):
+        keep[np.logical_not(generic), -grid:] = False
+    counts = keep.sum(axis=1)
+    return ts[keep], counts, counts.cumsum() - counts
+
+
+def _mp_tail_rows(ustar, phi, p, c):
+    """Limit of M_p u*(t) phi(t) as t -> inf (0.0 when it vanishes), for
+    the dilate with edges / c_k, per k.
+
+    Only an unbounded phi and a u* without tail make it depend on the
+    edges; edges / 1.0 is exact, so the row c = 1 is u* itself.
+    """
+    top = phi.value_inf()
     if ustar.tail > 0:
-        top = phi.value_inf()
-        if not math.isfinite(top):
-            return INF
-        return ustar.tail * top  # approached from above; sup candidates cover it
+        # approached from above; sup candidates cover it
+        return np.full(len(c), ustar.tail * top if math.isfinite(top) else INF)
+    if math.isfinite(top):
+        return np.zeros(len(c))  # (I/t)^{1/p} * (eventually constant phi) -> 0
+    return np.array([_unbounded_tail(
+        ustar if ck == 1.0 else GridFn(ustar.edges / ck, ustar.values), phi, p)
+        for ck in c])
+
+
+def _unbounded_tail(f, phi, p):
+    """The limit of M_p f(t) phi(t) for an unbounded phi and f without tail."""
+    pe = phi.power_exponent()
+    if pe is not None and pe[1] < 1.0 / p:
+        return 0.0  # t^{alpha - 1/p} I^{1/p} -> 0
+    total = f.total_integral(p)
     if total == 0.0:
         return 0.0
-    if math.isfinite(phi.value_inf()):
-        return 0.0  # (I/t)^{1/p} * (eventually constant phi) -> 0
-    pe = phi.power_exponent()
     if pe is not None:
         c, alpha = pe
         if alpha > 1.0 / p:
             return INF
-        if alpha == 1.0 / p:
-            return c * total ** (1.0 / p) if math.isfinite(total) else INF
-        return 0.0
-    # unbounded shape without a power form: probe far out, doubling rule
-    t0 = 4.0 * max(ustar.support_end, 1.0)
+        return c * total ** (1.0 / p) if math.isfinite(total) else INF
+    # no power form: probe far out, doubling rule
+    t0 = 4.0 * max(f.support_end, 1.0)
     probes = [
-        float(phi(t)) * (ustar.integral_to(t, p) / t) ** (1.0 / p)
+        float(phi(t)) * (f.integral_to(t, p) / t) ** (1.0 / p)
         for t in (t0, 2 * t0, 4 * t0, 8 * t0, 16 * t0)
     ]
     if probes[-1] >= 2.0 * probes[-3] > 0:
@@ -1182,12 +1239,14 @@ class QuasiconcavityVerdict:
         return self.ok
 
 
-def is_quasiconcave(f, power=1.0, window=(1e-8, 1.0), rel_tol=1e-10):
+def is_quasiconcave(f, power=1.0, window=(1e-8, 1.0)):
     """Check f^power increasing and f^power / t decreasing on the window grid.
 
     ``f`` may be a GridFn (checked at its cell edges) or a fundamental
-    function shape.  On failure the violating pair (t1, t2) is returned.
+    function shape.  Both checks allow a relative slack of 1e-10.  On
+    failure the violating pair (t1, t2) is returned.
     """
+    rel_tol = 1e-10
     lo, hi = window
     if isinstance(f, GridFn):
         ts = f.edges[(f.edges > lo) & (f.edges <= hi)]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_spaces import CAP_U, CAPPED_SPECS
 
 import rikit.cli as cli
@@ -57,6 +59,44 @@ def test_shorthand_roundtrip(text):
     # and expansion of the round-trip is the same space
     u = WeightedSamples([1.0, 2.0], [1.0, 0.5])
     assert norm(u, parse_space(again)) == norm(u, spec)
+
+
+_CAPS = st.floats(0.01, 100.0) | st.just(math.inf)
+_SHAPES = (st.builds(FundamentalFn.power, st.floats(0.0, 1.0), st.floats(0.01, 10.0), _CAPS)
+           | st.builds(FundamentalFn.power_log, st.floats(0.01, 0.99), st.floats(-3.0, 3.0),
+                       st.floats(0.01, 10.0), _CAPS))
+_EXPONENTS = st.floats(1.0, 50.0)
+_SIMPLE_SPECS = st.one_of(
+    st.builds(NormSpec.lp, _EXPONENTS | st.just(math.inf)),
+    st.builds(NormSpec.lorentz, _EXPONENTS, _EXPONENTS),
+    st.builds(NormSpec.lorentz_weak, _EXPONENTS),
+    st.builds(NormSpec.lambda_phi, _SHAPES),
+    st.builds(NormSpec.lambda_q, _SHAPES, st.floats(1.0, 4.0)),
+    st.builds(NormSpec.marcinkiewicz, _SHAPES),
+    st.builds(NormSpec.weak_marcinkiewicz, _SHAPES),
+    st.builds(NormSpec.marcinkiewicz_p, _SHAPES, st.floats(1.0, 4.0)),
+    st.builds(NormSpec.marcinkiewicz_p_loc, _SHAPES, st.floats(1.0, 4.0)),
+)
+_SPECS = _SIMPLE_SPECS | st.builds(
+    lambda parts: NormSpec.intersection_max(*parts),
+    st.lists(_SIMPLE_SPECS, min_size=1, max_size=3))
+_SHORTHAND_U = WeightedSamples([3, 1, 0.5], [0.01, 0.02, 0.5])
+
+
+def test_shorthand_keeps_every_digit():
+    # six significant digits moved this norm in its sixth digit
+    text = "lambda:power:0.123456789"
+    spec = parse_space(text)
+    assert spec_shorthand(spec) == text
+    assert norm(_SHORTHAND_U, parse_space(spec_shorthand(spec))) == norm(_SHORTHAND_U, spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_SPECS)
+def test_shorthand_roundtrip_keeps_the_norm_bitwise(spec):
+    again = parse_space(spec_shorthand(spec))
+    assert again.to_dict() == spec.to_dict()
+    assert norm(_SHORTHAND_U, again).hex() == norm(_SHORTHAND_U, spec).hex()
 
 
 def test_parse_space_from_file(tmp_path):

@@ -918,7 +918,8 @@ def _phi_weight_integral(phi, a, b, q):
             if alpha > 0:
                 e = q * alpha
                 lo_term = x0 ** e if x0 > 0 else 0.0
-                total += c ** q * (x1 ** e - lo_term) / e
+                with np.errstate(over="ignore"):  # a tiny e: past the float range, inf
+                    total += c ** q * (x1 ** e - lo_term) / e
             else:
                 if x0 <= 0:
                     return INF if c > 0 else total

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_spaces import CAP_U, CAPPED_SPECS
 
@@ -93,6 +93,8 @@ def test_shorthand_keeps_every_digit():
 
 @settings(max_examples=150, deadline=None)
 @given(spec=_SPECS)
+# a subnormal exponent: int_0^t s^(q alpha) ds/s is past the float range
+@example(spec=NormSpec.lambda_q(FundamentalFn.power(5e-324, 1.0, math.inf), 1.0))
 def test_shorthand_roundtrip_keeps_the_norm_bitwise(spec):
     again = parse_space(spec_shorthand(spec))
     assert again.to_dict() == spec.to_dict()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -402,6 +403,7 @@ def cmd_demo(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main call
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="ri-kit",

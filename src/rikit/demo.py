@@ -74,28 +74,25 @@ def radial_profile(alpha=2.0, dim=3, grid=200, r_min=1e-4) -> RadialProfile:
     return RadialProfile(space, u, h, curves, float(alpha), int(dim), radii)
 
 
-def marcinkiewicz_gap_tables(alpha=2.0, dim=3, grid=200, r_min=1e-4,
-                             steps=16, solver_p=2.0):
+def marcinkiewicz_gap_tables(alpha=2.0, dim=3, grid=200, steps=16):
     """Two convergence tables for the same profile.
 
     The weak-Marcinkiewicz table runs on levels capped below max|u| (the
     obstruction regime: superlevels of the profile never empty there);
     the L^2 comparison extends past max|u| where truncations converge.
+    Both use one minimal upper gradient for the L^2 objective.
     """
-    prof = radial_profile(alpha, dim, grid, r_min)
-    g = minimal_upper_gradient(prof.space, prof.values, prof.curves,
-                               solver_p).minimizer
+    prof = radial_profile(alpha, dim, grid)
+    g = minimal_upper_gradient(prof.space, prof.values, prof.curves, 2.0).minimizer
     u_max = float(np.max(np.abs(prof.values)))
     capped = np.geomspace(1.0, 0.8 * u_max, steps)
     extended = np.geomspace(1.0, 4.0 * u_max, steps)
     weak_spec = NormSpec.weak_marcinkiewicz(FundamentalFn.power(1.0 / alpha))
     lp_spec = NormSpec.lp(2)
     weak_rows = truncation_convergence_report(
-        prof.space, prof.values, prof.curves, weak_spec, capped,
-        solver_p, gradient=g)
+        prof.space, prof.values, prof.curves, weak_spec, capped, gradient=g)
     lp_rows = truncation_convergence_report(
-        prof.space, prof.values, prof.curves, lp_spec, extended,
-        solver_p, gradient=g)
+        prof.space, prof.values, prof.curves, lp_spec, extended, gradient=g)
     return weak_rows, lp_rows, prof
 
 
@@ -114,8 +111,8 @@ def random_quasiconcave_phi(rng):
     return FundamentalFn.sampled(ts, vals)
 
 
-def random_decreasing_gridfn(rng, max_cells=12):
-    k = int(rng.integers(1, max_cells))
+def random_decreasing_gridfn(rng):
+    k = int(rng.integers(1, 12))
     vals = np.sort(rng.uniform(0.02, 5.0, k))[::-1]
     widths = rng.uniform(0.02, 1.5, k)
     return GridFn(np.concatenate(([0.0], np.cumsum(widths))), vals)
@@ -173,13 +170,12 @@ def herz_riesz_preset(p=1.0, seeds=100):
     return out
 
 
-def criteria_sweep_preset(p0=2.0, q0=3.0, p_values=(1.0, 1.5, 2.0, 3.0),
-                          complete_values=(False, True)):
+def criteria_sweep_preset(p0=2.0, q0=3.0, p_values=(1.0, 1.5, 2.0, 3.0)):
     """Density verdict sweep over one Lorentz space."""
     spec = NormSpec.lorentz(p0, q0)
     rows = []
     for p in p_values:
-        for complete in complete_values:
+        for complete in (False, True):
             rep = density_criteria_report(spec, p=p, complete_space=complete)
             rows.append({
                 "p": p,
@@ -191,7 +187,7 @@ def criteria_sweep_preset(p0=2.0, q0=3.0, p_values=(1.0, 1.5, 2.0, 3.0),
     return rows
 
 
-def modulus_grid_preset(rows=6, cols=6, p_values=(1.0, 1.5, 2.0, 3.0)):
+def modulus_grid_preset(rows=6, cols=6):
     """Left-to-right crossing modulus on a lattice graph."""
     space = grid_space(rows, cols)
 
@@ -203,17 +199,17 @@ def modulus_grid_preset(rows=6, cols=6, p_values=(1.0, 1.5, 2.0, 3.0)):
         generator="grid-crossings",
     )
     out = []
-    for p in p_values:
-        res = modulus(space, curves, float(p))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        res = modulus(space, curves, p)
         out.append({"p": p, "modulus": res.optimum,
                     "kkt_residual": res.certificate.get("kkt_residual")})
     return out
 
 
-def lip_trunc_sweep_preset(instances=20, eps_values=(0.5, 0.1, 0.02),
-                           seed=7, n=20):
-    """Spike and ramp instances swept over shrinking accuracy budgets."""
+def lip_trunc_sweep_preset(instances=20, eps_values=(0.5, 0.1, 0.02), seed=7):
+    """Spike and ramp instances on 20-point paths, swept over shrinking accuracy budgets."""
     rng = np.random.default_rng(seed)
+    n = 20
     specs = [NormSpec.lp(2), NormSpec.lorentz(2, 1)]
     rows = []
     for inst in range(instances):

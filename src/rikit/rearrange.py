@@ -52,8 +52,10 @@ class GridFn:
         tail = float(tail)
         if not (tail >= 0 and math.isfinite(tail)):
             raise ValueError("tail must be 0 or a finite nonnegative constant")
-        self.edges = edges
-        self.values = vals
+        # contiguous: numpy's vector pow rounds strided input (such as
+        # np.sort(v)[::-1]) a last ulp apart, and norms take pow of values
+        self.edges = np.ascontiguousarray(edges)
+        self.values = np.ascontiguousarray(vals)
         self.tail = tail
 
     # -- basic queries ----------------------------------------------------
@@ -162,15 +164,15 @@ def _integrals_rows(edges, values, tail, ts, counts, power):
     """Integral of f_k^power over (0, t] at the points of every row k.
 
     f_k has the breakpoints ``edges[k]`` (a rows x (cells + 1) array) and
-    shares ``values`` and ``tail``.  ``ts`` holds the points of row 0, then
-    row 1, and so on, ``counts[k]`` of them for row k.  Each row's cells,
-    cumulative sums and points take the same arithmetic as a GridFn of its
-    own, so every row is bit-identical to ``integrals_at`` on that GridFn.
+    shares ``values`` (contiguous, as a GridFn keeps them) and ``tail``.
+    ``ts`` holds the points of row 0, then row 1, and so on, ``counts[k]``
+    of them for row k.  Each row's cells, cumulative sums and points take
+    the same arithmetic as a GridFn of its own, so every row is
+    bit-identical to ``integrals_at`` on that GridFn.
     """
     ncells = len(values)
-    # pow on a fresh copy: numpy's vector pow rounds strided input apart;
     # an inf value times its positive width is the inf marker of its cell
-    cells = values.copy() ** power * (edges[:, 1:] - edges[:, :-1])
+    cells = values ** power * (edges[:, 1:] - edges[:, :-1])
     cum = np.zeros((len(edges), ncells + 1))
     np.cumsum(cells, axis=1, out=cum[:, 1:])
     idx = np.empty(len(ts), dtype=np.intp)

@@ -3,11 +3,13 @@
 Every solver-backed operation runs on one program class, the separable
 power program  min sum_i c_i x_i^p  s.t.  A x >= b, x >= 0.  It is solved
 in the dual (closed-form primal recovery per dual iterate) by projected
-dual Newton steps, warm-started from the previous round's duals under
-constraint generation; a cold start first takes L-BFGS-B to where Newton
-can begin.  The p = 1 corner is a linear program and is handed to HiGHS,
-which returns a vertex optimum and exact duals.  Capacity's norm-sum
-program reduces to a family of these (``metric.capacity``).
+dual Newton steps, from zero duals in the first round of constraint
+generation and warm from the previous round's duals after it; only a
+Newton run that stalls is retried from where L-BFGS-B takes it.  The
+p = 1 corner is a linear program: all its rows go to HiGHS at once, as a
+sparse matrix, and it returns a vertex optimum and exact duals.
+Capacity's norm-sum program reduces to a family of these
+(``metric.capacity``).
 """
 
 from __future__ import annotations
@@ -69,13 +71,12 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
     over x >= 0 for both.
 
     For p > 1, dual Newton (``_dual_newton``) maximizes the concave dual
-    from the warm duals ``lam0`` (one per row) when given.  A cold start,
-    or a warm one that stalls, first takes L-BFGS-B from a bounded point
-    to where Newton can begin.  ``iterations`` in the certificate counts
-    both kinds; ``telemetry`` splits them, names the stage that met tol
-    and times each stage.  p = 1 is a linear program solved by HiGHS.
-    Raises SolverStall when the residual (which includes the relative
-    duality gap) exceeds tol.
+    from the duals ``lam0`` (one per row; zeros when not given).  A run
+    that stalls is retried once from where L-BFGS-B takes a bounded point.
+    ``iterations`` in the certificate counts both kinds; ``telemetry``
+    splits them, names the stage that met tol and times each stage.
+    p = 1 is a linear program solved by HiGHS.  Raises SolverStall when
+    the residual (which includes the relative duality gap) exceeds tol.
     """
     cost, A, b = (np.asarray(v, dtype=float) for v in (cost, A, b))
     m, n = A.shape
@@ -86,8 +87,8 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
     if p == 1.0:
         return _solve_lp_min(cost, A, b, tol)
     tele = _telemetry("newton", [m])
-    starts = [None] if lam0 is None else [np.maximum(np.asarray(lam0, dtype=float), 0.0), None]
-    for lam in starts:  # None: a cold start
+    lam = np.zeros(m) if lam0 is None else np.maximum(np.asarray(lam0, dtype=float), 0.0)
+    for lam in (lam, None):  # None: the retry after a stalled run
         if lam is None:
             lam, tele["lbfgs_iterations"] = _timed(tele, "lbfgs", _lbfgs_start, cost, A, b, p)
         x, cert, its = _timed(tele, "newton", _dual_newton, lam, A, b, cost, p, tol)
@@ -131,7 +132,7 @@ def _finish(result):
 
 
 def _lbfgs_start(cost, A, b, p):
-    """L-BFGS-B dual ascent from a bounded start: Newton's initializer."""
+    """L-BFGS-B dual ascent from a bounded start: where a stalled Newton run restarts."""
     from scipy.optimize import minimize
 
     def neg_dual(lam):
@@ -171,18 +172,21 @@ def _dual_newton(lam, A, b, cost, p, tol):
     from scipy.optimize import nnls
 
     def point(lam):
-        x = _power_primal(lam, A, cost, p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = float(lam @ b - (p - 1.0) * np.sum(cost * x ** p))
+        x, ax, power, dual = _dual_point(lam, A, b, cost, p)
         # the Lagrangian at a capped x is no dual value
-        return lam, x, val if np.all(x < X_CAP) else -INFEASIBLE, A @ x
+        return lam, x, ax, dual if np.all(x < X_CAP) else -INFEASIBLE, (power, dual)
+
+    def certify(pt):
+        lam, x, ax, _, (power, dual) = pt
+        return _certificate(lam, x, ax, power, dual, b, cost, p)
 
     # A_i^+ x at lam = e_i: lam_i = (g_i / unit_i)^(p-1) closes a dead row's g_i
     pos = np.maximum(A, 0.0)
     with np.errstate(over="ignore"):
         unit = np.sum(pos * (pos / (p * cost)) ** (1.0 / (p - 1.0)), axis=1)
-    lam, x, val, ax = point(lam)
-    cert = _power_certificate(x, lam, A, b, cost, p)
+    pt = point(lam)
+    lam, x, ax, val, _ = pt
+    cert = certify(pt)
     best = (x, cert)
     it = last_gain = 0
     while (it < NEWTON_MAXITER and it - last_gain < NEWTON_STALL
@@ -216,42 +220,57 @@ def _dual_newton(lam, A, b, cost, p, tol):
         slope, t = float(g @ step), 1.0
         for _ in range(NEWTON_BACKTRACK):
             cand = point(np.maximum(lam + t * step, 0.0))
-            gain = cand[2] - val
+            gain = cand[3] - val
             rounding = 1e-14 * (1.0 + abs(val))
             if gain > rounding and gain >= 1e-4 * t * slope:
                 break
-            if abs(gain) <= rounding and _power_certificate(
-                    cand[1], cand[0], A, b, cost, p)["kkt_residual"] < cert["kkt_residual"]:
+            if abs(gain) <= rounding and certify(cand)["kkt_residual"] < cert["kkt_residual"]:
                 break
             t *= 0.5 if math.isfinite(gain) else 1e-3  # overflow: far shorter
         else:
             break
-        lam, x, val, ax = cand
-        cert = _power_certificate(x, lam, A, b, cost, p)
+        lam, x, ax, val, _ = cand
+        cert = certify(cand)
         if cert["kkt_residual"] < best[1]["kkt_residual"]:
             best, last_gain = (x, cert), it
     return best[0], best[1], it
 
 
+def _dual_point(lam, A, b, cost, p):
+    """The primal x of duals lam, A @ x, sum cost x^p and the dual value at lam."""
+    x = _power_primal(lam, A, cost, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.sum(cost * x ** p)
+        dual = float(lam @ b - (p - 1.0) * power)
+    return x, A @ x, float(power), dual
+
+
 def _power_certificate(x, lam, A, b, cost, p):
+    """``_certificate`` of x and duals lam, every input computed here."""
+    with np.errstate(over="ignore"):
+        power = float(np.sum(cost * x ** p))
+    dual = _dual_point(lam, A, b, cost, p)[3] if p > 1.0 else float(lam @ b)
+    return _certificate(lam, x, A @ x, power, dual, b, cost, p)
+
+
+def _certificate(lam, x, ax, power, dual, b, cost, p):
     """KKT-style certificate built on the duality gap.
 
-    The gap between the best feasible rescaling of x and the exact dual
-    value at lam bounds the suboptimality by weak duality; it is robust
+    ``ax`` is A @ x, ``power`` is sum cost x^p and ``dual`` the exact dual
+    value at lam.  The gap between the best feasible rescaling of x and
+    that dual value bounds the suboptimality by weak duality; it is robust
     where coordinate stationarity is noise-amplified (p near 1).
     """
-    ax = A @ x
     cert, scale = _feasibility(ax - b, lam, b)
     need = np.where(b > 0, np.where(ax > 0, b / np.maximum(ax, 1e-300), INFEASIBLE), 0.0)
     factor = max(1.0, float(np.max(need, initial=1.0)))
-    with np.errstate(over="ignore"):  # a huge rescaling: the gap is inf
-        f_feas = float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor) else INFEASIBLE
-    if p > 1.0:
-        x_dual = _power_primal(lam, A, cost, p)
-        dual_val = float(lam @ b - (p - 1.0) * np.sum(cost * x_dual ** p))
+    if factor == 1.0:
+        f_feas = power
     else:
-        dual_val = float(lam @ b)
-    gap = max(0.0, f_feas - dual_val)
+        with np.errstate(over="ignore"):  # a huge rescaling: the gap is inf
+            f_feas = (float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor)
+                      else INFEASIBLE)
+    gap = max(0.0, f_feas - dual)
     gap_rel = gap / (1.0 + abs(f_feas)) if math.isfinite(f_feas) else INFEASIBLE
     cert["duality_gap"] = gap if math.isfinite(f_feas) else "unbounded"
     cert["kkt_residual"] = max(cert["kkt_residual"], gap_rel)
@@ -268,11 +287,15 @@ def _feasibility(slacks, lam, b):
 
 
 def _solve_lp_min(cost, A, b, tol):
-    """min cost @ x s.t. A x >= b, x >= 0 (vertex optimum via HiGHS)."""
+    """min cost @ x s.t. A x >= b, x >= 0 (vertex optimum via HiGHS).
+
+    HiGHS gets A as a sparse matrix: a dense -A would copy every row.
+    """
     from scipy.optimize import linprog
+    from scipy.sparse import csr_array
     m, n = A.shape
     tele = _telemetry("highs", [m])
-    res = _timed(tele, "highs", lambda: linprog(c=cost, A_ub=-A, b_ub=-b,
+    res = _timed(tele, "highs", lambda: linprog(c=cost, A_ub=-csr_array(A), b_ub=-b,
                                                  bounds=[(0.0, None)] * n, method="highs"))
     if not res.success:
         partial = SolveResult(INFEASIBLE, np.zeros(n), {
@@ -292,15 +315,17 @@ def _solve_lp_min(cost, A, b, tol):
 def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     """Solve the separable power program by generating violated rows.
 
-    ``rows`` is the full (possibly large) constraint matrix.  The working
-    set starts from the most-violated row at x = 0; each round solves it
-    and adds the most-violated row and every row violated by at least
-    half as much (ties to the lowest index).  The first round starts
-    cold, each later one warm from the last duals, zeros for new rows.
-    The certificate carries the last solve's ``duality_gap`` (zero duals
-    on the other rows extend its dual to the full program), the summed
-    ``iterations`` and ``rounds``; ``telemetry`` sums the rounds' and
-    lists the working-set size per round.
+    ``rows`` is the full (possibly large) constraint matrix.  For p > 1
+    the working set starts from the most-violated row at x = 0; each
+    round solves it and adds the most-violated row and every row violated
+    by at least half as much (ties to the lowest index).  The first round
+    starts Newton from zero duals, each later one from the last duals,
+    zeros for new rows.  p = 1 is a linear program whose rows are all in
+    memory: its first working set is every row, so one HiGHS solve ends
+    the loop.  The certificate carries the last solve's ``duality_gap``
+    (zero duals on the other rows extend its dual to the full program),
+    the summed ``iterations`` and ``rounds``; ``telemetry`` sums the
+    rounds' and lists the working-set size per round.
     """
     rows, b = np.asarray(rows, dtype=float), np.asarray(b, dtype=float)
     m, n = rows.shape
@@ -308,13 +333,14 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
         x = np.zeros(n)
         return SolveResult(0.0, x, _power_certificate(x, np.zeros(m), rows, b, np.asarray(cost),
                                                       p), tol, _telemetry("trivial", []))
-    active = [int(np.argmax(b))]
+    active = list(range(m)) if p == 1.0 else [int(np.argmax(b))]
     in_active = set(active)
-    lam = None
+    lam = np.zeros(len(active))
     tele = _telemetry("", [])
     scale = 1.0 + float(np.max(np.abs(b)))
     for rounds in range(1, m + 2):
-        sub = solve_separable_power(cost, rows[active], b[active], p, tol, lam)
+        A = rows if p == 1.0 else rows[active]  # p = 1: every row, uncopied
+        sub = solve_separable_power(cost, A, b[active], p, tol, lam)
         _add_telemetry(tele, sub.telemetry)
         x = sub.minimizer
         viol = b - rows @ x

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -397,3 +400,40 @@ def test_criteria_incoherence_exits_2(tmp_path, capsys, monkeypatch):
                "--p", "1"])
     assert rc == 2
     assert "criteria coherence violated" in capsys.readouterr().err
+
+
+# -- one parser per process -------------------------------------------------------------
+
+
+def test_invalid_argv_exits_2_after_a_valid_call(tmp_path, capsys, sample_fn):
+    _, path = sample_fn
+    valid = ["--out", str(tmp_path), "norm", "--space", "lp:2", "--fn", str(path)]
+    assert main(valid) == 0
+    first = capsys.readouterr().out
+    assert main(["--out", str(tmp_path), "norm", "--space", "lp:2"]) == 2
+    assert main(["--out", str(tmp_path), "no-such-command"]) == 2
+    assert main(["--out", str(tmp_path), "--format", "xml", "norm"]) == 2
+    capsys.readouterr()
+    assert main(valid) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_calls_in_a_row_match_fresh_processes(tmp_path, capsys, sample_fn):
+    # a flag or default of one call must not reach the next
+    _, path = sample_fn
+    calls = [["norm", "--space", "lorentz:3,1", "--fn", str(path)],
+             ["--format", "csv", "criteria", "--space", "lorentz:3,2", "--p", "2", "--complete"],
+             ["criteria", "--space", "lorentz:3,2", "--p", "2"],
+             ["rearrange", "--fn", str(path)]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for k, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        assert main(["--out", str(here), *argv]) == 0
+        proc = subprocess.run([sys.executable, "-m", "rikit.cli", "--out", str(fresh), *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert capsys.readouterr().out == proc.stdout
+        files = sorted(f.name for f in fresh.iterdir())
+        assert sorted(f.name for f in here.iterdir()) == files
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rikit.cli import main
 from rikit.rearrange import GridFn, WeightedSamples, superlevel_family
@@ -105,6 +107,21 @@ def test_norm_of_non_decreasing_gridfn_rearranges():
     for spec in ALL_SPECS:
         assert norm(bumpy, spec) == pytest.approx(norm(sorted_fn, spec),
                                                   rel=1e-12), spec.family
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 10.0)),
+                      min_size=1, max_size=20))
+# lorentz(2, 4) took pow of the strided values one ulp apart
+@example(cells=list(zip([1.8, 1.7, 2.8, 1.2, 0.6, 2.6], [9.0, 7.9, 6.4, 6.1, 2.1, 0.6])))
+def test_norm_ignores_the_memory_layout_of_values(cells):
+    widths, vals = np.array(cells).T
+    edges = np.concatenate(([0.0], np.cumsum(widths)))
+    strided = np.sort(vals)[::-1]
+    for spec in ALL_SPECS:
+        got = norm(GridFn(edges, strided), spec)
+        want = norm(GridFn(edges, strided.copy()), spec)
+        assert float(got).hex() == float(want).hex(), spec.family
 
 
 def test_cli_norm_accepts_gridfn_file(tmp_path, capsys):

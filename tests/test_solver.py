@@ -9,13 +9,15 @@ asked for is 1e-9 relative plus twice the recorded residual.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rikit.metric as metric
 import rikit.solver as solver
 from rikit.errors import SolverStall
 from rikit.metric import (
@@ -154,10 +156,9 @@ def test_warm_rounds_never_call_lbfgs(p, monkeypatch):
     monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
     for n in (8, 12, 16, 20):
         minimal_hajlasz(path_space(n), ramp(n), p)
-    warm = [c for is_warm, c in rounds if is_warm]
-    cold = [c for is_warm, c in rounds if not is_warm]
-    assert len(cold) == 4 and all(c == 1 for c in cold)
-    assert len(warm) >= 8 and not any(warm)
+    # every round, the first too, starts Newton from given duals
+    assert len(rounds) >= 12 and all(given for given, _ in rounds)
+    assert not any(c for _, c in rounds)
 
 
 def test_telemetry_survives_json():
@@ -169,7 +170,7 @@ def test_telemetry_survives_json():
     assert tele["working_set"][-1] == len(cert["active_set"])
     assert cert["iterations"] == tele["lbfgs_iterations"] + tele["newton_iterations"]
     assert isinstance(cert["iterations"], int)
-    assert set(tele["wall_s"]) == {"lbfgs", "newton"}
+    assert set(tele["wall_s"]) == {"newton"}
     assert json.loads(json.dumps(res.to_dict()))["telemetry"] == tele
     lp = modulus(path_space(6), CurveFamily.path_subpaths(6), 1.0)
     assert lp.telemetry["stage"] == "highs" and "highs" in lp.telemetry["wall_s"]
@@ -250,3 +251,102 @@ def test_random_separable_programs_certify(prog):
     assert warm.optimum == pytest.approx(cold.optimum, rel=1e-6, abs=1e-12)
     assert gen.optimum == pytest.approx(cold.optimum, rel=1e-6, abs=1e-12)
     assert math.isfinite(cold.optimum)
+
+
+# -- p = 1 as one LP, and one evaluation per dual point ---------------------------------
+
+
+def _walks(n):
+    return st.lists(st.integers(0, n - 1), min_size=2, max_size=5).filter(
+        lambda v: all(a != b for a, b in zip(v, v[1:])))
+
+
+@st.composite
+def lp_programs(draw):
+    """A p = 1 program: random rows, or a modulus or Hajlasz program's rows."""
+    kind = draw(st.sampled_from(["rows", "modulus", "hajlasz"]))
+    if kind == "rows":
+        cost, A, b, _ = draw(separable_programs())
+        return lambda: metric.constraint_generation(cost, A, b, 1.0)
+    n = draw(st.integers(3, 9))
+    weights = np.array([draw(st.floats(0.2, 3.0)) for _ in range(n)])
+    space = draw(st.sampled_from([path_space(n, draw(st.floats(0.1, 2.0)), weights),
+                                  grid_space(3, 3), tree_space(2, 2)]))
+    if kind == "modulus":
+        curves = draw(st.lists(_walks(space.n), min_size=1, max_size=12))
+        return lambda: modulus(space, CurveFamily([Curve(tuple(c)) for c in curves]), 1.0)
+    u = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(space.n)])
+    return lambda: minimal_hajlasz(space, u, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lp_programs())
+def test_p1_is_one_lp_over_every_row(program):
+    seen = []
+
+    def recording(cost, rows, b, p, tol=solver.DEFAULT_TOL):
+        seen.append((np.asarray(cost, dtype=float), rows, b))
+        return constraint_generation(cost, rows, b, p, tol)
+
+    with mock.patch.object(metric, "constraint_generation", recording):
+        res = program()
+    (cost, A, b), = seen
+    assume(np.any(b > 0))  # else the trivial branch: no LP at all
+    m = len(b)
+    lp = scipy.optimize.linprog(cost, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * A.shape[1],
+                                method="highs")
+    cert = res.certificate
+    assert cert["rounds"] == 1 and cert["active_set"] == list(range(m))
+    assert len(cert["slacks"]) == len(cert["duals"]) == m
+    assert np.array_equal(cert["slacks"], A @ res.minimizer - b)
+    assert np.all(cert["duals"] >= 0.0)
+    assert cert["kkt_residual"] <= res.tolerance
+    assert res.optimum == pytest.approx(lp.fun, rel=1e-9, abs=0.0)
+
+
+def _same_bits(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    return a == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(separable_programs(), st.integers(0, 2**32 - 1))
+def test_newton_certificates_match_a_fresh_certificate(prog, seed):
+    # the certificate takes x, A @ x, sum c x^p and the dual value from the
+    # dual point Newton evaluated; recomputed from (x, lam) alone, every
+    # entry has the same bits
+    cost, A, b, p = prog
+    built = []
+    certificate = solver._certificate
+
+    def recording(lam, x, *rest):
+        cert = certificate(lam, x, *rest)
+        built.append((lam, x, cert))
+        return cert
+
+    starts = [np.zeros(len(b)), np.random.default_rng(seed).uniform(0.0, 3.0, len(b))]
+    with mock.patch.object(solver, "_certificate", recording):
+        for lam in starts:
+            solver._dual_newton(lam, A, b, cost, p, solver.DEFAULT_TOL)
+    assert len(built) >= 2
+    for lam, x, cert in built:
+        fresh = solver._power_certificate(x, lam, A, b, cost, p)
+        assert cert.keys() == fresh.keys()
+        for key in cert:
+            assert _same_bits(cert[key], fresh[key]), key
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 3.0])
+def test_hajlasz_paths_never_call_minimize(p, monkeypatch):
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize was called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+    for n in range(8, 21):
+        for u in (ramp(n), np.sin(np.arange(n) / 3.0), np.cumsum(wave(n))):
+            res = minimal_hajlasz(path_space(n), u, p)
+            assert res.telemetry["lbfgs_iterations"] == 0
+            assert res.certificate["kkt_residual"] <= res.tolerance

@@ -25,8 +25,10 @@ from .spaces import (
     PsiMajorantPhi,
     _MaxPhi,
     _dyadic_integral,
-    _gauss_log,
+    _gauss_log_rows,
     _mp_values,
+    _rowwise,
+    _sum_in_order,
     geometric_grid,
     norm,
 )
@@ -354,7 +356,8 @@ def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
 
 
 def _inv_power_piece(a, b, kind, params, p):
-    """int_a^b phi(s)^{-p} ds for a single shape piece; inf on divergence."""
+    """int_a^b phi(s)^{-p} ds for a single shape piece; inf on divergence.
+    A generic piece comes here only from 0; criterion_B batches the rest."""
     if kind == "power":
         c, alpha = params
         if alpha == 0.0:
@@ -378,19 +381,7 @@ def _inv_power_piece(a, b, kind, params, p):
             return (math.log(c + m * b) - math.log(c + m * a)) / m
         return ((c + m * b) ** (1 - p) - (c + m * a) ** (1 - p)) / (m * (1 - p))
     fn = params
-    if a <= 0:
-        return _dyadic_integral(lambda s: np.asarray(fn(s)) ** (-p), b)
-    return _gauss_log(lambda s: np.asarray(fn(s)) ** (-p) * s, a, b)
-
-
-def _phi_inv_power_integral(phi, lo, hi, p):
-    """int_lo^hi phi(s)^{-p} ds, exact per piece; inf on divergence."""
-    total = 0.0
-    for (a, b, kind, params) in phi.pieces(lo, hi):
-        total += _inv_power_piece(a, b, kind, params, p)
-        if not math.isfinite(total):
-            return INF
-    return total
+    return _dyadic_integral(lambda s: np.asarray(fn(s)) ** (-p), b)
 
 
 def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
@@ -398,6 +389,11 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
 
     Finiteness certifies weak boundedness of M_p between weak Marcinkiewicz
     spaces on sets of finite measure; divergence is flagged as inf.
+
+    The inner integral sweeps the segments between grid points: the generic
+    pieces of all segments are one _gauss_log_rows batch, and each segment
+    adds its pieces in order, bit-identical to a segment-by-segment sweep
+    whenever phi acts elementwise.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -418,14 +414,30 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
         [delta],
     )))
     ts = ts[(ts > 0) & (ts <= delta)]
-    # one cumulative sweep for the inner integral at every grid point
+    segments, fns, qa, qb = [], [], [], []
+    a = 0.0
+    for b in ts.tolist():
+        terms = []
+        segments.append(terms)
+        for (x0, x1, kind, params) in phi.pieces(a, b):
+            if kind == "generic" and x0 > 0:
+                terms.append(None)
+                fns.append(params)
+                qa.append(x0)
+                qb.append(x1)
+            else:
+                terms.append(_inv_power_piece(x0, x1, kind, params, p))
+                if not math.isfinite(terms[-1]):
+                    return INF
+        a = b
+    quad = _gauss_log_rows(lambda s, r: _rowwise(fns[r], s) ** (-p) * s, qa, qb)
     inners = np.empty(len(ts))
-    total, a = 0.0, 0.0
-    for j, b in enumerate(ts.tolist()):
-        total += _phi_inv_power_integral(phi, a, b, p)
+    total = 0.0
+    for j, seg in enumerate(_sum_in_order(segments, quad)):
+        total += seg
         if not math.isfinite(total):
             return INF
-        inners[j], a = total, b
+        inners[j] = total
     vals = np.asarray(phi(ts), dtype=float) ** p * inners / ts
     best = float(np.max(vals))
     # refinement-doubling check toward zero (values on descending quarters)
@@ -452,19 +464,26 @@ def m_phi(phi: FundamentalFn, s) -> float:
     return float(_m_phi_at(phi, np.asarray([s], dtype=float))[0])
 
 
+_M_PHI_GRID = geometric_grid(1e-12, 1.0, 192)
+
+
 def _m_phi_at(phi, ss):
     """m_phi at every s in ss at once, each over its own grid.
 
     The grid of one s is a shared base (192 geometric points, phi's kinks
-    and 1) joined with phi's kinks divided by s, all within (0, 1].
+    and 1) joined with phi's kinks divided by s, all within (0, 1].  phi
+    runs once on the shared base, bit-identical to a run per s whenever phi
+    acts elementwise.
     """
     kinks = phi.kinks(1e-12, 1.0)
-    base = np.unique(np.concatenate((geometric_grid(1e-12, 1.0, 192), kinks, [1.0])))
+    base = np.unique(np.concatenate((_M_PHI_GRID, kinks, [1.0])))
     base = base[(base > 0) & (base <= 1.0)]
     ss = ss[:, None]
-    ts = np.concatenate((np.broadcast_to(base, (len(ss), len(base))), kinks / ss),
-                        axis=1)
-    num = np.asarray(phi(ts.ravel()), dtype=float).reshape(ts.shape)
+    own = kinks / ss
+    ts = np.concatenate((np.broadcast_to(base, (len(ss), len(base))), own), axis=1)
+    num = np.concatenate((
+        np.broadcast_to(np.asarray(phi(base), dtype=float), (len(ss), len(base))),
+        np.asarray(phi(own.ravel()), dtype=float).reshape(own.shape)), axis=1)
     den = np.asarray(phi((ss * ts).ravel()), dtype=float).reshape(ts.shape)
     ratios = num / np.maximum(den, 1e-300)
     return np.max(np.where((ts > 0) & (ts <= 1.0), ratios, -INF), axis=1)

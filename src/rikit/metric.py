@@ -408,8 +408,7 @@ def single_curve_modulus_oracle(space: MMS, curve: Curve, p):
     return math.exp(-(p - 1.0) * log_s), rho
 
 
-def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p,
-                           tol=1e-8) -> SolveResult:
+def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p) -> SolveResult:
     """min ||g||_{p,mu} over g >= 0 satisfying the curve constraints.
 
     The optimum is the weighted p-norm of the minimizer (attained; the
@@ -421,7 +420,7 @@ def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p,
     # (len(curves), n) rows, also for an empty family
     rows = np.reshape([_edge_weights(space, c) for c in curves], (len(curves), space.n))
     b = np.asarray([_endpoint_drop(u, c) for c in curves], dtype=float)
-    res = constraint_generation(space.weights, rows, b, float(p), tol)
+    res = constraint_generation(space.weights, rows, b, float(p), 1e-8)
     power_opt = res.optimum
     res.optimum = power_opt ** (1.0 / p) if p > 1 else power_opt
     res.certificate["objective"] = "weighted p-norm"

@@ -143,15 +143,16 @@ def sharp_maximal(space: MMS, u) -> np.ndarray:
     return out
 
 
-def check_hajlasz(space: MMS, u, h, tol=1e-7):
-    """Verify |u(x) - u(y)| <= d(x, y)(h(x) + h(y)) on every pair; the
-    first violating pair i < j in row-major order raises HajlaszViolated."""
+def check_hajlasz(space: MMS, u, h):
+    """Verify |u(x) - u(y)| <= d(x, y)(h(x) + h(y)) on every pair, up to
+    1e-7 (1 + max |u|); the first violating pair i < j in row-major order
+    raises HajlaszViolated."""
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
     scale = 1.0 + float(np.max(np.abs(u[np.isfinite(u)]), initial=0.0))
     lhs = np.abs(u[:, None] - u[None, :])
     rhs = space.dist * (h[:, None] + h[None, :])
-    bad = np.triu(lhs > rhs + tol * scale, 1)
+    bad = np.triu(lhs > rhs + 1e-7 * scale, 1)
     if np.any(bad):
         i, j = map(int, np.argwhere(bad)[0])
         raise HajlaszViolated((i, j), float(lhs[i, j] - rhs[i, j]))
@@ -304,8 +305,10 @@ def lipschitz_truncation(space: MMS, u, h, spec: NormSpec,
     return result
 
 
-def _check_lip_trunc(space: MMS, u, res: LipTruncResult, tol=1e-9):
-    """Check the three invariants of a truncation result on every pair."""
+def _check_lip_trunc(space: MMS, u, res: LipTruncResult):
+    """Check the three invariants of a truncation result on every pair,
+    each up to a relative 1e-9."""
+    tol = 1e-9
     ue = res.u_eps
     L = res.lipschitz_constant
     if not float(np.max(np.abs(ue))) <= res.sigma + tol:

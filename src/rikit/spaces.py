@@ -561,7 +561,7 @@ class _LambdaQFundamental(FundamentalFn):
         if _has_generic_piece(self.phi, 0.0, float(np.max(ts, initial=0.0))):
             out = self._swept(ts)
         else:
-            out = np.array([_phi_weight_integral(self.phi, 0.0, x, self.q) for x in ts])
+            out = _phi_weight_rows(self.phi, np.zeros(len(ts)), ts, self.q)
         out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
         return float(out[0]) if scalar else out
 
@@ -569,9 +569,8 @@ class _LambdaQFundamental(FundamentalFn):
         """int_0^t phi^q ds/s at every t, swept over the sorted points.
 
         One head integral runs up to the smallest point; each gap between
-        sorted neighbours (phi's kinks added, so no gap straddles one) takes
-        four Gauss panels on the log axis, all in one phi call; a cumulative
-        sum joins them.
+        sorted neighbours (phi's kinks added, so no gap straddles one) is one
+        row of a _gauss_log_rows batch; a cumulative sum joins them.
         """
         out = np.zeros(len(ts))
         pos = ts > 0
@@ -583,13 +582,9 @@ class _LambdaQFundamental(FundamentalFn):
             out[pos] = INF
             return out
         knots = np.unique(np.concatenate((ts[pos], self.phi.kinks(lo, hi))))
-        logs = np.log(knots)
-        cuts = np.linspace(logs[:-1], logs[1:], 5, axis=1)
-        mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-        half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
-        xs = np.exp(mid[..., None] + half[..., None] * _GAUSS_X)
-        vals = np.asarray(self.phi(xs.ravel()), dtype=float).reshape(xs.shape) ** self.q
-        gaps = np.sum(half * (vals @ _GAUSS_W), axis=1)
+        gaps = _gauss_log_rows(
+            lambda t, rows: np.asarray(self.phi(t.ravel()), dtype=float).reshape(t.shape)
+            ** self.q, knots[:-1], knots[1:])
         cum = head + np.concatenate(([0.0], np.cumsum(gaps)))
         out[pos] = cum[np.searchsorted(knots, ts[pos])]
         return out
@@ -909,56 +904,129 @@ def _norm_lambda_phi(ustar, phi):
 
 def _phi_weight_integral(phi, a, b, q):
     """Exact-ish integral of phi(t)^q / t over (a, b); inf on divergence."""
-    if b <= a:
-        return 0.0
-    total = 0.0
-    for (x0, x1, kind, params) in phi.pieces(a, b):
-        if kind == "power":
-            c, alpha = params
-            if alpha > 0:
-                e = q * alpha
-                lo_term = x0 ** e if x0 > 0 else 0.0
-                with np.errstate(over="ignore"):  # a tiny e: past the float range, inf
-                    total += c ** q * (x1 ** e - lo_term) / e
-            else:
-                if x0 <= 0:
-                    return INF if c > 0 else total
-                total += c ** q * math.log(x1 / x0)
-        elif kind == "affine":
-            c, m = params
-            if c == 0.0:
-                if m == 0.0:
-                    continue
-                e = q
-                lo_term = x0 ** e if x0 > 0 else 0.0
-                total += m ** q * (x1 ** e - lo_term) / e
-            else:
-                if x0 <= 0:
-                    return INF
-                total += _gauss_log(lambda t: (c + m * t) ** q, x0, x1)
+    return _phi_weight_rows(phi, [a], [b], q)[0]
+
+
+def _phi_weight_rows(phi, lo, hi, q):
+    """int phi(t)^q / t over every interval (lo[i], hi[i]); inf on divergence.
+
+    Closed-form pieces stay scalar; the quadrature pieces of all intervals
+    are one _gauss_log_rows batch, and each interval adds its pieces in
+    order.  So each weight is bit-identical to integrating its interval
+    alone whenever phi acts elementwise.
+    """
+    rows, fns, qa, qb = [], [], [], []
+    with np.errstate(over="ignore"):  # a tiny e: past the float range, inf
+        for a, b in zip(lo, hi):
+            terms = []
+            rows.append(terms)
+            if b <= a:
+                continue
+            for (x0, x1, kind, params) in phi.pieces(a, b):
+                if kind == "power":
+                    c, alpha = params
+                    if alpha > 0:
+                        e = q * alpha
+                        lo_term = x0 ** e if x0 > 0 else 0.0
+                        terms.append(c ** q * (x1 ** e - lo_term) / e)
+                    elif x0 <= 0:
+                        if c > 0:
+                            terms.append(INF)
+                        break
+                    else:
+                        terms.append(c ** q * math.log(x1 / x0))
+                elif kind == "affine" and params[0] == 0.0:
+                    m = params[1]
+                    if m != 0.0:
+                        lo_term = x0 ** q if x0 > 0 else 0.0
+                        terms.append(m ** q * (x1 ** q - lo_term) / q)
+                elif x0 > 0:  # an affine piece c + m t, or a generic callable
+                    terms.append(None)
+                    fns.append(params)
+                    qa.append(x0)
+                    qb.append(x1)
+                elif kind == "affine":
+                    terms.append(INF)
+                    break
+                else:
+                    fn = params
+                    val = _dyadic_integral(lambda t: np.asarray(fn(t)) ** q / t, x1)
+                    if not math.isfinite(val):
+                        terms.append(INF)
+                        break
+                    terms.append(val)
+        quad = _gauss_log_rows(lambda t, r: _rowwise(fns[r], t) ** q, qa, qb)
+    return np.asarray(_sum_in_order(rows, quad))
+
+
+def _rowwise(fns, t):
+    """fns[i] at the nodes t[i] of every row of the 2-D array t.
+
+    An entry is a shape callable, run once on all its rows, or the pair
+    (c, m) of an affine piece c + m t.
+    """
+    out = np.empty(t.shape)
+    groups = {}
+    for i, fn in enumerate(fns):
+        groups.setdefault(fn if callable(fn) else None, []).append(i)
+    for fn, rows in groups.items():
+        if fn is None:
+            c, m = np.asarray([fns[i] for i in rows], dtype=float).T
+            out[rows] = c[:, None] + m[:, None] * t[rows]
         else:
-            fn = params
-            if x0 <= 0:
-                val = _dyadic_integral(lambda t: np.asarray(fn(t)) ** q / t, x1)
-                if not math.isfinite(val):
-                    return INF
-                total += val
-            else:
-                total += _gauss_log(lambda t: np.asarray(fn(t)) ** q, x0, x1)
-    return total
+            out[rows] = np.asarray(fn(t[rows].ravel()), dtype=float).reshape(len(rows), -1)
+    return out
 
 
-def _gauss_log(f_of_t, a, b, panels=4):
-    """Integral of f(t)/t over (a, b) via Gauss nodes on the log axis."""
-    la, lb = math.log(a), math.log(b)
-    cuts = np.linspace(la, lb, panels + 1)
-    total = 0.0
-    for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (c0 + c1)
-        half = 0.5 * (c1 - c0)
-        xs = np.exp(mid + half * _GAUSS_X)
-        total += half * float(np.sum(_GAUSS_W * np.asarray(f_of_t(xs))))
-    return total
+def _sum_in_order(rows, quad):
+    """Each row's terms added in order; a None term takes the next quad value."""
+    values = iter(quad)
+    sums = []
+    for terms in rows:
+        total = 0.0
+        for x in terms:
+            total += next(values) if x is None else x
+        sums.append(total)
+    return sums
+
+
+# intervals per integrand call: bounds the node arrays at about 1.5 MB
+_GAUSS_BLOCK = 2048
+
+
+def _gauss_log_rows(f, a, b, panels=4):
+    """Integral of f(t)/t over every interval (a[i], b[i]), 0 < a[i] <= b[i].
+
+    ``panels`` equal pieces of log t per interval, 24 Gauss-Legendre nodes
+    each.  ``f(t, rows)`` runs once per block of up to _GAUSS_BLOCK
+    intervals: ``rows`` slices the intervals, row k of t holds the nodes of
+    interval rows[k], and f returns values in t's shape.  Panels are summed
+    over their nodes without a BLAS dot and added in order, so each row is
+    bit-identical to integrating its interval alone, panel by panel,
+    whenever f acts elementwise.
+    """
+    if not len(a):
+        return np.zeros(0)
+    # the C library's log, one endpoint at a time: numpy's vector log can
+    # round a last ulp apart from it
+    la, lb = np.array([(math.log(x), math.log(y)) for x, y in zip(a, b)]).T
+    # np.linspace(la, lb, panels + 1) row by row: k * step + la, then lb
+    cuts = np.arange(panels + 1.0) * ((lb - la) / panels)[:, None] + la[:, None]
+    cuts[:, -1] = lb
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    out = np.zeros(len(la))
+    for start in range(0, len(la), _GAUSS_BLOCK):
+        rows = slice(start, start + _GAUSS_BLOCK)
+        h = half[rows]
+        t = np.exp(mid[rows, :, None] + h[:, :, None] * _GAUSS_X)
+        vals = np.asarray(f(t.reshape(len(t), -1), rows), dtype=float).reshape(t.shape)
+        sums = h * np.add.reduce(_GAUSS_W * vals, axis=2)
+        acc = out[rows]
+        for panel in sums.T:
+            acc += panel
+    return out
 
 
 def _dyadic_integral(g, b):
@@ -979,7 +1047,8 @@ def _dyadic_integral(g, b):
     prev_piece = None
     for level in range(200):
         lo = hi / 2.0
-        piece = _gauss_log(lambda t: np.asarray(g(t)) * t, lo, hi, panels=1)
+        piece = _gauss_log_rows(lambda t, rows: np.asarray(g(t[0])) * t[0], [lo], [hi],
+                                panels=1)[0]
         total += piece
         if prev_total > 0 and total >= 2.0 * prev_total:
             doublings += 1
@@ -1005,15 +1074,18 @@ def _dyadic_integral(g, b):
 
 
 def _norm_lambda_q(ustar, phi, q):
+    """(sum_i v_i^q int_cell_i phi^q dt/t)^{1/q} over the cells of u*.
+
+    All nonzero cells' weights are one _phi_weight_rows batch, summed in
+    cell order: bit-identical to weighting one cell at a time.
+    """
     if ustar.tail > 0:
         return INF
     e = ustar.edges
     v = ustar.values
+    cells = np.flatnonzero(v != 0.0)
     total = 0.0
-    for i in range(len(v)):
-        if v[i] == 0.0:
-            continue
-        w = _phi_weight_integral(phi, e[i], e[i + 1], q)
+    for i, w in zip(cells, _phi_weight_rows(phi, e[cells], e[cells + 1], q)):
         if not math.isfinite(w):
             return INF
         if not math.isfinite(v[i]):

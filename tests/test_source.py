@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -59,7 +60,7 @@ def _minimize_users(tree):
 
 def test_one_solver_path():
     # every program runs through solve_separable_power: no SLSQP anywhere,
-    # and scipy's minimize only brings a cold dual Newton start near
+    # and scipy's minimize runs only as the retry after a stalled Newton run
     users = set()
     for path in SRC:
         text = path.read_text()
@@ -81,6 +82,62 @@ def test_sup_norms_have_no_python_loops():
     loops = [(name, node.lineno) for name, fn in bodies.items()
              for node in ast.walk(fn) if isinstance(node, _LOOPS)]
     assert not loops, f"loops at {loops}"
+
+
+def _functions(tree):
+    """(name, node) of every top-level function and method of a top-level class."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{node.name}", node) for node in top.body
+                        if isinstance(node, ast.FunctionDef))
+
+
+def _per_iteration(loop):
+    """The parts of a loop or comprehension that run once per iteration."""
+    if isinstance(loop, (ast.For, ast.While)):
+        parts = loop.body + loop.orelse + ([loop.test] if isinstance(loop, ast.While) else [])
+    else:
+        parts = [getattr(loop, f) for f in ("elt", "key", "value") if hasattr(loop, f)]
+        parts += [cond for gen in loop.generators for cond in gen.ifs]
+        parts += [gen.iter for gen in loop.generators[1:]]
+    return parts
+
+
+# the log-axis quadrature and the per-interval weights built on it
+_QUADRATURE = {"_gauss_log_rows", "_phi_weight_rows", "_phi_weight_integral"}
+
+
+def test_no_loop_calls_the_quadrature_kernel():
+    # intervals, cells and segments go to the kernel in one batch; only the
+    # dyadic refinement toward 0 runs its levels one after another, since a
+    # level decides whether the next one runs
+    calls = []
+    for path in SRC:
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for loop in ast.walk(fn):
+                if not isinstance(loop, _LOOPS):
+                    continue
+                for part in _per_iteration(loop):
+                    for node in ast.walk(part):
+                        if isinstance(node, ast.Call):
+                            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                            if callee in _QUADRATURE:
+                                calls.append((path.name, name, callee, node.lineno))
+    assert {(f, n, c) for f, n, c, _ in calls} == {
+        ("spaces.py", "_dyadic_integral", "_gauss_log_rows")}, calls
+
+
+def test_one_quadrature_kernel():
+    # only the kernel reads the Gauss-Legendre nodes and weights
+    readers = set()
+    for path in SRC:
+        for name, fn in _functions(ast.parse(path.read_text())):
+            if any(isinstance(node, ast.Name) and node.id in ("_GAUSS_X", "_GAUSS_W")
+                   for node in ast.walk(fn)):
+                readers.add((path.name, name))
+    assert readers == {("spaces.py", "_gauss_log_rows")}
 
 
 def _definitions(tree):
@@ -116,3 +173,42 @@ def test_every_definition_is_used():
               for name in _definitions(ast.parse(path.read_text()))
               if name not in used and not name.startswith("__")]
     assert not unused, f"never referenced: {unused}"
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position or None) of every defaulted parameter
+    of a module-level function."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            args = top.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield top.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield top.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a knob that does nothing: inline
+    # its value.  A call matches by the callee's name; it passes a parameter
+    # by keyword, by **kwargs, or by enough positional arguments (*args
+    # counts as all of them).
+    root = SRC_DIR.parent
+    keywords, reach = set(), {}
+    for folder in ("src", "tests", "bench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords.update((name, kw.arg) for kw in node.keywords)
+                n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+                reach[name] = max(reach.get(name, 0), n)
+    unused = [f"{path.name}:{fn}({arg})" for path in SRC
+              for fn, arg, i in _defaulted_parameters(ast.parse(path.read_text()))
+              if (fn, arg) not in keywords and (fn, None) not in keywords
+              and not (i is not None and reach.get(fn, 0) > i)]
+    assert not unused, f"never passed: {unused}"

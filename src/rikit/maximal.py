@@ -4,7 +4,8 @@ boundedness criteria behind the Lipschitz-density verdicts.
 Half-line operators act on decreasing GridFns with exact cell calculus;
 the metric-space maximal operator enumerates the O(n^2) distinct balls by
 brute force.  Index estimates are labelled exact or not; the criteria
-report certifies an index inequality from exact indices only.
+report certifies an index inequality from exact indices only.  Powers of a
+shape are integrated over its pieces in spaces._power_integral_rows alone.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from .spaces import (
     PsiMajorantPhi,
     _MaxPhi,
     _dyadic_integral,
-    _gauss_log_rows,
     _mp_values,
-    _rowwise,
-    _sum_in_order,
+    _power_integral_rows,
     geometric_grid,
     norm,
 )
@@ -305,7 +304,7 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
     divisors = np.concatenate(([1.0], 1.0 / s_grid))
     bases, dilated = [], []
     for f in _BOYD_CANDIDATES if candidates is None else candidates:
-        if not f.is_decreasing(tol=0.0):
+        if not f.is_decreasing():
             raise ValueError("Boyd candidates must be decreasing GridFns")
         vals = rows(f, spec, divisors) if rows is not None else [norm(f, spec)]
         base = float(vals[0])
@@ -355,45 +354,16 @@ def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
 # ---------------------------------------------------------------------------
 
 
-def _inv_power_piece(a, b, kind, params, p):
-    """int_a^b phi(s)^{-p} ds for a single shape piece; inf on divergence.
-    A generic piece comes here only from 0; criterion_B batches the rest."""
-    if kind == "power":
-        c, alpha = params
-        if alpha == 0.0:
-            return INF if c <= 0 else c ** (-p) * (b - a)
-        e = 1.0 - alpha * p
-        if a <= 0 and e <= 0:
-            return INF
-        lo = a ** e if a > 0 else 0.0
-        return c ** (-p) * (b ** e - lo) / e
-    if kind == "affine":
-        c, m = params
-        if m == 0.0:
-            return INF if c <= 0 else c ** (-p) * (b - a)
-        if c == 0.0:
-            e = 1.0 - p
-            if a <= 0 and e <= 0:
-                return INF
-            lo = a ** e if a > 0 else 0.0
-            return m ** (-p) * (b ** e - lo) / e
-        if p == 1.0:
-            return (math.log(c + m * b) - math.log(c + m * a)) / m
-        return ((c + m * b) ** (1 - p) - (c + m * a) ** (1 - p)) / (m * (1 - p))
-    fn = params
-    return _dyadic_integral(lambda s: np.asarray(fn(s)) ** (-p), b)
-
-
 def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     """sup_{0<t<delta} phi(t)^p (1/t) int_0^t phi(s)^{-p} ds.
 
     Finiteness certifies weak boundedness of M_p between weak Marcinkiewicz
     spaces on sets of finite measure; divergence is flagged as inf.
 
-    The inner integral sweeps the segments between grid points: the generic
-    pieces of all segments are one _gauss_log_rows batch, and each segment
-    adds its pieces in order, bit-identical to a segment-by-segment sweep
-    whenever phi acts elementwise.
+    The inner integral adds up the segments between grid points in order;
+    spaces._power_integral_rows integrates phi^{-p} over all of them in one
+    walk, bit-identical to a segment-by-segment sweep whenever phi acts
+    elementwise.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -414,30 +384,9 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
         [delta],
     )))
     ts = ts[(ts > 0) & (ts <= delta)]
-    segments, fns, qa, qb = [], [], [], []
-    a = 0.0
-    for b in ts.tolist():
-        terms = []
-        segments.append(terms)
-        for (x0, x1, kind, params) in phi.pieces(a, b):
-            if kind == "generic" and x0 > 0:
-                terms.append(None)
-                fns.append(params)
-                qa.append(x0)
-                qb.append(x1)
-            else:
-                terms.append(_inv_power_piece(x0, x1, kind, params, p))
-                if not math.isfinite(terms[-1]):
-                    return INF
-        a = b
-    quad = _gauss_log_rows(lambda s, r: _rowwise(fns[r], s) ** (-p) * s, qa, qb)
-    inners = np.empty(len(ts))
-    total = 0.0
-    for j, seg in enumerate(_sum_in_order(segments, quad)):
-        total += seg
-        if not math.isfinite(total):
-            return INF
-        inners[j] = total
+    inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts, -p, 1))
+    if not np.all(np.isfinite(inners)):
+        return INF
     vals = np.asarray(phi(ts), dtype=float) ** p * inners / ts
     best = float(np.max(vals))
     # refinement-doubling check toward zero (values on descending quarters)

@@ -41,9 +41,9 @@ class MMS:
     of their edge list in O(n^2 * degree) (``_certify_shortest_paths``).
     """
 
-    __slots__ = ("dist", "weights", "labels")
+    __slots__ = ("dist", "weights")
 
-    def __init__(self, dist, weights, labels=None):
+    def __init__(self, dist, weights):
         d, w = _checked(dist, weights)
         # triangle inequality within declared slack
         for k in range(len(w)):
@@ -51,7 +51,6 @@ class MMS:
                 raise ValueError("triangle inequality violated")
         self.dist = d
         self.weights = w
-        self.labels = list(labels) if labels is not None else list(range(len(w)))
 
     @classmethod
     def _graph(cls, dist, weights, edges):
@@ -61,7 +60,6 @@ class MMS:
         space = cls.__new__(cls)
         space.dist = d
         space.weights = w
-        space.labels = list(range(len(w)))
         return space
 
     @property

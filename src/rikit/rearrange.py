@@ -93,11 +93,11 @@ class GridFn:
             cand = max(cand, float(np.max(self.values)))
         return cand
 
-    def is_decreasing(self, tol=0.0):
+    def is_decreasing(self):
         if self.ncells == 0:
             return True
-        ok = bool(np.all(np.diff(self.values) <= tol))
-        return ok and self.tail <= self.values[-1] + tol
+        ok = bool(np.all(np.diff(self.values) <= 0.0))
+        return ok and self.tail <= self.values[-1]
 
     # -- exact cell calculus ----------------------------------------------
 

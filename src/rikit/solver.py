@@ -30,6 +30,9 @@ NEWTON_TAIL = 1e-4
 NEWTON_DAMP = 1e-6
 NEWTON_STALL = 20  # steps without a lower least residual before Newton gives up
 INFEASIBLE = math.inf
+# HiGHS feasibility tolerances: its 1e-7 defaults accept x = 0 for right-hand
+# sides below them
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass
@@ -296,7 +299,8 @@ def _solve_lp_min(cost, A, b, tol):
     m, n = A.shape
     tele = _telemetry("highs", [m])
     res = _timed(tele, "highs", lambda: linprog(c=cost, A_ub=-csr_array(A), b_ub=-b,
-                                                 bounds=[(0.0, None)] * n, method="highs"))
+                                                 bounds=[(0.0, None)] * n, method="highs",
+                                                 options=LP_OPTIONS))
     if not res.success:
         partial = SolveResult(INFEASIBLE, np.zeros(n), {
             "status": res.message, "duals": np.zeros(m), "kkt_residual": INFEASIBLE}, tol, tele)

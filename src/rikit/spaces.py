@@ -831,7 +831,7 @@ def _as_decreasing(u):
     if isinstance(u, WeightedSamples):
         return decreasing_rearrangement(u)
     if isinstance(u, GridFn):
-        if u.is_decreasing(tol=0.0):
+        if u.is_decreasing():
             return u
         if u.tail > 0:
             raise UnsupportedCombination(
@@ -908,55 +908,79 @@ def _phi_weight_integral(phi, a, b, q):
 
 
 def _phi_weight_rows(phi, lo, hi, q):
-    """int phi(t)^q / t over every interval (lo[i], hi[i]); inf on divergence.
+    """int phi(t)^q / t over every interval (lo[i], hi[i]); inf on divergence."""
+    return _power_integral_rows(phi, lo, hi, q, 0)
 
-    Closed-form pieces stay scalar; the quadrature pieces of all intervals
-    are one _gauss_log_rows batch, and each interval adds its pieces in
-    order.  So each weight is bit-identical to integrating its interval
-    alone whenever phi acts elementwise.
+
+def _power_integral_rows(phi, lo, hi, r, s):
+    """int phi(t)^r t^s dt/t over every interval (lo[i], hi[i]); inf on divergence.
+
+    The one walker over a shape's pieces: the Lambda^q weights take r = q,
+    s = 0 and criterion_B's segments r = -p, s = 1.  Closed-form pieces
+    (_piece_integral) stay scalar; the other pieces of all intervals are one
+    _gauss_log_rows batch, or a dyadic refinement from 0.  Each interval adds
+    its pieces in order and stops at the first inf, so each value is
+    bit-identical to integrating its interval alone whenever phi acts
+    elementwise.
     """
     rows, fns, qa, qb = [], [], [], []
-    with np.errstate(over="ignore"):  # a tiny e: past the float range, inf
+    with np.errstate(over="ignore"):  # a tiny exponent: past the float range, inf
         for a, b in zip(lo, hi):
             terms = []
             rows.append(terms)
             if b <= a:
                 continue
             for (x0, x1, kind, params) in phi.pieces(a, b):
-                if kind == "power":
-                    c, alpha = params
-                    if alpha > 0:
-                        e = q * alpha
-                        lo_term = x0 ** e if x0 > 0 else 0.0
-                        terms.append(c ** q * (x1 ** e - lo_term) / e)
-                    elif x0 <= 0:
-                        if c > 0:
-                            terms.append(INF)
-                        break
-                    else:
-                        terms.append(c ** q * math.log(x1 / x0))
-                elif kind == "affine" and params[0] == 0.0:
-                    m = params[1]
-                    if m != 0.0:
-                        lo_term = x0 ** q if x0 > 0 else 0.0
-                        terms.append(m ** q * (x1 ** q - lo_term) / q)
-                elif x0 > 0:  # an affine piece c + m t, or a generic callable
-                    terms.append(None)
+                term = _piece_integral(x0, x1, kind, params, r, s)
+                if term is None and x0 > 0:  # a quadrature row of the batch
                     fns.append(params)
                     qa.append(x0)
                     qb.append(x1)
-                elif kind == "affine":
-                    terms.append(INF)
+                elif term is None:  # a generic piece from 0
+                    term = _dyadic_integral(
+                        lambda t: np.asarray(params(t)) ** r / t ** (1 - s), x1)
+                terms.append(term)
+                if term is not None and not math.isfinite(term):
                     break
-                else:
-                    fn = params
-                    val = _dyadic_integral(lambda t: np.asarray(fn(t)) ** q / t, x1)
-                    if not math.isfinite(val):
-                        terms.append(INF)
-                        break
-                    terms.append(val)
-        quad = _gauss_log_rows(lambda t, r: _rowwise(fns[r], t) ** q, qa, qb)
+        quad = _gauss_log_rows(lambda t, rows: _rowwise(fns[rows], t) ** r * t ** s, qa, qb)
     return np.asarray(_sum_in_order(rows, quad))
+
+
+def _piece_integral(x0, x1, kind, params, r, s):
+    """int phi(t)^r t^s dt/t over one piece (x0, x1) in closed form, s = 0 or 1.
+
+    A power piece c t^alpha gives c^r (x1^e - x0^e) / e with e = r alpha + s,
+    c^r log(x1/x0) at e = 0, and inf from x0 = 0 when e <= 0.  An affine
+    piece c + m t is the power m t when c = 0.  At s = 1 a constant c is the
+    power c t^0, and c + m t has the closed form of int (c + m t)^r dt.  At
+    s = 0, c + m t diverges from 0 like c^r / t, and elsewhere it takes
+    quadrature, as a generic callable does: None.
+    """
+    if kind == "affine":
+        c, m = params
+        if c == 0.0:
+            kind, params = "power", (m, 1.0)
+        elif s == 0:
+            return None if x0 > 0 else INF
+        elif m == 0.0:
+            kind, params = "power", (c, 0.0)
+        else:
+            e = r + 1
+            if e == 0:
+                return (math.log(c + m * x1) - math.log(c + m * x0)) / m
+            return ((c + m * x1) ** e - (c + m * x0) ** e) / (m * e)
+    if kind != "power":
+        return None
+    c, alpha = params
+    if c == 0.0:  # phi vanishes on the piece
+        return 0.0 if r > 0 else INF
+    e = s + r * alpha
+    if x0 <= 0 and e <= 0:
+        return INF
+    if e == 0:
+        return c ** r * math.log(x1 / x0)
+    lo_term = x0 ** e if x0 > 0 else 0.0
+    return c ** r * (x1 ** e - lo_term) / e
 
 
 def _rowwise(fns, t):

@@ -223,6 +223,16 @@ def test_criteria_cli(tmp_path, capsys):
     assert data["conditions"]["c-i"]["status"] == "true"
 
 
+def test_criteria_cli_max_space_with_a_zero_power_law_exponent(tmp_path, capsys):
+    # phi = max(t^{1/2}, t^{1/4}) at p = 2: phi^{-2} = 1/t on (1, 5), B = 2 + ln 5
+    rc = main(["--out", str(tmp_path), "criteria", "--space", "max:lp:2|lorentz:4,2",
+               "--p", "2", "--delta", "5"])
+    assert rc == 0
+    iv = json.loads((tmp_path / "criteria.json").read_text())["conditions"]["iv"]
+    assert iv["status"] == "true"
+    assert iv["certificate"]["B"] == pytest.approx(2 + math.log(5), rel=1e-12)
+
+
 def test_indices_cli(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "indices", "--space", "lp:2"])
     assert rc == 0

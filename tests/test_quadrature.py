@@ -10,6 +10,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,8 @@ def loop_inv_power_piece(a, b, kind, params, p):
         e = 1.0 - alpha * p
         if a <= 0 and e <= 0:
             return INF
+        if e == 0:
+            return c ** (-p) * math.log(b / a)
         lo = a ** e if a > 0 else 0.0
         return c ** (-p) * (b ** e - lo) / e
     if kind == "affine":
@@ -163,6 +166,8 @@ def loop_inv_power_piece(a, b, kind, params, p):
             e = 1.0 - p
             if a <= 0 and e <= 0:
                 return INF
+            if e == 0:
+                return m ** (-p) * math.log(b / a)
             lo = a ** e if a > 0 else 0.0
             return m ** (-p) * (b ** e - lo) / e
         if p == 1.0:
@@ -321,8 +326,16 @@ def test_a_tiny_power_exponent_overflows_to_inf_quietly():
 
 @settings(max_examples=40, deadline=None)
 @given(phi=SHAPES, p=st.floats(1.0, 4.0), delta=st.sampled_from([1.0, 0.3, 5.0]))
+@example(phi=psi_majorant_phi(FundamentalFn.sampled([2.0], [1.0]), 2.0,
+                              np.geomspace(1e-8, 1.0, 48)), p=1.0, delta=5.0)
 def test_criterion_B_matches_the_segment_loop(phi, p, delta):
     assert hexes(criterion_B(phi, p, delta)) == hexes(loop_criterion_B(phi, p, delta))
+
+
+def test_criterion_B_takes_the_log_where_the_power_law_exponent_is_zero():
+    # phi = t^0.3 below 1 and t^0.5 above: int_1^5 phi^{-2} = ln 5
+    phi = _MaxPhi([FundamentalFn.power(0.3), FundamentalFn.power(0.5)])
+    assert criterion_B(phi, 2.0, 5.0) == pytest.approx(2.5 + math.log(5), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rikit.metric as metric
@@ -281,6 +281,7 @@ def lp_programs(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(lp_programs())
+@example(lambda: minimal_hajlasz(path_space(3), [0, 0, 2**-24], 1.0))
 def test_p1_is_one_lp_over_every_row(program):
     seen = []
 
@@ -294,7 +295,7 @@ def test_p1_is_one_lp_over_every_row(program):
     assume(np.any(b > 0))  # else the trivial branch: no LP at all
     m = len(b)
     lp = scipy.optimize.linprog(cost, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * A.shape[1],
-                                method="highs")
+                                method="highs", options=solver.LP_OPTIONS)
     cert = res.certificate
     assert cert["rounds"] == 1 and cert["active_set"] == list(range(m))
     assert len(cert["slacks"]) == len(cert["duals"]) == m

@@ -176,18 +176,32 @@ def test_every_definition_is_used():
 
 
 def _defaulted_parameters(tree):
-    """(function, parameter, position or None) of every defaulted parameter
-    of a module-level function."""
+    """(callee, parameter, position or None) of every defaulted parameter of
+    a module-level function, a method or a constructor.
+
+    A method is called by its own name and a constructor by its class's;
+    their positions leave out self or cls, unless the method is static.
+    """
     for top in tree.body:
         if isinstance(top, ast.FunctionDef):
-            args = top.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first:], first):
-                yield top.name, arg.arg, i
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield top.name, arg.arg, None
+            yield from _defaults(top.name, top.args, 0)
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in node.decorator_list)
+                    name = top.name if node.name == "__init__" else node.name
+                    yield from _defaults(name, node.args, 0 if static else 1)
+
+
+def _defaults(name, args, skip):
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield name, arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield name, arg.arg, None
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -212,3 +226,15 @@ def test_every_defaulted_parameter_is_passed():
               if (fn, arg) not in keywords and (fn, None) not in keywords
               and not (i is not None and reach.get(fn, 0) > i)]
     assert not unused, f"never passed: {unused}"
+
+
+def test_only_spaces_walks_the_pieces_of_a_shape():
+    # one piece walker integrates the powers of phi: the other modules call
+    # it and not the pieces, the kernel or its row helpers
+    walkers = [path.name for path in SRC if path.name != "spaces.py"
+               and ".pieces(" in path.read_text()]
+    assert not walkers, f"calls .pieces(: {walkers}"
+    tree = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"_gauss_log_rows", "_rowwise", "_sum_in_order"}

@@ -322,7 +322,7 @@ def loop_boyd(spec, candidates, s_grid):
     """The per-dilation loop that the row evaluator replaced in the Boyd sweep."""
     usable = []
     for f in candidates:
-        if not f.is_decreasing(tol=0.0):
+        if not f.is_decreasing():
             raise ValueError("Boyd candidates must be decreasing GridFns")
         base = norm(f, spec)
         if base > 0 and math.isfinite(base):

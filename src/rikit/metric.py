@@ -9,6 +9,7 @@ monotone in g.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -305,15 +306,29 @@ def parse_generator(text):
 # -- curve integrals and upper gradients -----------------------------------------
 
 
+def _family_rows(space: MMS, curves):
+    """Trapezoid coefficients per vertex of every curve, one row per curve.
+
+    One np.add.at over all edges, in curve-then-edge order, adds half of
+    each edge's length at both its ends: every entry takes the same
+    additions in the same order as a per-curve loop would.  An empty
+    family gives shape (0, n).
+    """
+    lengths = [len(c.vertices) for c in curves]
+    verts = np.fromiter(itertools.chain.from_iterable(c.vertices for c in curves),
+                        dtype=np.intp, count=sum(lengths))
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    edge = owner[:-1] == owner[1:]  # consecutive vertices of one curve
+    a, b = verts[:-1][edge], verts[1:][edge]
+    rows = np.zeros((len(lengths), space.n))
+    np.add.at(rows, (np.repeat(owner[:-1][edge], 2), np.stack((a, b), axis=1).ravel()),
+              np.repeat(0.5 * space.dist[a, b], 2))
+    return rows
+
+
 def _edge_weights(space: MMS, curve: Curve):
-    """Trapezoid coefficients per vertex position along the curve."""
-    v = curve.vertices
-    coef = np.zeros(space.n)
-    for a, b in zip(v[:-1], v[1:]):
-        half = 0.5 * space.dist[a, b]
-        coef[a] += half
-        coef[b] += half
-    return coef
+    """Trapezoid coefficients per vertex position along one curve."""
+    return _family_rows(space, [curve])[0]
 
 
 def line_integral(space: MMS, g, curve: Curve) -> float:
@@ -379,8 +394,7 @@ def modulus(space: MMS, curves: CurveFamily, p, tol=1e-8) -> SolveResult:
     """p-modulus: min sum_i w_i rho_i^p with int_gamma rho ds >= 1 per curve."""
     if p < 1:
         raise ValueError("modulus requires p >= 1")
-    # (len(curves), n) rows, also for an empty family
-    rows = np.reshape([_edge_weights(space, c) for c in curves], (len(curves), space.n))
+    rows = _family_rows(space, curves)
     b = np.ones(len(curves))
     return constraint_generation(space.weights, rows, b, float(p), tol)
 
@@ -396,7 +410,7 @@ def single_curve_modulus_oracle(space: MMS, curve: Curve, p):
         raise ValueError("closed form needs p > 1")
     from scipy.special import logsumexp
 
-    w = _edge_weights(space, curve)
+    w = _family_rows(space, [curve])[0]
     mu = space.weights
     mask = w > 0
     e = (p * np.log(w[mask]) - np.log(mu[mask])) / (p - 1.0)
@@ -415,8 +429,7 @@ def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p) -> SolveResult
     if p < 1:
         raise ValueError("p >= 1 required")
     u = np.asarray(u, dtype=float)
-    # (len(curves), n) rows, also for an empty family
-    rows = np.reshape([_edge_weights(space, c) for c in curves], (len(curves), space.n))
+    rows = _family_rows(space, curves)
     b = np.asarray([_endpoint_drop(u, c) for c in curves], dtype=float)
     res = constraint_generation(space.weights, rows, b, float(p), 1e-8)
     power_opt = res.optimum
@@ -477,7 +490,7 @@ def capacity(space: MMS, fixed_set, curves: CurveFamily, p,
             "kkt_residual": 0.0, "note": "empty family: ||chi_E||_p exactly",
             "norm_parts": [opt, 0.0]}, tol)
     p, q = float(p), INF if p == 1 else p / (p - 1.0)  # q: the dual exponent
-    coef = np.stack([_edge_weights(space, c) for c in curves])
+    coef = _family_rows(space, curves)
     ends = np.array([(c.vertices[0], c.vertices[-1]) for c in curves])
     k = np.arange(len(curves))
     A = np.zeros((2 * len(k) + len(fixed), 2 * n))

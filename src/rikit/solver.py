@@ -6,8 +6,12 @@ in the dual (closed-form primal recovery per dual iterate) by projected
 dual Newton steps, from zero duals in the first round of constraint
 generation and warm from the previous round's duals after it; only a
 Newton run that stalls is retried from where L-BFGS-B takes it.  The
-p = 1 corner is a linear program: all its rows go to HiGHS at once, as a
-sparse matrix, and it returns a vertex optimum and exact duals.
+formulas of a dual point and its certificate (``_power_primal``,
+``_dual_point``, ``_certificate``) hold no errstate: their callers do, a
+Newton run once around the whole run, and the run compares its steps by
+the scalar ``_kkt_residual``.  The p = 1 corner is a linear program: all
+its rows go to HiGHS at once, as a sparse matrix, and it returns a vertex
+optimum and exact duals.
 Capacity's norm-sum program reduces to a family of these
 (``metric.capacity``).
 """
@@ -58,12 +62,13 @@ X_CAP = 1e30  # transient dual iterates may map far outside the feasible range
 # for p near 1; the cap keeps gradients finite and is inactive at an optimum
 
 
-def _power_primal(lam, A, cost, p):
-    """Closed-form minimizer of the Lagrangian for given duals."""
-    a = A.T @ lam
-    with np.errstate(over="ignore"):
-        x = (np.maximum(a, 0.0) / (p * cost)) ** (1.0 / (p - 1.0))
-    return np.minimum(x, X_CAP)
+def _power_primal(a, pc, inv):
+    """Closed-form minimizer of the Lagrangian where A^T lam = a.
+
+    ``pc`` is p * cost and ``inv`` is 1 / (p - 1); the caller holds the
+    errstate, since the power may overflow.
+    """
+    return np.minimum((np.maximum(a, 0.0) / pc) ** inv, X_CAP)
 
 
 def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
@@ -138,9 +143,11 @@ def _lbfgs_start(cost, A, b, p):
     """L-BFGS-B dual ascent from a bounded start: where a stalled Newton run restarts."""
     from scipy.optimize import minimize
 
+    pc, inv = p * cost, 1.0 / (p - 1.0)
+
     def neg_dual(lam):
-        x = _power_primal(lam, A, cost, p)
         with np.errstate(over="ignore"):
+            x = _power_primal(A.T @ lam, pc, inv)
             val = lam @ b - np.sum(cost * x ** p * (p - 1.0))
         return (-val if math.isfinite(val) else INFEASIBLE), A @ x - b
 
@@ -165,128 +172,168 @@ def _dual_newton(lam, A, b, cost, p, tol):
     duplicate rows make it singular); violated rows whose positive support
     holds no primal mass jump instead to the one-row dual that closes their
     violation.  An Armijo search on the dual value follows; where that
-    value is flat to rounding a step counts only if it lowers the
-    certificate's residual.
+    value is flat to rounding a step counts only if it lowers the KKT
+    residual.
     Convergence is quadratic, so the run goes on past tol, to
     tol * NEWTON_TAIL, until no step helps, or until NEWTON_STALL steps in
     a row leave the least residual where it was.  Returns the
     least-residual primal, its certificate and the step count.
+
+    The run enters one errstate, for all of it: overflow, division by 0
+    and invalid values are expected of far iterates near p = 1, and the
+    cap, the dual value -inf and the residual inf stand for them.  The
+    invariants of the program are computed once.  Candidates and the best
+    point are compared by the scalar ``_kkt_residual``; the certificate
+    dict is built once, for the point returned.  Reductions on this path
+    are ndarray methods: on rows this short, the Python wrappers of np.max
+    and np.sum cost more than the reductions.
     """
     from scipy.optimize import nnls
 
-    def point(lam):
-        x, ax, power, dual = _dual_point(lam, A, b, cost, p)
-        # the Lagrangian at a capped x is no dual value
-        return lam, x, ax, dual if np.all(x < X_CAP) else -INFEASIBLE, (power, dual)
+    n = A.shape[1]
+    pc, inv = p * cost, 1.0 / (p - 1.0)
+    pos, bpos, scale, bmax = np.maximum(A, 0.0), b > 0, _scale(b), 1 + np.max(b)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # A_i^+ x at lam = e_i: lam_i = (g_i / unit_i)^(p-1) closes a dead row's g_i
+        unit = np.sum(pos * (pos / pc) ** inv, axis=1)
+        live = unit > 0
 
-    def certify(pt):
-        lam, x, ax, _, (power, dual) = pt
-        return _certificate(lam, x, ax, power, dual, b, cost, p)
+        def point(lam):
+            """(lam, x, A x, sum c x^p, dual value), A^T lam and the searched value."""
+            x, ax, power, dual, a = _dual_point(lam, A, b, cost, p, pc, inv)
+            # the Lagrangian at a capped x is no dual value
+            return (lam, x, ax, power, dual), a, dual if (x < X_CAP).all() else -INFEASIBLE
 
-    # A_i^+ x at lam = e_i: lam_i = (g_i / unit_i)^(p-1) closes a dead row's g_i
-    pos = np.maximum(A, 0.0)
-    with np.errstate(over="ignore"):
-        unit = np.sum(pos * (pos / (p * cost)) ** (1.0 / (p - 1.0)), axis=1)
-    pt = point(lam)
-    lam, x, ax, val, _ = pt
-    cert = certify(pt)
-    best = (x, cert)
-    it = last_gain = 0
-    while (it < NEWTON_MAXITER and it - last_gain < NEWTON_STALL
-           and best[1]["kkt_residual"] > tol * NEWTON_TAIL):
-        it += 1
-        g = b - ax
-        # the step moves the positive duals and the n (the model's rank)
-        # worst-violated rows at 0; a row that loads no column moves no x
-        enter = np.flatnonzero((lam <= 0) & (g > 0))
-        moving = lam > 0
-        moving[enter[np.argsort(-g[enter], kind="stable")[:A.shape[1]]]] = True
-        mass = pos @ x > 0
-        dead, model = moving & (unit > 0) & ~mass, moving & (unit > 0) & mass
-        step = np.zeros_like(lam)
-        with np.errstate(divide="ignore", over="ignore"):
+        pt, a, val = point(lam)
+        res = _kkt_residual(*pt, b, bpos, cost, p, scale)[0]
+        best, best_res = pt, res
+        it = last_gain = 0
+        while (it < NEWTON_MAXITER and it - last_gain < NEWTON_STALL
+               and best_res > tol * NEWTON_TAIL):
+            it += 1
+            lam, x, ax = pt[:3]
+            g = b - ax
+            # the step moves the positive duals and the n (the model's rank)
+            # worst-violated rows at 0; a row that loads no column moves no x
+            enter = np.flatnonzero((lam <= 0) & (g > 0))
+            moving = lam > 0
+            moving[enter[np.argsort(-g[enter], kind="stable")[:n]]] = True
+            mass = pos @ x > 0
+            dead, model = moving & live & ~mass, moving & live & mass
+            step = np.zeros_like(lam)
             step[dead] = (g[dead] / unit[dead]) ** (p - 1.0) - lam[dead]
-        if model.any():
-            a = A.T @ lam
-            with np.errstate(divide="ignore", invalid="ignore"):
+            if model.any():
                 d = np.where(a > 0, x / ((p - 1.0) * a), 0.0)
-            H = (A[model] * d) @ A[model].T
-            mu = NEWTON_DAMP * min(1.0, float(np.linalg.norm(g[model]) / (1 + np.max(b)))) + 1e-10
-            H += np.diag(mu * np.diag(H) + 1e-14 * float(np.max(np.diag(H))))
-            try:
-                L = np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
+                Am = A[model]
+                H = (Am * d) @ Am.T
+                mu = NEWTON_DAMP * min(1.0, float(np.linalg.norm(g[model]) / bmax)) + 1e-10
+                dH = H.diagonal()
+                H += np.diag(mu * dH + 1e-14 * float(dH.max()))
+                try:
+                    L = np.linalg.cholesky(H)
+                except np.linalg.LinAlgError:
+                    break
+                # max g.s - s.H.s/2 over lam + s >= 0, as an NNLS in y = lam + s
+                y = nnls(L.T, np.linalg.solve(L, H @ lam[model] + g[model]))[0]
+                step[model] = y - lam[model]
+            slope, t = float(g @ step), 1.0
+            for _ in range(NEWTON_BACKTRACK):
+                cand, cand_a, cand_val = point(np.maximum(lam + t * step, 0.0))
+                gain = cand_val - val
+                rounding = 1e-14 * (1.0 + abs(val))
+                armijo = gain > rounding and gain >= 1e-4 * t * slope
+                if armijo or abs(gain) <= rounding:
+                    cand_res = _kkt_residual(*cand, b, bpos, cost, p, scale)[0]
+                    if armijo or cand_res < res:
+                        break
+                t *= 0.5 if math.isfinite(gain) else 1e-3  # overflow: far shorter
+            else:
                 break
-            # max g.s - s.H.s/2 over lam + s >= 0, as an NNLS in y = lam + s
-            y = nnls(L.T, np.linalg.solve(L, H @ lam[model] + g[model]))[0]
-            step[model] = y - lam[model]
-        slope, t = float(g @ step), 1.0
-        for _ in range(NEWTON_BACKTRACK):
-            cand = point(np.maximum(lam + t * step, 0.0))
-            gain = cand[3] - val
-            rounding = 1e-14 * (1.0 + abs(val))
-            if gain > rounding and gain >= 1e-4 * t * slope:
-                break
-            if abs(gain) <= rounding and certify(cand)["kkt_residual"] < cert["kkt_residual"]:
-                break
-            t *= 0.5 if math.isfinite(gain) else 1e-3  # overflow: far shorter
-        else:
-            break
-        lam, x, ax, val, _ = cand
-        cert = certify(cand)
-        if cert["kkt_residual"] < best[1]["kkt_residual"]:
-            best, last_gain = (x, cert), it
-    return best[0], best[1], it
+            pt, a, val, res = cand, cand_a, cand_val, cand_res
+            if res < best_res:
+                best, best_res, last_gain = pt, res, it
+        return best[1], _certificate(*best, b, cost, p), it
 
 
-def _dual_point(lam, A, b, cost, p):
-    """The primal x of duals lam, A @ x, sum cost x^p and the dual value at lam."""
-    x = _power_primal(lam, A, cost, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.sum(cost * x ** p)
-        dual = float(lam @ b - (p - 1.0) * power)
-    return x, A @ x, float(power), dual
+def _dual_point(lam, A, b, cost, p, pc, inv):
+    """The primal x of duals lam, A @ x, sum cost x^p, the dual value at lam
+    and A^T lam.
+
+    ``pc`` is p * cost and ``inv`` is 1 / (p - 1).  The caller holds the
+    errstate: x^p may overflow, and then the dual value is -inf.
+    """
+    a = A.T @ lam
+    x = _power_primal(a, pc, inv)
+    power = (cost * x ** p).sum()
+    return x, A @ x, float(power), float(lam @ b - (p - 1.0) * power), a
 
 
 def _power_certificate(x, lam, A, b, cost, p):
     """``_certificate`` of x and duals lam, every input computed here."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         power = float(np.sum(cost * x ** p))
-    dual = _dual_point(lam, A, b, cost, p)[3] if p > 1.0 else float(lam @ b)
-    return _certificate(lam, x, A @ x, power, dual, b, cost, p)
+        dual = (_dual_point(lam, A, b, cost, p, p * cost, 1.0 / (p - 1.0))[3] if p > 1.0
+                else float(lam @ b))
+        return _certificate(lam, x, A @ x, power, dual, b, cost, p)
 
 
 def _certificate(lam, x, ax, power, dual, b, cost, p):
     """KKT-style certificate built on the duality gap.
 
     ``ax`` is A @ x, ``power`` is sum cost x^p and ``dual`` the exact dual
-    value at lam.  The gap between the best feasible rescaling of x and
-    that dual value bounds the suboptimality by weak duality; it is robust
-    where coordinate stationarity is noise-amplified (p near 1).
+    value at lam.  Its ``kkt_residual`` and ``duality_gap`` are those of
+    ``_kkt_residual``.  The caller holds the errstate.
     """
     cert, scale = _feasibility(ax - b, lam, b)
-    need = np.where(b > 0, np.where(ax > 0, b / np.maximum(ax, 1e-300), INFEASIBLE), 0.0)
-    factor = max(1.0, float(np.max(need, initial=1.0)))
+    cert["kkt_residual"], cert["duality_gap"] = _kkt_residual(lam, x, ax, power, dual, b,
+                                                              b > 0, cost, p, scale)
+    return cert
+
+
+def _kkt_residual(lam, x, ax, power, dual, b, bpos, cost, p, scale):
+    """The KKT residual of a dual point and its duality gap.
+
+    The arguments are those of ``_certificate``, with ``bpos`` = b > 0 and
+    ``scale`` = ``_scale(b)``.  The gap between the best feasible
+    rescaling of x and the dual value bounds the suboptimality by weak
+    duality; it is robust where coordinate stationarity is noise-amplified
+    (p near 1).  The residual is the larger of the feasibility residual and
+    the gap over 1 + the rescaled objective.  The gap is "unbounded" where
+    no finite rescaling is feasible, or its objective overflows; the
+    residual is then inf.
+    """
+    need = np.where(bpos, np.where(ax > 0, b / np.maximum(ax, 1e-300), INFEASIBLE), 0.0)
+    factor = max(1.0, float(need.max(initial=1.0)))
     if factor == 1.0:
         f_feas = power
-    else:
-        with np.errstate(over="ignore"):  # a huge rescaling: the gap is inf
-            f_feas = (float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor)
-                      else INFEASIBLE)
+    else:  # a huge rescaling: the gap is inf
+        f_feas = (float(np.sum(cost * (factor * x) ** p)) if math.isfinite(factor)
+                  else INFEASIBLE)
+    feas = _violation(ax - b, lam, scale)[2]
+    if not math.isfinite(f_feas):
+        return max(feas, INFEASIBLE), "unbounded"
     gap = max(0.0, f_feas - dual)
-    gap_rel = gap / (1.0 + abs(f_feas)) if math.isfinite(f_feas) else INFEASIBLE
-    cert["duality_gap"] = gap if math.isfinite(f_feas) else "unbounded"
-    cert["kkt_residual"] = max(cert["kkt_residual"], gap_rel)
-    return cert
+    return max(feas, gap / (1.0 + abs(f_feas))), gap
+
+
+def _scale(b):
+    """1 + max |b|: the unit of the feasibility residual."""
+    return 1.0 + float(np.max(np.abs(b), initial=0.0))
+
+
+def _violation(slacks, lam, scale):
+    """Primal violation, complementarity and their residual."""
+    viol = float((-slacks).max(initial=0.0))
+    comp = float(np.abs(lam * slacks).max(initial=0.0))
+    return viol, comp, max(viol, comp) / scale
 
 
 def _feasibility(slacks, lam, b):
     """Slacks, duals, violation, complementarity and their residual; scale."""
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    viol = float(np.max(-slacks, initial=0.0))
-    comp = float(np.max(np.abs(lam * slacks), initial=0.0))
+    scale = _scale(b)
+    viol, comp, res = _violation(slacks, lam, scale)
     return {"slacks": slacks, "duals": lam, "primal_violation": viol,
-            "complementarity": comp, "kkt_residual": max(viol, comp) / scale}, scale
+            "complementarity": comp, "kkt_residual": res}, scale
 
 
 def _solve_lp_min(cost, A, b, tol):
@@ -341,7 +388,7 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     in_active = set(active)
     lam = np.zeros(len(active))
     tele = _telemetry("", [])
-    scale = 1.0 + float(np.max(np.abs(b)))
+    scale = _scale(b)
     for rounds in range(1, m + 2):
         A = rows if p == 1.0 else rows[active]  # p = 1: every row, uncopied
         sub = solve_separable_power(cost, A, b[active], p, tol, lam)

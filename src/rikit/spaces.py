@@ -200,7 +200,7 @@ class PowerLogPhi(FundamentalFn):
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
         t_eff = np.minimum(t, self.t_switch)
-        out = np.where(t_eff > 0, self._raw(np.maximum(t_eff, 1e-300)), 0.0)
+        out = np.where(t_eff > 0, self._raw(t_eff), 0.0)
         return out if out.ndim else float(out)
 
     def kinks(self, lo, hi):
@@ -1061,7 +1061,8 @@ def _dyadic_integral(g, b):
     per-level pieces stop decaying geometrically (the borderline 1/t case).
     Otherwise the geometric tail of the remaining levels is extrapolated,
     once it falls below 1e-13 of the total; refinement stops after 200
-    levels.
+    levels, or where the next lower end would underflow to 0.  The piece
+    left below the last level, (0, hi) with hi a subnormal, counts as 0.
     """
     total = 0.0
     hi = b
@@ -1071,6 +1072,8 @@ def _dyadic_integral(g, b):
     prev_piece = None
     for level in range(200):
         lo = hi / 2.0
+        if lo == 0.0:
+            break
         piece = _gauss_log_rows(lambda t, rows: np.asarray(g(t[0])) * t[0], [lo], [hi],
                                 panels=1)[0]
         total += piece

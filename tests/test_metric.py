@@ -710,3 +710,30 @@ def test_mms_roundtrip():
     s2 = MMS.from_dict(s.to_dict())
     assert np.array_equal(s.dist, s2.dist)
     assert np.array_equal(s.weights, s2.weights)
+
+
+def loop_edge_weights(space, curve):
+    """One curve's trapezoid coefficients, one edge at a time: the oracle."""
+    v = curve.vertices
+    coef = np.zeros(space.n)
+    for a, b in zip(v[:-1], v[1:]):
+        half = 0.5 * space.dist[a, b]
+        coef[a] += half
+        coef[b] += half
+    return coef
+
+
+@pytest.mark.parametrize("space, curves", [
+    (path_space(7, 0.3), CurveFamily.path_subpaths(7)),
+    (grid_space(3, 3), CurveFamily.pairs(grid_space(3, 3))),
+    (grid_space(4, 4), CurveFamily([Curve(tuple(r * 4 + c for c in range(4))) for r in range(4)]
+                                   + [Curve(tuple(r * 4 + c for r in range(4)))
+                                      for c in range(4)])),
+    (tree_space(2, 3), CurveFamily([Curve((0, 1, 0, 2, 5, 2)), Curve((3, 1, 4))])),
+    (path_space(4), CurveFamily.empty()),
+], ids=["path_subpaths", "pairs", "grid_crossings", "revisits", "empty"])
+def test_family_rows_match_the_per_curve_loop(space, curves):
+    rows = metric._family_rows(space, curves)
+    want = np.reshape([loop_edge_weights(space, c) for c in curves], (len(curves), space.n))
+    assert rows.shape == (len(curves), space.n)
+    assert np.array_equal(rows, want)

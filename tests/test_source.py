@@ -238,3 +238,43 @@ def test_only_spaces_walks_the_pieces_of_a_shape():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not imported & {"_gauss_log_rows", "_rowwise", "_sum_in_order"}
+
+
+def _calls(node, nested):
+    """Names of the functions called under node and, transitively, under the
+    ``nested`` functions (name -> def) that it calls."""
+    names, todo = set(), [node]
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if name in nested and name not in names:
+                    todo.append(nested[name])
+                names.add(name)
+    return names
+
+
+def test_newton_loop_is_lean():
+    # a Newton run enters one errstate, around all of it; its steps compare
+    # scalar residuals and build no certificate; the point formulas leave
+    # the errstate to their callers, and curve rows come in one pass
+    fns = dict(_functions(ast.parse((SRC_DIR / "rikit" / "solver.py").read_text())))
+    newton = fns["_dual_newton"]
+    nested = {node.name: node for node in ast.walk(newton)
+              if isinstance(node, ast.FunctionDef) and node is not newton}
+    assert sum(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate"
+               for node in ast.walk(newton)) == 1
+    inner = [node for node in ast.walk(newton)
+             if isinstance(node, _LOOPS) or node in nested.values()]
+    assert not any("errstate" in _calls(node, {}) for node in inner)
+    costly = {"errstate", "_certificate", "_feasibility", "_power_certificate"}
+    per_step = [(loop.lineno, _calls(part, nested) & costly) for loop in ast.walk(newton)
+                if isinstance(loop, _LOOPS) for part in _per_iteration(loop)]
+    assert not [hit for hit in per_step if hit[1]], per_step
+    for name in ("_power_primal", "_dual_point"):
+        assert "errstate" not in _calls(fns[name], {}), name
+    rows = [(name, loop.lineno)
+            for name, fn in _functions(ast.parse((SRC_DIR / "rikit" / "metric.py").read_text()))
+            for loop in ast.walk(fn) if isinstance(loop, _LOOPS)
+            for part in _per_iteration(loop) if "_family_rows" in _calls(part, {})]
+    assert not rows, f"_family_rows called per iteration: {rows}"

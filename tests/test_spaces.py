@@ -485,3 +485,30 @@ def test_cap_must_be_positive(make):
         with pytest.raises(ValueError):
             make(cap)
     assert make(0.5).cap == 0.5
+
+
+def test_lambda_q_head_cells_below_the_log_floor_stay_finite():
+    # phi is no longer floored at t = 1e-300, and the dyadic refinement
+    # stops before its lower end underflows: a head cell of width x <= 1e-290
+    # weighs ~x log(x)^2 and must not turn the norm into inf or raise.  The
+    # values sit ~5e-5 below norm(1 on (0, 1)), since the log-axis quadrature
+    # over (x, 1/e) loses digits as that range widens.
+    spec = NormSpec.lambda_q(FundamentalFn.power_log(0.5, 1), 2)
+    base = norm(GridFn([0.0, 1.0], [1.0]), spec)
+    vals = [norm(GridFn([0.0, x, 1.0], [2.0, 1.0]), spec)
+            for x in (1e-280, 1e-290, 1e-298, 1e-300, 1e-310, 5e-324)]
+    assert all(math.isfinite(v) for v in vals)
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
+    assert vals == pytest.approx([base] * len(vals), rel=1e-4)
+
+
+def test_dyadic_refinement_stops_before_a_subnormal_end_underflows():
+    from rikit.spaces import _phi_weight_integral
+    phi = FundamentalFn.power_log(0.5, 0.0)
+    assert _phi_weight_integral(phi, 0.0, 5e-324, 1) == 0.0
+    # int_0^x t^(1/2) dt/t = 2 sqrt(x), short by the piece below the last level
+    assert _phi_weight_integral(phi, 0.0, 1e-310, 1) == pytest.approx(2.0 * math.sqrt(1e-310),
+                                                                      rel=1e-6)
+    spec = NormSpec.lambda_q(phi, 1)
+    assert norm(GridFn([0.0, 5e-324, 1.0], [2.0, 1.0]), spec) == pytest.approx(
+        norm(GridFn([0.0, 1.0], [1.0]), spec), rel=1e-8)

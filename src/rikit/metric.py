@@ -326,11 +326,6 @@ def _family_rows(space: MMS, curves):
     return rows
 
 
-def _edge_weights(space: MMS, curve: Curve):
-    """Trapezoid coefficients per vertex position along one curve."""
-    return _family_rows(space, [curve])[0]
-
-
 def line_integral(space: MMS, g, curve: Curve) -> float:
     """Trapezoidal edge rule along the curve; inf markers propagate."""
     g = np.asarray(g, dtype=float)
@@ -600,10 +595,60 @@ def _ball_index(space: MMS):
         yield first, order, ds, last
 
 
-def _prefix_deviation(ww, uo, ends, means):
-    """sum_{k <= e} ww[k] |uo[k] - m| for each prefix end e and its mean m."""
-    inside = np.arange(len(uo)) <= ends[:, None]
-    return np.sum(np.where(inside, ww * np.abs(uo - means[:, None]), 0.0), axis=1)
+def _ball_deviation(ww, uo, rows, ends, means):
+    """sum_{k <= e} ww[r, k] |uo[r, k] - m| for each pair (r, e) and its mean m.
+
+    ww and uo hold a block's weights and values in distance order, one row
+    per centre, so the pair (r, e) is the ball order[r, : e + 1].  The pairs
+    go, in order of prefix length, into chunks of at most BLOCK padded
+    entries, or of one pair where e + 1 > BLOCK.  A chunk is a gathered
+    copy uo[rows, :width], worked in place: subtract the means, abs,
+    multiply by the gathered weights, then one masked sum per pair, whose
+    mask k <= e is a window onto one array of n ones and n zeros.  So no
+    temporary exceeds max(BLOCK, n) entries.  Every term is nonnegative,
+    so any summation order keeps a sum within about n ulps relative.
+    """
+    n = uo.shape[1]
+    # inside[n - 1 - e, k] is k <= e
+    inside = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) < n, n)
+    by_len = np.argsort(ends, kind="stable")
+    e = ends[by_len]
+    out = np.empty(len(e))
+    start = 0
+    while start < len(e):
+        # as many pairs as the first width admits bound the widest one taken
+        most = e[min(start + max(1, BLOCK // (e[start] + 1)), len(e)) - 1] + 1
+        stop = min(start + max(1, BLOCK // most), len(e))
+        take = by_len[start:stop]
+        width = e[stop - 1] + 1
+        r = rows[take]
+        chunk = uo[r, :width]
+        chunk -= means[take, None]
+        np.abs(chunk, out=chunk)
+        chunk *= ww[r, :width]
+        out[take] = np.add.reduce(chunk, axis=1,
+                                  where=inside[n - 1 - e[start:stop], :width])
+        start = stop
+    return out
+
+
+def _prefix_diameters(dist, order):
+    """diam[r, k]: the diameter of the points order[r, : k + 1].
+
+    Rows go in chunks of max(1, BLOCK // n^2); each gathers its rows'
+    distance-sorted submatrices, so no temporary exceeds max(BLOCK, n^2)
+    entries.  A row's running max over the entries below the diagonal,
+    then the running max down the rows, gives the prefix diameters.
+    """
+    n = order.shape[1]
+    below = np.tri(n, dtype=bool)
+    diam = np.empty(order.shape)
+    step = max(1, BLOCK // (n * n))
+    for first in range(0, len(order), step):
+        o = order[first:first + step]
+        np.maximum.reduce(dist[o[:, :, None], o[:, None, :]], axis=2, where=below,
+                          initial=0.0, out=diam[first:first + step])
+    return np.maximum.accumulate(diam, axis=1, out=diam)
 
 
 def poincare_ratio(space: MMS, u, g, p, lam=1.0):
@@ -612,45 +657,59 @@ def poincare_ratio(space: MMS, u, g, p, lam=1.0):
     The balls are the distinct closed balls {y : d(c, y) <= r} about each
     center c, r running over the distances from c (the infimum of the
     open-ball radii realizing the set); g^p is averaged over the closed
-    ball of radius lam * r about c.  Singletons and balls where both sides
-    vanish are skipped; AllDegenerate is raised if every ball is skipped.
-    Returns the ratio and the first worst ball in (center, radius) order.
+    ball of radius lam * r about c, lam >= 0.  Singletons and balls where
+    both sides vanish are skipped; AllDegenerate is raised if every ball is
+    skipped.  Returns the ratio and the first worst ball in (center, radius)
+    order.
+
+    Each block of ``_ball_index`` takes array passes over all its balls:
+    prefix diameters over gathered submatrices (``_prefix_diameters``),
+    the lam-ball counts in one search, and the mean deviations in
+    ``_ball_deviation``.  So no temporary exceeds max(BLOCK, n^2) entries
+    beside the block's own rows.
     """
+    if not lam >= 0:
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)
     w = space.weights
     best = None
     best_ball = None
     for first, order, ds, last in _ball_index(space):
-        for r, o in enumerate(order):
-            ends = np.nonzero(last[r, 1:])[0] + 1
-            # prefix diameters: running max over the rows of the sorted
-            # submatrix, each row up to its diagonal
-            diam = np.maximum.accumulate(np.maximum.accumulate(
-                space.dist[np.ix_(o, o)], axis=1).diagonal())[ends]
-            ww = w[o]
-            cw = np.cumsum(np.append(0.0, ww))  # cw[k]: the k nearest points
-            cg = np.cumsum(np.append(0.0, ww * g[o] ** p))
-            mw = cw[ends + 1]
-            lhs = _prefix_deviation(ww, u[o], ends, np.cumsum((u * w)[o])[ends] / mw) / mw
-            # the lam-ball holds the k nearest points, those within lam * r
-            k = np.searchsorted(ds[r], lam * ds[r, ends], side="right")
-            denom = diam * (cg[k] / cw[k]) ** (1.0 / p)
-            keep = ~(diam <= 0) & ~((lhs <= 0) & (denom <= 0))
-            with np.errstate(over="ignore"):  # a tiny denominator: ratio inf
-                ratio = np.divide(lhs, denom, out=np.full(len(lhs), INF),
-                                  where=~(denom <= 0))[keep]
-            if not len(ratio):
-                continue
-            # strict improvement keeps the first worst ball; nan never wins
-            # (a nan ball makes every larger ball about its center nan too)
-            j = int(np.argmax(np.where(np.isnan(ratio), -INF, ratio)))
-            if best is not None and not ratio[j] > best:
-                continue
-            best = ratio[j]
-            e = int(ends[keep][j])
-            best_ball = BallInfo(first + r, float(ds[r, e]),
-                                 tuple(int(i) for i in o[: e + 1]))
+        rows, ends = np.nonzero(last & (ds > 0))  # no singletons
+        ww = w[order]
+        cw = np.cumsum(ww, axis=1)  # cw[r, k]: the k + 1 nearest points
+        cg = np.cumsum((w * g ** p)[order], axis=1)
+        mw = cw[rows, ends]
+        means = np.cumsum((u * w)[order], axis=1)[rows, ends] / mw
+        lhs = _ball_deviation(ww, u[order], rows, ends, means) / mw
+        # the lam-ball holds the k nearest points, those within lam * r: one
+        # search of the rows as complex (row, distance), which sort in that order
+        keys = np.empty(ds.shape, dtype=complex)
+        keys.real, keys.imag = np.arange(len(ds))[:, None], ds
+        at = np.empty(len(rows), dtype=complex)
+        at.real, at.imag = rows, lam * ds[rows, ends]
+        k = np.searchsorted(keys.ravel(), at, side="right") - rows * ds.shape[1] - 1
+        diam = _prefix_diameters(space.dist, order)[rows, ends]
+        denom = diam * (cg[rows, k] / cw[rows, k]) ** (1.0 / p)
+        keep = ~(diam <= 0) & ~((lhs <= 0) & (denom <= 0))
+        with np.errstate(over="ignore"):  # a tiny denominator: ratio inf
+            ratio = np.divide(lhs, denom, out=np.full(len(lhs), INF),
+                              where=~(denom <= 0))[keep]
+        if not len(ratio):
+            continue
+        rows, ends = rows[keep], ends[keep]
+        # strict improvement keeps the first worst ball; nan never wins
+        # (a nan ball makes every larger ball about its center nan too),
+        # except that a first center whose balls are all nan sets best to nan
+        j = int(np.argmax(np.where(np.isnan(ratio), -INF, ratio)))
+        if best is None and np.all(np.isnan(ratio[rows == rows[0]])):
+            j = 0
+        if best is not None and not ratio[j] > best:
+            continue
+        best = ratio[j]
+        r, e = rows[j], ends[j]
+        best_ball = BallInfo(first + int(r), float(ds[r, e]), tuple(order[r, : e + 1].tolist()))
     if best is None:
         raise AllDegenerate("every ball was skipped")
     return float(best), best_ball

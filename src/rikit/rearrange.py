@@ -52,10 +52,11 @@ class GridFn:
         tail = float(tail)
         if not (tail >= 0 and math.isfinite(tail)):
             raise ValueError("tail must be 0 or a finite nonnegative constant")
-        # contiguous: numpy's vector pow rounds strided input (such as
-        # np.sort(v)[::-1]) a last ulp apart, and norms take pow of values
-        self.edges = np.ascontiguousarray(edges)
-        self.values = np.ascontiguousarray(vals)
+        # unit stride: numpy's vector pow rounds strided input (such as
+        # np.sort(v)[::-1]) a last ulp apart, and norms take pow of values;
+        # numpy flags a one-cell view contiguous whatever its stride
+        self.edges, self.values = (np.ascontiguousarray(a) if a.size > 1 else a.copy()
+                                   for a in (edges, vals))
         self.tail = tail
 
     # -- basic queries ----------------------------------------------------

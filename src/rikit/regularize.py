@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (BudgetExhausted, HajlaszViolated, InvariantViolated,
                      NotLipschitzOnSubset)
-from .metric import (MMS, CurveFamily, _ball_index, _prefix_deviation,
+from .metric import (MMS, CurveFamily, _ball_deviation, _ball_index,
                      is_upper_gradient)
 from .rearrange import WeightedSamples
 from .spaces import NormSpec, norm
@@ -127,19 +127,22 @@ def sharp_maximal(space: MMS, u) -> np.ndarray:
     supremum of the factor over the open-ball radii realizing the set.
     Balls of radius 0 are skipped.  An L-Lipschitz input yields values at
     most 2L.
+
+    Each block of ``_ball_index`` takes array passes over all its balls,
+    with the mean deviations in ``metric._ball_deviation``, so no
+    temporary exceeds max(BLOCK, n) entries beside the block's own rows.
     """
     u = np.asarray(u, dtype=float)
     w = space.weights
     out = np.zeros(space.n)
     for first, order, ds, last in _ball_index(space):
-        for r, o in enumerate(order):
-            ends = np.nonzero(last[r] & (ds[r] > 0))[0]
-            ww = w[o]
-            cw = np.cumsum(ww)[ends]
-            means = np.cumsum((u * w)[o])[ends] / cw
-            dev = _prefix_deviation(ww, u[o], ends, means)
-            # fmax: a nan ball value never wins, as in a max from 0
-            out[first + r] = np.fmax.reduce(dev / cw / ds[r, ends], initial=0.0)
+        rows, ends = np.nonzero(last & (ds > 0))
+        ww = w[order]
+        cw = np.cumsum(ww, axis=1)[rows, ends]
+        means = np.cumsum((u * w)[order], axis=1)[rows, ends] / cw
+        dev = _ball_deviation(ww, u[order], rows, ends, means)
+        # fmax: a nan ball value never wins, as in a max from 0
+        np.fmax.at(out, first + rows, dev / cw / ds[rows, ends])
     return out
 
 

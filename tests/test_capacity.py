@@ -22,7 +22,7 @@ from rikit.metric import (
     MMS,
     Curve,
     CurveFamily,
-    _edge_weights,
+    _family_rows,
     capacity,
     grid_space,
     path_space,
@@ -73,7 +73,7 @@ def rows(space, fixed, curves):
     for c in curves:
         for sign in (1.0, -1.0):
             row = np.zeros(2 * n)
-            row[n:] = _edge_weights(space, c)
+            row[n:] = _family_rows(space, CurveFamily([c]))[0]
             row[c.vertices[0]] -= sign
             row[c.vertices[-1]] += sign
             out.append(row)
@@ -107,7 +107,7 @@ def check_certified(space, fixed, curves, res, p):
     assert np.all(u[list(fixed)] >= 1.0) and np.all(g >= 0.0) and np.all(u >= 0.0)
     for c in curves:
         drop = abs(u[c.vertices[0]] - u[c.vertices[-1]])
-        assert drop <= float(_edge_weights(space, c) @ g) * (1 + 1e-13)
+        assert drop <= float(_family_rows(space, CurveFamily([c]))[0] @ g) * (1 + 1e-13)
     parts = [float(np.sum(space.weights * v ** p)) ** (1 / p) for v in (u, g)]
     assert cert["norm_parts"] == pytest.approx(parts, rel=1e-12)
     assert res.optimum == pytest.approx(sum(parts), rel=1e-12)

@@ -84,6 +84,21 @@ def test_sup_norms_have_no_python_loops():
     assert not loops, f"loops at {loops}"
 
 
+@pytest.mark.parametrize("module, name", [("metric.py", "poincare_ratio"),
+                                          ("regularize.py", "sharp_maximal")])
+def test_ball_sweeps_loop_only_over_blocks(module, name):
+    # the sweeps take array passes over each block of centres: their one
+    # loop runs over _ball_index, with none per centre or per ball
+    tree = ast.parse((SRC_DIR / "rikit" / module).read_text())
+    fn = next(top for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == name)
+    loops = [node for node in ast.walk(fn) if isinstance(node, _LOOPS)]
+    assert len(loops) == 1, f"loops at {[node.lineno for node in loops]}"
+    assert isinstance(loops[0], ast.For)
+    assert getattr(loops[0].iter, "func", None) is not None
+    assert getattr(loops[0].iter.func, "id", None) == "_ball_index"
+
+
 def _functions(tree):
     """(name, node) of every top-level function and method of a top-level class."""
     for top in tree.body:

@@ -1119,7 +1119,8 @@ def _norm_lambda_q(ustar, phi, q):
             if w > 0:
                 return INF
             continue
-        total += v[i] ** q * w
+        with np.errstate(over="ignore"):  # a finite sum past the float range: inf
+            total += v[i] ** q * w
     return total ** (1.0 / q)
 
 

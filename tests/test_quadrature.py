@@ -142,7 +142,8 @@ def loop_norm_lambda_q(ustar, phi, q):
             if w > 0:
                 return INF
             continue
-        total += v[i] ** q * w
+        with np.errstate(over="ignore"):
+            total += v[i] ** q * w
     return total ** (1.0 / q)
 
 
@@ -299,6 +300,9 @@ def decreasing_gridfns(draw):
 @example(u=GridFn([0.0, 0.5, 1.0, 2.0], [INF, 0.0, 0.0]),
          phi=FundamentalFn.power_log(0.5, 1.0), q=2.0)
 @example(u=GridFn([0.0], []), phi=FundamentalFn.power(0.5), q=2.0)
+# a finite weight near the float maximum, times v^q = 2: the sum overflows to inf
+@example(u=GridFn([0.0, 1.0], [2.0]),
+         phi=FundamentalFn.power(2.2250738585072014e-308, 2.0, math.inf), q=1.0)
 def test_norm_lambda_q_matches_the_cell_loop(u, phi, q):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

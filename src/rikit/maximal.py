@@ -247,9 +247,9 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
             phi.kinks(1e-10, max(hi * 4, 1.0)),
         )))
         den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
-        for s in s_grid:
-            vals = np.asarray(phi(s * tg), dtype=float) / den
-            ks.append((float(s), float(np.max(vals))))
+        dilated = s_grid[:, None] * tg
+        vals = np.asarray(phi(dilated.ravel()), dtype=float).reshape(dilated.shape) / den
+        ks = list(zip(s_grid.tolist(), np.max(vals, axis=1).tolist()))
         beta = min(math.log(k) / math.log(s) for (s, k) in ks if k > 0)
         exact = False
     return IndexReport(
@@ -448,8 +448,8 @@ def m_phi_norm(phi: FundamentalFn, p) -> float:
             return INF
         return (1.0 / (1.0 - e)) ** (1.0 / p)
     pe = _power_near_zero(phi)
-    if pe is not None and pe[1] * p > 1.0:
-        # m_phi(s) >= s^{-alpha} near zero, so the integral diverges
+    if pe is not None and pe[1] * p >= 1.0:
+        # m_phi(s) >= s^{-alpha}, so the integral diverges, at alpha p = 1 too
         return INF
 
     def integrand(s):

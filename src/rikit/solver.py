@@ -223,7 +223,9 @@ def _dual_newton(lam, A, b, cost, p, tol):
             step = np.zeros_like(lam)
             step[dead] = (g[dead] / unit[dead]) ** (p - 1.0) - lam[dead]
             if model.any():
-                d = np.where(a > 0, x / ((p - 1.0) * a), 0.0)
+                # (p - 1) a underflows to 0 at a subnormal a near p = 1
+                pa = (p - 1.0) * a
+                d = np.where(pa > 0, x / pa, 0.0)
                 Am = A[model]
                 H = (Am * d) @ Am.T
                 mu = NEWTON_DAMP * min(1.0, float(np.linalg.norm(g[model]) / bmax)) + 1e-10

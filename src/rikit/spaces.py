@@ -1053,51 +1053,69 @@ def _gauss_log_rows(f, a, b, panels=4):
     return out
 
 
+# dyadic levels per kernel call; fixed, since a growing block overshoots a
+# late stop (doubling blocks run 120 levels for an 84-level m_phi_norm)
+_DYADIC_BLOCK = 8
+
+
 def _dyadic_integral(g, b):
     """Integral of g over (0, b) by dyadic refinement toward 0.
 
-    Divergence is classified by the refinement-doubling rule: either the
-    accumulated value doubles across two consecutive refinements, or the
-    per-level pieces stop decaying geometrically (the borderline 1/t case).
-    Otherwise the geometric tail of the remaining levels is extrapolated,
-    once it falls below 1e-13 of the total; refinement stops after 200
-    levels, or where the next lower end would underflow to 0.  The piece
-    left below the last level, (0, hi) with hi a subnormal, counts as 0.
+    Level k is the piece (b / 2^(k+1), b / 2^k), its ends halved one level
+    at a time.  Divergence is classified by the refinement-doubling rule:
+    either the accumulated value doubles across two consecutive
+    refinements, or the per-level pieces stop decaying geometrically (the
+    borderline 1/t case).  Otherwise the geometric tail of the remaining
+    levels is extrapolated, once it falls below 1e-13 of the total;
+    refinement stops after 200 levels, or where the next lower end would
+    underflow to 0.  The piece left below the last level, (0, hi) with hi a
+    subnormal, counts as 0.
+
+    The levels are integrated _DYADIC_BLOCK at a time, one _gauss_log_rows
+    batch each with g run once on all of the block's nodes, and the rules
+    above read the pieces in order.  Each piece is bit-identical to
+    integrating its level alone whenever g acts elementwise; a block may
+    run g on a few levels past the stop.
     """
+    def f(t, rows):
+        return np.asarray(g(t.ravel())).reshape(t.shape) * t
+
     total = 0.0
     hi = b
     doublings = 0
     flat = 0
     prev_total = 0.0
     prev_piece = None
-    for level in range(200):
-        lo = hi / 2.0
-        if lo == 0.0:
-            break
-        piece = _gauss_log_rows(lambda t, rows: np.asarray(g(t[0])) * t[0], [lo], [hi],
-                                panels=1)[0]
-        total += piece
-        if prev_total > 0 and total >= 2.0 * prev_total:
-            doublings += 1
-            if doublings >= 2:
-                return INF
-        else:
-            doublings = 0
-        if prev_piece is not None and prev_piece > 0:
-            ratio = piece / prev_piece
-            if ratio >= 0.999:
-                flat += 1
-                if flat >= 2 and level >= 4:
+    level = 0
+    while True:
+        his = []
+        while len(his) < _DYADIC_BLOCK and level + len(his) < 200 and hi / 2.0 != 0.0:
+            his.append(hi)
+            hi /= 2.0
+        if not his:
+            return total
+        for piece in _gauss_log_rows(f, [x / 2.0 for x in his], his, panels=1):
+            total += piece
+            if prev_total > 0 and total >= 2.0 * prev_total:
+                doublings += 1
+                if doublings >= 2:
                     return INF
             else:
-                flat = 0
-                tail_est = piece * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-                if tail_est < 1e-13 * max(total, 1e-300):
-                    return total + tail_est
-        prev_total = total
-        prev_piece = piece
-        hi = lo
-    return total
+                doublings = 0
+            if prev_piece is not None and prev_piece > 0:
+                ratio = piece / prev_piece
+                if ratio >= 0.999:
+                    flat += 1
+                    if flat >= 2 and level >= 4:
+                        return INF
+                else:
+                    flat = 0
+                    tail_est = piece * ratio / (1.0 - ratio) if ratio > 0 else 0.0
+                    if tail_est < 1e-13 * max(total, 1e-300):
+                        return total + tail_est
+            prev_total = total
+            prev_piece = piece
+            level += 1
 
 
 def _norm_lambda_q(ustar, phi, q):

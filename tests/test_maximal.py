@@ -265,6 +265,27 @@ def test_zippin_sampled_estimate_bounds():
     assert 0.0 <= rep.beta_upper <= 1.0
 
 
+def _zippin_loop(phi, s_grid):
+    # phi(s t) on the grid of t, one s at a time
+    hi = phi.cap if math.isfinite(phi.cap) else 1e4
+    tg = np.unique(np.concatenate((
+        geometric_grid(1e-10, max(hi * 4, 1.0), 512), phi.kinks(1e-10, max(hi * 4, 1.0)))))
+    den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
+    return [(float(s), float(np.max(np.asarray(phi(s * tg), dtype=float) / den)))
+            for s in s_grid]
+
+
+@pytest.mark.parametrize("phi", [
+    *(FundamentalFn.power_log(a, b) for a in (0.3, 0.5, 0.7) for b in (0.5, 1.0)),
+    FundamentalFn.sampled([0.5, 1.0, 2.0], [0.7, 1.0, 1.2]),
+    FundamentalFn.power_log(0.4, -1.0, cap=3.0),
+])
+def test_zippin_dilations_match_one_s_at_a_time(phi):
+    got = zippin_upper(phi).k_samples
+    want = _zippin_loop(phi, maximal._S_GRID)
+    assert [(s.hex(), k.hex()) for s, k in got] == [(s.hex(), k.hex()) for s, k in want]
+
+
 def test_boyd_closed_forms():
     assert boyd_upper_lowerbound(NormSpec.lp(2)).alpha_lower == pytest.approx(0.5)
     assert boyd_upper_lowerbound(NormSpec.lorentz(4, 2)).alpha_lower == pytest.approx(0.25)
@@ -366,6 +387,46 @@ def test_m_phi_closed_forms():
     assert m_phi_norm(phi, 2) == pytest.approx((3.0 / (3 - 2)) ** 0.5, rel=1e-6)
     assert m_phi_norm(FundamentalFn.power(0.0), 2) == pytest.approx(1.0)
     assert m_phi_norm(FundamentalFn.power(0.5), 2) == INF
+
+
+BORDERLINE = [
+    (psi_majorant_phi(FundamentalFn.power(0.6), 2.0), 2.0),
+    (psi_majorant_phi(FundamentalFn.power(0.7), 2.0), 2.0),
+    (psi_majorant_phi(FundamentalFn.power(0.8), 2.0), 2.0),
+    (_MaxPhi([FundamentalFn.power(0.5), FundamentalFn.power(0.8)]), 2.0),
+    (psi_majorant_phi(FundamentalFn.power(0.6), 3.0), 3.0),
+]
+
+
+def _m_phi_integrand(phi, p):
+    return lambda s: np.asarray([m ** p for m in maximal._m_phi_at(phi, s).tolist()])
+
+
+@pytest.mark.parametrize("phi, p", BORDERLINE,
+                         ids=["psi-0.6", "psi-0.7", "psi-0.8", "max", "psi-0.6-p3"])
+def test_m_phi_norm_is_inf_at_the_borderline_without_refining(phi, p, monkeypatch):
+    # m_phi(s) >= s^{-alpha} with alpha p = 1: int_0^1 s^{-1} ds diverges
+    def refine(g, b):
+        raise AssertionError("refined a borderline norm")
+
+    monkeypatch.setattr(maximal, "_dyadic_integral", refine)
+    assert m_phi_norm(phi, p) == INF
+    monkeypatch.undo()
+    # the refinement reaches the same verdict
+    assert _dyadic_integral(_m_phi_integrand(phi, p), 1.0) == INF
+
+
+def test_m_phi_norm_refines_just_below_the_borderline(monkeypatch):
+    phi = _MaxPhi([FundamentalFn.power(0.499), FundamentalFn.power(0.8)])
+    calls = []
+
+    def refine(g, b):
+        calls.append(b)
+        return _dyadic_integral(g, b)
+
+    monkeypatch.setattr(maximal, "_dyadic_integral", refine)
+    assert math.isfinite(m_phi_norm(phi, 2.0))
+    assert calls == [1.0]
 
 
 def _m_phi_loop(phi, s):

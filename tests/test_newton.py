@@ -12,7 +12,6 @@ errstate that ignores every floating-point error, which changes no value.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -241,9 +240,10 @@ def test_dual_newton_matches_the_reference(run):
         want = reference(ref_dual_newton, *args)
     except ValueError:
         # a subnormal dual at p near 1: (p - 1) a underflows to 0, the
-        # Hessian weight x / ((p - 1) a) is nan and nnls refuses it
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solver._dual_newton(*args)
+        # reference's Hessian weight x / ((p - 1) a) is nan and nnls refuses
+        # it; the run takes no weight there and certifies the optimum
+        cert = solver._dual_newton(*args)[1]
+        assert cert["kkt_residual"] <= solver.DEFAULT_TOL
         return
     assert_same_run(solver._dual_newton(*args), want)
 

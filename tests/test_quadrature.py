@@ -1,9 +1,9 @@
 """The batched log-axis Gauss quadrature against the one-interval loops.
 
-The loops below integrated one interval, one cell or one segment at a time,
-and evaluated phi on the shared m_phi base grid once per s.  They are kept
-here as oracles: on elementwise shapes the batched code must match them bit
-for bit, compared through ``float.hex``.
+The loops below integrated one interval, cell, segment or dyadic level at
+a time, and evaluated phi on the shared m_phi base grid once per s.  They
+are kept here as oracles: on elementwise shapes the batched code must match
+them bit for bit, compared through ``float.hex``.
 """
 
 import math
@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rikit.maximal import _m_phi_at, _power_near_zero, criterion_B
+import rikit.spaces as spaces
+from rikit.maximal import _m_phi_at, _power_near_zero, criterion_B, m_phi_norm
 from rikit.rearrange import GridFn
 from rikit.spaces import (
+    _DYADIC_BLOCK,
     _GAUSS_W,
     _GAUSS_X,
     INF,
@@ -24,6 +26,7 @@ from rikit.spaces import (
     NormSpec,
     OrliczN,
     PowerPhi,
+    _dyadic_integral,
     _gauss_log_rows,
     _MaxPhi,
     _norm_lambda_q,
@@ -59,6 +62,8 @@ def loop_dyadic_integral(g, b):
     prev_piece = None
     for level in range(200):
         lo = hi / 2.0
+        if lo == 0.0:
+            break
         piece = loop_gauss_log(lambda t: np.asarray(g(t)) * t, lo, hi, panels=1)
         total += piece
         if prev_total > 0 and total >= 2.0 * prev_total:
@@ -363,7 +368,6 @@ def test_kernel_rows_match_one_interval_at_a_time(ends, panels, alpha):
 
 def test_kernel_blocks_do_not_change_a_row(monkeypatch):
     # a batch longer than one block gives each row the bits it gets alone
-    import rikit.spaces as spaces
     monkeypatch.setattr(spaces, "_GAUSS_BLOCK", 3)
     a = np.geomspace(1e-4, 1.0, 10)
     calls = []
@@ -385,3 +389,90 @@ def test_kernel_logs_match_the_c_library():
     got = _gauss_log_rows(lambda t, rows: np.sqrt(t), a, 1.5 * a)
     want = [loop_gauss_log(np.sqrt, x, 1.5 * x) for x in a]
     assert hexes(got) == hexes(want)
+
+
+# -- the dyadic refinement, a block of levels per kernel call ----------------------
+
+
+def power_log_integrand(e, beta, b):
+    """t^(e - 1) log(2 b / t)^beta on (0, b): a power law at beta = 0."""
+    return lambda t: t ** (e - 1.0) * np.log(2.0 * b / t) ** beta
+
+
+def oracle_levels(g, b):
+    """The loop's value and the number of levels it integrated."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return g(t)
+
+    return loop_dyadic_integral(counted, b), len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.floats(0.3, 12.0), beta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       b=st.floats(1e-3, 10.0))
+# the tail rule stops after 7, 8 and 9 levels: the ends of the first block
+@example(e=6.5, beta=0.0, b=1.0)
+@example(e=5.5, beta=0.0, b=1.0)
+@example(e=5.0, beta=0.0, b=1.0)
+def test_dyadic_blocks_match_the_level_loop(e, beta, b):
+    g = power_log_integrand(e, beta, b)
+    assert hexes(_dyadic_integral(g, b)) == hexes(loop_dyadic_integral(g, b))
+
+
+def test_dyadic_stops_fall_at_every_offset_in_a_block():
+    stops = set()
+    for e in np.geomspace(1.0, 40.0, 48):
+        for beta in (0.0, 1.5):
+            g = power_log_integrand(e, beta, 1.0)
+            want, levels = oracle_levels(g, 1.0)
+            assert hexes(_dyadic_integral(g, 1.0)) == hexes(want), (e, beta)
+            stops.add(levels)
+    assert {n % _DYADIC_BLOCK for n in stops} == set(range(_DYADIC_BLOCK))
+    assert {7, 8, 9} <= stops
+
+
+@pytest.mark.parametrize("g", [lambda t: t ** -3.0, lambda t: 1.0 / t],
+                         ids=["doubling", "flat"])
+def test_dyadic_divergence_rules_match_the_level_loop(g):
+    want, levels = oracle_levels(g, 1.0)
+    assert want == INF and levels < _DYADIC_BLOCK
+    assert hexes(_dyadic_integral(g, 1.0)) == hexes(want)
+
+
+@pytest.mark.parametrize("b", [5e-324, 1e-322, 3e-320, 2.5e-310])
+def test_dyadic_subnormal_end_stops_where_the_lower_end_underflows(b):
+    # t^-1/2 decays too slowly for the tail rule: the levels run out at 0
+    g = power_log_integrand(0.5, 0.0, b)
+    want, levels = oracle_levels(g, b)
+    assert levels < 200 and b / 2.0 ** levels <= 5e-324
+    assert hexes(_dyadic_integral(g, b)) == hexes(want)
+
+
+def test_dyadic_refinement_stops_at_200_levels():
+    # pieces decaying by 2^-0.01 a level: no rule stops them
+    g = power_log_integrand(0.01, 0.0, 1.0)
+    want, levels = oracle_levels(g, 1.0)
+    assert levels == 200
+    nodes = []
+    got = _dyadic_integral(lambda t: nodes.append(t) or g(t), 1.0)
+    assert hexes(got) == hexes(want)
+    assert len(nodes) == math.ceil(200 / _DYADIC_BLOCK)
+    assert 2.0 ** -200 < min(x.min() for x in nodes) < 2.0 ** -199
+
+
+def test_m_phi_norm_takes_a_kernel_call_per_block_of_levels(monkeypatch):
+    # the refinement of m_phi^1 for power_log(0.5, 1) runs 84 levels
+    calls = []
+    kernel = spaces._gauss_log_rows
+
+    def counted(f, a, b, panels=4):
+        calls.append(len(a))
+        return kernel(f, a, b, panels)
+
+    monkeypatch.setattr(spaces, "_gauss_log_rows", counted)
+    assert math.isfinite(m_phi_norm(FundamentalFn.power_log(0.5, 1.0), 1.0))
+    assert len(calls) <= math.ceil(84 / _DYADIC_BLOCK)
+    assert calls[:-1] == [_DYADIC_BLOCK] * (len(calls) - 1)

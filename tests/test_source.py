@@ -126,8 +126,8 @@ _QUADRATURE = {"_gauss_log_rows", "_phi_weight_rows", "_phi_weight_integral"}
 
 def test_no_loop_calls_the_quadrature_kernel():
     # intervals, cells and segments go to the kernel in one batch; only the
-    # dyadic refinement toward 0 runs its levels one after another, since a
-    # level decides whether the next one runs
+    # dyadic refinement toward 0 calls it in a loop, one block of levels per
+    # call, since a level decides whether the next one runs
     calls = []
     for path in SRC:
         for name, fn in _functions(ast.parse(path.read_text())):

@@ -205,6 +205,13 @@ def _power_near_zero(phi):
     return None
 
 
+def _power_diverges(phi, p):
+    """Whether phi ~ t^alpha near zero with alpha p >= 1, exact at alpha = 1/p
+    (a psi-majorant's exponent, where (1/p) * p may round to 1 - 2^-53)."""
+    pe = _power_near_zero(phi)
+    return pe is not None and pe[1] >= 1.0 / p
+
+
 def _zippin_exact_alpha(phi):
     """Exponent alpha with k(s) = s^alpha exactly, when the shape allows it."""
     if isinstance(phi, PowerPhi):
@@ -367,14 +374,13 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     """
     if p < 1:
         raise ValueError("p >= 1 required")
-    pe = _power_near_zero(phi)
     if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= delta):
         if phi.alpha == 0.0:
             return 1.0
         if phi.alpha * p >= 1.0:
             return INF
         return 1.0 / (1.0 - phi.alpha * p)
-    if pe is not None and pe[1] * p >= 1.0:
+    if _power_diverges(phi, p):
         # inner integral already diverges at zero
         return INF
     lo = delta * 1e-18
@@ -447,8 +453,7 @@ def m_phi_norm(phi: FundamentalFn, p) -> float:
         if e >= 1.0:
             return INF
         return (1.0 / (1.0 - e)) ** (1.0 / p)
-    pe = _power_near_zero(phi)
-    if pe is not None and pe[1] * p >= 1.0:
+    if _power_diverges(phi, p):
         # m_phi(s) >= s^{-alpha}, so the integral diverges, at alpha p = 1 too
         return INF
 

@@ -4,9 +4,9 @@ Every solver-backed operation runs on one program class, the separable
 power program  min sum_i c_i x_i^p  s.t.  A x >= b, x >= 0.  It is solved
 in the dual (closed-form primal recovery per dual iterate) by projected
 dual Newton steps, from zero duals in the first round of constraint
-generation and warm from the previous round's duals after it; only a
-Newton run that stalls is retried from where L-BFGS-B takes it.  The
-formulas of a dual point and its certificate (``_power_primal``,
+generation and warm from the previous round's duals after it; a stalled
+Newton run restarts once from p times the HiGHS duals of the same rows.
+The formulas of a dual point and its certificate (``_power_primal``,
 ``_dual_point``, ``_certificate``) hold no errstate: their callers do, a
 Newton run once around the whole run, and the run compares its steps by
 the scalar ``_kkt_residual``.  The p = 1 corner is a linear program: all
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import SolverStall
 
 DEFAULT_TOL = 1e-8
-LBFGS_MAXITER = 20_000
 NEWTON_MAXITER = 200
 NEWTON_BACKTRACK = 60
 NEWTON_TAIL = 1e-4
@@ -80,9 +79,9 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
 
     For p > 1, dual Newton (``_dual_newton``) maximizes the concave dual
     from the duals ``lam0`` (one per row; zeros when not given).  A run
-    that stalls is retried once from where L-BFGS-B takes a bounded point.
-    ``iterations`` in the certificate counts both kinds; ``telemetry``
-    splits them, names the stage that met tol and times each stage.
+    that stalls restarts once from ``_lp_start``.  ``iterations`` in the
+    certificate counts Newton steps; ``telemetry`` names the stage that met
+    tol and times each stage, the restart's LP as ``highs``.
     p = 1 is a linear program solved by HiGHS.  Raises SolverStall when
     the residual (which includes the relative duality gap) exceeds tol.
     """
@@ -96,27 +95,38 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
         return _solve_lp_min(cost, A, b, tol)
     tele = _telemetry("newton", [m])
     lam = np.zeros(m) if lam0 is None else np.maximum(np.asarray(lam0, dtype=float), 0.0)
-    for lam in (lam, None):  # None: the retry after a stalled run
-        if lam is None:
-            lam, tele["lbfgs_iterations"] = _timed(tele, "lbfgs", _lbfgs_start, cost, A, b, p)
-        x, cert, its = _timed(tele, "newton", _dual_newton, lam, A, b, cost, p, tol)
-        tele["newton_iterations"] += its
-        if cert["kkt_residual"] <= tol:
-            break
+    x, cert, tele["newton_iterations"] = _timed(tele, "newton", _dual_newton,
+                                                lam, A, b, cost, p, tol)
+    if cert["kkt_residual"] > tol:
+        lam = _timed(tele, "highs", _lp_start, cost, A, b, p, tol)
+        if lam is not None:  # None: the rows are infeasible, and the stall stands
+            x, cert, its = _timed(tele, "newton", _dual_newton, lam, A, b, cost, p, tol)
+            tele["newton_iterations"] += its
     return _finish(SolveResult(float(np.sum(cost * x ** p)), x, cert, tol, tele))
 
 
+def _lp_start(cost, A, b, p, tol):
+    """p times the clipped HiGHS duals of the rows, or None if HiGHS finds no
+    optimum.  A^T lam <= cost holds for LP duals lam, so the primal at p lam,
+    (A^T lam / cost)^(1/(p-1)), is at most 1 however close p is to 1.  A
+    missed LP certificate still gives duals."""
+    try:
+        lp = _solve_lp_min(cost, A, b, tol)
+    except SolverStall as err:
+        lp = err.result
+    return p * np.maximum(lp.certificate["duals"], 0.0) if math.isfinite(lp.optimum) else None
+
+
 def _telemetry(stage, working_set):
-    return {"stage": stage, "lbfgs_iterations": 0, "newton_iterations": 0,
-            "working_set": list(working_set), "wall_s": {}}
+    return {"stage": stage, "newton_iterations": 0, "working_set": list(working_set),
+            "wall_s": {}}
 
 
 def _add_telemetry(tele, sub):
     """Fold one subsolve's telemetry into a running total."""
     tele["stage"] = sub["stage"]
     tele["working_set"] += sub["working_set"]
-    for k in ("lbfgs_iterations", "newton_iterations"):
-        tele[k] += sub[k]
+    tele["newton_iterations"] += sub["newton_iterations"]
     for stage, secs in sub["wall_s"].items():
         tele["wall_s"][stage] = tele["wall_s"].get(stage, 0.0) + secs
 
@@ -131,36 +141,12 @@ def _timed(tele, stage, fn, *args):
 def _finish(result):
     """Count the iterations; return the result, or raise SolverStall."""
     tele = result.telemetry
-    result.certificate["iterations"] = tele["lbfgs_iterations"] + tele["newton_iterations"]
+    result.certificate["iterations"] = tele["newton_iterations"]
     kkt = result.certificate["kkt_residual"]
     if kkt > result.tolerance:
         raise SolverStall(result, f"solver stalled in stage {result.telemetry['stage']!r} "
                                   f"at kkt_residual {kkt:.3g} > tol {result.tolerance:g}")
     return result
-
-
-def _lbfgs_start(cost, A, b, p):
-    """L-BFGS-B dual ascent from a bounded start: where a stalled Newton run restarts."""
-    from scipy.optimize import minimize
-
-    pc, inv = p * cost, 1.0 / (p - 1.0)
-
-    def neg_dual(lam):
-        with np.errstate(over="ignore"):
-            x = _power_primal(A.T @ lam, pc, inv)
-            val = lam @ b - np.sum(cost * x ** p * (p - 1.0))
-        return (-val if math.isfinite(val) else INFEASIBLE), A @ x - b
-
-    # start inside the region where the closed-form primal stays bounded:
-    # with lam0 below p * min(cost / colsum), every ratio a_i/(p c_i) <= 1/2,
-    # which matters enormously for p near 1 (the exponent 1/(p-1) blows up)
-    colsum = np.maximum(A, 0.0).sum(axis=0)
-    pos = colsum > 0
-    lam_scale = float(np.min(cost[pos] / colsum[pos])) * p if np.any(pos) else 1.0
-    res = minimize(neg_dual, np.full(len(b), 0.5 * lam_scale), jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * len(b),
-                   options={"maxiter": LBFGS_MAXITER, "ftol": 1e-16, "gtol": 1e-12})
-    return np.maximum(res.x, 0.0), int(res.nit)
 
 
 def _dual_newton(lam, A, b, cost, p, tol):

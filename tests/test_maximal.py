@@ -395,25 +395,40 @@ BORDERLINE = [
     (psi_majorant_phi(FundamentalFn.power(0.8), 2.0), 2.0),
     (_MaxPhi([FundamentalFn.power(0.5), FundamentalFn.power(0.8)]), 2.0),
     (psi_majorant_phi(FundamentalFn.power(0.6), 3.0), 3.0),
+    # exponent 1/p, where (1/p) * p rounds to 1 - 2^-53
+    *((psi_majorant_phi(FundamentalFn.power(0.9), p), p) for p in (12.25, 24.5, 25.75)),
 ]
+BORDERLINE_IDS = ["psi-0.6", "psi-0.7", "psi-0.8", "max", "psi-0.6-p3", "psi-0.9-p12.25",
+                  "psi-0.9-p24.5", "psi-0.9-p25.75"]
 
 
 def _m_phi_integrand(phi, p):
     return lambda s: np.asarray([m ** p for m in maximal._m_phi_at(phi, s).tolist()])
 
 
-@pytest.mark.parametrize("phi, p", BORDERLINE,
-                         ids=["psi-0.6", "psi-0.7", "psi-0.8", "max", "psi-0.6-p3"])
+def _no_integrals(monkeypatch):
+    def integrate(*args):
+        raise AssertionError("integrated at the borderline")
+
+    for name in ("_dyadic_integral", "_power_integral_rows"):
+        monkeypatch.setattr(maximal, name, integrate)
+
+
+@pytest.mark.parametrize("phi, p", BORDERLINE, ids=BORDERLINE_IDS)
 def test_m_phi_norm_is_inf_at_the_borderline_without_refining(phi, p, monkeypatch):
     # m_phi(s) >= s^{-alpha} with alpha p = 1: int_0^1 s^{-1} ds diverges
-    def refine(g, b):
-        raise AssertionError("refined a borderline norm")
-
-    monkeypatch.setattr(maximal, "_dyadic_integral", refine)
+    _no_integrals(monkeypatch)
     assert m_phi_norm(phi, p) == INF
     monkeypatch.undo()
     # the refinement reaches the same verdict
     assert _dyadic_integral(_m_phi_integrand(phi, p), 1.0) == INF
+
+
+@pytest.mark.parametrize("phi, p", BORDERLINE, ids=BORDERLINE_IDS)
+def test_criterion_B_is_inf_at_the_borderline_without_integrating(phi, p, monkeypatch):
+    # phi^{-p} ~ t^{-alpha p} with alpha p = 1: the inner integral diverges
+    _no_integrals(monkeypatch)
+    assert criterion_B(phi, p) == INF
 
 
 def test_m_phi_norm_refines_just_below_the_borderline(monkeypatch):

@@ -7,11 +7,16 @@ as oracles: the same floating-point operations run in the same order, so
 the minimizer, every certificate entry and the step count must match them
 bit for bit, compared through ``float.hex``.  The oracles run under an
 errstate that ignores every floating-point error, which changes no value.
+``ref_solve`` is the solve as it was when a stalled run restarted from
+L-BFGS-B (``ref_lbfgs_start``); its optimum is the oracle of the restart
+from the LP duals.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +56,7 @@ def ref_lbfgs_start(cost, A, b, p):
     lam_scale = float(np.min(cost[pos] / colsum[pos])) * p if np.any(pos) else 1.0
     res = minimize(neg_dual, np.full(len(b), 0.5 * lam_scale), jac=True, method="L-BFGS-B",
                    bounds=[(0.0, None)] * len(b),
-                   options={"maxiter": solver.LBFGS_MAXITER, "ftol": 1e-16, "gtol": 1e-12})
+                   options={"maxiter": 20_000, "ftol": 1e-16, "gtol": 1e-12})
     return np.maximum(res.x, 0.0), int(res.nit)
 
 
@@ -152,7 +157,7 @@ def ref_feasibility(slacks, lam, b):
 
 
 def ref_solve(cost, A, b, p, lam):
-    """solve_separable_power's p > 1 loop on the reference run: x, cert and counts."""
+    """The p > 1 solve with the L-BFGS-B restart, on the reference run: x, cert and counts."""
     lbfgs = newton = 0
     for lam in (lam, None):
         if lam is None:
@@ -248,34 +253,42 @@ def test_dual_newton_matches_the_reference(run):
     assert_same_run(solver._dual_newton(*args), want)
 
 
-@settings(max_examples=30, deadline=None)
-@given(programs())
-def test_lbfgs_start_matches_the_reference(prog):
-    cost, A, b, p = prog
-    # a row with no positive entry takes L-BFGS-B hundreds of iterations
-    A[~np.any(A > 0, axis=1), 0] = 1.0
-    lam_ref, nit_ref = reference(ref_lbfgs_start, cost, A, b, p)
-    lam, nit = solver._lbfgs_start(cost, A, b, p)
-    assert nit == nit_ref
-    assert bits(lam) == bits(lam_ref)
-
-
 def solve_bits(cost, A, b, p, lam):
-    """x, certificate and counts of solve_separable_power, stalled or not."""
-    try:
-        res = solver.solve_separable_power(cost, A, b, p, solver.DEFAULT_TOL, lam)
-    except SolverStall as err:
-        res = err.result
+    """x, certificate, Newton steps and Newton runs of solve_separable_power,
+    stalled or not, and whether it ran HiGHS."""
+    runs = []
+    dual_newton = solver._dual_newton
+
+    def counting(*args):
+        runs.append(1)
+        return dual_newton(*args)
+
+    with mock.patch.object(solver, "_dual_newton", counting):
+        try:
+            res = solver.solve_separable_power(cost, A, b, p, solver.DEFAULT_TOL, lam)
+        except SolverStall as err:
+            res = err.result
     tele = res.telemetry
     cert = {k: v for k, v in res.certificate.items() if k != "iterations"}
-    assert res.certificate["iterations"] == tele["lbfgs_iterations"] + tele["newton_iterations"]
-    return res.minimizer, cert, (tele["lbfgs_iterations"], tele["newton_iterations"])
+    assert res.certificate["iterations"] == tele["newton_iterations"]
+    assert tele["stage"] == "newton"
+    return res.minimizer, cert, tele["newton_iterations"], len(runs), "highs" in tele["wall_s"]
+
+
+def lp_start(cost, A, b, p):
+    """p times the clipped HiGHS duals of the rows, or None if HiGHS finds no optimum."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    lp = linprog(c=cost, A_ub=-csr_array(A), b_ub=-b, bounds=[(0.0, None)] * A.shape[1],
+                 method="highs", options=solver.LP_OPTIONS)
+    return p * np.maximum(-np.asarray(lp.ineqlin.marginals), 0.0) if lp.success else None
 
 
 def test_a_stalled_run_retries_as_the_reference_does():
     # p = 1.003, where x = (a / (p c))^333 under- or overflows, and an
-    # infeasible row: the first Newton run stalls, the retry starts from
-    # L-BFGS-B
+    # infeasible row: the first Newton run stalls, and the restart starts
+    # from p times the HiGHS duals, unless HiGHS finds the rows infeasible
     rng = np.random.default_rng(606)
     cases = [(np.ones(2), np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2), 2.0)]
     for _ in range(4):
@@ -283,12 +296,26 @@ def test_a_stalled_run_retries_as_the_reference_does():
         A = rng.uniform(0.05, 3.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.5)
         A[:, 0] += 0.05
         cases.append((rng.uniform(0.2, 2.0, n), A, np.ones(m), 1.003))
-    retried = 0
+    restarted = 0
     for cost, A, b, p in cases:
         lam = np.zeros(len(b))
-        x_ref, cert_ref, lbfgs, newton = reference(ref_solve, cost, A, b, p, lam)
-        x, cert, counts = solve_bits(cost, A, b, p, lam)
-        assert counts == (lbfgs, newton)
-        assert_same_run((x, cert, newton), (x_ref, cert_ref, newton))
-        retried += lbfgs > 0
-    assert retried >= 2
+        x, cert, its, runs, highs = solve_bits(cost, A, b, p, lam)
+        x_ref, cert_ref, its_ref = reference(ref_dual_newton, lam, A, b, cost, p,
+                                             solver.DEFAULT_TOL)
+        assert cert_ref["kkt_residual"] > solver.DEFAULT_TOL and highs
+        start = lp_start(cost, A, b, p)
+        if start is None:  # infeasible: the first run's stall stands
+            assert runs == 1
+            assert cert["kkt_residual"] == INFEASIBLE
+            assert_same_run((x, cert, its), (x_ref, cert_ref, its_ref))
+            continue
+        restarted += 1
+        assert runs == 2
+        x_re, cert_re, its_re = reference(ref_dual_newton, start, A, b, cost, p,
+                                          solver.DEFAULT_TOL)
+        assert_same_run((x, cert, its), (x_re, cert_re, its_ref + its_re))
+        assert cert["kkt_residual"] <= solver.DEFAULT_TOL
+        x_old, cert_old = reference(ref_solve, cost, A, b, p, lam)[:2]
+        assert cert_old["kkt_residual"] <= solver.DEFAULT_TOL
+        assert np.sum(cost * x ** p) == pytest.approx(np.sum(cost * x_old ** p), rel=1e-9)
+    assert restarted == 4

@@ -59,14 +59,15 @@ def _minimize_users(tree):
 
 
 def test_one_solver_path():
-    # every program runs through solve_separable_power: no SLSQP anywhere,
-    # and scipy's minimize runs only as the retry after a stalled Newton run
+    # every program runs through solve_separable_power: no SLSQP, no
+    # L-BFGS-B and no scipy minimize anywhere; a stalled Newton run
+    # restarts from the HiGHS duals
     users = set()
     for path in SRC:
         text = path.read_text()
-        assert "SLSQP" not in text, path.name
+        assert "SLSQP" not in text and "L-BFGS-B" not in text, path.name
         users |= {(path.name, fn) for fn in _minimize_users(ast.parse(text))}
-    assert users == {("solver.py", "_lbfgs_start")}
+    assert users == set()
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

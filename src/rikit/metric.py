@@ -427,8 +427,7 @@ def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p) -> SolveResult
     rows = _family_rows(space, curves)
     b = np.asarray([_endpoint_drop(u, c) for c in curves], dtype=float)
     res = constraint_generation(space.weights, rows, b, float(p), 1e-8)
-    power_opt = res.optimum
-    res.optimum = power_opt ** (1.0 / p) if p > 1 else power_opt
+    res.optimum = res.optimum ** (1.0 / p)
     res.certificate["objective"] = "weighted p-norm"
     return res
 
@@ -448,7 +447,7 @@ def minimal_hajlasz(space: MMS, u, p, tol=1e-8) -> SolveResult:
     k = np.arange(len(b))
     rows[k, i] = rows[k, j] = space.dist[i, j]
     res = constraint_generation(space.weights, rows, b, float(p), tol)
-    res.optimum = res.optimum ** (1.0 / p) if p > 1 else res.optimum
+    res.optimum = res.optimum ** (1.0 / p)
     res.certificate["objective"] = "weighted p-norm"
     return res
 

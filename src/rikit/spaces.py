@@ -1,19 +1,23 @@
 """Fundamental functions and rearrangement-invariant (quasi)norm evaluation.
 
 Every norm is evaluated on the decreasing rearrangement, so rearrangement
-invariance holds by construction.  Cell sums against power and affine
-pieces of the fundamental function are closed-form; suprema of
-``M_p u*(t) phi(t)`` over such pieces are attained at piece endpoints, so
-grid maxima over merged breakpoints are exact.  Only log-power and
-Orlicz-inverse shapes fall back to panel quadrature.
+invariance holds by construction.  A shape is cut at its ``breaks`` into
+pieces, each a power, an affine c + m t or a generic callable.  Powers of
+phi integrate in closed form over power and affine pieces, except c + m t
+with c != 0 against dt/t, which takes panel quadrature as the generic
+pieces (power-log, Orlicz, psi-majorant and Lambda^q shapes) do.  Suprema
+of ``M_p u*(t) phi(t)`` over power and affine pieces are attained at piece
+endpoints, so grid maxima over merged breakpoints are exact.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -52,6 +56,11 @@ def _positive_cap(cap):
     return cap
 
 
+def _breaks(points):
+    """The finite positive points as sorted, unique Python floats."""
+    return sorted({float(x) for x in points if 0.0 < x < INF})
+
+
 # ---------------------------------------------------------------------------
 # fundamental functions
 # ---------------------------------------------------------------------------
@@ -63,6 +72,7 @@ class FundamentalFn:
     Concrete shapes are built with the factory methods ``power``,
     ``power_log``, ``orlicz_inverse`` and ``sampled``.  Each shape is held
     constant beyond ``cap`` (the measure proxy of the underlying space).
+    A shape sets its sorted ``breaks`` when built and defines ``form``.
     """
 
     cap = INF
@@ -91,17 +101,37 @@ class FundamentalFn:
     def __call__(self, t):
         raise NotImplementedError
 
-    def kinks(self, lo, hi):
-        """Interior breakpoints of the shape within (lo, hi)."""
-        return np.empty(0)
-
-    def pieces(self, lo, hi):
-        """Yield (a, b, kind, params) pieces covering (lo, hi).
+    def form(self, a, b):
+        """(kind, params) of the shape on (a, b), which holds no breakpoint.
 
         kind is one of "power" (params (coeff, alpha)), "affine"
         (params (c, m)) or "generic" (params = callable).
         """
         raise NotImplementedError
+
+    @cached_property
+    def _break_array(self):
+        """``breaks`` as read-only numpy floats, whose powers overflow to inf."""
+        out = np.array(self.breaks, dtype=float)
+        out.flags.writeable = False
+        return out
+
+    def kinks(self, lo, hi):
+        """The breakpoints strictly inside (lo, hi), sorted, as a read-only array."""
+        i = bisect_right(self.breaks, lo)
+        return self._break_array[i:bisect_left(self.breaks, hi, i)]
+
+    def pieces(self, lo, hi):
+        """Yield (a, b, kind, params): (lo, hi) cut at the kinks, each with its ``form``."""
+        a = lo
+        if self.breaks:
+            i = bisect_right(self.breaks, lo)
+            j = bisect_left(self.breaks, hi, i)
+            if i < j:
+                for b in self._break_array[i:j]:
+                    yield (a, b, *self.form(a, b))
+                    a = b
+        yield (a, hi, *self.form(a, hi))
 
     def power_exponent(self):
         """(coeff, alpha) when the shape is a pure power with cap inf."""
@@ -117,11 +147,8 @@ class FundamentalFn:
         return INF
 
     def eval_grid(self, lo, hi):
-        """256 geometric points on [lo, hi] with the endpoints and kinks."""
-        pts = [np.asarray([lo, hi], dtype=float), self.kinks(lo, hi)]
-        pts.append(geometric_grid(lo, hi, 256))
-        g = np.unique(np.concatenate(pts))
-        return g[(g >= lo) & (g <= hi)]
+        """256 geometric points from lo to hi, both exact, and the kinks between."""
+        return np.unique(np.concatenate((geometric_grid(lo, hi, 256), self.kinks(lo, hi))))
 
 
 class PowerPhi(FundamentalFn):
@@ -135,6 +162,8 @@ class PowerPhi(FundamentalFn):
         self.alpha = float(alpha)
         self.coeff = float(coeff)
         self.cap = _positive_cap(cap)
+        self.breaks = _breaks([self.cap])
+        self._top = float(self(self.cap))
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -142,19 +171,10 @@ class PowerPhi(FundamentalFn):
             out = self.coeff * np.where(t > 0, t ** self.alpha, 0.0)
         return out if out.ndim else float(out)
 
-    def kinks(self, lo, hi):
-        if lo < self.cap < hi:
-            return np.asarray([self.cap])
-        return np.empty(0)
-
-    def pieces(self, lo, hi):
-        a = lo
+    def form(self, a, b):
         if a < self.cap:
-            b = min(hi, self.cap)
-            yield (a, b, "power", (self.coeff, self.alpha))
-            a = b
-        if a < hi:
-            yield (a, hi, "affine", (float(self(self.cap)), 0.0))
+            return "power", (self.coeff, self.alpha)
+        return "affine", (self._top, 0.0)
 
     def power_exponent(self):
         if math.isinf(self.cap):
@@ -165,9 +185,7 @@ class PowerPhi(FundamentalFn):
         return self.coeff if self.alpha == 0.0 else 0.0
 
     def value_inf(self):
-        if math.isfinite(self.cap):
-            return float(self(self.cap))
-        return self.coeff if self.alpha == 0.0 else INF
+        return self._top
 
 
 class PowerLogPhi(FundamentalFn):
@@ -192,6 +210,8 @@ class PowerLogPhi(FundamentalFn):
             t_sw = min(t_sw, math.exp(beta / (1.0 - alpha)))
         self.t_switch = t_sw
         self.cap = _positive_cap(cap)
+        self.breaks = _breaks([t_sw, self.cap])
+        self._top = float(self(t_sw))
 
     def _raw(self, t):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,21 +223,13 @@ class PowerLogPhi(FundamentalFn):
         out = np.where(t_eff > 0, self._raw(t_eff), 0.0)
         return out if out.ndim else float(out)
 
-    def kinks(self, lo, hi):
-        ks = [k for k in (self.t_switch, self.cap) if lo < k < hi]
-        return np.asarray(ks)
-
-    def pieces(self, lo, hi):
-        a = lo
-        if a < self.t_switch:
-            b = min(hi, self.t_switch)
-            yield (a, b, "generic", self.__call__)
-            a = b
-        if a < hi:
-            yield (a, hi, "affine", (float(self(self.t_switch)), 0.0))
+    def form(self, a, b):
+        if a < self.t_switch and a < self.cap:
+            return "generic", self.__call__
+        return "affine", (self._top, 0.0)
 
     def value_inf(self):
-        return float(self(min(self.t_switch, self.cap)))
+        return self._top
 
 
 class OrliczN:
@@ -277,6 +289,8 @@ class OrliczInversePhi(FundamentalFn):
     def __init__(self, orlicz: OrliczN, cap=INF):
         self.orlicz = orlicz
         self.cap = _positive_cap(cap)
+        self.breaks = _breaks([*(1.0 / orlicz.ys[1:]), self.cap])
+        self._top = self.value_inf()
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -285,20 +299,10 @@ class OrliczInversePhi(FundamentalFn):
         out = np.where(np.asarray(t) > 1e-299, 1.0 / np.maximum(inv, 1e-300), 0.0)
         return out if out.ndim else float(out)
 
-    def kinks(self, lo, hi):
-        ks = 1.0 / self.orlicz.ys[1:][::-1]
-        ks = ks[(ks > lo) & (ks < hi)]
-        if lo < self.cap < hi:
-            ks = np.append(ks, self.cap)
-        return np.sort(ks)
-
-    def pieces(self, lo, hi):
-        cut = min(hi, self.cap)
-        pts = np.unique(np.concatenate(([lo, cut], self.kinks(lo, cut))))
-        for a, b in zip(pts[:-1], pts[1:]):
-            yield (a, b, "generic", self.__call__)
-        if cut < hi:
-            yield (cut, hi, "affine", (float(self(self.cap)), 0.0))
+    def form(self, a, b):
+        if a < self.cap:
+            return "generic", self.__call__
+        return "affine", (self._top, 0.0)
 
 
 class SampledPhi(FundamentalFn):
@@ -319,6 +323,13 @@ class SampledPhi(FundamentalFn):
         self.ts = np.concatenate(([0.0], ts))
         self.vals = np.concatenate(([0.0], vals))
         self.cap = float(ts[-1]) if cap is None else _positive_cap(cap)
+        self.breaks = _breaks([*ts, self.cap])
+        # (c, m) of c + m t from each node on, constant from min(cap, last node)
+        flat = min(self.cap, float(ts[-1]))
+        self._nodes = [x for x in self.ts.tolist() if x < flat] + [flat]
+        slopes = np.diff(self.vals) / np.diff(self.ts)
+        lines = zip(self.vals[:-1] - slopes * self.ts[:-1], slopes)
+        self._lines = [*lines][:len(self._nodes) - 1] + [(float(self(self.cap)), 0.0)]
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -326,28 +337,8 @@ class SampledPhi(FundamentalFn):
         out = np.interp(t, self.ts, self.vals)
         return out if out.ndim else float(out)
 
-    def kinks(self, lo, hi):
-        ks = self.ts[1:-1]
-        ks = ks[(ks > lo) & (ks < hi)]
-        extra = [k for k in (self.ts[-1], self.cap) if lo < k < hi]
-        return np.unique(np.concatenate((ks, np.asarray(extra))))
-
-    def pieces(self, lo, hi):
-        cut = min(hi, self.cap, self.ts[-1])
-        idx0 = int(np.searchsorted(self.ts, lo, side="right")) - 1
-        a = lo
-        for i in range(max(idx0, 0), len(self.ts) - 1):
-            if a >= cut:
-                break
-            b = min(self.ts[i + 1], cut)
-            if b <= a:
-                continue
-            m = (self.vals[i + 1] - self.vals[i]) / (self.ts[i + 1] - self.ts[i])
-            c = self.vals[i] - m * self.ts[i]
-            yield (a, b, "affine", (c, m))
-            a = b
-        if a < hi:
-            yield (a, hi, "affine", (float(self(self.cap)), 0.0))
+    def form(self, a, b):
+        return "affine", self._lines[bisect_right(self._nodes, a) - 1]
 
 
 class PsiMajorantPhi(FundamentalFn):
@@ -375,6 +366,8 @@ class PsiMajorantPhi(FundamentalFn):
         # suffix maxima: best ratio at or above each base point
         self.suffix_max = np.maximum.accumulate(ratios[::-1])[::-1]
         self.cap = phi.cap
+        # below 1 the grid cuts psi; from 1 on psi is phi, cut where phi is
+        self.breaks = _breaks([*base, *(x for x in phi.breaks if x > 1.0)])
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -394,20 +387,10 @@ class PsiMajorantPhi(FundamentalFn):
             out[below] = tb ** (1.0 / self.p) * np.maximum(own, grid_part)
         return out if np.ndim(t) else float(out[0])
 
-    def kinks(self, lo, hi):
-        ks = self.base[(self.base > lo) & (self.base < hi)]
-        more = self.phi.kinks(max(lo, 1.0), hi) if hi > 1.0 else np.empty(0)
-        one = np.asarray([1.0]) if lo < 1.0 < hi else np.empty(0)
-        return np.unique(np.concatenate((ks, more, one)))
-
-    def pieces(self, lo, hi):
-        cut = min(hi, 1.0)
-        if lo < cut:
-            pts = np.unique(np.concatenate(([lo, cut], self.kinks(lo, cut))))
-            for a, b in zip(pts[:-1], pts[1:]):
-                yield (a, b, "generic", self.__call__)
-        if cut < hi:
-            yield from self.phi.pieces(cut, hi)
+    def form(self, a, b):
+        if a < 1.0:
+            return "generic", self.__call__
+        return self.phi.form(a, b)
 
     def value_inf(self):
         return self.phi.value_inf()
@@ -554,6 +537,7 @@ class _LambdaQFundamental(FundamentalFn):
         self.phi = phi
         self.q = float(q)
         self.cap = phi.cap
+        self.breaks = phi.breaks
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0
@@ -589,11 +573,8 @@ class _LambdaQFundamental(FundamentalFn):
         out[pos] = cum[np.searchsorted(knots, ts[pos])]
         return out
 
-    def kinks(self, lo, hi):
-        return self.phi.kinks(lo, hi)
-
-    def pieces(self, lo, hi):
-        yield (lo, hi, "generic", self.__call__)
+    def form(self, a, b):
+        return "generic", self.__call__
 
 
 class _MaxPhi(FundamentalFn):
@@ -604,6 +585,12 @@ class _MaxPhi(FundamentalFn):
             raise UnsupportedCombination("component without fundamental function")
         self.phis = list(phis)
         self.cap = max(p.cap for p in self.phis)
+        # crossings of pure-power components are breaks too (none past the floats)
+        powers = [pe for pe in (p.power_exponent() for p in self.phis) if pe]
+        with np.errstate(over="ignore"):
+            cross = [np.float64(ci / cj) ** (1.0 / (aj - ai))
+                     for (ci, ai), (cj, aj) in combinations(powers, 2) if ai != aj]
+        self.breaks = _breaks([x for p in self.phis for x in p.breaks] + cross)
 
     def __call__(self, t):
         vals = [np.asarray(p(t), dtype=float) for p in self.phis]
@@ -612,30 +599,11 @@ class _MaxPhi(FundamentalFn):
             out = np.maximum(out, v)
         return out if out.ndim else float(out)
 
-    def kinks(self, lo, hi):
-        ks = [p.kinks(lo, hi) for p in self.phis]
-        # crossing points between pure-power components are breakpoints too
-        cross = []
-        powers = [p.power_exponent() for p in self.phis]
-        for i in range(len(powers)):
-            for j in range(i + 1, len(powers)):
-                if powers[i] and powers[j] and powers[i][1] != powers[j][1]:
-                    ci, ai = powers[i]
-                    cj, aj = powers[j]
-                    x = (ci / cj) ** (1.0 / (aj - ai))
-                    if lo < x < hi:
-                        cross.append(x)
-        return np.unique(np.concatenate(ks + [np.asarray(cross)]))
-
-    def pieces(self, lo, hi):
-        pts = np.unique(np.concatenate(([lo, hi], self.kinks(lo, hi))))
-        for a, b in zip(pts[:-1], pts[1:]):
-            # probe strictly inside the piece; a geometric mean anchored
-            # away from 0 picks the branch that dominates near the left end
-            mid = math.sqrt(max(a, b * 1e-12) * b)
-            vals = [float(p(mid)) for p in self.phis]
-            k = int(np.argmax(vals))
-            yield from _clip_pieces(self.phis[k].pieces(a, b), a, b)
+    def form(self, a, b):
+        # probe strictly inside the segment; a geometric mean anchored
+        # away from 0 picks the branch that dominates near the left end
+        mid = math.sqrt(max(a, b * 1e-12) * b)
+        return max(self.phis, key=lambda p: float(p(mid))).form(a, b)
 
     def phi0plus(self):
         return max(p.phi0plus() for p in self.phis)
@@ -654,13 +622,6 @@ class _MaxPhi(FundamentalFn):
 def _has_generic_piece(phi, lo, hi):
     """Whether phi needs quadrature (a "generic" piece) somewhere in (lo, hi)."""
     return any(kind == "generic" for (_, _, kind, _) in phi.pieces(lo, hi))
-
-
-def _clip_pieces(pieces, lo, hi):
-    for (a, b, kind, params) in pieces:
-        a2, b2 = max(a, lo), min(b, hi)
-        if a2 < b2:
-            yield (a2, b2, kind, params)
 
 
 def _phi_to_dict(phi):

@@ -177,3 +177,22 @@ def test_density_reports_match_golden(name):
     golden = json.loads(DENSITY_GOLDEN.read_text())
     assert set(DENSITY_SPECS) == set(golden)
     assert density_reports(name) == golden[name]
+
+
+# condition statuses of the M^2 report at p = 2 for a power-log shape
+# t^a |log t| near 0; at a = 0.7 > 1/2 the weak-type bound (iv) fails
+MP_POWERLOG_STATUS = {
+    0.3: {"i": "true", "iv": "true", "vii": "true"},
+    0.5: {"i": "true", "iv": "true", "vii": "true"},
+    0.7: {"i": "inconclusive", "iv": "false", "vii": "false"},
+}
+
+
+@pytest.mark.parametrize("a", list(MP_POWERLOG_STATUS))
+def test_marcinkiewicz_p_power_log_reports_are_coherent(a):
+    # the implication closure raises InvariantViolated on an incoherent report
+    spec = NormSpec.marcinkiewicz_p(FundamentalFn.power_log(a, 1.0), 2)
+    report = density_criteria_report(spec, 2).to_dict()
+    status = {cid: c["status"] for cid, c in report["conditions"].items()}
+    assert {cid: status[cid] for cid in ("i", "iv", "vii")} == MP_POWERLOG_STATUS[a]
+    assert report["ac_norm"] is False and report["density_verdict"] is False

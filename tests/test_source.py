@@ -256,6 +256,18 @@ def test_only_spaces_walks_the_pieces_of_a_shape():
     assert not imported & {"_gauss_log_rows", "_rowwise", "_sum_in_order"}
 
 
+def test_one_segmentation_per_shape():
+    # a shape declares its breaks and forms; FundamentalFn alone cuts an
+    # interval into kinks and pieces, so the two cannot disagree
+    tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    cutters = [(top.name, node.name) for top in tree.body if isinstance(top, ast.ClassDef)
+               for node in top.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("kinks", "pieces")]
+    assert sorted(cutters) == [("FundamentalFn", "kinks"), ("FundamentalFn", "pieces")]
+    names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert "_clip_pieces" not in names
+
+
 def _calls(node, nested):
     """Names of the functions called under node and, transitively, under the
     ``nested`` functions (name -> def) that it calls."""

@@ -258,32 +258,61 @@ class SuperlevelSet:
 def distribution(u: WeightedSamples, t) -> float:
     """Weight of {|u| > t}; right-continuous and non-increasing in t."""
     t = float(t)
+    if math.isnan(t):
+        raise ValueError("distribution requires a t that is not NaN")
     mask = np.abs(u.values) > t
     return float(np.sum(u.weights[mask]))
+
+
+def _descending_order(a, minor):
+    """``(order, a[order])``: ``a`` descending, equal values by ``minor`` ascending.
+
+    One default argsort orders ``a``.  Only if some value repeats does a
+    second argsort, on the int64 key run index * n + rank of ``minor``,
+    order each run of equal values; that key is unique, so the order does
+    not depend on where the first sort left the ties.  ``a`` holds
+    magnitudes (no -0.0, no NaN), so a run's values are bit-identical and
+    the sorted values stand after the reorder.
+    """
+    order = np.argsort(-a)
+    sorted_a = a[order]
+    new_run = sorted_a[1:] != sorted_a[:-1]
+    if new_run.all():
+        return order, sorted_a
+    n = len(a)
+    rank = np.empty(n, dtype=np.int64)
+    # array methods: the np.argsort and np.cumsum wrappers add a Python
+    # call each, which small inputs with ties pay on every rearrangement
+    rank[minor.argsort()] = np.arange(n)
+    key = rank[order]
+    key[1:] += new_run.cumsum() * n
+    return order[key.argsort()], sorted_a
 
 
 def decreasing_rearrangement(u: WeightedSamples) -> GridFn:
     """Sort-based exact rearrangement of |u| onto (0, total_weight].
 
     Samples are sorted canonically: |value| descending and, among equal
-    values, weight descending.  Each block of equal values becomes one
-    cell whose width is the sequential sum of its weights in that order;
-    the edges are the running sum of the cell widths, and the trailing
-    zero block is dropped.  The order depends only on the multiset of
-    (|value|, weight) pairs, so equimeasurable inputs (any permutation
-    in particular) produce bit-identical GridFns.
+    values, weight descending.  One default argsort orders |value|, and
+    only runs of equal values are reordered, by one argsort on the int64
+    key (run index, weight rank); equal (|value|, weight) pairs are
+    interchangeable, so any order these sorts leave them in gives the
+    same arrays.  Each block of equal values becomes one cell whose width
+    is the sequential sum of its weights in that order; the edges are the
+    running sum of the cell widths, and the trailing zero block is
+    dropped.  The order depends only on the multiset of (|value|, weight)
+    pairs, so equimeasurable inputs (any permutation in particular)
+    produce bit-identical GridFns.
     """
-    w = u.weights
-    vals = np.abs(u.values)
-    order = np.lexsort((-w, -vals))
-    vals, w = vals[order], w[order]
+    neg_w = -u.weights
+    order, vals = _descending_order(np.abs(u.values), neg_w)
     if len(vals) == 0:
         return GridFn([0.0], [])
     starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
     # w0 - (-w1) - (-w2) - ...: subtraction reduces strictly left to right,
     # where np.add.reduceat may regroup a block pairwise
-    signed = -w
-    signed[starts] = w[starts]
+    signed = neg_w[order]
+    signed[starts] = -signed[starts]
     merged_w = np.subtract.reduceat(signed, starts)
     merged_vals = vals[starts]
     if merged_vals[-1] == 0.0:
@@ -294,6 +323,8 @@ def decreasing_rearrangement(u: WeightedSamples) -> GridFn:
 def gridfn_distribution(f: GridFn, t) -> float:
     """Lebesgue measure of {f > t} for a GridFn (inf if the tail exceeds t)."""
     t = float(t)
+    if math.isnan(t):
+        raise ValueError("gridfn_distribution requires a t that is not NaN")
     if f.tail > t:
         return INF
     widths = np.diff(f.edges)
@@ -304,7 +335,7 @@ def gridfn_distribution(f: GridFn, t) -> float:
 def star_star(ustar: GridFn, t) -> float:
     """Elementary maximal function: the running average (1/t) int_0^t u*."""
     t = float(t)
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise ValueError("star_star requires t > 0")
     s = ustar.integral_to(t)
     if not math.isfinite(s):
@@ -321,16 +352,14 @@ def superlevel_family(u: WeightedSamples, t) -> SuperlevelSet:
     """
     t = float(t)
     total = u.total_weight
-    if t < -MEASURE_ATOL or t > total + MEASURE_ATOL:
+    if not -MEASURE_ATOL <= t <= total + MEASURE_ATOL:  # NaN too
         raise ValueError("t must lie in [0, total weight]")
     if t <= MEASURE_ATOL:
         a = np.abs(u.values)
         level = INF if np.any(~np.isfinite(a)) else (float(np.max(a)) if len(a) else 0.0)
         return SuperlevelSet(indices=(), target_measure=t, level=level)
 
-    a = np.abs(u.values)
-    order = np.argsort(-a, kind="stable")  # ties by ascending index
-    a = a[order]
+    order, a = _descending_order(np.abs(u.values), np.arange(len(u)))  # ties by index
     acc = np.concatenate(([0.0], np.cumsum(u.weights[order])))
     # cut level: value of the cell of the rearrangement containing t
     j = int(np.searchsorted(acc[1:], t - MEASURE_ATOL, side="left"))

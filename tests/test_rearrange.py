@@ -65,6 +65,16 @@ def test_distribution_right_continuous_non_increasing():
         prev = d
 
 
+def test_distribution_rejects_nan_t():
+    with pytest.raises(ValueError):
+        distribution(ws([1.0, 3.0], [0.5, 0.5]), math.nan)
+
+
+def test_gridfn_distribution_rejects_nan_t():
+    with pytest.raises(ValueError):
+        gridfn_distribution(GridFn([0.0, 1.0], [2.0]), math.nan)
+
+
 # -- decreasing rearrangement ------------------------------------------------
 
 
@@ -164,6 +174,12 @@ def test_star_star_constant():
         assert star_star(f, t) == pytest.approx(2.5)
 
 
+def test_star_star_rejects_nan_t():
+    # the t > 0 guard must not let NaN through to a NaN average
+    with pytest.raises(ValueError):
+        star_star(GridFn([0.0, 1.0], [1.0]), math.nan)
+
+
 def test_star_star_dominates_and_decreasing():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -242,6 +258,12 @@ def test_superlevel_sandwich_property():
             if i in inside:
                 assert a[i] >= s.level
         assert float(np.sum(u.weights[list(inside)])) == pytest.approx(t, abs=1e-9)
+
+
+def test_superlevel_rejects_nan_t():
+    # the range check must not let NaN through to every index
+    with pytest.raises(ValueError):
+        superlevel_family(ws([3.0, 1.0], [0.5, 0.5]), math.nan)
 
 
 def test_superlevel_not_attainable():

@@ -6,7 +6,9 @@ replaced; they are kept here as oracles.  The rearrangement sums each tie
 block sequentially, where the loop uses ``np.sum`` (pairwise on blocks of
 8 or more), so its edges must match the loop bit for bit on tie-free
 inputs and to 1e-13 relative otherwise.  ``superlevel_family`` keeps the
-same sequential partial sums and must match its loop exactly.
+same sequential partial sums and must match its loop exactly.  The
+hypothesis strategies draw at most 144 samples; fixed seeded inputs of
+1,000 to 100,000 samples cover the sizes where numpy sorts differently.
 """
 
 import math
@@ -60,6 +62,26 @@ def ref_decreasing_rearrangement(u):
         merged_vals.pop()
         merged_w.pop()
     return np.concatenate(([0.0], np.cumsum(merged_w))), np.asarray(merged_vals, dtype=float)
+
+
+def ref_canonical_cells(u):
+    """Cell values and edges from Python's sort of the (|value|, weight)
+    pairs, descending, each block of equal values summed left to right."""
+    pairs = sorted(zip(np.abs(u.values).tolist(), u.weights.tolist()), reverse=True)
+    vals, widths = [], []
+    for v, w in pairs:
+        if vals and vals[-1] == v:
+            widths[-1] += w
+        else:
+            vals.append(v)
+            widths.append(w)
+    if vals and vals[-1] == 0.0:
+        vals.pop()
+        widths.pop()
+    edges = [0.0]
+    for w in widths:
+        edges.append(edges[-1] + w)
+    return vals, edges
 
 
 def ref_superlevel_family(u, t):
@@ -136,6 +158,30 @@ def permuted(u, perm):
     return WeightedSamples(u.values[perm], u.weights[perm])
 
 
+def large_samples(n, ties, specials, seed):
+    """n samples, drawn as the hypothesis strategies cannot: numpy's sort
+    changes algorithm with size.  Tie-heavy values lie on a quarter grid
+    with weights from a pool of 4; ``specials`` mixes in +-0.0 and +-inf."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        vals = np.round(rng.standard_normal(n) * 8.0) / 4.0
+        w = rng.choice([0.25, 0.5, 1.0, 3.0], n)
+    else:
+        vals = rng.standard_normal(n) * rng.lognormal(0.0, 0.5, n)
+        w = rng.uniform(0.5, 1.5, n)
+    if specials:
+        k = n // 40
+        idx = rng.choice(n, 4 * k, replace=False).reshape(4, k)
+        for row, v in zip(idx, (0.0, -0.0, INF, -INF)):
+            vals[row] = v
+    return WeightedSamples(vals, w)
+
+
+LARGE = [pytest.param(n, ties, specials, id=f"{n}-{'ties' if ties else 'tie_free'}"
+                      + ("-specials" if specials else ""))
+         for n in (1_000, 20_000, 100_000) for ties in (False, True) for specials in (False, True)]
+
+
 # -- decreasing rearrangement -------------------------------------------------------
 
 
@@ -203,6 +249,18 @@ def test_cells_are_sequential_block_sums_in_canonical_order(u):
     assert f.edges.tolist() == edges
 
 
+@pytest.mark.parametrize("n, ties, specials", LARGE)
+def test_large_inputs_match_the_canonical_order_bit_for_bit(n, ties, specials):
+    u = large_samples(n, ties, specials, seed=n)
+    f = decreasing_rearrangement(u)
+    vals, edges = ref_canonical_cells(u)
+    assert f.values.tolist() == vals
+    assert f.edges.tolist() == edges
+    g = decreasing_rearrangement(permuted(u, np.random.default_rng(1).permutation(n)))
+    assert np.array_equal(f.edges, g.edges)
+    assert np.array_equal(f.values, g.values)
+
+
 @pytest.mark.parametrize("vals", [[], [0.0], [0.0, -0.0, 0.0]])
 def test_empty_and_all_zero_give_an_empty_gridfn(vals):
     u = WeightedSamples(vals, [1.5] * len(vals))
@@ -238,3 +296,29 @@ def test_superlevel_family_matches_the_loop(u, data):
                 (e.target, e.lower, e.upper)
         return
     assert superlevel_family(u, t) == want
+
+
+
+def assert_superlevel_matches_the_loop(u, t):
+    try:
+        want = ref_superlevel_family(u, t)
+    except (ValueError, NotAttainable) as e:
+        with pytest.raises(type(e)) as got:
+            superlevel_family(u, t)
+        if isinstance(e, NotAttainable):
+            assert (got.value.target, got.value.lower, got.value.upper) == \
+                (e.target, e.lower, e.upper)
+        return
+    assert superlevel_family(u, t) == want
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["tie_free", "ties"])
+def test_superlevel_family_matches_the_loop_on_5000_samples(ties):
+    u = large_samples(5_000, ties, True, seed=5)
+    rng = np.random.default_rng(6)
+    attainable = np.concatenate(([0.0], np.cumsum(u.weights[ref_sorted_desc(u)])))
+    picks = rng.choice(attainable, 12)
+    ts = np.concatenate((picks, picks + 0.5 * MEASURE_ATOL, picks + 1.5 * MEASURE_ATOL,
+                         rng.uniform(0.0, u.total_weight, 6), [u.total_weight]))
+    for t in ts:
+        assert_superlevel_matches_the_loop(u, float(t))

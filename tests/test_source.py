@@ -21,6 +21,12 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert at lines {lines}"
 
 
+def test_no_lexsort_in_src():
+    # the rearrangement sorts with one default argsort and orders ties
+    # inside runs of equal values only; np.lexsort is a merge sort per key
+    assert [path.name for path in SRC if "lexsort" in path.read_text()] == []
+
+
 def test_import_does_not_load_scipy_optimize():
     # scipy.optimize is most of the import time; only the solver needs it
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))

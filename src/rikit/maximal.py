@@ -551,6 +551,11 @@ def _fmt(x):
     return str(x)
 
 
+def _status(ok):
+    """The status of a rule's outcome: True, False, or None when undecided."""
+    return INCONCLUSIVE if ok is None else TRUE if ok else FALSE
+
+
 def density_criteria_report(spec: NormSpec, p, complete_space=False,
                             delta=1.0) -> CriteriaReport:
     """Evaluate the nine density conditions (plus the complete-space
@@ -571,183 +576,111 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     rule = _FAMILIES[spec.family].density
     verdicts = {}
 
+    def put(cids, ok, cert, note):
+        """One verdict per id of cids from the rule's outcome ok."""
+        for cid in cids:
+            verdicts[cid] = ConditionVerdict(cid, _status(ok), dict(cert), note)
+
     lorentz_like = rule == "lorentz"
     p0, q0 = (spec.p, spec.p if spec.q is None else spec.q) if lorentz_like else (None, None)
 
     # (ii)  X embeds in Lambda^p_{psi,fm}
     if lorentz_like:
-        if p <= p0 and q0 <= p:
-            verdicts["ii"] = ConditionVerdict(
-                "ii", TRUE,
-                {"target": f"L^({p0:g},{p:g}) locally", "q0": q0},
-                "second Lorentz index rule")
-        else:
-            verdicts["ii"] = ConditionVerdict(
-                "ii", FALSE,
-                {"target": (f"L^({p0:g},{p:g})" if p <= p0 else f"L^{p:g}")
-                 + " locally", "q0": q0},
-                "second Lorentz index rule")
+        put(["ii"], p <= p0 and q0 <= p,
+            {"target": (f"L^({p0:g},{p:g})" if p <= p0 else f"L^{p:g}") + " locally",
+             "q0": q0}, "second Lorentz index rule")
     elif rule == "weak" or (rule == "weak-power" and pe0 is not None):
-        verdicts["ii"] = ConditionVerdict(
-            "ii", FALSE, {}, "weak-type space never embeds in a Lambda space")
+        put(["ii"], False, {}, "weak-type space never embeds in a Lambda space")
     else:
-        verdicts["ii"] = ConditionVerdict("ii", INCONCLUSIVE, {},
-                                          "no embedding rule for this family")
+        put(["ii"], None, {}, "no embedding rule for this family")
 
     # (iii)  L^{p,1} into X_fm and X into L^p_fm
     if lorentz_like:
-        ok = (p == p0) and (q0 <= p0)
-        verdicts["iii"] = ConditionVerdict(
-            "iii", TRUE if ok else FALSE,
+        put(["iii"], p == p0 and q0 <= p0,
             {"phi_comparable": p == p0, "into_Lp": q0 <= p0 and p == p0},
             "fundamental-function comparability")
     elif rule == "weak":
-        verdicts["iii"] = ConditionVerdict(
-            "iii", FALSE, {"into_Lp": False}, "weak space is not inside L^p")
+        put(["iii"], False, {"into_Lp": False}, "weak space is not inside L^p")
+    elif pe0 is not None and abs(pe0[1] - 1.0 / p) >= 1e-12:
+        put(["iii"], False, {"alpha_near_zero": pe0[1]},
+            "fundamental function not comparable to t^{1/p}")
     else:
-        comparable = None
-        if pe0 is not None:
-            comparable = abs(pe0[1] - 1.0 / p) < 1e-12
-        if comparable is False:
-            verdicts["iii"] = ConditionVerdict(
-                "iii", FALSE, {"alpha_near_zero": pe0[1]},
-                "fundamental function not comparable to t^{1/p}")
-        else:
-            verdicts["iii"] = ConditionVerdict("iii", INCONCLUSIVE, {},
-                                               "embedding side undecidable")
+        put(["iii"], None, {}, "embedding side undecidable")
 
     # (iv)  criterion B
     B = criterion_B(phi, p, delta)
-    verdicts["iv"] = ConditionVerdict(
-        "iv", TRUE if math.isfinite(B) else FALSE, {"B": B, "delta": delta},
-        "weak-boundedness supremum")
+    put(["iv"], math.isfinite(B), {"B": B, "delta": delta}, "weak-boundedness supremum")
 
-    # (v) / (vi)  concavity and quasi-concavity of a higher power
-    if pe0 is not None:
-        alpha = pe0[1]
-        if alpha == 0.0:
-            witness = max(2.0 * p, 2.0)
-            verdicts["v"] = ConditionVerdict("v", TRUE, {"witness_q": witness},
-                                             "constant shape near zero")
-            verdicts["vi"] = ConditionVerdict("vi", TRUE, {"witness_q": witness},
-                                              "constant shape near zero")
-        elif alpha * p < 1.0:
-            witness = 1.0 / alpha
-            verdicts["v"] = ConditionVerdict("v", TRUE, {"witness_q": witness},
-                                             "power rule: q*alpha <= 1")
-            verdicts["vi"] = ConditionVerdict("vi", TRUE, {"witness_q": witness},
-                                              "power rule: q*alpha <= 1")
-        else:
-            verdicts["v"] = ConditionVerdict("v", FALSE, {"alpha": alpha},
-                                             "needs q > p with q*alpha <= 1")
-            verdicts["vi"] = ConditionVerdict("vi", FALSE, {"alpha": alpha},
-                                              "needs q > p with q*alpha <= 1")
-    else:
+    # (v) / (vi)  concavity and quasi-concavity of a higher power; (c-i) /
+    # (c-ii) relax them on a complete space
+    if pe0 is None:
         # concavity on a grid window says nothing about the shape below
         # it: power_log(0.51, 1) passes on (1e-8, 1) but not near 0
-        for cid in ("v", "vi"):
-            verdicts[cid] = ConditionVerdict(cid, INCONCLUSIVE, {},
-                                             "no rule for this shape near zero")
+        put(["v", "vi", "c-i", "c-ii"], None, {}, "no rule for this shape near zero")
+    else:
+        alpha = pe0[1]
+        if alpha == 0.0:
+            put(["v", "vi"], True, {"witness_q": max(2.0 * p, 2.0)},
+                "constant shape near zero")
+        elif alpha * p < 1.0:
+            put(["v", "vi"], True, {"witness_q": 1.0 / alpha}, "power rule: q*alpha <= 1")
+        else:
+            put(["v", "vi"], False, {"alpha": alpha}, "needs q > p with q*alpha <= 1")
+        put(["c-i", "c-ii"], alpha * p <= 1.0, {"alpha": alpha}, "power rule: p*alpha <= 1")
 
     # (vii)  m_phi in L^p(0,1)
     mn = m_phi_norm(phi, p)
-    verdicts["vii"] = ConditionVerdict(
-        "vii", TRUE if math.isfinite(mn) else FALSE, {"m_phi_Lp": mn},
-        "quasi-concavity modulus")
+    put(["vii"], math.isfinite(mn), {"m_phi_Lp": mn}, "quasi-concavity modulus")
 
-    # (viii)  upper fundamental index < 1/p
+    # (viii)  upper fundamental index < 1/p; (c-iii) <= 1/p
     z = zippin_upper(phi)
     beta = z.beta_upper
-    if z.beta_exact:
-        verdicts["viii"] = ConditionVerdict(
-            "viii", TRUE if beta < 1.0 / p else FALSE,
-            {"beta_upper": beta, "threshold": 1.0 / p}, "exact power index")
-    else:
-        verdicts["viii"] = ConditionVerdict(
-            "viii", INCONCLUSIVE, {"beta_upper": beta, "threshold": 1.0 / p},
-            "grid estimate certifies no bound")
+    note = "exact power index" if z.beta_exact else "grid estimate certifies no bound"
+    put(["viii"], beta < 1.0 / p if z.beta_exact else None,
+        {"beta_upper": beta, "threshold": 1.0 / p}, note)
+    put(["c-iii"], beta <= 1.0 / p + 1e-12 if z.beta_exact else None,
+        {"beta_upper": beta}, note)
 
-    # (ix)  upper Boyd index < 1/p
+    # (ix)  upper Boyd index < 1/p; (c-iv) <= 1/p
     alpha_exact = spec.boyd_alpha_exact()
     if alpha_exact is not None:
-        verdicts["ix"] = ConditionVerdict(
-            "ix", TRUE if alpha_exact < 1.0 / p else FALSE,
-            {"alpha": alpha_exact, "threshold": 1.0 / p}, "closed form")
+        put(["ix"], alpha_exact < 1.0 / p, {"alpha": alpha_exact, "threshold": 1.0 / p},
+            "closed form")
+        put(["c-iv"], alpha_exact <= 1.0 / p + 1e-12, {"alpha": alpha_exact}, "closed form")
     else:
         b = boyd_upper_lowerbound(spec)
-        verdicts["ix"] = ConditionVerdict(
-            "ix", INCONCLUSIVE,
-            {"alpha_lower": b.alpha_lower, "threshold": 1.0 / p},
+        put(["ix"], None, {"alpha_lower": b.alpha_lower, "threshold": 1.0 / p},
             "lower bounds cannot certify a strict upper-index inequality")
+        put(["c-iv"], None, {}, "no closed form for the Boyd index")
 
     # (i)  X embeds in M^p_loc(X): p = 1 always, else via (ii) or (iv)
     if p == 1.0:
-        verdicts["i"] = ConditionVerdict(
-            "i", TRUE, {}, "X into M(X) with embedding norm 1")
+        put(["i"], True, {}, "X into M(X) with embedding norm 1")
     elif verdicts["ii"].is_true:
-        verdicts["i"] = ConditionVerdict("i", TRUE, {}, "via (ii)")
+        put(["i"], True, {}, "via (ii)")
     elif verdicts["iv"].is_true:
-        verdicts["i"] = ConditionVerdict(
-            "i", TRUE, {"B": verdicts["iv"].certificate["B"]},
-            "weak-boundedness bound controls the local norm")
+        put(["i"], True, {"B": B}, "weak-boundedness bound controls the local norm")
     elif lorentz_like:
-        ok = p <= p0 and q0 <= p
-        verdicts["i"] = ConditionVerdict("i", TRUE if ok else FALSE,
-                                         {"p0": p0, "q0": q0}, "Lorentz rule")
+        put(["i"], p <= p0 and q0 <= p, {"p0": p0, "q0": q0}, "Lorentz rule")
     else:
-        verdicts["i"] = ConditionVerdict("i", INCONCLUSIVE, {},
-                                         "no embedding certificate")
-
-    # complete-space relaxations
-    if complete_space:
-        if pe0 is not None:
-            alpha = pe0[1]
-            ok = alpha * p <= 1.0
-            note = "power rule: p*alpha <= 1"
-            verdicts["c-i"] = ConditionVerdict("c-i", TRUE if ok else FALSE,
-                                               {"alpha": alpha}, note)
-            verdicts["c-ii"] = ConditionVerdict("c-ii", TRUE if ok else FALSE,
-                                                {"alpha": alpha}, note)
-        else:
-            for cid in ("c-i", "c-ii"):
-                verdicts[cid] = ConditionVerdict(cid, INCONCLUSIVE, {},
-                                                 "no rule for this shape near zero")
-        beta = z.beta_upper
-        if z.beta_exact:
-            verdicts["c-iii"] = ConditionVerdict(
-                "c-iii", TRUE if beta <= 1.0 / p + 1e-12 else FALSE,
-                {"beta_upper": beta}, "exact power index")
-        else:
-            verdicts["c-iii"] = ConditionVerdict(
-                "c-iii", INCONCLUSIVE, {"beta_upper": beta},
-                "grid estimate certifies no bound")
-        if alpha_exact is not None:
-            verdicts["c-iv"] = ConditionVerdict(
-                "c-iv", TRUE if alpha_exact <= 1.0 / p + 1e-12 else FALSE,
-                {"alpha": alpha_exact}, "closed form")
-        else:
-            verdicts["c-iv"] = ConditionVerdict(
-                "c-iv", INCONCLUSIVE, {},
-                "no closed form for the Boyd index")
+        put(["i"], None, {}, "no embedding certificate")
 
     # implication closure
     changed = True
     while changed:
         changed = False
         for (a, b) in IMPLICATIONS:
-            if a in verdicts and b in verdicts and verdicts[a].is_true:
+            if verdicts[a].is_true:
                 if verdicts[b].status == FALSE:
                     raise InvariantViolated(
                         f"criteria coherence violated: ({a}) true but ({b}) false"
                     )
                 if verdicts[b].status == INCONCLUSIVE:
-                    verdicts[b] = ConditionVerdict(
-                        b, TRUE, verdicts[b].certificate, f"implied by ({a})")
+                    put([b], True, verdicts[b].certificate, f"implied by ({a})")
                     changed = True
 
-    ordered = {cid: verdicts[cid] for cid in CONDITION_IDS}
-    if complete_space:
-        ordered.update({cid: verdicts[cid] for cid in COMPLETE_IDS})
+    ordered = {cid: verdicts[cid]
+               for cid in CONDITION_IDS + (COMPLETE_IDS if complete_space else [])}
 
     ac = spec.absolutely_continuous
     warnings = []

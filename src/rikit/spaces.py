@@ -134,7 +134,11 @@ class FundamentalFn:
         yield (a, hi, *self.form(a, hi))
 
     def power_exponent(self):
-        """(coeff, alpha) when the shape is a pure power with cap inf."""
+        """(coeff, alpha) of the power the shape grows like at infinity, or None.
+
+        An uncapped power gives its own; a maximum of shapes and a psi-majorant
+        give their components' growth, so max(t^0.3, 2 t^0.6) gives (2, 0.6).
+        """
         return None
 
     def phi0plus(self):
@@ -530,6 +534,19 @@ class NormSpec:
         return fam.make(**args)
 
 
+def _lambda_q_fundamental(spec):
+    """Fundamental shape of Lambda^q_phi.  Over c t^alpha the space is
+    L^(1/alpha,q), and its fundamental is the power (c^q / (q alpha))^{1/q} t^alpha."""
+    phi, q = spec.phi, spec.q
+    if isinstance(phi, PowerPhi) and math.isinf(phi.cap) and phi.alpha > 0:
+        # a tiny alpha overflows c / (q alpha)^{1/q} to inf, not to an error;
+        # that coefficient would make the shape inf * 0 at t = 0
+        coeff = phi.coeff / (q * phi.alpha) ** (1.0 / q)
+        if coeff < INF:
+            return PowerPhi(phi.alpha, coeff)
+    return _LambdaQFundamental(phi, q)
+
+
 class _LambdaQFundamental(FundamentalFn):
     """Fundamental function of Lambda^q_phi: (int_0^t phi^q ds/s)^{1/q}."""
 
@@ -540,38 +557,27 @@ class _LambdaQFundamental(FundamentalFn):
         self.breaks = phi.breaks
 
     def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if _has_generic_piece(self.phi, 0.0, float(np.max(ts, initial=0.0))):
-            out = self._swept(ts)
-        else:
-            out = _phi_weight_rows(self.phi, np.zeros(len(ts)), ts, self.q)
-        out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
-        return float(out[0]) if scalar else out
-
-    def _swept(self, ts):
-        """int_0^t phi^q ds/s at every t, swept over the sorted points.
+        """The fundamental at every t, swept over the sorted points.
 
         One head integral runs up to the smallest point; each gap between
         sorted neighbours (phi's kinks added, so no gap straddles one) is one
         row of a _gauss_log_rows batch; a cumulative sum joins them.
         """
+        scalar = np.ndim(t) == 0
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(len(ts))
         pos = ts > 0
-        if not np.any(pos):
-            return out
-        lo, hi = float(np.min(ts[pos])), float(np.max(ts))
-        head = _phi_weight_integral(self.phi, 0.0, lo, self.q)
-        if not math.isfinite(head):
-            out[pos] = INF
-            return out
-        knots = np.unique(np.concatenate((ts[pos], self.phi.kinks(lo, hi))))
-        gaps = _gauss_log_rows(
-            lambda t, rows: np.asarray(self.phi(t.ravel()), dtype=float).reshape(t.shape)
-            ** self.q, knots[:-1], knots[1:])
-        cum = head + np.concatenate(([0.0], np.cumsum(gaps)))
-        out[pos] = cum[np.searchsorted(knots, ts[pos])]
-        return out
+        if np.any(pos):
+            lo, hi = float(np.min(ts[pos])), float(np.max(ts))
+            head = _phi_weight_integral(self.phi, 0.0, lo, self.q)
+            knots = np.unique(np.concatenate((ts[pos], self.phi.kinks(lo, hi))))
+            gaps = _gauss_log_rows(
+                lambda t, rows: np.asarray(self.phi(t.ravel()), dtype=float).reshape(t.shape)
+                ** self.q, knots[:-1], knots[1:])
+            cum = head + np.concatenate(([0.0], np.cumsum(gaps)))
+            out[pos] = cum[np.searchsorted(knots, ts[pos])]
+        out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
+        return float(out[0]) if scalar else out
 
     def form(self, a, b):
         return "generic", self.__call__
@@ -745,7 +751,7 @@ _FAMILIES = {
         NormSpec.lambda_q, "lambda-q", ("q",), "phi", "Lambda^{q:g}_phi",
         lambda u, s: _norm_lambda_q(u, s.phi, s.q),
         ac=lambda s: True, quasi=_lambda_q_quasi,
-        fundamental=lambda s: _LambdaQFundamental(s.phi, s.q), boyd=_phi_index),
+        fundamental=_lambda_q_fundamental, boyd=_phi_index),
     "marcinkiewicz": _Family(
         NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
         **_sup_mp_family(lambda s: 1.0, None),

@@ -12,7 +12,15 @@ import pytest
 from rikit.cli import parse_space, spec_shorthand
 from rikit.maximal import density_criteria_report
 from rikit.rearrange import WeightedSamples
-from rikit.spaces import FundamentalFn, NormSpec, OrliczN, norm
+from rikit.spaces import (
+    FundamentalFn,
+    NormSpec,
+    OrliczN,
+    _LambdaQFundamental,
+    _MaxPhi,
+    norm,
+    psi_majorant_phi,
+)
 
 power = FundamentalFn.power
 DENSITY_GOLDEN = Path(__file__).resolve().parent / "golden" / "density_reports.json"
@@ -173,10 +181,39 @@ def density_reports(name):
 
 @pytest.mark.parametrize("name", list(DENSITY_SPECS))
 def test_density_reports_match_golden(name):
-    # recorded before the family rules moved into the family table
+    # recorded before the family rules moved into the family table; the
+    # lambda_q_phi entry since Lambda^q over c t^alpha takes the power
+    # fundamental of L^(1/alpha,q), with the statuses of lorentz(1/alpha, q)
     golden = json.loads(DENSITY_GOLDEN.read_text())
     assert set(DENSITY_SPECS) == set(golden)
     assert density_reports(name) == golden[name]
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+def test_lambda_q_over_a_power_reports_as_its_lorentz_space(alpha, q):
+    # Lambda^q over t^alpha is L^(1/alpha,q): a condition decided in both
+    # reports is decided the same way
+    for p in DENSITY_P:
+        for complete in (False, True):
+            ours = density_criteria_report(NormSpec.lambda_q(power(alpha), q), p, complete)
+            twin = density_criteria_report(NormSpec.lorentz(1.0 / alpha, q), p, complete)
+            conflicts = [cid for cid, v in ours.conditions.items()
+                         if "inconclusive" not in (v.status, twin.conditions[cid].status)
+                         and v.status != twin.conditions[cid].status]
+            assert not conflicts, (p, complete, conflicts)
+
+
+def test_lambda_q_over_a_power_takes_closed_forms():
+    rep = density_criteria_report(NormSpec.lambda_q(power(0.75), 2), 1)
+    assert rep.conditions["iv"].certificate["B"] == 4.0
+    assert rep.conditions["vii"].certificate["m_phi_Lp"] == 4.0
+    # a capped power, a maximum of powers and a psi-majorant are no powers
+    for phi in (power(0.75, 1.0, 4.0), _MaxPhi([power(0.3), power(0.6, 2.0)]),
+                psi_majorant_phi(power(0.75), 2.0)):
+        assert type(NormSpec.lambda_q(phi, 2).fundamental_phi()) is _LambdaQFundamental
+    # (q alpha)^{-1/q} past the float range: no inf coefficient, so 0 at t = 0
+    assert NormSpec.lambda_q(power(5e-324), 1).fundamental_phi()(0.0) == 0.0
 
 
 # condition statuses of the M^2 report at p = 2 for a power-log shape

@@ -274,6 +274,28 @@ def test_one_segmentation_per_shape():
     assert "_clip_pieces" not in names
 
 
+def test_one_status_rule():
+    # a rule's outcome becomes a status in _status alone: no verdict picks
+    # TRUE or FALSE by itself
+    tree = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
+    status = next(top for top in tree.body
+                  if isinstance(top, ast.FunctionDef) and top.name == "_status")
+    inside = {id(node) for node in ast.walk(status)}
+    choosers = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.IfExp) and id(node) not in inside
+                and {getattr(node.body, "id", None), getattr(node.orelse, "id", None)}
+                & {"TRUE", "FALSE"}]
+    assert not choosers, f"TRUE or FALSE chosen at lines {choosers}"
+
+
+def test_lambda_q_fundamental_has_one_path():
+    # every point set takes the sweep; no dispatch on the pieces of phi
+    tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    cls = next(top for top in tree.body
+               if isinstance(top, ast.ClassDef) and top.name == "_LambdaQFundamental")
+    assert "_has_generic_piece" not in _calls(cls, {})
+
+
 def _calls(node, nested):
     """Names of the functions called under node and, transitively, under the
     ``nested`` functions (name -> def) that it calls."""

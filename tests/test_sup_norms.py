@@ -213,14 +213,26 @@ def test_sup_star_phi_closed_values():
 # -- the Lambda^q fundamental -----------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.3, -1.0), (0.7, 0.5), (0.5, -0.5)])
+# power-log shapes by "alpha-beta", and shapes whose pieces all have closed
+# forms, which the sweep's quadrature meets to a few ulps: (shape, rtol)
+SWEEP_SHAPES = {
+    **{f"{a}-{b}": (FundamentalFn.power_log(a, b), 1e-10)
+       for a, b in [(0.5, 1.0), (0.3, -1.0), (0.7, 0.5), (0.5, -0.5)]},
+    "capped-power": (FundamentalFn.power(0.4, 2.0, cap=3.0), 1e-13),
+    "sampled": (FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5], cap=4.0), 1e-13),
+    "max-of-powers": (_MaxPhi([FundamentalFn.power(0.5), FundamentalFn.power(0.8, 2.0)]),
+                      1e-13),
+}
+
+
+@pytest.mark.parametrize("shape", list(SWEEP_SHAPES))
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
-def test_lambda_q_fundamental_sweep_matches_quadrature(alpha, beta, q):
-    phi = FundamentalFn.power_log(alpha, beta)
+def test_lambda_q_fundamental_sweep_matches_quadrature(shape, q):
+    phi, rtol = SWEEP_SHAPES[shape]
     ts = geometric_grid(1e-12, 10.0, 120)
     got = _LambdaQFundamental(phi, q)(ts)
     ref = np.array([_phi_weight_integral(phi, 0.0, t, q) for t in ts]) ** (1.0 / q)
-    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=0.0)
 
 
 def test_lambda_q_fundamental_scalar_and_edge_points():

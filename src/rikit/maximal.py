@@ -5,7 +5,9 @@ Half-line operators act on decreasing GridFns with exact cell calculus;
 the metric-space maximal operator enumerates the O(n^2) distinct balls by
 brute force.  Index estimates are labelled exact or not; the criteria
 report certifies an index inequality from exact indices only.  Powers of a
-shape are integrated over its pieces in spaces._power_integral_rows alone.
+shape are integrated over its pieces in spaces._power_integral_rows alone,
+and its power behaviour (near zero, on (0, x), the exact Zippin index) is
+read off its pieces in spaces alone: this module dispatches on no shape.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .spaces import (
     _FAMILIES,
     FundamentalFn,
     NormSpec,
-    PowerPhi,
-    PsiMajorantPhi,
-    _MaxPhi,
     _dyadic_integral,
     _mp_values,
     _power_integral_rows,
+    _power_on,
+    _zippin_exponent,
     geometric_grid,
     norm,
 )
@@ -150,8 +151,8 @@ def herz_riesz_ratios(space: MMS, u, p) -> HerzRiesz:
 class IndexReport:
     """Dilation (Boyd) and fundamental (Zippin) index estimates.
 
-    ``beta_upper`` is the upper fundamental index: exact for pure-power
-    shapes (``beta_exact``), otherwise a grid estimate that bounds the
+    ``beta_upper`` is the upper fundamental index: exact where the pieces
+    give it (``beta_exact``), otherwise a grid estimate that bounds the
     true index from neither side.  ``alpha_lower`` comes from candidate
     functions only, unless a closed form applies (``alpha_exact``).
     """
@@ -178,51 +179,11 @@ class IndexReport:
         }
 
 
-def _power_near_zero(phi):
-    """(coeff, alpha) of the dominant power of phi as t -> 0, or None."""
-    if isinstance(phi, PowerPhi):
-        return (phi.coeff, phi.alpha)
-    if isinstance(phi, _MaxPhi):
-        pes = []
-        for comp in phi.phis:
-            pe = _power_near_zero(comp)
-            if pe is None:
-                return None
-            pes.append(pe)
-        # smaller exponent dominates near zero (larger value for t < 1)
-        return min(pes, key=lambda ce: (ce[1], -ce[0]))
-    if isinstance(phi, PsiMajorantPhi):
-        base = _power_near_zero(phi.phi)
-        if base is None:
-            return None
-        c, alpha = base
-        inv_p = 1.0 / phi.p
-        if alpha < inv_p:
-            return (c, alpha)
-        # the grid supremum freezes and psi behaves like t^{1/p}
-        coeff = float(np.max(phi.suffix_max)) if len(phi.suffix_max) else c
-        return (coeff, inv_p)
-    return None
-
-
 def _power_diverges(phi, p):
-    """Whether phi ~ t^alpha near zero with alpha p >= 1, exact at alpha = 1/p
-    (a psi-majorant's exponent, where (1/p) * p may round to 1 - 2^-53)."""
-    pe = _power_near_zero(phi)
+    """Whether phi's first piece is c t^alpha with alpha >= 1/p.  Every rule
+    compares alpha with 1.0 / p: (1/p) * p may round to 1 - 2^-53."""
+    pe = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
     return pe is not None and pe[1] >= 1.0 / p
-
-
-def _zippin_exact_alpha(phi):
-    """Exponent alpha with k(s) = s^alpha exactly, when the shape allows it."""
-    if isinstance(phi, PowerPhi):
-        return phi.alpha
-    if isinstance(phi, _MaxPhi):
-        alphas = [_zippin_exact_alpha(c) for c in phi.phis]
-        caps_inf = all(math.isinf(c.cap) for c in phi.phis)
-        if any(a is None for a in alphas) or not caps_inf:
-            return None
-        return max(alphas)
-    return None
 
 
 # the dilation factors s of the index reports, built once
@@ -232,15 +193,16 @@ _S_GRID = np.geomspace(2.0, 4096.0, 12)
 def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     """k_X(s) = sup_t phi(st)/phi(t) and the upper fundamental index.
 
-    Exact for power shapes.  Otherwise the grid supremum under-estimates
-    k(s), so the reported index is only an estimate: it can fall below
-    the true index (0.496 against 0.55 for ``power_log(0.55, 1.0)``) and
-    certifies no inequality.
+    Exact where ``spaces._zippin_exponent`` reads k(s) = s^alpha off the
+    pieces.  Otherwise the grid supremum under-estimates k(s), so the
+    reported index is only an estimate: it can fall below the true index
+    (0.496 against 0.55 for ``power_log(0.55, 1.0)``) and certifies no
+    inequality.
     """
     s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     if np.any(s_grid <= 1):
         raise ValueError("s grid must be > 1")
-    alpha = _zippin_exact_alpha(phi)
+    alpha = _zippin_exponent(phi)
     ks = []
     if alpha is not None:
         for s in s_grid:
@@ -365,7 +327,8 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     """sup_{0<t<delta} phi(t)^p (1/t) int_0^t phi(s)^{-p} ds.
 
     Finiteness certifies weak boundedness of M_p between weak Marcinkiewicz
-    spaces on sets of finite measure; divergence is flagged as inf.
+    spaces on sets of finite measure; divergence is flagged as inf.  Where
+    phi = c t^alpha on all of (0, delta) it is 1 / (1 - alpha p).
 
     The inner integral adds up the segments between grid points in order;
     spaces._power_integral_rows integrates phi^{-p} over all of them in one
@@ -374,12 +337,9 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     """
     if p < 1:
         raise ValueError("p >= 1 required")
-    if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= delta):
-        if phi.alpha == 0.0:
-            return 1.0
-        if phi.alpha * p >= 1.0:
-            return INF
-        return 1.0 / (1.0 - phi.alpha * p)
+    pe = _power_on(phi, 0.0, delta)
+    if pe is not None:
+        return INF if pe[1] >= 1.0 / p else 1.0 / (1.0 - pe[1] * p)
     if _power_diverges(phi, p):
         # inner integral already diverges at zero
         return INF
@@ -414,8 +374,9 @@ def m_phi(phi: FundamentalFn, s) -> float:
     """m_phi(s) = sup_{0<t<1} phi(t) / phi(st) for s in (0, 1)."""
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
-    if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= 1.0):
-        return s ** (-phi.alpha)
+    pe = _power_on(phi, 0.0, 1.0)
+    if pe is not None:
+        return s ** (-pe[1])
     return float(_m_phi_at(phi, np.asarray([s], dtype=float))[0])
 
 
@@ -448,11 +409,9 @@ def m_phi_norm(phi: FundamentalFn, p) -> float:
     """L^p(0,1) norm of the quasi-concavity modulus m_phi; inf on divergence."""
     if p < 1:
         raise ValueError("p >= 1 required")
-    if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= 1.0):
-        e = phi.alpha * p
-        if e >= 1.0:
-            return INF
-        return (1.0 / (1.0 - e)) ** (1.0 / p)
+    pe = _power_on(phi, 0.0, 1.0)
+    if pe is not None:
+        return INF if pe[1] >= 1.0 / p else (1.0 / (1.0 - pe[1] * p)) ** (1.0 / p)
     if _power_diverges(phi, p):
         # m_phi(s) >= s^{-alpha}, so the integral diverges, at alpha p = 1 too
         return INF
@@ -572,7 +531,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     phi = spec.fundamental_phi()
     if phi is None:
         raise ValueError("spec has no computable fundamental function")
-    pe0 = _power_near_zero(phi)
+    pe0 = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
     rule = _FAMILIES[spec.family].density
     verdicts = {}
 
@@ -601,7 +560,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
             "fundamental-function comparability")
     elif rule == "weak":
         put(["iii"], False, {"into_Lp": False}, "weak space is not inside L^p")
-    elif pe0 is not None and abs(pe0[1] - 1.0 / p) >= 1e-12:
+    elif pe0 is not None and pe0[1] != 1.0 / p:
         put(["iii"], False, {"alpha_near_zero": pe0[1]},
             "fundamental function not comparable to t^{1/p}")
     else:
@@ -622,11 +581,11 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         if alpha == 0.0:
             put(["v", "vi"], True, {"witness_q": max(2.0 * p, 2.0)},
                 "constant shape near zero")
-        elif alpha * p < 1.0:
+        elif alpha < 1.0 / p:
             put(["v", "vi"], True, {"witness_q": 1.0 / alpha}, "power rule: q*alpha <= 1")
         else:
             put(["v", "vi"], False, {"alpha": alpha}, "needs q > p with q*alpha <= 1")
-        put(["c-i", "c-ii"], alpha * p <= 1.0, {"alpha": alpha}, "power rule: p*alpha <= 1")
+        put(["c-i", "c-ii"], alpha <= 1.0 / p, {"alpha": alpha}, "power rule: p*alpha <= 1")
 
     # (vii)  m_phi in L^p(0,1)
     mn = m_phi_norm(phi, p)

@@ -133,14 +133,6 @@ class FundamentalFn:
                     a = b
         yield (a, hi, *self.form(a, hi))
 
-    def power_exponent(self):
-        """(coeff, alpha) of the power the shape grows like at infinity, or None.
-
-        An uncapped power gives its own; a maximum of shapes and a psi-majorant
-        give their components' growth, so max(t^0.3, 2 t^0.6) gives (2, 0.6).
-        """
-        return None
-
     def phi0plus(self):
         return 0.0
 
@@ -153,6 +145,41 @@ class FundamentalFn:
     def eval_grid(self, lo, hi):
         """256 geometric points from lo to hi, both exact, and the kinks between."""
         return np.unique(np.concatenate((geometric_grid(lo, hi, 256), self.kinks(lo, hi))))
+
+
+def _power_on(phi, a, b):
+    """(c, alpha) when phi = c t^alpha on all of (a, b): no kink inside and
+    the form "power".  Every power fact is read here: (0, first break) gives
+    the power near zero, (last break, inf) the power at infinity."""
+    if len(phi.kinks(a, b)):
+        return None
+    kind, params = phi.form(a, b)
+    return params if kind == "power" else None
+
+
+def _power_or_constant(phi, a, b):
+    """``_power_on`` on a piece (a, b), reading a constant c > 0 as (c, 0.0)."""
+    kind, params = phi.form(a, b)
+    if kind == "affine" and params[1] == 0.0 and params[0] > 0:
+        return params[0], 0.0
+    return _power_on(phi, a, b)
+
+
+def _zippin_exponent(phi):
+    """alpha with sup_t phi(st) / phi(t) = s^alpha for every s > 1, or None.
+
+    It exists when every piece is a power or a constant and the largest
+    exponent is on the first or the last piece: log phi is continuous and
+    piecewise linear in log t, and an unbounded piece holds every window."""
+    cuts = [0.0, *phi.breaks, INF]
+    alphas = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        pc = _power_or_constant(phi, a, b)
+        if pc is None:
+            return None
+        alphas.append(pc[1])
+    top = max(alphas)
+    return top if top in (alphas[0], alphas[-1]) else None
 
 
 class PowerPhi(FundamentalFn):
@@ -179,11 +206,6 @@ class PowerPhi(FundamentalFn):
         if a < self.cap:
             return "power", (self.coeff, self.alpha)
         return "affine", (self._top, 0.0)
-
-    def power_exponent(self):
-        if math.isinf(self.cap):
-            return (self.coeff, self.alpha)
-        return None
 
     def phi0plus(self):
         return self.coeff if self.alpha == 0.0 else 0.0
@@ -370,8 +392,23 @@ class PsiMajorantPhi(FundamentalFn):
         # suffix maxima: best ratio at or above each base point
         self.suffix_max = np.maximum.accumulate(ratios[::-1])[::-1]
         self.cap = phi.cap
+        # below the first base point psi = max(phi, top t^{1/p}); where phi is
+        # c t^alpha the smaller exponent is on top up to where the two cross
+        end = min(float(base[0]), (phi.breaks or [INF])[0])
+        pc = _power_on(phi, 0.0, end)
+        self._head = []  # (end, (coeff, alpha)) of each power piece there
+        if pc is not None:
+            lo, hi = sorted([pc, (float(self.suffix_max[0]), 1.0 / p)], key=lambda x: (x[1], -x[0]))
+            with np.errstate(over="ignore"):
+                cross = end if lo[1] == hi[1] else min(
+                    float(np.float64(lo[0] / hi[0]) ** (1.0 / (hi[1] - lo[1]))), end)
+            if cross > 0:
+                self._head.append((cross, lo))
+            if cross < end:
+                self._head.append((end, hi))
         # below 1 the grid cuts psi; from 1 on psi is phi, cut where phi is
-        self.breaks = _breaks([*base, *(x for x in phi.breaks if x > 1.0)])
+        self.breaks = _breaks([*base, *(x for x in phi.breaks if x > 1.0),
+                               *(x for x, _ in self._head)])
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -392,16 +429,15 @@ class PsiMajorantPhi(FundamentalFn):
         return out if np.ndim(t) else float(out[0])
 
     def form(self, a, b):
+        for end, params in self._head:
+            if a < end:
+                return "power", params
         if a < 1.0:
             return "generic", self.__call__
         return self.phi.form(a, b)
 
     def value_inf(self):
         return self.phi.value_inf()
-
-    def power_exponent(self):
-        # psi coincides with phi beyond 1, so the growth at infinity is phi's
-        return self.phi.power_exponent()
 
     def phi0plus(self):
         # t^{1/p} times a bounded supremum vanishes at 0 unless phi jumps
@@ -535,16 +571,17 @@ class NormSpec:
 
 
 def _lambda_q_fundamental(spec):
-    """Fundamental shape of Lambda^q_phi.  Over c t^alpha the space is
-    L^(1/alpha,q), and its fundamental is the power (c^q / (q alpha))^{1/q} t^alpha."""
-    phi, q = spec.phi, spec.q
-    if isinstance(phi, PowerPhi) and math.isinf(phi.cap) and phi.alpha > 0:
-        # a tiny alpha overflows c / (q alpha)^{1/q} to inf, not to an error;
-        # that coefficient would make the shape inf * 0 at t = 0
-        coeff = phi.coeff / (q * phi.alpha) ** (1.0 / q)
-        if coeff < INF:
-            return PowerPhi(phi.alpha, coeff)
-    return _LambdaQFundamental(phi, q)
+    """Fundamental shape of Lambda^q_phi.  Where phi = c t^alpha on all of
+    (0, inf) the space is L^(1/alpha,q), and its fundamental is the power
+    (c^q / (q alpha))^{1/q} t^alpha; UnsupportedCombination where that is
+    infinite (alpha = 0) or its coefficient passes the float range."""
+    pc = _power_on(spec.phi, 0.0, INF)
+    if pc is None:
+        return _LambdaQFundamental(spec.phi, spec.q)
+    scale = (spec.q * pc[1]) ** (1.0 / spec.q)
+    if not (scale > 0 and pc[0] / scale < INF):
+        raise UnsupportedCombination("Lambda^q over this power has no finite fundamental function")
+    return PowerPhi(pc[1], pc[0] / scale)
 
 
 class _LambdaQFundamental(FundamentalFn):
@@ -584,42 +621,48 @@ class _LambdaQFundamental(FundamentalFn):
 
 
 class _MaxPhi(FundamentalFn):
-    """Pointwise maximum of component shapes (IntersectionMax spaces)."""
+    """Pointwise maximum of component shapes (IntersectionMax spaces).
+
+    Where every component is a power or a constant between their merged
+    breaks, their crossings are breaks too (none past the floats) and a
+    piece takes the form of the component on top; elsewhere it is generic.
+    """
 
     def __init__(self, phis):
         if any(p is None for p in phis):
             raise UnsupportedCombination("component without fundamental function")
         self.phis = list(phis)
         self.cap = max(p.cap for p in self.phis)
-        # crossings of pure-power components are breaks too (none past the floats)
-        powers = [pe for pe in (p.power_exponent() for p in self.phis) if pe]
-        with np.errstate(over="ignore"):
-            cross = [np.float64(ci / cj) ** (1.0 / (aj - ai))
-                     for (ci, ai), (cj, aj) in combinations(powers, 2) if ai != aj]
-        self.breaks = _breaks([x for p in self.phis for x in p.breaks] + cross)
+        cuts = [0.0, *_breaks(x for p in self.phis for x in p.breaks), INF]
+        self._starts, self._forms = [], []  # a None form is generic
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            pcs = [_power_or_constant(p, a, b) for p in self.phis]
+            if None in pcs:
+                self._starts.append(a)
+                self._forms.append(None)
+                continue
+            with np.errstate(over="ignore"):
+                ends = [x for x in _breaks(np.float64(ci / cj) ** (1.0 / (aj - ai)) for
+                                           (ci, ai), (cj, aj) in combinations(pcs, 2) if ai != aj)
+                        if a < x < b]
+            for x0, x1 in zip([a, *ends], [*ends, b]):
+                # no two cross inside (x0, x1): compare them at one point there
+                t = (math.sqrt(x0) * math.sqrt(x1) if 0 < x0 and x1 < INF
+                     else x1 / 2 if x1 < INF else 2 * x0 or 1.0)
+                on_top = max(range(len(pcs)), key=lambda i: pcs[i][0] * t ** pcs[i][1])
+                self._starts.append(x0)
+                self._forms.append(self.phis[on_top].form(x0, x1))
+        self.breaks = self._starts[1:]
 
     def __call__(self, t):
-        vals = [np.asarray(p(t), dtype=float) for p in self.phis]
-        out = vals[0]
-        for v in vals[1:]:
-            out = np.maximum(out, v)
+        out = np.max([np.asarray(p(t), dtype=float) for p in self.phis], axis=0)
         return out if out.ndim else float(out)
 
     def form(self, a, b):
-        # probe strictly inside the segment; a geometric mean anchored
-        # away from 0 picks the branch that dominates near the left end
-        mid = math.sqrt(max(a, b * 1e-12) * b)
-        return max(self.phis, key=lambda p: float(p(mid))).form(a, b)
+        return self._forms[bisect_right(self._starts, a) - 1] or ("generic", self.__call__)
 
     def phi0plus(self):
         return max(p.phi0plus() for p in self.phis)
-
-    def power_exponent(self):
-        # max of pure powers behaves like the steepest exponent at infinity
-        pes = [p.power_exponent() for p in self.phis]
-        if any(pe is None for pe in pes):
-            return None
-        return max(pes, key=lambda ce: (ce[1], ce[0]))
 
     def value_inf(self):
         return max(p.value_inf() for p in self.phis)
@@ -704,7 +747,7 @@ def _family_of(name):
 
 
 def _phi_index(spec):
-    pe = spec.phi.power_exponent()
+    pe = _power_on(spec.phi, (spec.phi.breaks or [0.0])[-1], INF)  # the last piece
     return pe[1] if pe is not None else None
 
 
@@ -1239,17 +1282,14 @@ def _mp_tail_rows(ustar, phi, p, c):
 
 def _unbounded_tail(f, phi, p):
     """The limit of M_p f(t) phi(t) for an unbounded phi and f without tail."""
-    pe = phi.power_exponent()
+    pe = _power_on(phi, (phi.breaks or [0.0])[-1], INF)
     if pe is not None and pe[1] < 1.0 / p:
         return 0.0  # t^{alpha - 1/p} I^{1/p} -> 0
     total = f.total_integral(p)
     if total == 0.0:
         return 0.0
-    if pe is not None:
-        c, alpha = pe
-        if alpha > 1.0 / p:
-            return INF
-        return c * total ** (1.0 / p) if math.isfinite(total) else INF
+    if pe is not None:  # alpha >= 1/p: c I^{1/p} at alpha = 1/p, else inf
+        return pe[0] * total ** (1.0 / p) if pe[1] == 1.0 / p and total < INF else INF
     # no power form: probe far out, doubling rule
     t0 = 4.0 * max(f.support_end, 1.0)
     probes = [

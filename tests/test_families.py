@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rikit.cli import parse_space, spec_shorthand
+from rikit.errors import RikitError, UnsupportedCombination
 from rikit.maximal import density_criteria_report
 from rikit.rearrange import WeightedSamples
 from rikit.spaces import (
@@ -183,7 +184,9 @@ def density_reports(name):
 def test_density_reports_match_golden(name):
     # recorded before the family rules moved into the family table; the
     # lambda_q_phi entry since Lambda^q over c t^alpha takes the power
-    # fundamental of L^(1/alpha,q), with the statuses of lorentz(1/alpha, q)
+    # fundamental of L^(1/alpha,q), with the statuses of lorentz(1/alpha, q);
+    # the intersection_max and marcinkiewicz_p_loc entries since B and
+    # m_phi_Lp take closed forms on power pieces (values only, no status)
     golden = json.loads(DENSITY_GOLDEN.read_text())
     assert set(DENSITY_SPECS) == set(golden)
     assert density_reports(name) == golden[name]
@@ -212,8 +215,13 @@ def test_lambda_q_over_a_power_takes_closed_forms():
     for phi in (power(0.75, 1.0, 4.0), _MaxPhi([power(0.3), power(0.6, 2.0)]),
                 psi_majorant_phi(power(0.75), 2.0)):
         assert type(NormSpec.lambda_q(phi, 2).fundamental_phi()) is _LambdaQFundamental
-    # (q alpha)^{-1/q} past the float range: no inf coefficient, so 0 at t = 0
-    assert NormSpec.lambda_q(power(5e-324), 1).fundamental_phi()(0.0) == 0.0
+    # (q alpha)^{-1/q} past the float range, and alpha = 0: no finite fundamental
+    for alpha in (5e-324, 0.0):
+        spec = NormSpec.lambda_q(power(alpha), 1)
+        with pytest.raises(UnsupportedCombination, match="no finite fundamental"):
+            spec.fundamental_phi()
+        with pytest.raises(RikitError):
+            density_criteria_report(spec, 1)
 
 
 # condition statuses of the M^2 report at p = 2 for a power-log shape

@@ -431,8 +431,17 @@ def test_criterion_B_is_inf_at_the_borderline_without_integrating(phi, p, monkey
     assert criterion_B(phi, p) == INF
 
 
+@pytest.mark.parametrize("p", [12.25, 24.5, 25.75, 49.0])
+def test_report_compares_the_exponent_with_one_over_p(p):
+    # psi ~ t^{1/p} near 0, where (1/p) * p rounds to 1 - 2^-53: (iv) fails,
+    # so (v) and (vi), which imply it, fail too
+    rep = density_criteria_report(NormSpec.marcinkiewicz_p(FundamentalFn.power(0.9), p), p)
+    assert [rep.conditions[cid].status for cid in ("iv", "v", "vi")] == ["false"] * 3
+
+
 def test_m_phi_norm_refines_just_below_the_borderline(monkeypatch):
-    phi = _MaxPhi([FundamentalFn.power(0.499), FundamentalFn.power(0.8)])
+    # the components cross at 0.967, so phi is no power on (0, 1)
+    phi = _MaxPhi([FundamentalFn.power(0.499), FundamentalFn.power(0.8, 1.01)])
     calls = []
 
     def refine(g, b):

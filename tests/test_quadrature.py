@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rikit.spaces as spaces
-from rikit.maximal import _m_phi_at, _power_near_zero, criterion_B, m_phi_norm
+from rikit.maximal import _m_phi_at, criterion_B, m_phi_norm
 from rikit.rearrange import GridFn
 from rikit.spaces import (
     _DYADIC_BLOCK,
@@ -25,12 +25,12 @@ from rikit.spaces import (
     FundamentalFn,
     NormSpec,
     OrliczN,
-    PowerPhi,
     _dyadic_integral,
     _gauss_log_rows,
     _MaxPhi,
     _norm_lambda_q,
     _phi_weight_rows,
+    _power_on,
     geometric_grid,
     norm,
     psi_majorant_phi,
@@ -187,14 +187,16 @@ def loop_inv_power_piece(a, b, kind, params, p):
 
 def loop_criterion_B(phi, p, delta=1.0):
     """criterion_B with its inner integral swept one segment at a time."""
-    pe = _power_near_zero(phi)
-    if isinstance(phi, PowerPhi) and (math.isinf(phi.cap) or phi.cap >= delta):
-        if phi.alpha == 0.0:
+    whole = _power_on(phi, 0.0, delta)
+    if whole is not None:
+        alpha = whole[1]
+        if alpha == 0.0:
             return 1.0
-        if phi.alpha * p >= 1.0:
+        if alpha >= 1.0 / p:
             return INF
-        return 1.0 / (1.0 - phi.alpha * p)
-    if pe is not None and pe[1] * p >= 1.0:
+        return 1.0 / (1.0 - alpha * p)
+    pe = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
+    if pe is not None and pe[1] >= 1.0 / p:
         return INF
     lo = delta * 1e-18
     ts = np.unique(np.concatenate((
@@ -272,11 +274,12 @@ def orlicz_shapes(draw):
 powers = st.builds(FundamentalFn.power, st.floats(0.0, 1.0), st.floats(0.2, 5.0), caps)
 power_logs = st.builds(FundamentalFn.power_log, st.floats(0.1, 0.9), st.floats(-2.0, 2.0),
                        st.floats(0.2, 5.0), caps)
-# a 48-point base grid keeps the psi-majorant's kinks few
+# a 48-point base grid keeps the psi-majorant's kinks few; over an Orlicz
+# shape with kinks past 1 the batch calls psi and phi, each on its own rows
 psi_majorants = st.builds(
     lambda phi, p: psi_majorant_phi(phi, p, np.geomspace(1e-8, 1.0, 48)),
-    st.one_of(power_logs, sampled_shapes()), st.floats(1.0, 3.0))
-# two quadrature shapes in one: the batch calls each component on its own rows
+    st.one_of(power_logs, sampled_shapes(), orlicz_shapes()), st.floats(1.0, 3.0))
+# two quadrature shapes in one, generic wherever either component is
 maxes = st.builds(lambda a, b: _MaxPhi([a, b]), power_logs, orlicz_shapes())
 SHAPES = st.one_of(powers, power_logs, sampled_shapes(), orlicz_shapes(), psi_majorants,
                    maxes)

@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from rikit.maximal import zippin_upper
 from rikit.spaces import (
     FundamentalFn,
     NormSpec,
     OrliczN,
     _MaxPhi,
+    _phi_weight_integral,
     _phi_weight_rows,
+    _power_on,
+    _zippin_exponent,
     geometric_grid,
     psi_majorant_phi,
 )
@@ -35,6 +40,16 @@ SHAPES = {
     "psi_majorant": psi_majorant_phi(F.power_log(0.4, 1.0), 2.0,
                                      geometric_grid(1e-4, 1.0, 48)),
     "max_of_powers": _MaxPhi([F.power(0.5), F.power(0.8, 2.0)]),
+    # capped components cross too: at 0.099 and at 1e-20
+    "max/capped": _MaxPhi([F.power(0.3, cap=10.0), F.power(0.6, 2.0, cap=10.0)]),
+    "max/capped_far_crossing": _MaxPhi([F.power(0.3, cap=10.0), F.power(0.6, 1e6, cap=10.0)]),
+    # t^0.5 crosses the frozen power-log at 0.54, past its switch point
+    "max/power_log": _MaxPhi([F.power_log(0.5, 1.0), F.power(0.5)]),
+    # c t^alpha below its crossing with the largest ratio times t^{1/p}
+    "psi_majorant/power": psi_majorant_phi(F.power(0.3), 2.0, geometric_grid(1e-4, 1.0, 48)),
+    # t^0.7 crosses above the largest ratio times t^{1/2}, below the cap
+    "psi_majorant/capped_below_grid": psi_majorant_phi(F.power(0.7, cap=1e-6), 2.0,
+                                                       geometric_grid(1e-4, 1.0, 48)),
     "lambda_q/power_log": NormSpec.lambda_q(F.power_log(0.5, 1.0), 2.0).fundamental_phi(),
 }
 
@@ -70,9 +85,11 @@ def test_pieces_tile_the_interval_at_the_kinks(name, ends):
     assert stops[:-1] == kinks.tolist()
     for (a, b, kind, params) in pieces:
         assert a < b
-        mid = math.sqrt(max(a, 1e-6 * b) * b)
-        want = float(phi(mid))
-        assert _form_value(kind, params, mid) == pytest.approx(want, rel=1e-12)
+        # near both ends, and at a probe inside; a piece from 0 is probed deep
+        near_a = a + (b - a) * 1e-6 if a > 0 else b * 1e-30
+        for t in (near_a, math.sqrt(max(a, 1e-6 * b) * b), b - (b - a) * 1e-6):
+            want = float(phi(t))
+            assert _form_value(kind, params, t) == pytest.approx(want, rel=1e-12), (a, b, t)
 
 
 def test_psi_majorant_pieces_above_one_start_at_lo():
@@ -81,3 +98,56 @@ def test_psi_majorant_pieces_above_one_start_at_lo():
     psi = psi_majorant_phi(F.power(0.5, cap=3.0), 2.0)
     assert [piece[:2] for piece in psi.pieces(2.0, 2.5)] == [(2.0, 2.5)]
     assert _phi_weight_rows(psi, [2.0], [2.5], 2.0)[0] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_weights_of_a_max_with_capped_components_match_quadrature():
+    # the pieces t^0.3 and 2 t^0.6 meet at 0.099; reading t^0.3 on all of
+    # (0, 10) gives 3.1230 in place of 3.3294
+    phi = SHAPES["max/capped"]
+    want = integrate.quad(lambda t: phi(t) / t, 0.01, 1.0, points=phi.kinks(0.01, 1.0),
+                          epsabs=0.0, epsrel=1e-13)[0]
+    assert _phi_weight_integral(phi, 0.01, 1.0, 1.0) == pytest.approx(want, rel=1e-10)
+
+
+def _near_zero(phi):
+    return _power_on(phi, 0.0, (phi.breaks or [math.inf])[0])
+
+
+def _at_infinity(phi):
+    return _power_on(phi, (phi.breaks or [0.0])[-1], math.inf)
+
+
+def _psi(alpha):
+    return psi_majorant_phi(F.power(alpha), 2.0)
+
+
+# shape: (power near zero, power at infinity, exact Zippin index)
+POWER_FACTS = {
+    "power": (F.power(0.4, 2.0), (2.0, 0.4), (2.0, 0.4), 0.4),
+    "power/capped": (F.power(0.4, 2.0, cap=3.0), (2.0, 0.4), None, 0.4),
+    "lambda_q/power": (NormSpec.lambda_q(F.power(0.75), 2.0).fundamental_phi(),
+                       (1.5 ** -0.5, 0.75), (1.5 ** -0.5, 0.75), 0.75),
+    "max_of_powers": (SHAPES["max_of_powers"], (1.0, 0.5), (2.0, 0.8), 0.8),
+    "max/capped": (SHAPES["max/capped"], (1.0, 0.3), None, None),
+    # the steepest piece is the last: k(s) = s^0.8, exact
+    "max/capped_below": (_MaxPhi([F.power(0.8), F.power(0.5, 2.0, cap=10.0)]),
+                         (2.0, 0.5), (1.0, 0.8), 0.8),
+    "psi/below_1_over_p": (_psi(0.3), (1.0, 0.3), (1.0, 0.3), None),
+    # the largest ratio phi(s) / s^{1/2} on (0, 1] is 1, at s = 1
+    "psi/above_1_over_p": (_psi(0.7), (1.0, 0.5), (1.0, 0.7), None),
+    "power_log": (F.power_log(0.5, 1.0), None, None, None),
+    "sampled": (F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]), None, None, None),
+    "orlicz": (SHAPES["orlicz"], None, None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(POWER_FACTS))
+def test_power_facts_are_read_off_the_pieces(name):
+    phi, zero, infinity, zippin = POWER_FACTS[name]
+    assert _near_zero(phi) == (pytest.approx(zero, rel=1e-15) if zero else None)
+    assert _at_infinity(phi) == (pytest.approx(infinity, rel=1e-15) if infinity else None)
+    assert _zippin_exponent(phi) == zippin
+    rep = zippin_upper(phi)
+    assert rep.beta_exact is (zippin is not None)
+    if zippin is not None:
+        assert rep.beta_upper == zippin

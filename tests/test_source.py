@@ -334,3 +334,37 @@ def test_newton_loop_is_lean():
             for loop in ast.walk(fn) if isinstance(loop, _LOOPS)
             for part in _per_iteration(loop) if "_family_rows" in _calls(part, {})]
     assert not rows, f"_family_rows called per iteration: {rows}"
+
+
+def test_power_facts_are_read_in_one_place():
+    # maximal neither imports nor dispatches on a shape class; a shape's
+    # power behaviour is read off its pieces, and only _power_on (besides
+    # the closed-form piece integral) turns a "power" form into a fact
+    spaces = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    maximal = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
+    shapes = {top.name for top in spaces.body if isinstance(top, ast.ClassDef)
+              and (top.name == "FundamentalFn"
+                   or any(getattr(b, "id", None) == "FundamentalFn" for b in top.bases))}
+    assert {"PowerPhi", "PsiMajorantPhi", "_MaxPhi"} <= shapes
+    # the base class stays importable, as the annotation of a shape argument
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(maximal)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not set(imported.values()) & (shapes - {"FundamentalFn"})
+    checked = {imported.get(name, name) for node in ast.walk(maximal)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+               for name in _references(node)}
+    assert not checked & shapes, checked & shapes
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        assert "power_exponent" not in {*_references(tree), *_definitions(tree)}, path.name
+    readers = set()
+    for path in SRC:
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(x, ast.Constant) and x.value == "power"
+                        for x in [node.left, *node.comparators]) and any(
+                        isinstance(x, ast.Name) and x.id == "kind"
+                        for x in [node.left, *node.comparators]):
+                    readers.add((path.name, name))
+    assert readers == {("spaces.py", "_power_on"), ("spaces.py", "_piece_integral")}, readers

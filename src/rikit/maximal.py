@@ -523,7 +523,9 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     Conditions are certified from closed forms and exact indices only;
     where only a grid estimate exists (the Zippin index of a non-power
     shape, concavity of a non-power shape near zero) the verdict is
-    inconclusive.
+    inconclusive.  The embedding rules of (i)-(iii) read the family's
+    Lorentz index q0 (``lorentz_q`` in the family table): where the
+    fundamental function is c t^a near 0, X is L^(1/a,q0) there.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -532,7 +534,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     if phi is None:
         raise ValueError("spec has no computable fundamental function")
     pe0 = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
-    rule = _FAMILIES[spec.family].density
+    q0 = None if pe0 is None else _FAMILIES[spec.family].lorentz_q(spec)
     verdicts = {}
 
     def put(cids, ok, cert, note):
@@ -540,29 +542,19 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         for cid in cids:
             verdicts[cid] = ConditionVerdict(cid, _status(ok), dict(cert), note)
 
-    lorentz_like = rule == "lorentz"
-    p0, q0 = (spec.p, spec.p if spec.q is None else spec.q) if lorentz_like else (None, None)
-
-    # (ii)  X embeds in Lambda^p_{psi,fm}
-    if lorentz_like:
-        put(["ii"], p <= p0 and q0 <= p,
-            {"target": (f"L^({p0:g},{p:g})" if p <= p0 else f"L^{p:g}") + " locally",
-             "q0": q0}, "second Lorentz index rule")
-    elif rule == "weak" or (rule == "weak-power" and pe0 is not None):
-        put(["ii"], False, {}, "weak-type space never embeds in a Lambda space")
-    else:
+    # (ii)  X embeds in Lambda^p_{psi,fm}: L^(1/a,q0) lies in L^p locally
+    if q0 is None:
         put(["ii"], None, {}, "no embedding rule for this family")
+    else:
+        put(["ii"], pe0[1] <= 1.0 / p and q0 <= p, {"alpha": pe0[1], "q0": q0},
+            "second Lorentz index rule")
 
     # (iii)  L^{p,1} into X_fm and X into L^p_fm
-    if lorentz_like:
-        put(["iii"], p == p0 and q0 <= p0,
-            {"phi_comparable": p == p0, "into_Lp": q0 <= p0 and p == p0},
-            "fundamental-function comparability")
-    elif rule == "weak":
-        put(["iii"], False, {"into_Lp": False}, "weak space is not inside L^p")
-    elif pe0 is not None and pe0[1] != 1.0 / p:
+    if pe0 is not None and pe0[1] != 1.0 / p:
         put(["iii"], False, {"alpha_near_zero": pe0[1]},
             "fundamental function not comparable to t^{1/p}")
+    elif q0 is not None:
+        put(["iii"], q0 <= p, {"q0": q0}, "L^(p,q0) lies in L^p iff q0 <= p")
     else:
         put(["iii"], None, {}, "embedding side undecidable")
 
@@ -619,8 +611,8 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         put(["i"], True, {}, "via (ii)")
     elif verdicts["iv"].is_true:
         put(["i"], True, {"B": B}, "weak-boundedness bound controls the local norm")
-    elif lorentz_like:
-        put(["i"], p <= p0 and q0 <= p, {"p0": p0, "q0": q0}, "Lorentz rule")
+    elif q0 is not None and math.isfinite(q0):
+        put(["i"], False, {"q0": q0}, "Lorentz rule")
     else:
         put(["i"], None, {}, "no embedding certificate")
 

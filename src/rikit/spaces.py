@@ -596,23 +596,19 @@ class _LambdaQFundamental(FundamentalFn):
     def __call__(self, t):
         """The fundamental at every t, swept over the sorted points.
 
-        One head integral runs up to the smallest point; each gap between
-        sorted neighbours (phi's kinks added, so no gap straddles one) is one
-        row of a _gauss_log_rows batch; a cumulative sum joins them.
+        The integrals of phi^q dt/t from 0 to the smallest point and between
+        sorted neighbours are one _phi_weight_rows batch, joined by a
+        cumulative sum: closed-form pieces stay closed form however far
+        apart the points lie.
         """
         scalar = np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(len(ts))
         pos = ts > 0
         if np.any(pos):
-            lo, hi = float(np.min(ts[pos])), float(np.max(ts))
-            head = _phi_weight_integral(self.phi, 0.0, lo, self.q)
-            knots = np.unique(np.concatenate((ts[pos], self.phi.kinks(lo, hi))))
-            gaps = _gauss_log_rows(
-                lambda t, rows: np.asarray(self.phi(t.ravel()), dtype=float).reshape(t.shape)
-                ** self.q, knots[:-1], knots[1:])
-            cum = head + np.concatenate(([0.0], np.cumsum(gaps)))
-            out[pos] = cum[np.searchsorted(knots, ts[pos])]
+            knots = np.unique(ts[pos])
+            gaps = _phi_weight_rows(self.phi, [0.0, *knots[:-1]], knots, self.q)
+            out[pos] = np.cumsum(gaps)[np.searchsorted(knots, ts[pos])]
         out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
         return float(out[0]) if scalar else out
 
@@ -727,8 +723,8 @@ class _Family:
     quasi: Callable         # spec -> may fail the triangle inequality
     fundamental: Callable   # spec -> fundamental function shape
     boyd: Callable          # spec -> exact upper Boyd index, or None
-    density: str | None = None  # density-report rule: "lorentz" (index rules
-    # of L^(p,q), L^p = L^(p,p)), "weak", "weak-power" (weak if phi is a power)
+    lorentz_q: Callable = lambda s: None  # spec -> q0: the space is L^(1/a,q0)
+    # near 0 wherever its fundamental is c t^a there; None: no Lorentz index
     rows: Callable | None = None  # (decreasing rearrangement, spec, edge divisors
     # c) -> the norm of each dilate with edges / c_k; None: no row evaluator
 
@@ -773,37 +769,37 @@ _PART_CODECS = {
 _FAMILIES = {
     "lp": _Family(
         NormSpec.lp, "lp", ("p",), None, "L^{p:g}", lambda u, s: _norm_lp(u, s.p),
-        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False, density="lorentz",
+        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False, lorentz_q=lambda s: s.p,
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lorentz_pq": _Family(
         NormSpec.lorentz, "lorentz", ("p", "q"), None, "L^({p:g},{q:g})",
         lambda u, s: _norm_lorentz_pq(u, s.p, s.q),
-        ac=lambda s: True, quasi=lambda s: s.q > s.p, density="lorentz",
+        ac=lambda s: True, quasi=lambda s: s.q > s.p, lorentz_q=lambda s: s.q,
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lorentz_pinf": _Family(
         NormSpec.lorentz_weak, "lorentz-weak", ("p",), None, "L^({p:g},inf)",
         lambda u, s: _sup_star_phi(u, PowerPhi(1.0 / s.p)),
-        ac=lambda s: False, quasi=lambda s: True, density="weak",
+        ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s: INF,
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lambda_phi": _Family(
         NormSpec.lambda_phi, "lambda", (), "phi", "Lambda_phi",
         lambda u, s: _norm_lambda_phi(u, s.phi),
-        ac=lambda s: True, quasi=lambda s: False,
+        ac=lambda s: True, quasi=lambda s: False, lorentz_q=lambda s: 1.0,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "lambda_q_phi": _Family(
         NormSpec.lambda_q, "lambda-q", ("q",), "phi", "Lambda^{q:g}_phi",
         lambda u, s: _norm_lambda_q(u, s.phi, s.q),
-        ac=lambda s: True, quasi=_lambda_q_quasi,
+        ac=lambda s: True, quasi=_lambda_q_quasi, lorentz_q=lambda s: s.q,
         fundamental=_lambda_q_fundamental, boyd=_phi_index),
     "marcinkiewicz": _Family(
         NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
         **_sup_mp_family(lambda s: 1.0, None),
-        ac=lambda s: False, quasi=lambda s: False, density="weak-power",
+        ac=lambda s: False, quasi=lambda s: False, lorentz_q=lambda s: INF,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "weak_marcinkiewicz": _Family(
         NormSpec.weak_marcinkiewicz, "weak-marc", (), "phi", "M*_phi",
         lambda u, s: _sup_star_phi(u, s.phi),
-        ac=lambda s: False, quasi=lambda s: True, density="weak-power",
+        ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s: INF,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     # the M^p fundamental shape dominates phi; equal iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(
@@ -1076,10 +1072,10 @@ def _dyadic_integral(g, b):
     either the accumulated value doubles across two consecutive
     refinements, or the per-level pieces stop decaying geometrically (the
     borderline 1/t case).  Otherwise the geometric tail of the remaining
-    levels is extrapolated, once it falls below 1e-13 of the total;
-    refinement stops after 200 levels, or where the next lower end would
-    underflow to 0.  The piece left below the last level, (0, hi) with hi a
-    subnormal, counts as 0.
+    levels is extrapolated, once it falls below 1e-13 of the total.
+    Refinement also stops after 200 levels, or where the next lower end
+    would underflow to 0; the piece left below the last level then counts
+    as that geometric tail, where the last ratio of pieces lies in (0, 1).
 
     The levels are integrated _DYADIC_BLOCK at a time, one _gauss_log_rows
     batch each with g run once on all of the block's nodes, and the rules
@@ -1096,6 +1092,7 @@ def _dyadic_integral(g, b):
     flat = 0
     prev_total = 0.0
     prev_piece = None
+    tail_est = 0.0
     level = 0
     while True:
         his = []
@@ -1103,7 +1100,7 @@ def _dyadic_integral(g, b):
             his.append(hi)
             hi /= 2.0
         if not his:
-            return total
+            return total + tail_est
         for piece in _gauss_log_rows(f, [x / 2.0 for x in his], his, panels=1):
             total += piece
             if prev_total > 0 and total >= 2.0 * prev_total:
@@ -1112,15 +1109,17 @@ def _dyadic_integral(g, b):
                     return INF
             else:
                 doublings = 0
+            tail_est = 0.0
             if prev_piece is not None and prev_piece > 0:
                 ratio = piece / prev_piece
+                if 0 < ratio < 1:
+                    tail_est = piece * ratio / (1.0 - ratio)
                 if ratio >= 0.999:
                     flat += 1
                     if flat >= 2 and level >= 4:
                         return INF
                 else:
                     flat = 0
-                    tail_est = piece * ratio / (1.0 - ratio) if ratio > 0 else 0.0
                     if tail_est < 1e-13 * max(total, 1e-300):
                         return total + tail_est
             prev_total = total
@@ -1341,17 +1340,7 @@ def _norm_orlicz(ustar, orlicz: OrliczN):
 
 
 def fundamental_function(spec: NormSpec, t) -> float:
-    """Norm of an indicator of measure t; closed forms where known."""
-    t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    fam = spec.family
-    if fam in ("lp", "lorentz_pq", "lorentz_pinf"):
-        return t ** (1.0 / spec.p)
-    if fam == "orlicz_lux":
-        return float(1.0 / max(spec.orlicz.inverse(1.0 / t), 1e-300))
-    if fam == "intersection_max":
-        return max(fundamental_function(s, t) for s in spec.parts)
+    """Norm of an indicator of measure t, for a finite t > 0 (else ValueError)."""
     return norm(indicator_gridfn(t), spec)
 
 

@@ -5,6 +5,7 @@ wrong entry or a wrong lookup shows up here.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from rikit.spaces import (
     OrliczN,
     _LambdaQFundamental,
     _MaxPhi,
+    fundamental_function,
     norm,
     psi_majorant_phi,
 )
@@ -125,6 +127,14 @@ def test_family_golden(family):
     assert type(norm(U, spec)) is float
 
 
+@pytest.mark.parametrize("family", list(GOLDEN))
+def test_fundamental_function_takes_a_finite_positive_measure(family):
+    # the norm of an indicator: no closed form answers t = inf
+    for t in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError):
+            fundamental_function(GOLDEN[family][0], t)
+
+
 @pytest.mark.parametrize("text", ["lorentz:3", "lp:2,3", "marc-p:2",
                                   "max:lp:2|banach:1"])
 def test_parse_space_rejects_malformed(text):
@@ -186,25 +196,44 @@ def test_density_reports_match_golden(name):
     # lambda_q_phi entry since Lambda^q over c t^alpha takes the power
     # fundamental of L^(1/alpha,q), with the statuses of lorentz(1/alpha, q);
     # the intersection_max and marcinkiewicz_p_loc entries since B and
-    # m_phi_Lp take closed forms on power pieces (values only, no status)
+    # m_phi_Lp take closed forms on power pieces (values only, no status);
+    # the lp, Lorentz, Lambda, Lambda^q and both Marcinkiewicz entries since
+    # (i)-(iii) read each family's Lorentz index from the table
     golden = json.loads(DENSITY_GOLDEN.read_text())
     assert set(DENSITY_SPECS) == set(golden)
     assert density_reports(name) == golden[name]
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
-def test_lambda_q_over_a_power_reports_as_its_lorentz_space(alpha, q):
-    # Lambda^q over t^alpha is L^(1/alpha,q): a condition decided in both
-    # reports is decided the same way
-    for p in DENSITY_P:
+# a family over t^alpha and its twin, the Lorentz space it equals near 0:
+# (spec from phi and q, twin from alpha and q)
+LORENTZ_TWINS = {
+    "lambda_q_phi": (NormSpec.lambda_q, lambda a, q: NormSpec.lorentz(1.0 / a, q)),
+    "lambda_phi": (lambda phi, q: NormSpec.lambda_phi(phi),
+                   lambda a, q: NormSpec.lorentz(1.0 / a, 1)),
+    "marcinkiewicz": (lambda phi, q: NormSpec.marcinkiewicz(phi),
+                      lambda a, q: NormSpec.lorentz_weak(1.0 / a)),
+    "weak_marcinkiewicz": (lambda phi, q: NormSpec.weak_marcinkiewicz(phi),
+                           lambda a, q: NormSpec.lorentz_weak(1.0 / a)),
+}
+
+
+@pytest.mark.parametrize("family, q", [pytest.param("lambda_q_phi", q, id=str(q))
+                                       for q in (1.5, 2.0, 4.0)]
+                         + [pytest.param(name, None, id=name)
+                            for name in list(LORENTZ_TWINS)[1:]])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0])
+def test_lambda_q_over_a_power_reports_as_its_lorentz_space(family, q, alpha):
+    # Lambda^q over t^alpha is L^(1/alpha,q), Lambda over it L^(1/alpha,1),
+    # and M and M* over it L^(1/alpha,inf): the reports of twins agree
+    make, make_twin = LORENTZ_TWINS[family]
+    for p in (*DENSITY_P, 4.0 / 3.0):
         for complete in (False, True):
-            ours = density_criteria_report(NormSpec.lambda_q(power(alpha), q), p, complete)
-            twin = density_criteria_report(NormSpec.lorentz(1.0 / alpha, q), p, complete)
-            conflicts = [cid for cid, v in ours.conditions.items()
-                         if "inconclusive" not in (v.status, twin.conditions[cid].status)
-                         and v.status != twin.conditions[cid].status]
-            assert not conflicts, (p, complete, conflicts)
+            ours = density_criteria_report(make(power(alpha), q), p, complete)
+            twin = density_criteria_report(make_twin(alpha, q), p, complete)
+            statuses = {cid: v.status for cid, v in ours.conditions.items()}
+            assert statuses == {cid: v.status for cid, v in twin.conditions.items()}, (
+                p, complete)
+            assert ours.density_verdict == twin.density_verdict, (p, complete)
 
 
 def test_lambda_q_over_a_power_takes_closed_forms():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from rikit.spaces import _FAMILIES, _Family
+
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SRC = sorted((SRC_DIR / "rikit").glob("*.py"))
 
@@ -368,3 +370,22 @@ def test_power_facts_are_read_in_one_place():
                         for x in [node.left, *node.comparators]):
                     readers.add((path.name, name))
     assert readers == {("spaces.py", "_power_on"), ("spaces.py", "_piece_integral")}, readers
+
+
+def test_no_family_dispatch_outside_the_table():
+    # what differs between families is read from _FAMILIES: no comparison
+    # in the package names a family, or a rule name of the string field
+    # that the Lorentz index q0 replaced
+    names = set(_FAMILIES) | {"lorentz", "weak", "weak-power"}
+    found = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                operands += [x for op in operands
+                             if isinstance(op, (ast.Tuple, ast.List, ast.Set)) for x in op.elts]
+                found += [(path.name, node.lineno, x.value) for x in operands
+                          if isinstance(x, ast.Constant) and x.value in names]
+    assert not found, found
+    assert "density" not in _Family.__dataclass_fields__
+    assert "lorentz_q" in _Family.__dataclass_fields__

@@ -258,6 +258,13 @@ def test_lambda_q_fundamental_divergent_head():
     assert got[0] == 0.0 and np.all(np.isinf(got[1:]))
 
 
+def test_lambda_q_fundamental_keeps_closed_forms_between_far_points():
+    # phi^2 = s below the cap: int_0^1 s ds/s = 1 in closed form, however
+    # far apart the points lie
+    f = _LambdaQFundamental(FundamentalFn.power(0.5, 1.0, cap=4.0), 2.0)
+    assert f(np.array([1e-300, 1.0]))[1] == 1.0
+
+
 def test_lambda_q_power_log_density_report_finishes():
     # one quadrature from 0 per point made this report run for minutes
     rep = density_criteria_report(NormSpec.lambda_q(FundamentalFn.power_log(0.5, 1), 2), 1)

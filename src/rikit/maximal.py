@@ -534,7 +534,7 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     if phi is None:
         raise ValueError("spec has no computable fundamental function")
     pe0 = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
-    q0 = None if pe0 is None else _FAMILIES[spec.family].lorentz_q(spec)
+    q0 = None if pe0 is None else _FAMILIES[spec.family].lorentz_q(spec, pe0[1])
     verdicts = {}
 
     def put(cids, ok, cert, note):
@@ -542,7 +542,9 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         for cid in cids:
             verdicts[cid] = ConditionVerdict(cid, _status(ok), dict(cert), note)
 
-    # (ii)  X embeds in Lambda^p_{psi,fm}: L^(1/a,q0) lies in L^p locally
+    # (ii)  X embeds in Lambda^p_{psi,fm}: near 0, X = L^(1/a,q0) and
+    # Lambda^p_psi is L^(1/a,p) when a <= 1/p, L^p otherwise, so X embeds
+    # iff a <= 1/p and q0 <= p
     if q0 is None:
         put(["ii"], None, {}, "no embedding rule for this family")
     else:

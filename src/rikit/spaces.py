@@ -723,8 +723,8 @@ class _Family:
     quasi: Callable         # spec -> may fail the triangle inequality
     fundamental: Callable   # spec -> fundamental function shape
     boyd: Callable          # spec -> exact upper Boyd index, or None
-    lorentz_q: Callable = lambda s: None  # spec -> q0: the space is L^(1/a,q0)
-    # near 0 wherever its fundamental is c t^a there; None: no Lorentz index
+    lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
+    # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
     rows: Callable | None = None  # (decreasing rearrangement, spec, edge divisors
     # c) -> the norm of each dilate with edges / c_k; None: no row evaluator
 
@@ -753,6 +753,18 @@ def _lambda_q_quasi(spec):
     return not is_quasiconcave(spec.phi, power=spec.q, window=(1e-8 * hi, hi)).ok
 
 
+def _marc_ac(spec):
+    # M over c t on all of (0, inf) is c L^1; every other M_phi is weak-type
+    pe = _power_on(spec.phi, 0.0, INF)
+    return pe is not None and pe[1] == 1.0
+
+
+def _marc_lorentz_q(spec, a):
+    # sup_t t^a u**(t): Hardy's inequality makes it L^(1/a,inf) for a < 1, but
+    # at a = 1 it is the integral of u*, L^1 = L^(1,1)
+    return 1.0 if a == 1.0 else INF
+
+
 def _max_ac(spec):
     vals = {s.absolutely_continuous for s in spec.parts}
     return False if False in vals else None if None in vals else True
@@ -769,37 +781,37 @@ _PART_CODECS = {
 _FAMILIES = {
     "lp": _Family(
         NormSpec.lp, "lp", ("p",), None, "L^{p:g}", lambda u, s: _norm_lp(u, s.p),
-        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False, lorentz_q=lambda s: s.p,
+        ac=lambda s: not math.isinf(s.p), quasi=lambda s: False, lorentz_q=lambda s, a: s.p,
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lorentz_pq": _Family(
         NormSpec.lorentz, "lorentz", ("p", "q"), None, "L^({p:g},{q:g})",
         lambda u, s: _norm_lorentz_pq(u, s.p, s.q),
-        ac=lambda s: True, quasi=lambda s: s.q > s.p, lorentz_q=lambda s: s.q,
+        ac=lambda s: True, quasi=lambda s: s.q > s.p, lorentz_q=lambda s, a: s.q,
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lorentz_pinf": _Family(
         NormSpec.lorentz_weak, "lorentz-weak", ("p",), None, "L^({p:g},inf)",
         lambda u, s: _sup_star_phi(u, PowerPhi(1.0 / s.p)),
-        ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s: INF,
+        ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s, a: INF,
         fundamental=lambda s: PowerPhi(1.0 / s.p), boyd=lambda s: 1.0 / s.p),
     "lambda_phi": _Family(
         NormSpec.lambda_phi, "lambda", (), "phi", "Lambda_phi",
         lambda u, s: _norm_lambda_phi(u, s.phi),
-        ac=lambda s: True, quasi=lambda s: False, lorentz_q=lambda s: 1.0,
+        ac=lambda s: True, quasi=lambda s: False, lorentz_q=lambda s, a: 1.0,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "lambda_q_phi": _Family(
         NormSpec.lambda_q, "lambda-q", ("q",), "phi", "Lambda^{q:g}_phi",
         lambda u, s: _norm_lambda_q(u, s.phi, s.q),
-        ac=lambda s: True, quasi=_lambda_q_quasi, lorentz_q=lambda s: s.q,
+        ac=lambda s: True, quasi=_lambda_q_quasi, lorentz_q=lambda s, a: s.q,
         fundamental=_lambda_q_fundamental, boyd=_phi_index),
     "marcinkiewicz": _Family(
         NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
         **_sup_mp_family(lambda s: 1.0, None),
-        ac=lambda s: False, quasi=lambda s: False, lorentz_q=lambda s: INF,
+        ac=_marc_ac, quasi=lambda s: False, lorentz_q=_marc_lorentz_q,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "weak_marcinkiewicz": _Family(
         NormSpec.weak_marcinkiewicz, "weak-marc", (), "phi", "M*_phi",
         lambda u, s: _sup_star_phi(u, s.phi),
-        ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s: INF,
+        ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s, a: INF,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     # the M^p fundamental shape dominates phi; equal iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(

@@ -211,7 +211,8 @@ LORENTZ_TWINS = {
     "lambda_phi": (lambda phi, q: NormSpec.lambda_phi(phi),
                    lambda a, q: NormSpec.lorentz(1.0 / a, 1)),
     "marcinkiewicz": (lambda phi, q: NormSpec.marcinkiewicz(phi),
-                      lambda a, q: NormSpec.lorentz_weak(1.0 / a)),
+                      lambda a, q: NormSpec.lorentz_weak(1.0 / a) if a < 1.0
+                      else NormSpec.lp(1)),
     "weak_marcinkiewicz": (lambda phi, q: NormSpec.weak_marcinkiewicz(phi),
                            lambda a, q: NormSpec.lorentz_weak(1.0 / a)),
 }
@@ -224,7 +225,8 @@ LORENTZ_TWINS = {
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0])
 def test_lambda_q_over_a_power_reports_as_its_lorentz_space(family, q, alpha):
     # Lambda^q over t^alpha is L^(1/alpha,q), Lambda over it L^(1/alpha,1),
-    # and M and M* over it L^(1/alpha,inf): the reports of twins agree
+    # M* over it L^(1/alpha,inf), and M over it L^(1/alpha,inf) for
+    # alpha < 1 but L^1 over t: the reports of twins agree
     make, make_twin = LORENTZ_TWINS[family]
     for p in (*DENSITY_P, 4.0 / 3.0):
         for complete in (False, True):
@@ -234,6 +236,17 @@ def test_lambda_q_over_a_power_reports_as_its_lorentz_space(family, q, alpha):
             assert statuses == {cid: v.status for cid, v in twin.conditions.items()}, (
                 p, complete)
             assert ours.density_verdict == twin.density_verdict, (p, complete)
+
+
+def test_marcinkiewicz_over_t_reports_as_l1():
+    # sup_t t u**(t) is the integral of u*: L^1, which lies in L^1
+    spec = NormSpec.marcinkiewicz(power(1.0))
+    rep = density_criteria_report(spec, 1)
+    assert rep.conditions["iii"].status == "true"
+    assert rep.conditions["iii"].certificate == {"q0": 1.0}
+    assert spec.absolutely_continuous and rep.density_verdict
+    u = WeightedSamples([3.0, -1.0, 0.5], [0.2, 0.5, 1.0])
+    assert norm(u, spec) == pytest.approx(norm(u, NormSpec.lp(1)), rel=1e-12)
 
 
 def test_lambda_q_over_a_power_takes_closed_forms():

@@ -420,7 +420,8 @@ def test_truncation_gap_decreases_for_ac_norms():
     rng = np.random.default_rng(30)
     u = WeightedSamples(rng.normal(size=12) * 3, rng.uniform(0.2, 1.0, 12))
     specs = [NormSpec.lp(2), NormSpec.lorentz(2, 1),
-             NormSpec.lambda_phi(FundamentalFn.power(0.5))]
+             NormSpec.lambda_phi(FundamentalFn.power(0.5)),
+             NormSpec.marcinkiewicz(FundamentalFn.power(1.0))]
     sigmas = np.geomspace(0.1, 1.2 * float(np.max(np.abs(u.values))), 12)
     for spec in specs:
         assert spec.absolutely_continuous

@@ -251,10 +251,11 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
     Closed-form families report the exact index; otherwise candidate
     functions give lower bounds only (flagged, never used to certify a
     strict inequality downstream).  Where the family table gives a row
-    evaluator (the sup-M_p families), one call per candidate returns its
-    norm and the norms of all its dilations E_{1/s}: row 0 divides the
-    candidate's edges by 1, row k + 1 by 1/s_k, exactly as ``dilation``
-    does.  Other families take ``norm(dilation(f, 1/s))`` once per s.
+    evaluator (the sup-M_p families), one call returns every candidate's
+    norm and the norms of all its dilations E_{1/s}: column 0 divides the
+    candidate's edges by 1, column k + 1 by 1/s_k, exactly as ``dilation``
+    does, and candidates with equal edges share their points and cell
+    search.  Other families take ``norm(dilation(f, 1/s))`` once per s.
     """
     s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     exact = spec.boyd_alpha_exact()
@@ -269,22 +270,22 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
         )
     if not np.all((s_grid > 0) & np.isfinite(s_grid)):
         raise ValueError("s grid must be positive and finite")
+    cands = tuple(_BOYD_CANDIDATES if candidates is None else candidates)
+    if not all(f.is_decreasing() for f in cands):
+        raise ValueError("Boyd candidates must be decreasing GridFns")
     rows = _FAMILIES[spec.family].rows
-    divisors = np.concatenate(([1.0], 1.0 / s_grid))
-    bases, dilated = [], []
-    for f in _BOYD_CANDIDATES if candidates is None else candidates:
-        if not f.is_decreasing():
-            raise ValueError("Boyd candidates must be decreasing GridFns")
-        vals = rows(f, spec, divisors) if rows is not None else [norm(f, spec)]
-        base = float(vals[0])
-        if base > 0 and math.isfinite(base):
-            bases.append(base)
-            dilated.append(vals[1:] if rows is not None else
-                           [norm(dilation(f, 1.0 / s), spec) for s in s_grid])
-    if not bases:
+    if rows is not None:
+        vals = rows(cands, spec, np.concatenate(([1.0], 1.0 / s_grid)))
+        bases = vals[:, 0]
+    else:
+        bases = np.array([norm(f, spec) for f in cands])
+    usable = (bases > 0) & np.isfinite(bases)
+    if not usable.any():
         raise ValueError("no candidate with nonzero finite norm")
-    dilated = np.asarray(dilated, dtype=float)
-    ratios = np.where(np.isfinite(dilated), dilated / np.asarray(bases)[:, None], 0.0)
+    dilated = (vals[usable, 1:] if rows is not None else
+               np.array([[norm(dilation(f, 1.0 / s), spec) for s in s_grid]
+                         for f, ok in zip(cands, usable) if ok]))
+    ratios = np.where(np.isfinite(dilated), dilated / bases[usable, None], 0.0)
     best = np.max(ratios, axis=0, initial=0.0)
     hs = [(float(s), float(h)) for s, h in zip(s_grid, best)]
     alpha_est = max(

@@ -127,8 +127,8 @@ class GridFn:
     def integrals_at(self, ts, power=1.0):
         """Vectorized integral of f^power over (0, t] for each t in ts."""
         ts = np.asarray(ts, dtype=float)
-        return _integrals_rows(self.edges[None], self.values, self.tail, ts,
-                               [len(ts)], power)
+        return _integrals_rows(self.edges[None], self.values[None], [self.tail], ts,
+                               [len(ts)], power)[0]
 
     def has_inf(self):
         return bool(np.any(~np.isfinite(self.values)))
@@ -161,21 +161,30 @@ class GridFn:
         )
 
 
-def _integrals_rows(edges, values, tail, ts, counts, power):
-    """Integral of f_k^power over (0, t] at the points of every row k.
+def _integrals_rows(edges, values, tails, ts, counts, power):
+    """Integral of f_jk^power over (0, t] at the points of every row k, for
+    every function j: a len(values) x len(ts) array.
 
-    f_k has the breakpoints ``edges[k]`` (a rows x (cells + 1) array) and
-    shares ``values`` (contiguous, as a GridFn keeps them) and ``tail``.
-    ``ts`` holds the points of row 0, then row 1, and so on, ``counts[k]``
-    of them for row k.  Each row's cells, cumulative sums and points take
-    the same arithmetic as a GridFn of its own, so every row is
-    bit-identical to ``integrals_at`` on that GridFn.
+    f_jk has the breakpoints ``edges[k]`` (a rows x (cells + 1) array), the
+    values ``values[j]`` (a C-contiguous functions x cells array) and the
+    tail ``tails[j]``.  ``ts`` holds the points of row 0, then row 1, and so
+    on, ``counts[k]`` of them for row k.  The cell search and every gather
+    that depends on the edges and the points alone are made once for all
+    functions.  Each function's cells, cumulative sums and points take the
+    same arithmetic as a GridFn of its own, so every row is bit-identical to
+    ``integrals_at`` on that GridFn.
     """
-    ncells = len(values)
-    # an inf value times its positive width is the inf marker of its cell
-    cells = values ** power * (edges[:, 1:] - edges[:, :-1])
-    cum = np.zeros((len(edges), ncells + 1))
-    np.cumsum(cells, axis=1, out=cum[:, 1:])
+    ncells = values.shape[1]
+    # numpy's array pow rounds contiguous input alike at any length, so the
+    # per-cell powers serve the cells and the points; an inf value times its
+    # positive width is the inf marker of its cell
+    pows = values ** power
+    cells = pows[:, None] * (edges[:, 1:] - edges[:, :-1])
+    # the rate of each cell, then of the tail beyond the last edge
+    rates = np.concatenate((pows, [[tail ** power if tail > 0 else 0.0] for tail in tails]),
+                           axis=1)
+    cum = np.zeros((len(values), len(edges), ncells + 1))
+    np.cumsum(cells, axis=2, out=cum[:, :, 1:])
     idx = np.empty(len(ts), dtype=np.intp)
     row = np.empty(len(ts), dtype=np.intp)
     start = 0
@@ -183,20 +192,18 @@ def _integrals_rows(edges, values, tail, ts, counts, power):
         idx[start:start + n] = np.searchsorted(edges[k], ts[start:start + n], side="left")
         row[start:start + n] = k
         start += n
-    out = np.zeros(len(ts))
-    # t <= 0 stays 0 and never multiplies an inf cell by a zero width
-    inside = (idx <= ncells) & (ts > 0)
-    if inside.any():
-        i, r = idx[inside], row[inside]
-        v = values[i - 1]
-        part = np.where(np.isfinite(v), v ** power * (ts[inside] - edges[r, i - 1]), INF)
-        out[inside] = cum[r, i - 1] + part
-    beyond = idx > ncells
-    if beyond.any():
-        r = row[beyond]
-        extra = ts[beyond] - edges[r, -1]
-        tail_part = tail ** power * np.maximum(extra, 0.0) if tail > 0 else 0.0
-        out[beyond] = cum[r, -1] + tail_part
+    out = np.zeros((len(values), len(ts)))
+    # t <= 0 stays 0 and never multiplies an inf cell by a zero width; any
+    # other t lies above the left edge of its cell, or above the last edge,
+    # and adds its cell's rate (the tail's beyond the last edge) times a
+    # positive width to the integral up to that edge
+    pos = ts > 0
+    if pos.all():
+        pos = slice(None)
+    i = idx[pos] - 1
+    flat = row[pos] * (ncells + 1) + i
+    out[:, pos] = (np.take(cum.reshape(len(values), -1), flat, axis=1)
+                   + np.take(rates, i, axis=1) * (ts[pos] - edges.ravel()[flat]))
     return out
 
 

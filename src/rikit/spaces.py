@@ -664,9 +664,13 @@ class _MaxPhi(FundamentalFn):
         return max(p.value_inf() for p in self.phis)
 
 
-def _has_generic_piece(phi, lo, hi):
-    """Whether phi needs quadrature (a "generic" piece) somewhere in (lo, hi)."""
-    return any(kind == "generic" for (_, _, kind, _) in phi.pieces(lo, hi))
+def _generic_start(phi, lo, hi):
+    """Where phi's first "generic" piece in (lo, hi) starts (inf: none).
+
+    A form depends on its piece alone, so phi needs quadrature somewhere in
+    (lo, h), for any h <= hi, exactly when h exceeds this start.
+    """
+    return next((a for (a, _, kind, _) in phi.pieces(lo, hi) if kind == "generic"), INF)
 
 
 def _phi_to_dict(phi):
@@ -725,15 +729,17 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
     # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
-    rows: Callable | None = None  # (decreasing rearrangement, spec, edge divisors
-    # c) -> the norm of each dilate with edges / c_k; None: no row evaluator
+    rows: Callable | None = None  # (decreasing rearrangements, spec, edge
+    # divisors c) -> the norm of each dilate with edges / c_k, one row per
+    # function (a lone GridFn: its row); None: no row evaluator
 
 
 def _sup_mp_family(p_of, window_hi):
-    """evaluate and rows of a sup-M_p family: the norm is the row c = 1."""
-    def rows(u, s, c):
-        return _sup_mp_phi(u, s.phi, p_of(s), window_hi, c)
-    return {"evaluate": lambda u, s: rows(u, s, _UNIT)[0], "rows": rows}
+    """evaluate and rows of a sup-M_p family: the norm is the one function
+    at c = 1."""
+    def rows(us, s, c):
+        return _sup_mp_phi(us, s.phi, p_of(s), window_hi, c)
+    return {"evaluate": lambda u, s: rows((u,), s, _UNIT)[0, 0], "rows": rows}
 
 
 def _family_of(name):
@@ -1083,8 +1089,12 @@ def _dyadic_integral(g, b):
     at a time.  Divergence is classified by the refinement-doubling rule:
     either the accumulated value doubles across two consecutive
     refinements, or the per-level pieces stop decaying geometrically (the
-    borderline 1/t case).  Otherwise the geometric tail of the remaining
-    levels is extrapolated, once it falls below 1e-13 of the total.
+    borderline 1/t case): two ratios of pieces at or above 0.999 in a row,
+    from level 4 on.  A ratio that has fallen more than 0.1% below the one
+    before does not count, so pieces that grow over the first levels and
+    then decay slowly are no divergence.  Otherwise the geometric tail of
+    the remaining levels is extrapolated, once the last ratio lies in
+    (0, 1) and the tail falls below 1e-13 of the total.
     Refinement also stops after 200 levels, or where the next lower end
     would underflow to 0; the piece left below the last level then counts
     as that geometric tail, where the last ratio of pieces lies in (0, 1).
@@ -1104,6 +1114,7 @@ def _dyadic_integral(g, b):
     flat = 0
     prev_total = 0.0
     prev_piece = None
+    prev_ratio = None
     tail_est = 0.0
     level = 0
     while True:
@@ -1126,14 +1137,16 @@ def _dyadic_integral(g, b):
                 ratio = piece / prev_piece
                 if 0 < ratio < 1:
                     tail_est = piece * ratio / (1.0 - ratio)
-                if ratio >= 0.999:
+                if ratio >= 0.999 and not (prev_ratio is not None
+                                           and ratio < 0.999 * prev_ratio):
                     flat += 1
                     if flat >= 2 and level >= 4:
                         return INF
                 else:
                     flat = 0
-                    if tail_est < 1e-13 * max(total, 1e-300):
+                    if 0 < ratio < 1 and tail_est < 1e-13 * max(total, 1e-300):
                         return total + tail_est
+                prev_ratio = ratio
             prev_total = total
             prev_piece = piece
             level += 1
@@ -1180,66 +1193,89 @@ def _sup_star_phi(ustar, phi):
 
 
 def _masked_sup(vals, phis, starts):
-    """Per nonempty run vals[starts[k]:starts[k + 1]]: max(0, sup of vals * phis
-    over finite vals), or inf where an infinite val meets phis > 0.  Nan
-    products are skipped, as ``max(best, x)`` skips them.
+    """Per nonempty run vals[..., starts[k]:starts[k + 1]]: max(0, sup of vals
+    * phis over finite vals), or inf where an infinite val meets phis > 0.
+    Nan products are skipped, as ``max(best, x)`` skips them.  ``phis`` is
+    one row, shared by every row of ``vals``.
     """
     finite = np.isfinite(vals)
-    prods = np.where(phis > 0, INF, 0.0)  # read only where vals are infinite
-    prods[finite] = vals[finite] * phis[finite]
-    return np.fmax(np.fmax.reduceat(prods, starts), 0.0)
+    if finite.all():
+        prods = vals * phis
+    else:
+        # read only where vals are infinite
+        prods = np.broadcast_to(np.where(phis > 0, INF, 0.0), vals.shape).copy()
+        prods[finite] = vals[finite] * np.broadcast_to(phis, vals.shape)[finite]
+    return np.fmax(np.fmax.reduceat(prods, starts, axis=-1), 0.0)
 
 
-def _mp_rows(ustar, p, edges, ts, counts):
-    """M_p u*(t) = ((1/t) int_0^t u*^p)^{1/p} at the points of each row of
-    edges, laid out as for ``rearrange._integrals_rows``."""
-    ints = _integrals_rows(edges, ustar.values, ustar.tail, ts, counts, p)
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isfinite(ints), (ints / ts) ** (1.0 / p), INF)
+def _mp_rows(values, tails, p, edges, ts, counts):
+    """M_p f(t) = ((1/t) int_0^t f^p)^{1/p} for each function of
+    ``values`` and ``tails`` at the points of each row of edges, laid out
+    as for ``rearrange._integrals_rows``."""
+    ints = _integrals_rows(edges, values, tails, ts, counts, p)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at t = 0; an inf marker stays inf
+        return (ints / ts) ** (1.0 / p)
 
 
 def _mp_values(ustar, p, ts):
     """M_p u*(t) at the given points: ``_mp_rows`` on ustar's own edges."""
-    return _mp_rows(ustar, p, ustar.edges[None], ts, [len(ts)])
+    return _mp_rows(ustar.values[None], [ustar.tail], p, ustar.edges[None], ts, [len(ts)])[0]
 
 
 # the edge divisor of a plain norm: edges / 1.0 is exact
 _UNIT = np.ones(1)
 
 
-def _sup_mp_phi(ustar, phi, p, window_hi, c):
-    """sup over the window of M_p u*(t) phi(t), once per edge divisor c_k.
+def _edge_groups(us):
+    """The functions of ``us`` that share one edge array, a group at a time:
+    (their positions in us, the functions, their values stacked into one
+    C-contiguous array, their tails, the edges).  Functions with neither
+    cells nor tail are left out: they are 0."""
+    groups = {}
+    for k, u in enumerate(us):
+        if u.ncells or u.tail:
+            groups.setdefault(u.edges.tobytes(), []).append(k)
+    for ks in groups.values():
+        fns = [us[k] for k in ks]
+        yield ks, fns, np.array([u.values for u in fns]), [u.tail for u in fns], fns[0].edges
 
-    Row k is the value for ``GridFn(ustar.edges / c_k, ustar.values,
-    ustar.tail)``, bit for bit, so a norm is the row c = 1 (``_UNIT``) and
-    the dilations E_{1/s} of one function take c = 1/s in the same array
-    pass.  Exact for power/affine phi.  ``window_hi=None`` is the global
-    norm (sup over t > 0); otherwise the sup runs over (0, window_hi].  It
-    is taken at the points of ``_sup_points``, plus limit candidates.
+
+def _sup_mp_phi(us, phi, p, window_hi, c):
+    """sup over the window of M_p f(t) phi(t), for each f in ``us`` and each
+    edge divisor c_k: a len(us) x len(c) array, or one row for a lone GridFn.
+
+    Entry (j, k) is the value for ``GridFn(us[j].edges / c_k, us[j].values,
+    us[j].tail)``, bit for bit, so a norm is the one function at c = 1
+    (``_UNIT``) and the dilations E_{1/s} take c = 1/s in the same array
+    pass.  Functions with equal edges take one pass: its points, phi on
+    them and the cell search serve them all.  Exact for power/affine phi.
+    ``window_hi=None`` is the global norm (sup over t > 0); otherwise the
+    sup runs over (0, window_hi].  It is taken at the points of
+    ``_sup_points``, plus limit candidates.
     """
+    if isinstance(us, GridFn):
+        return _sup_mp_phi((us,), phi, p, window_hi, c)[0]
     c = np.asarray(c, dtype=float)
-    if ustar.ncells == 0 and ustar.tail == 0:
-        return np.zeros(len(c))
-    edges = ustar.edges[None] / c[:, None]
-    ts, counts, starts = _sup_points(ustar, phi, window_hi, edges)
-    phis = np.asarray(phi(ts), dtype=float)
-    mps = _mp_rows(ustar, p, edges, ts, counts.tolist())
-    best = _masked_sup(mps, phis, starts)
-    # limit candidate as t -> 0+
-    first = ustar.values[0] if ustar.ncells else ustar.tail
+    out = np.zeros((len(us), len(c)))
     p0 = phi.phi0plus()
-    if p0 > 0:
-        if not math.isfinite(first):
-            return np.full(len(c), INF)
-        best = np.maximum(best, first * p0)
-    if window_hi is not None:
-        return best
-    # tail behaviour for the global norm
-    tails = _mp_tail_rows(ustar, phi, p, c)
-    return np.where(np.isfinite(tails), np.maximum(best, tails), INF)
+    for rows, fns, values, tails, edges in _edge_groups(us):
+        dilated = edges[None] / c[:, None]
+        ts, counts, starts = _sup_points(phi, window_hi, dilated)
+        mps = _mp_rows(values, tails, p, dilated, ts, counts.tolist())
+        best = _masked_sup(mps, np.asarray(phi(ts), dtype=float), starts)
+        if p0 > 0:
+            # limit candidate as t -> 0+ (inf for an inf first value)
+            first = values[:, 0] if values.shape[1] else np.asarray(tails)
+            best = np.maximum(best, first[:, None] * p0)
+        if window_hi is None:
+            # tail behaviour for the global norm
+            lims = np.array([_mp_tail_rows(u, phi, p, c) for u in fns])
+            best = np.where(np.isfinite(lims), np.maximum(best, lims), INF)
+        out[rows] = best
+    return out
 
 
-def _sup_points(ustar, phi, window_hi, edges):
+def _sup_points(phi, window_hi, edges):
     """The points where ``_sup_mp_phi`` takes each row's supremum.
 
     Row k's points are its cell edges, phi's kinks, the window end hi_k and
@@ -1248,16 +1284,18 @@ def _sup_points(ustar, phi, window_hi, edges):
     a maximum ignores them.  Returns the points of row 0, then row 1, and
     so on, with each row's count and the index where its points start.
     """
-    rows, ncells = len(edges), ustar.ncells
+    rows, ncells = edges.shape[0], edges.shape[1] - 1
     ends = edges[:, -1]
     hi = np.maximum(ends, 1.0)
     if math.isfinite(phi.cap):
         hi = np.maximum(hi, phi.cap)
     hi = 2.0 * hi if window_hi is None else np.full(rows, float(window_hi))
-    # kinks are a fixed set cut to (lo, hi), so one call serves every row
+    # kinks are a fixed set cut to (lo, hi), so one call serves every row;
+    # so does one walk over the pieces, up to the farthest reach
     kinks = phi.kinks(0.0, float(hi.max()))
-    generic = [_has_generic_piece(phi, 1e-12, max(1.0, e, 2.0)) for e in ends]
-    grid = DEFAULT_SUP_POINTS if any(generic) else 0
+    reach = np.maximum(ends, 2.0)
+    start = _generic_start(phi, 1e-12, float(reach.max()))
+    grid = DEFAULT_SUP_POINTS if start < INF else 0
     ts = np.empty((rows, ncells + len(kinks) + 2 + grid))
     ts[:, :ncells] = edges[:, 1:]
     ts[:, ncells:-grid - 2] = kinks
@@ -1267,8 +1305,8 @@ def _sup_points(ustar, phi, window_hi, edges):
         lo = np.minimum(edges[:, 1] if ncells else hi, hi) * 1e-6
         ts[:, -grid:] = np.geomspace(np.maximum(lo, hi * 1e-14), hi, grid, axis=1)
     keep = ts <= hi[:, None]
-    if grid and not all(generic):
-        keep[np.logical_not(generic), -grid:] = False
+    if grid:
+        keep[reach <= start, -grid:] = False  # rows that end before the generic piece
     counts = keep.sum(axis=1)
     return ts[keep], counts, counts.cumsum() - counts
 

@@ -60,6 +60,7 @@ def loop_dyadic_integral(g, b):
     flat = 0
     prev_total = 0.0
     prev_piece = None
+    prev_ratio = None
     tail_est = 0.0
     for level in range(200):
         lo = hi / 2.0
@@ -78,14 +79,16 @@ def loop_dyadic_integral(g, b):
             ratio = piece / prev_piece
             if 0 < ratio < 1:
                 tail_est = piece * ratio / (1.0 - ratio)
-            if ratio >= 0.999:
+            # a ratio that falls more than 0.1% below the one before is no flat
+            if ratio >= 0.999 and not (prev_ratio is not None and ratio < 0.999 * prev_ratio):
                 flat += 1
                 if flat >= 2 and level >= 4:
                     return INF
             else:
                 flat = 0
-                if tail_est < 1e-13 * max(total, 1e-300):
+                if 0 < ratio < 1 and tail_est < 1e-13 * max(total, 1e-300):
                     return total + tail_est
+            prev_ratio = ratio
         prev_total = total
         prev_piece = piece
         hi = lo
@@ -475,6 +478,22 @@ def test_dyadic_refinement_stops_at_200_levels():
     assert hexes(got) == hexes(want)
     assert len(nodes) == math.ceil(200 / _DYADIC_BLOCK)
     assert 2.0 ** -200 < min(x.min() for x in nodes) < 2.0 ** -199
+
+
+def test_dyadic_reads_a_rising_head_as_no_divergence():
+    # m_phi^2 for max(t^0.499, 2 t^0.8) grows by level ratios 1.516, 1.516,
+    # 1.368 and 1.020 before it decays by 0.99861 a level: the fourth ratio
+    # read as flat once returned inf, and a falling ratio above 1 leaves no
+    # tail estimate, so it must not end the refinement either.  44.6741456
+    # is a 200,001-point log-trapezoid of m_phi^2 from 1e-60 plus the
+    # closed-form head 4 eps^0.002 / 0.002 below it
+    phi = _MaxPhi([FundamentalFn.power(0.499), FundamentalFn.power(0.8, 2.0)])
+    assert m_phi_norm(phi, 2.0) == pytest.approx(44.6741456, rel=1e-6)
+
+    def g(s):
+        return _m_phi_at(phi, s) ** 2
+
+    assert hexes(_dyadic_integral(g, 1.0)) == hexes(loop_dyadic_integral(g, 1.0))
 
 
 def test_m_phi_norm_takes_a_kernel_call_per_block_of_levels(monkeypatch):

@@ -82,15 +82,40 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 
 
 def test_sup_norms_have_no_python_loops():
-    # the sup-type norms take their supremum with numpy, not per point
+    # the sup-type norms take their supremum with numpy, not per point: the
+    # M_p supremum loops over groups of functions that share their edges,
+    # and within a group over its functions, never over points or rows
     tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
     bodies = {top.name: top for top in tree.body
               if isinstance(top, ast.FunctionDef)
               and top.name in ("_sup_mp_phi", "_sup_star_phi")}
     assert set(bodies) == {"_sup_mp_phi", "_sup_star_phi"}
-    loops = [(name, node.lineno) for name, fn in bodies.items()
+    loops = [(name, node) for name, fn in bodies.items()
              for node in ast.walk(fn) if isinstance(node, _LOOPS)]
-    assert not loops, f"loops at {loops}"
+    groups = [node for _, node in loops if isinstance(node, ast.For)
+              and getattr(getattr(node.iter, "func", None), "id", None) == "_edge_groups"]
+    assert len(groups) == 1
+    bound = {n.id for n in ast.walk(groups[0].target) if isinstance(n, ast.Name)}
+    per_function = [node for _, node in loops if hasattr(node, "generators")
+                    and all(getattr(gen.iter, "id", None) in bound for gen in node.generators)]
+    other = [(name, node.lineno) for name, node in loops
+             if node is not groups[0] and node not in per_function]
+    assert not other, f"loops at {other}"
+
+
+def test_boyd_sweep_makes_one_row_call():
+    # every candidate and every dilation go to the row evaluator in one call:
+    # no rows(...) call runs once per candidate
+    tree = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
+    fn = next(top for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "boyd_upper_lowerbound")
+    calls = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "rows"]
+    assert len(calls) == 1
+    looped = [node.lineno for loop in ast.walk(fn) if isinstance(loop, _LOOPS)
+              for part in _per_iteration(loop) for node in ast.walk(part)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rows"]
+    assert not looped, f"rows called per iteration at {looped}"
 
 
 @pytest.mark.parametrize("module, name", [("metric.py", "poincare_ratio"),
@@ -295,7 +320,7 @@ def test_lambda_q_fundamental_has_one_path():
     tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
     cls = next(top for top in tree.body
                if isinstance(top, ast.ClassDef) and top.name == "_LambdaQFundamental")
-    assert "_has_generic_piece" not in _calls(cls, {})
+    assert "_generic_start" not in _calls(cls, {})
 
 
 def _calls(node, nested):

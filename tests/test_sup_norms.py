@@ -337,6 +337,75 @@ def test_rows_match_norm_of_each_dilation(f, family, shape, p, s_grid):
         assert same_bits(got, loop_sup_mp_phi(dilate, spec.phi, p_used, window))
 
 
+@st.composite
+def shared_edge_gridfns(draw, edges):
+    """Decreasing GridFns on the given edges: inf first cells, zeros, tails."""
+    n = len(edges) - 1
+    vals = sorted(draw(st.lists(_MAGNITUDES | st.just(0.0), min_size=n, max_size=n)),
+                  reverse=True)
+    if n and draw(st.booleans()):
+        vals[0] = INF
+    tail = 0.0
+    if n and draw(st.booleans()) and vals[-1] > 0:
+        tail = min(vals[-1], draw(_MAGNITUDES))
+    return GridFn(edges, vals, tail)
+
+
+@st.composite
+def row_gridfn_lists(draw):
+    """1 to 4 decreasing GridFns: each after the first has edges of its own,
+    shares the first one's edges with values and a tail of its own, or is
+    a zero function."""
+    first = draw(row_gridfns())
+    fns = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["own", "shared", "zero"]))
+        if kind == "own":
+            fns.append(draw(row_gridfns()))
+        elif kind == "shared":
+            fns.append(draw(shared_edge_gridfns(first.edges)))
+        else:
+            fns.append(draw(st.sampled_from([GridFn([0.0], []),
+                                             GridFn(first.edges, np.zeros(first.ncells))])))
+    return draw(st.permutations(fns))
+
+
+# the default candidates, a sibling of the power profiles with an inf first
+# value and a tail, and the two zero functions
+_SIBLING = GridFn(maximal._BOYD_CANDIDATES[-1].edges,
+                  [INF, *maximal._BOYD_CANDIDATES[-1].values[1:]], 0.25)
+_MIXED = [*maximal._BOYD_CANDIDATES, _SIBLING, GridFn([0.0], []),
+          GridFn(_SIBLING.edges, np.zeros(_SIBLING.ncells))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(us=row_gridfn_lists(), family=st.sampled_from(sorted(ROW_FAMILIES)),
+       shape=st.sampled_from(sorted(ROW_SHAPES)), p=st.sampled_from([1.0, 1.05, 2.0, 3.0]),
+       s_grid=_S_GRIDS)
+@example(us=_MIXED, family="marcinkiewicz_p_loc", shape="powerlog(0.4,1)", p=2.0,
+         s_grid=[2.0, 64.0, 4096.0])
+@example(us=_MIXED, family="marcinkiewicz", shape="power(0.5,2,cap 3)", p=1.0,
+         s_grid=[1.5, 300.0])
+@example(us=_MIXED, family="marcinkiewicz_p", shape="power(0)", p=3.0, s_grid=[2.0])
+# the window reaches past a short support, where each tail counts
+@example(us=[GridFn([0.0, 0.1, 0.3], [2.0, 1.0], 0.5), GridFn([0.0, 0.1, 0.3], [3.0, 1.0]),
+             GridFn([0.0, 0.1, 0.3], [INF, 0.8], 0.8)],
+         family="marcinkiewicz_p_loc", shape="power(0.5)", p=2.0, s_grid=[1.5])
+def test_rows_of_many_functions_match_each_alone(us, family, shape, p, s_grid):
+    # functions with equal edges share one pass; each row must still be the
+    # function's own, bit for bit
+    spec = row_spec(family, shape, p)[0]
+    rows = _FAMILIES[family].rows
+    c = [1.0] + [float(1.0 / s) for s in s_grid]
+    got = rows(us, spec, c)
+    assert got.shape == (len(us), len(c))
+    for f, row in zip(us, got):
+        assert [x.hex() for x in row] == [x.hex() for x in rows((f,), spec, c)[0]]
+        assert same_bits(row[0], norm(f, spec))
+        for s, x in zip(s_grid, row[1:]):
+            assert same_bits(x, norm(dilation(f, 1.0 / s), spec))
+
+
 def loop_boyd(spec, candidates, s_grid):
     """The per-dilation loop that the row evaluator replaced in the Boyd sweep."""
     usable = []
@@ -389,8 +458,9 @@ def test_boyd_sweep_matches_per_dilation_loop(cands, family, shape, p, s_grid):
 
 
 def test_boyd_sweep_keeps_dilations_away_from_norm(monkeypatch):
-    # one row evaluation per default candidate, and no dilate reaches norm: the
-    # sweep once made 7 x (1 + 12) norm calls per report
+    # one row evaluation per report, carrying every default candidate and all
+    # 1 + 12 divisors, and no dilate reaches norm: the sweep once made
+    # 7 x (1 + 12) norm calls per report, and then one row call per candidate
     seen, row_calls = [], []
     real_norm, real_rows = spaces.norm, spaces._sup_mp_phi
 
@@ -398,9 +468,9 @@ def test_boyd_sweep_keeps_dilations_away_from_norm(monkeypatch):
         seen.append(u)
         return real_norm(u, spec)
 
-    def counting_rows(ustar, phi, p, window_hi, c):
-        row_calls.append(len(c))
-        return real_rows(ustar, phi, p, window_hi, c)
+    def counting_rows(us, phi, p, window_hi, c):
+        row_calls.append((tuple(us), len(c)))
+        return real_rows(us, phi, p, window_hi, c)
 
     for module in (spaces, maximal):
         monkeypatch.setattr(module, "norm", counting_norm)
@@ -410,5 +480,4 @@ def test_boyd_sweep_keeps_dilations_away_from_norm(monkeypatch):
     dilates = [f.edges / float(1.0 / s) for f in cands for s in maximal._S_GRID]
     assert not any(isinstance(u, GridFn) and len(u.edges) == len(d)
                    and np.array_equal(u.edges, d) for u in seen for d in dilates)
-    assert 0 < len(row_calls) <= len(cands)
-    assert set(row_calls) == {1 + len(maximal._S_GRID)}
+    assert row_calls == [(cands, 1 + len(maximal._S_GRID))]

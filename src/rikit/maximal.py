@@ -30,7 +30,6 @@ from .spaces import (
     _power_on,
     _zippin_exponent,
     geometric_grid,
-    norm,
 )
 
 INF = math.inf
@@ -190,6 +189,15 @@ def _power_diverges(phi, p):
 _S_GRID = np.geomspace(2.0, 4096.0, 12)
 
 
+def _dilation_factors(s_grid):
+    """The s grid as an array (None: _S_GRID); ValueError unless every s is
+    finite and greater than 1."""
+    s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
+    if not np.all(np.isfinite(s_grid) & (s_grid > 1)):
+        raise ValueError("s grid must be finite and > 1")
+    return s_grid
+
+
 def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     """k_X(s) = sup_t phi(st)/phi(t) and the upper fundamental index.
 
@@ -199,9 +207,7 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     (0.496 against 0.55 for ``power_log(0.55, 1.0)``) and certifies no
     inequality.
     """
-    s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
-    if np.any(s_grid <= 1):
-        raise ValueError("s grid must be > 1")
+    s_grid = _dilation_factors(s_grid)
     alpha = _zippin_exponent(phi)
     ks = []
     if alpha is not None:
@@ -211,10 +217,7 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
         exact = True
     else:
         hi = phi.cap if math.isfinite(phi.cap) else 1e4
-        tg = np.unique(np.concatenate((
-            geometric_grid(1e-10, max(hi * 4, 1.0), 512),
-            phi.kinks(1e-10, max(hi * 4, 1.0)),
-        )))
+        tg = phi.eval_grid(1e-10, max(hi * 4, 1.0), 512)
         den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
         dilated = s_grid[:, None] * tg
         vals = np.asarray(phi(dilated.ravel()), dtype=float).reshape(dilated.shape) / den
@@ -250,14 +253,14 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
 
     Closed-form families report the exact index; otherwise candidate
     functions give lower bounds only (flagged, never used to certify a
-    strict inequality downstream).  Where the family table gives a row
-    evaluator (the sup-M_p families), one call returns every candidate's
-    norm and the norms of all its dilations E_{1/s}: column 0 divides the
-    candidate's edges by 1, column k + 1 by 1/s_k, exactly as ``dilation``
-    does, and candidates with equal edges share their points and cell
-    search.  Other families take ``norm(dilation(f, 1/s))`` once per s.
+    strict inequality downstream).  One call to the family's row evaluator
+    returns every candidate's norm and the norms of all its dilations
+    E_{1/s}: column 0 divides the candidate's edges by 1, column k + 1 by
+    1/s_k, exactly as ``dilation`` does.  The sup-M_p families share the
+    points and cell search of candidates with equal edges; every other
+    family takes one norm per dilate.
     """
-    s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
+    s_grid = _dilation_factors(s_grid)
     exact = spec.boyd_alpha_exact()
     if exact is not None:
         hs = [(float(s), float(s ** exact)) for s in s_grid]
@@ -268,23 +271,16 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
             lower_bound_only=False,
             note="dilation norm closed form",
         )
-    if not np.all((s_grid > 0) & np.isfinite(s_grid)):
-        raise ValueError("s grid must be positive and finite")
     cands = tuple(_BOYD_CANDIDATES if candidates is None else candidates)
     if not all(f.is_decreasing() for f in cands):
         raise ValueError("Boyd candidates must be decreasing GridFns")
     rows = _FAMILIES[spec.family].rows
-    if rows is not None:
-        vals = rows(cands, spec, np.concatenate(([1.0], 1.0 / s_grid)))
-        bases = vals[:, 0]
-    else:
-        bases = np.array([norm(f, spec) for f in cands])
+    vals = rows(cands, spec, np.concatenate(([1.0], 1.0 / s_grid)))
+    bases = vals[:, 0]
     usable = (bases > 0) & np.isfinite(bases)
     if not usable.any():
         raise ValueError("no candidate with nonzero finite norm")
-    dilated = (vals[usable, 1:] if rows is not None else
-               np.array([[norm(dilation(f, 1.0 / s), spec) for s in s_grid]
-                         for f, ok in zip(cands, usable) if ok]))
+    dilated = vals[usable, 1:]
     ratios = np.where(np.isfinite(dilated), dilated / bases[usable, None], 0.0)
     best = np.max(ratios, axis=0, initial=0.0)
     hs = [(float(s), float(h)) for s, h in zip(s_grid, best)]
@@ -344,31 +340,11 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     if _power_diverges(phi, p):
         # inner integral already diverges at zero
         return INF
-    lo = delta * 1e-18
-    ts = np.unique(np.concatenate((
-        geometric_grid(lo, delta, 160),
-        phi.kinks(lo, delta),
-        [delta],
-    )))
-    ts = ts[(ts > 0) & (ts <= delta)]
+    ts = phi.eval_grid(delta * 1e-18, delta, 160)
     inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts, -p, 1))
     if not np.all(np.isfinite(inners)):
         return INF
-    vals = np.asarray(phi(ts), dtype=float) ** p * inners / ts
-    best = float(np.max(vals))
-    # refinement-doubling check toward zero (values on descending quarters)
-    small = vals[ts <= ts[0] * 1e4]
-    if len(small) >= 3:
-        descending = small[::-1]
-        doublings = 0
-        for prev, cur in zip(descending[:-1], descending[1:]):
-            if prev > 0 and cur >= 2.0 * prev and cur >= best * 0.5:
-                doublings += 1
-                if doublings >= 2:
-                    return INF
-            else:
-                doublings = 0
-    return best
+    return float(np.max(np.asarray(phi(ts), dtype=float) ** p * inners / ts))
 
 
 def m_phi(phi: FundamentalFn, s) -> float:
@@ -437,9 +413,8 @@ TRUE, FALSE, INCONCLUSIVE = "true", "false", "inconclusive"
 CONDITION_IDS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"]
 COMPLETE_IDS = ["c-i", "c-ii", "c-iii", "c-iv"]
 
-# implications that provably hold between the conditions; closure upgrades
-# inconclusive verdicts, and a true antecedent with a false consequent is a
-# coherence bug worth failing loudly over
+# implications that provably hold between the conditions: a true antecedent
+# with a false consequent is a coherence bug worth failing loudly over
 IMPLICATIONS = [("ii", "i"), ("iv", "i"), ("v", "iv"), ("vi", "iv"),
                 ("vii", "iv"), ("viii", "vii")]
 
@@ -619,19 +594,12 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
     else:
         put(["i"], None, {}, "no embedding certificate")
 
-    # implication closure
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in IMPLICATIONS:
-            if verdicts[a].is_true:
-                if verdicts[b].status == FALSE:
-                    raise InvariantViolated(
-                        f"criteria coherence violated: ({a}) true but ({b}) false"
-                    )
-                if verdicts[b].status == INCONCLUSIVE:
-                    put([b], True, verdicts[b].certificate, f"implied by ({a})")
-                    changed = True
+    # coherence: a true antecedent never leaves its consequent undecided
+    # ((iv) and (vii) come from isfinite, and (i) is true wherever (ii) or
+    # (iv) is), so nothing is upgraded and one pass checks every implication
+    for (a, b) in IMPLICATIONS:
+        if verdicts[a].is_true and verdicts[b].status == FALSE:
+            raise InvariantViolated(f"criteria coherence violated: ({a}) true but ({b}) false")
 
     ordered = {cid: verdicts[cid]
                for cid in CONDITION_IDS + (COMPLETE_IDS if complete_space else [])}

@@ -142,9 +142,9 @@ class FundamentalFn:
             return float(self(self.cap))
         return INF
 
-    def eval_grid(self, lo, hi):
-        """256 geometric points from lo to hi, both exact, and the kinks between."""
-        return np.unique(np.concatenate((geometric_grid(lo, hi, 256), self.kinks(lo, hi))))
+    def eval_grid(self, lo, hi, n=256):
+        """n geometric points from lo to hi, both exact, and the kinks between."""
+        return np.unique(np.concatenate((geometric_grid(lo, hi, n), self.kinks(lo, hi))))
 
 
 def _power_on(phi, a, b):
@@ -713,6 +713,14 @@ def _phi_from_dict(d):
 # ---------------------------------------------------------------------------
 
 
+def _dilate_rows(us, spec, c):
+    """The norm of ``GridFn(u.edges / c_k, u.values, u.tail)`` for each u in
+    ``us`` and each edge divisor c_k, one norm call each: a len(us) x len(c)
+    array.  The row evaluator of every family without one of its own."""
+    return np.array([norm(GridFn(u.edges / ck, u.values, u.tail), spec)
+                     for u in us for ck in c]).reshape(len(us), len(c))
+
+
 @dataclass(frozen=True)
 class _Family:
     """Everything that differs between norm families, declared once."""
@@ -729,9 +737,8 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
     # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
-    rows: Callable | None = None  # (decreasing rearrangements, spec, edge
-    # divisors c) -> the norm of each dilate with edges / c_k, one row per
-    # function (a lone GridFn: its row); None: no row evaluator
+    rows: Callable = _dilate_rows  # (decreasing rearrangements, spec, edge
+    # divisors c) -> the norm of each dilate with edges / c_k, one row per function
 
 
 def _sup_mp_family(p_of, window_hi):
@@ -1242,7 +1249,7 @@ def _edge_groups(us):
 
 def _sup_mp_phi(us, phi, p, window_hi, c):
     """sup over the window of M_p f(t) phi(t), for each f in ``us`` and each
-    edge divisor c_k: a len(us) x len(c) array, or one row for a lone GridFn.
+    edge divisor c_k: a len(us) x len(c) array.
 
     Entry (j, k) is the value for ``GridFn(us[j].edges / c_k, us[j].values,
     us[j].tail)``, bit for bit, so a norm is the one function at c = 1
@@ -1253,8 +1260,6 @@ def _sup_mp_phi(us, phi, p, window_hi, c):
     sup runs over (0, window_hi].  It is taken at the points of
     ``_sup_points``, plus limit candidates.
     """
-    if isinstance(us, GridFn):
-        return _sup_mp_phi((us,), phi, p, window_hi, c)[0]
     c = np.asarray(c, dtype=float)
     out = np.zeros((len(us), len(c)))
     p0 = phi.phi0plus()

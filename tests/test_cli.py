@@ -241,6 +241,15 @@ def test_indices_cli(tmp_path, capsys):
     assert data["alpha_lower"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("space", ["lp:2", "marc:powerlog:0.5,1"])
+@pytest.mark.parametrize("s_grid", ["nan", "inf", "1", "2,0.5"])
+def test_indices_cli_rejects_s_not_finite_or_not_above_one(tmp_path, capsys, space, s_grid):
+    rc = main(["--out", str(tmp_path), "indices", "--space", space, "--s-grid", s_grid])
+    assert rc == 2
+    assert "s grid" in capsys.readouterr().err
+    assert not (tmp_path / "indices.json").exists()
+
+
 def test_hajlasz_cli(tmp_path, capsys, sample_space):
     s, spath = sample_space
     fn = tmp_path / "fn.json"

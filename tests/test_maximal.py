@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_rearrange import _integral_to_loop
 
 import rikit.maximal as maximal
@@ -32,6 +34,8 @@ from rikit.spaces import (
     OrliczN,
     _dyadic_integral,
     _MaxPhi,
+    _power_integral_rows,
+    _power_on,
     geometric_grid,
     norm,
     psi_majorant_phi,
@@ -303,6 +307,17 @@ def test_boyd_candidate_lower_bound_weak_marc():
         assert h >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("s_grid", [[1.0], [0.5, 2.0], [2.0, math.nan], [math.inf]])
+def test_index_reports_reject_s_below_one_or_not_finite(s_grid):
+    # the closed forms check the grid too, before they use it
+    for spec in (NormSpec.marcinkiewicz_p(FundamentalFn.power_log(0.5, 1.0), 2.0),
+                 NormSpec.lp(2.0)):
+        with pytest.raises(ValueError, match="s grid"):
+            boyd_upper_lowerbound(spec, s_grid=s_grid)
+        with pytest.raises(ValueError, match="s grid"):
+            zippin_upper(spec.fundamental_phi(), s_grid)
+
+
 def test_boyd_rejects_zero_candidates():
     spec = NormSpec.weak_marcinkiewicz(FundamentalFn.sampled([1.0], [1.0]))
     with pytest.raises(ValueError):
@@ -319,6 +334,69 @@ def test_index_report_invariants():
 
 
 # -- criterion B and m_phi ----------------------------------------------------------------
+
+
+def doubling_criterion_B(phi, p, delta):
+    """criterion_B as it stood with the refinement-doubling check toward
+    zero, which never fired: on neighbouring grid points t' < t, phi and the
+    inner integral do not grow toward 0, so the values grow by at most
+    t / t' = 10^(18/159) < 2."""
+    pe = _power_on(phi, 0.0, delta)
+    if pe is not None:
+        return INF if pe[1] >= 1.0 / p else 1.0 / (1.0 - pe[1] * p)
+    if maximal._power_diverges(phi, p):
+        return INF
+    lo = delta * 1e-18
+    ts = np.unique(np.concatenate((geometric_grid(lo, delta, 160), phi.kinks(lo, delta),
+                                   [delta])))
+    ts = ts[(ts > 0) & (ts <= delta)]
+    inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts, -p, 1))
+    if not np.all(np.isfinite(inners)):
+        return INF
+    vals = np.asarray(phi(ts), dtype=float) ** p * inners / ts
+    best = float(np.max(vals))
+    small = vals[ts <= ts[0] * 1e4]
+    if len(small) >= 3:
+        descending = small[::-1]
+        doublings = 0
+        for prev, cur in zip(descending[:-1], descending[1:]):
+            if prev > 0 and cur >= 2.0 * prev and cur >= best * 0.5:
+                doublings += 1
+                if doublings >= 2:
+                    return INF
+            else:
+                doublings = 0
+    return best
+
+
+@st.composite
+def concave_sampled(draw):
+    """Increasing concave piecewise-linear shapes: positive slopes that fall."""
+    n = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+    slopes = sorted(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)),
+                    reverse=True)
+    return FundamentalFn.sampled(np.cumsum(widths), np.cumsum(np.multiply(widths, slopes)))
+
+
+_POWER_LOGS = st.builds(FundamentalFn.power_log, st.floats(0.05, 0.95, exclude_min=True,
+                                                            exclude_max=True),
+                        st.floats(-2.0, 2.0))
+_CAPPED_POWERS = st.builds(FundamentalFn.power, st.floats(0.0, 1.0), st.floats(0.2, 5.0),
+                           st.floats(0.05, 20.0))
+_B_SHAPES = st.one_of(
+    _POWER_LOGS, _CAPPED_POWERS, concave_sampled(),
+    st.builds(lambda a, b: _MaxPhi([a, b]), _POWER_LOGS | concave_sampled(), _CAPPED_POWERS),
+    # a 48-point base grid keeps the majorant's kinks few
+    st.builds(lambda phi, q: psi_majorant_phi(phi, q, np.geomspace(1e-8, 1.0, 48)),
+              _POWER_LOGS | _CAPPED_POWERS | concave_sampled(), st.sampled_from([1.0, 2.0, 3.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=_B_SHAPES, p=st.sampled_from([1.0, 1.05, 1.5, 2.0, 3.0]),
+       delta=st.sampled_from([0.37, 1.0, 5.0]))
+def test_criterion_B_matches_the_doubling_check_bitwise(phi, p, delta):
+    assert criterion_B(phi, p, delta).hex() == doubling_criterion_B(phi, p, delta).hex()
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (1, 4), (2, 3), (2, 4)])
@@ -564,6 +642,17 @@ def test_criteria_implications_hold():
                 for a, b in IMPLICATIONS:
                     if a in conds and b in conds and conds[a].is_true:
                         assert conds[b].is_true, (spec.describe(), p, a, b)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_criteria_constant_shape_near_zero(p):
+    # the fundamental function of L^inf is 1, constant near 0: (v) and (vi)
+    # hold with the witness q = max(2p, 2)
+    rep = density_criteria_report(NormSpec.lp(INF), p)
+    for cid in ("v", "vi"):
+        verdict = rep.conditions[cid]
+        assert (verdict.status, verdict.note) == ("true", "constant shape near zero")
+        assert verdict.certificate == {"witness_q": max(2.0 * p, 2.0)}
 
 
 def test_criteria_p1_always_true_for_ac_ri():

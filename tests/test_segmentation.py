@@ -21,6 +21,7 @@ from rikit.spaces import (
     _MaxPhi,
     _phi_weight_integral,
     _phi_weight_rows,
+    _power_integral_rows,
     _power_on,
     _zippin_exponent,
     geometric_grid,
@@ -98,6 +99,15 @@ def test_psi_majorant_pieces_above_one_start_at_lo():
     psi = psi_majorant_phi(F.power(0.5, cap=3.0), 2.0)
     assert [piece[:2] for piece in psi.pieces(2.0, 2.5)] == [(2.0, 2.5)]
     assert _phi_weight_rows(psi, [2.0], [2.5], 2.0)[0] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_an_affine_piece_at_s_one_takes_the_log_closed_form():
+    # on (0.5, 1) the shape is 0.6 + 0.4 t, and criterion B's segments
+    # (r = -1, s = 1) integrate dt / (0.6 + 0.4 t): ln(0.96 / 0.84) / 0.4
+    phi = F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5])
+    assert [piece[2] for piece in phi.pieces(0.6, 0.9)] == ["affine"]
+    got = _power_integral_rows(phi, [0.6], [0.9], -1.0, 1)[0]
+    assert got == pytest.approx(math.log(8.0 / 7.0) / 0.4, rel=1e-15)
 
 
 def test_weights_of_a_max_with_capped_components_match_quadrature():

@@ -118,6 +118,29 @@ def test_boyd_sweep_makes_one_row_call():
     assert not looped, f"rows called per iteration at {looped}"
 
 
+def _maximal_function(name):
+    tree = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
+    return next(top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == name)
+
+
+def test_every_family_has_a_row_evaluator():
+    # the Boyd sweep has one path: every family's rows, sup-M_p or one norm
+    # per dilate, and boyd_upper_lowerbound neither calls norm nor dilates
+    assert all(callable(fam.rows) for fam in _FAMILIES.values())
+    names = set(_references(_maximal_function("boyd_upper_lowerbound")))
+    assert not names & {"norm", "dilation"}
+
+
+def test_criterion_B_and_the_coherence_check_have_no_dead_loops():
+    # no refinement-doubling loop in criterion B (it could never fire), and
+    # one pass over the implications in the report (no verdict is upgraded)
+    assert not [node.lineno for node in ast.walk(_maximal_function("criterion_B"))
+                if isinstance(node, _LOOPS)]
+    assert not [node.lineno for node in ast.walk(_maximal_function("density_criteria_report"))
+                if isinstance(node, ast.While)]
+
+
 @pytest.mark.parametrize("module, name", [("metric.py", "poincare_ratio"),
                                           ("regularize.py", "sharp_maximal")])
 def test_ball_sweeps_loop_only_over_blocks(module, name):

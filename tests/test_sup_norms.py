@@ -169,7 +169,7 @@ def within_ulps(a, b, n):
        window=st.sampled_from([None, 0.05, 0.5, 1.0, 7.0]))
 def test_sup_mp_phi_matches_loop_bitwise(u, shape, p, window):
     phi = SHAPES[shape]
-    assert same_bits(_sup_mp_phi(u, phi, p, window, [1.0])[0],
+    assert same_bits(_sup_mp_phi((u,), phi, p, window, [1.0])[0, 0],
                      loop_sup_mp_phi(u, phi, p, window))
 
 
@@ -197,7 +197,7 @@ def test_corner_cases_match_loops(shape):
     for u in CORNER_CASES:
         assert same_bits(_sup_star_phi(u, phi), loop_sup_star_phi(u, phi, on_array=True))
         for window in (None, 0.25, 4.0):
-            assert same_bits(_sup_mp_phi(u, phi, 2.0, window, [1.0])[0],
+            assert same_bits(_sup_mp_phi((u,), phi, 2.0, window, [1.0])[0, 0],
                              loop_sup_mp_phi(u, phi, 2.0, window))
 
 
@@ -328,7 +328,7 @@ def row_spec(family, shape, p):
 def test_rows_match_norm_of_each_dilation(f, family, shape, p, s_grid):
     spec, p_used, window = row_spec(family, shape, p)
     c = [1.0] + [float(1.0 / s) for s in s_grid]
-    rows = _FAMILIES[family].rows(f, spec, c)
+    rows = _FAMILIES[family].rows((f,), spec, c)[0]
     assert len(rows) == len(c)
     assert same_bits(rows[0], norm(f, spec))
     for s, got in zip(s_grid, rows[1:]):
@@ -457,6 +457,22 @@ def test_boyd_sweep_matches_per_dilation_loop(cands, family, shape, p, s_grid):
     assert rep.alpha_lower.hex() == alpha.hex()
 
 
+@pytest.mark.parametrize("spec", [
+    NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0)),
+    NormSpec.lambda_q(FundamentalFn.power_log(0.4, -1.0), 2.0),
+    NormSpec.weak_marcinkiewicz(FundamentalFn.power_log(0.5, 1.0)),
+    NormSpec.intersection_max(NormSpec.lp(2.0), NormSpec.lorentz(3.0, 1.0)),
+], ids=lambda spec: spec.describe())
+def test_one_norm_per_dilate_matches_the_per_dilation_loop(spec):
+    # families without a sup-M_p row evaluator take one norm per dilate in
+    # the same sweep; its rows must be the loop's dilations, bit for bit
+    cands, s_grid = maximal._BOYD_CANDIDATES, [1.5, 7.0, 300.0]
+    hs, alpha = loop_boyd(spec, cands, s_grid)
+    rep = boyd_upper_lowerbound(spec, cands, s_grid)
+    assert [(s, h.hex()) for s, h in rep.h_samples] == [(s, h.hex()) for s, h in hs]
+    assert rep.alpha_lower.hex() == alpha.hex()
+
+
 def test_boyd_sweep_keeps_dilations_away_from_norm(monkeypatch):
     # one row evaluation per report, carrying every default candidate and all
     # 1 + 12 divisors, and no dilate reaches norm: the sweep once made
@@ -472,8 +488,7 @@ def test_boyd_sweep_keeps_dilations_away_from_norm(monkeypatch):
         row_calls.append((tuple(us), len(c)))
         return real_rows(us, phi, p, window_hi, c)
 
-    for module in (spaces, maximal):
-        monkeypatch.setattr(module, "norm", counting_norm)
+    monkeypatch.setattr(spaces, "norm", counting_norm)
     monkeypatch.setattr(spaces, "_sup_mp_phi", counting_rows)
     indices_report(NormSpec.marcinkiewicz_p(FundamentalFn.power_log(0.5, 1.0), 2.0))
     cands = maximal._BOYD_CANDIDATES

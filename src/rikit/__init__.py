@@ -40,7 +40,6 @@ from .spaces import (
     lorentz_embedding_bound,
     lorentz_embedding_ratio,
     norm,
-    psi_majorant,
     psi_majorant_phi,
 )
 from .maximal import (

@@ -190,11 +190,11 @@ _S_GRID = np.geomspace(2.0, 4096.0, 12)
 
 
 def _dilation_factors(s_grid):
-    """The s grid as an array (None: _S_GRID); ValueError unless every s is
-    finite and greater than 1."""
+    """The s grid as an array (None: _S_GRID); ValueError unless it is
+    nonempty and every s is finite and greater than 1."""
     s_grid = _S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
-    if not np.all(np.isfinite(s_grid) & (s_grid > 1)):
-        raise ValueError("s grid must be finite and > 1")
+    if not (s_grid.size and np.all(np.isfinite(s_grid) & (s_grid > 1))):
+        raise ValueError("s grid must be nonempty, finite and > 1")
     return s_grid
 
 

@@ -5,9 +5,10 @@ invariance holds by construction.  A shape is cut at its ``breaks`` into
 pieces, each a power, an affine c + m t or a generic callable.  Powers of
 phi integrate in closed form over power and affine pieces, except c + m t
 with c != 0 against dt/t, which takes panel quadrature as the generic
-pieces (power-log, Orlicz, psi-majorant and Lambda^q shapes) do.  Suprema
-of ``M_p u*(t) phi(t)`` over power and affine pieces are attained at piece
-endpoints, so grid maxima over merged breakpoints are exact.
+pieces (power-log, Orlicz and Lambda^q shapes) do; the psi-majorant is
+generic only where phi is.  Suprema of ``M_p u*(t) phi(t)`` over power and
+affine pieces are attained at piece endpoints, so grid maxima over merged
+breakpoints are exact.
 """
 
 from __future__ import annotations
@@ -133,6 +134,14 @@ class FundamentalFn:
                     a = b
         yield (a, hi, *self.form(a, hi))
 
+    def peaks(self, r):
+        """The local maxima of phi(s) s^{-r}, 0 < r <= 1, inside the pieces.
+        Power and affine pieces have none; a shape with a generic piece
+        names its own, else UnsupportedCombination."""
+        if _generic_start(self, 0.0, INF) < INF:
+            raise UnsupportedCombination(f"no peak rule for {type(self).__name__}")
+        return []
+
     def phi0plus(self):
         return 0.0
 
@@ -254,6 +263,12 @@ class PowerLogPhi(FundamentalFn):
             return "generic", self.__call__
         return "affine", (self._top, 0.0)
 
+    def peaks(self, r):
+        # in u = -log s, log(phi s^{-r}) = beta log u - (alpha - r) u is
+        # concave for beta > 0, with its top at u = beta / (alpha - r)
+        s = math.exp(-self.beta / (self.alpha - r)) if self.beta > 0 and self.alpha > r else 0.0
+        return [s] if 0.0 < s < min(self.t_switch, self.cap) else []
+
     def value_inf(self):
         return self._top
 
@@ -330,6 +345,19 @@ class OrliczInversePhi(FundamentalFn):
             return "generic", self.__call__
         return "affine", (self._top, 0.0)
 
+    def peaks(self, r):
+        # where Psi runs with slope s from (x, y), phi = t / (A t + B) with
+        # A = x - y / s and B = 1 / s; t^{1-r} / (A t + B) tops at
+        # (1 - r) B / (r A) when A > 0, and only grows when A <= 0
+        o, out = self.orlicz, []
+        ends = [INF, *(1.0 / o.ys[1:-1]), 0.0]  # segment k: t from ends[k + 1] to ends[k]
+        for k, (x, y, s) in enumerate(zip(o.xs.tolist(), o.ys.tolist(), o.slopes.tolist())):
+            d = r * (x * s - y)  # r A / B, 0 where it underflows: no peak inside then
+            t = (1.0 - r) / d if d > 0 else 0.0
+            if ends[k + 1] < t < min(ends[k], self.cap):
+                out.append(float(t))
+        return out
+
 
 class SampledPhi(FundamentalFn):
     """Piecewise-linear shape through (0, 0) and the given nodes.
@@ -368,80 +396,59 @@ class SampledPhi(FundamentalFn):
 
 
 class PsiMajorantPhi(FundamentalFn):
-    """Grid rendering of psi(t) = t^{1/p} sup_{t<=s<=1} phi(s)/s^{1/p}.
+    """psi(t) = t^{1/p} sup_{t<=s<=1} phi(s)/s^{1/p}, held at phi(1) past 1:
+    the fundamental function of M^p_{phi,loc}.
 
-    The inner supremum runs over the query point itself plus the base-grid
-    points above it, which keeps the Marcinkiewicz-type norm identities
-    exact on any evaluation grid containing this object's base grid.
-    For t >= 1 the shape delegates to phi.
+    The supremum runs over t and the candidates above it: phi's kinks, its
+    ``peaks(1/p)`` and 1.  Between two candidates where phi is c t^alpha or
+    a constant, psi is the larger of it and the best later ratio times
+    t^{1/p}, cut where they cross; every other piece below 1 is generic.
     """
 
-    def __init__(self, phi: FundamentalFn, p, base_grid=None):
+    def __init__(self, phi: FundamentalFn, p):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.phi = phi
         self.p = float(p)
-        if base_grid is None:
-            base_grid = geometric_grid(1e-8, 1.0, DEFAULT_SUP_POINTS)
-        base_grid = np.asarray(base_grid, dtype=float)
-        base = np.unique(np.concatenate(
-            (base_grid, phi.kinks(float(np.min(base_grid)), 1.0), [1.0])))
-        base = base[(base > 0) & (base <= 1.0)]
-        self.base = base
-        ratios = np.asarray(phi(base), dtype=float) / base ** (1.0 / p)
-        # suffix maxima: best ratio at or above each base point
-        self.suffix_max = np.maximum.accumulate(ratios[::-1])[::-1]
-        self.cap = phi.cap
-        # below the first base point psi = max(phi, top t^{1/p}); where phi is
-        # c t^alpha the smaller exponent is on top up to where the two cross
-        end = min(float(base[0]), (phi.breaks or [INF])[0])
-        pc = _power_on(phi, 0.0, end)
-        self._head = []  # (end, (coeff, alpha)) of each power piece there
-        if pc is not None:
-            lo, hi = sorted([pc, (float(self.suffix_max[0]), 1.0 / p)], key=lambda x: (x[1], -x[0]))
-            with np.errstate(over="ignore"):
-                cross = end if lo[1] == hi[1] else min(
-                    float(np.float64(lo[0] / hi[0]) ** (1.0 / (hi[1] - lo[1]))), end)
-            if cross > 0:
-                self._head.append((cross, lo))
-            if cross < end:
-                self._head.append((end, hi))
-        # below 1 the grid cuts psi; from 1 on psi is phi, cut where phi is
-        self.breaks = _breaks([*base, *(x for x in phi.breaks if x > 1.0),
-                               *(x for x, _ in self._head)])
+        r = 1.0 / self.p
+        cands = np.array(_breaks([*phi.kinks(0.0, 1.0), *(x for x in phi.peaks(r) if x < 1.0),
+                                  1.0]))
+        ratios = np.asarray(phi(cands), dtype=float) / cands ** r
+        self._cands = cands
+        self._best = np.maximum.accumulate(ratios[::-1])[::-1]  # at or above each candidate
+        self._top = float(phi(1.0))
+        self.cap = min(phi.cap, 1.0)
+        self._starts, self._forms = [], []  # a None form is generic
+        for a, b, best in zip([0.0, *cands[:-1].tolist()], cands.tolist(), self._best.tolist()):
+            pcs = [_power_or_constant(phi, a, b), (best, r)]
+            for x0, _, i in _power_cuts(pcs, a, b):
+                self._starts.append(x0)
+                self._forms.append(None if i is None else ("power", pcs[i]))
+        self._starts.append(1.0)
+        self._forms.append(("affine", (self._top, 0.0)))
+        self.breaks = self._starts[1:]
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        below = (t_arr > 0) & (t_arr < 1.0)
-        at_zero = t_arr <= 0
-        above = t_arr >= 1.0
-        out[at_zero] = 0.0
-        out[above] = np.asarray(self.phi(t_arr[above]), dtype=float)
+        out = np.where(t_arr >= self.cap, self._top, 0.0)
+        below = (t_arr > 0) & (t_arr < self.cap)
         if np.any(below):
             tb = t_arr[below]
             own = np.asarray(self.phi(tb), dtype=float) / tb ** (1.0 / self.p)
-            j = np.searchsorted(self.base, tb, side="right")
-            grid_part = np.where(
-                j < len(self.base), self.suffix_max[np.minimum(j, len(self.base) - 1)], 0.0
-            )
-            out[below] = tb ** (1.0 / self.p) * np.maximum(own, grid_part)
+            later = self._best[np.searchsorted(self._cands, tb, side="right")]
+            out[below] = tb ** (1.0 / self.p) * np.maximum(own, later)
         return out if np.ndim(t) else float(out[0])
 
     def form(self, a, b):
-        for end, params in self._head:
-            if a < end:
-                return "power", params
-        if a < 1.0:
-            return "generic", self.__call__
-        return self.phi.form(a, b)
+        return self._forms[bisect_right(self._starts, a) - 1] or ("generic", self.__call__)
 
-    def value_inf(self):
-        return self.phi.value_inf()
+    def peaks(self, r):
+        # psi s^{-r} is phi s^{-r}, a power, or the larger of the two
+        return self.phi.peaks(r)
 
     def phi0plus(self):
-        # t^{1/p} times a bounded supremum vanishes at 0 unless phi jumps
-        return self.phi.phi0plus() if self.phi.phi0plus() > 0 else 0.0
+        # phi(t) <= psi(t) <= max(phi(e), phi(1) (t/e)^{1/p}) for every e > t
+        return self.phi.phi0plus()
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +623,24 @@ class _LambdaQFundamental(FundamentalFn):
         return "generic", self.__call__
 
 
+def _power_cuts(pcs, a, b):
+    """Yield (x0, x1, i): (a, b) cut where the powers c t^alpha of ``pcs``
+    cross (none past the floats), with the index i of the one on top
+    between; one uncut piece with i None where any of pcs is None."""
+    if None in pcs:
+        yield a, b, None
+        return
+    with np.errstate(over="ignore"):
+        ends = [x for x in _breaks(np.float64(ci / cj) ** (1.0 / (aj - ai)) for
+                                   (ci, ai), (cj, aj) in combinations(pcs, 2) if ai != aj)
+                if a < x < b]
+    for x0, x1 in zip([a, *ends], [*ends, b]):
+        # no two cross inside (x0, x1): compare them at one point there
+        t = (math.sqrt(x0) * math.sqrt(x1) if 0 < x0 and x1 < INF
+             else x1 / 2 if x1 < INF else 2 * x0 or 1.0)
+        yield x0, x1, max(range(len(pcs)), key=lambda i: pcs[i][0] * t ** pcs[i][1])
+
+
 class _MaxPhi(FundamentalFn):
     """Pointwise maximum of component shapes (IntersectionMax spaces).
 
@@ -632,22 +657,9 @@ class _MaxPhi(FundamentalFn):
         cuts = [0.0, *_breaks(x for p in self.phis for x in p.breaks), INF]
         self._starts, self._forms = [], []  # a None form is generic
         for a, b in zip(cuts[:-1], cuts[1:]):
-            pcs = [_power_or_constant(p, a, b) for p in self.phis]
-            if None in pcs:
-                self._starts.append(a)
-                self._forms.append(None)
-                continue
-            with np.errstate(over="ignore"):
-                ends = [x for x in _breaks(np.float64(ci / cj) ** (1.0 / (aj - ai)) for
-                                           (ci, ai), (cj, aj) in combinations(pcs, 2) if ai != aj)
-                        if a < x < b]
-            for x0, x1 in zip([a, *ends], [*ends, b]):
-                # no two cross inside (x0, x1): compare them at one point there
-                t = (math.sqrt(x0) * math.sqrt(x1) if 0 < x0 and x1 < INF
-                     else x1 / 2 if x1 < INF else 2 * x0 or 1.0)
-                on_top = max(range(len(pcs)), key=lambda i: pcs[i][0] * t ** pcs[i][1])
+            for x0, x1, i in _power_cuts([_power_or_constant(p, a, b) for p in self.phis], a, b):
                 self._starts.append(x0)
-                self._forms.append(self.phis[on_top].form(x0, x1))
+                self._forms.append(None if i is None else self.phis[i].form(x0, x1))
         self.breaks = self._starts[1:]
 
     def __call__(self, t):
@@ -656,6 +668,10 @@ class _MaxPhi(FundamentalFn):
 
     def form(self, a, b):
         return self._forms[bisect_right(self._starts, a) - 1] or ("generic", self.__call__)
+
+    def peaks(self, r):
+        # a local maximum of the larger is one of the component on top
+        return sorted({x for p in self.phis for x in p.peaks(r)})
 
     def phi0plus(self):
         return max(p.phi0plus() for p in self.phis)
@@ -826,12 +842,13 @@ _FAMILIES = {
         lambda u, s: _sup_star_phi(u, s.phi),
         ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s, a: INF,
         fundamental=lambda s: s.phi, boyd=_phi_index),
-    # the M^p fundamental shape dominates phi; equal iff phi^p is quasi-concave
+    # M^p_loc has the fundamental psi, M^p max(phi, psi); psi == phi on
+    # (0, 1] iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(
         NormSpec.marcinkiewicz_p, "marc-p", ("p",), "phi", "M^{p:g}_phi",
         **_sup_mp_family(lambda s: s.p, None),
         ac=lambda s: False, quasi=lambda s: True,
-        fundamental=lambda s: PsiMajorantPhi(s.phi, s.p), boyd=_phi_index),
+        fundamental=lambda s: psi_majorant_phi(s.phi, s.p), boyd=_phi_index),
     "marcinkiewicz_p_loc": _Family(
         NormSpec.marcinkiewicz_p_loc, "marc-p-loc", ("p",), "phi", "M^{p:g}_phi,loc",
         **_sup_mp_family(lambda s: s.p, 1.0),
@@ -1479,27 +1496,10 @@ def least_concave_majorant(f: GridFn) -> GridFn:
     return out
 
 
-def psi_majorant_phi(phi: FundamentalFn, p, grid=None) -> PsiMajorantPhi:
-    """The majorant shape of the local Marcinkiewicz-type norm (callable).
-
-    Its supremum runs over ``grid`` (default: 512 geometric points on
-    [1e-8, 1]) plus phi's kinks and 1.
-    """
-    return PsiMajorantPhi(phi, p, grid)
-
-
-def psi_majorant(phi: FundamentalFn, p) -> GridFn:
-    """The majorant sampled on its default base grid, as a GridFn.
-
-    psi(0) = 0, psi(t) = t^{1/p} sup_{t<=s<=1} phi(s)/s^{1/p} on (0, 1],
-    psi = phi beyond 1.  The cells end at the base points of
-    ``psi_majorant_phi(phi, p)`` and the tail is frozen at phi(1).
-    """
-    shape = PsiMajorantPhi(phi, p)
-    ts = shape.base
-    vals = np.asarray(shape(ts), dtype=float)
-    edges = np.concatenate(([0.0], ts))
-    return GridFn(edges, vals, tail=float(phi(1.0)))
+def psi_majorant_phi(phi: FundamentalFn, p) -> FundamentalFn:
+    """max(phi, psi): psi below 1 and phi from 1 on.  M^p over it has the
+    norm of M^p over phi, globally and locally."""
+    return _MaxPhi([PsiMajorantPhi(phi, p), phi])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rikit.cli import parse_space, spec_shorthand
@@ -18,6 +19,7 @@ from rikit.spaces import (
     FundamentalFn,
     NormSpec,
     OrliczN,
+    PsiMajorantPhi,
     _LambdaQFundamental,
     _MaxPhi,
     fundamental_function,
@@ -85,7 +87,7 @@ GOLDEN = {
         {"family": "marcinkiewicz_p_loc", "p": 2.0,
          "phi": {"form": "power", "alpha": 0.25, "coeff": 1.0, "cap": None}},
         "marc-p-loc:2:power:0.25",
-        False, True, None, [0.7071067811865476, 1.0, 1.3160740129524924],
+        False, True, None, [0.7071067811865476, 1.0, 1.0],
         2.5226892457611436),
     "orlicz_lux": (
         NormSpec.orlicz_lux(OrliczN([1.0, 2.0], [1.0, 4.0])), "L^Psi",
@@ -198,7 +200,9 @@ def test_density_reports_match_golden(name):
     # the intersection_max and marcinkiewicz_p_loc entries since B and
     # m_phi_Lp take closed forms on power pieces (values only, no status);
     # the lp, Lorentz, Lambda, Lambda^q and both Marcinkiewicz entries since
-    # (i)-(iii) read each family's Lorentz index from the table
+    # (i)-(iii) read each family's Lorentz index from the table; both M^p
+    # entries since psi is built from phi's pieces: over t^0.75, psi is
+    # t^0.5 capped at 1, with exact index 1/2, which decides (viii) and (c-iii)
     golden = json.loads(DENSITY_GOLDEN.read_text())
     assert set(DENSITY_SPECS) == set(golden)
     assert density_reports(name) == golden[name]
@@ -264,6 +268,39 @@ def test_lambda_q_over_a_power_takes_closed_forms():
             spec.fundamental_phi()
         with pytest.raises(RikitError):
             density_criteria_report(spec, 1)
+
+
+# the M^p_loc fundamental shape against the norm of an indicator: (shape,
+# whether the norm's sup is exact); over a power-log or an Orlicz shape its
+# grid may miss the peak of phi(s) s^{-1/p}, and then it reads low
+LOC_ZOO = {
+    "power": (power(0.25), True),
+    "power/steep": (power(0.75, 2.0), True),
+    "power/capped": (power(0.5, 2.0, 3.0), True),
+    "power/capped_low": (power(0.7, 1.0, 1e-6), True),
+    "powerlog/up": (FundamentalFn.power_log(0.55, 1.0), False),
+    "powerlog/down": (FundamentalFn.power_log(0.3, -1.0), False),
+    "sampled": (FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]), True),
+    "sampled/cap": (FundamentalFn.sampled([1e-3, 0.2, 4.0], [0.01, 0.5, 0.9], cap=2.0), True),
+    "orlicz": (FundamentalFn.orlicz_inverse(OrliczN([1.0, 2.0, 4.0], [1.0, 3.0, 10.0])),
+               False),
+    # shapes that take their components' peaks
+    "max": (_MaxPhi([FundamentalFn.power_log(0.55, 1.0), power(0.9)]), False),
+    "psi": (PsiMajorantPhi(FundamentalFn.power_log(0.55, 1.0), 1.5), False),
+}
+
+
+@pytest.mark.parametrize("name", list(LOC_ZOO))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_loc_fundamental_is_the_norm_of_an_indicator(name, p):
+    phi, exact = LOC_ZOO[name]
+    spec = NormSpec.marcinkiewicz_p_loc(phi, p)
+    shape = spec.fundamental_phi()
+    for t in np.geomspace(1e-12, 10.0, 45):
+        want = fundamental_function(spec, t)
+        assert shape(t) >= want * (1 - 1e-12), t
+        if exact:
+            assert shape(t) == pytest.approx(want, rel=1e-12), t
 
 
 # condition statuses of the M^2 report at p = 2 for a power-log shape

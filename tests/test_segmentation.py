@@ -6,7 +6,9 @@ tiles (lo, hi) with no gap, its interior ends are exactly
 """
 
 import math
+from bisect import bisect_right
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,13 +20,14 @@ from rikit.spaces import (
     FundamentalFn,
     NormSpec,
     OrliczN,
+    PowerLogPhi,
+    PsiMajorantPhi,
     _MaxPhi,
     _phi_weight_integral,
     _phi_weight_rows,
     _power_integral_rows,
     _power_on,
     _zippin_exponent,
-    geometric_grid,
     psi_majorant_phi,
 )
 
@@ -38,8 +41,7 @@ SHAPES = {
     "orlicz": F.orlicz_inverse(OrliczN([1.0, 2.0, 4.0], [1.0, 3.0, 10.0])),
     "sampled/cap_inside": F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5], cap=1.5),
     "sampled/cap_past": F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5], cap=4.0),
-    "psi_majorant": psi_majorant_phi(F.power_log(0.4, 1.0), 2.0,
-                                     geometric_grid(1e-4, 1.0, 48)),
+    "psi_majorant": psi_majorant_phi(F.power_log(0.4, 1.0), 2.0),
     "max_of_powers": _MaxPhi([F.power(0.5), F.power(0.8, 2.0)]),
     # capped components cross too: at 0.099 and at 1e-20
     "max/capped": _MaxPhi([F.power(0.3, cap=10.0), F.power(0.6, 2.0, cap=10.0)]),
@@ -47,10 +49,13 @@ SHAPES = {
     # t^0.5 crosses the frozen power-log at 0.54, past its switch point
     "max/power_log": _MaxPhi([F.power_log(0.5, 1.0), F.power(0.5)]),
     # c t^alpha below its crossing with the largest ratio times t^{1/p}
-    "psi_majorant/power": psi_majorant_phi(F.power(0.3), 2.0, geometric_grid(1e-4, 1.0, 48)),
-    # t^0.7 crosses above the largest ratio times t^{1/2}, below the cap
-    "psi_majorant/capped_below_grid": psi_majorant_phi(F.power(0.7, cap=1e-6), 2.0,
-                                                       geometric_grid(1e-4, 1.0, 48)),
+    "psi_majorant/power": psi_majorant_phi(F.power(0.3), 2.0),
+    # the largest ratio times t^{1/2} up to the cap, where t^0.7 meets it
+    "psi_majorant/capped": psi_majorant_phi(F.power(0.7, cap=1e-6), 2.0),
+    # the M^p_loc fundamentals themselves, held at phi(1) past 1
+    "psi/power": PsiMajorantPhi(F.power(0.3), 2.0),
+    "psi/capped": PsiMajorantPhi(F.power(0.7, cap=1e-6), 2.0),
+    "psi/power_log": PsiMajorantPhi(F.power_log(0.55, 1.0), 2.0),
     "lambda_q/power_log": NormSpec.lambda_q(F.power_log(0.5, 1.0), 2.0).fundamental_phi(),
 }
 
@@ -142,9 +147,9 @@ POWER_FACTS = {
     # the steepest piece is the last: k(s) = s^0.8, exact
     "max/capped_below": (_MaxPhi([F.power(0.8), F.power(0.5, 2.0, cap=10.0)]),
                          (2.0, 0.5), (1.0, 0.8), 0.8),
-    "psi/below_1_over_p": (_psi(0.3), (1.0, 0.3), (1.0, 0.3), None),
+    "psi/below_1_over_p": (_psi(0.3), (1.0, 0.3), (1.0, 0.3), 0.3),
     # the largest ratio phi(s) / s^{1/2} on (0, 1] is 1, at s = 1
-    "psi/above_1_over_p": (_psi(0.7), (1.0, 0.5), (1.0, 0.7), None),
+    "psi/above_1_over_p": (_psi(0.7), (1.0, 0.5), (1.0, 0.7), 0.7),
     "power_log": (F.power_log(0.5, 1.0), None, None, None),
     "sampled": (F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]), None, None, None),
     "orlicz": (SHAPES["orlicz"], None, None, None),
@@ -161,3 +166,65 @@ def test_power_facts_are_read_off_the_pieces(name):
     assert rep.beta_exact is (zippin is not None)
     if zippin is not None:
         assert rep.beta_upper == zippin
+
+
+# -- the peaks of phi(s) s^{-r} ------------------------------------------------------
+
+_CAPS = st.one_of(st.just(math.inf), st.floats(1e-4, 10.0))
+
+
+@st.composite
+def _orlicz(draw):
+    n = draw(st.integers(1, 3))
+    xs = np.cumsum(draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n)))
+    slopes = np.cumsum(draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n)))
+    ys = np.cumsum(slopes * np.diff(np.concatenate(([0.0], xs))))
+    return F.orlicz_inverse(OrliczN(xs, ys), cap=draw(_CAPS))
+
+
+_PEAK_SHAPES = st.one_of(
+    st.builds(F.power_log, st.floats(0.05, 0.95), st.floats(-2.0, 2.0), st.floats(0.2, 5.0),
+              _CAPS),
+    _orlicz())
+
+
+def _exact_ratio(phi, r):
+    """s -> phi(s) s^{-r} in 30-digit arithmetic, from the formula of a
+    power-log or an Orlicz shape below its cap."""
+    if isinstance(phi, PowerLogPhi):
+        return lambda s: (phi.coeff * mpmath.mpf(s) ** (phi.alpha - r)
+                          * (-mpmath.log(s)) ** phi.beta)
+    o = phi.orlicz
+
+    def ratio(s):
+        y = 1 / mpmath.mpf(s)  # Psi(x) = y on the segment from (x_k, y_k)
+        k = min(max(bisect_right(o.ys.tolist(), y) - 1, 0), len(o.slopes) - 1)
+        return mpmath.mpf(s) ** -r / (o.xs[k] + (y - o.ys[k]) / o.slopes[k])
+    return ratio
+
+
+def _zoomed_argmax(g, lo, hi, n=61):
+    """The argmax of g on n geometric points from lo to hi, zoomed in
+    around the best point until the bracket spans 1e-9 in log s."""
+    a, b = mpmath.log(lo), mpmath.log(hi)
+    while b - a > 1e-9:
+        vs = mpmath.linspace(a, b, n)
+        k = max(range(n), key=lambda i: g(mpmath.exp(vs[i])))
+        a, b = vs[max(k - 1, 0)], vs[min(k + 1, n - 1)]
+    return float(mpmath.exp((a + b) / 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(phi=_PEAK_SHAPES, r=st.floats(0.0, 1.0, exclude_min=True))
+def test_peaks_are_the_local_maxima_of_each_piece(phi, r):
+    # every peak is a local maximum of phi(s) s^{-r}, and a fine grid finds
+    # the top of each generic piece at a peak or at an end (from 1e-200 to 1e6)
+    peaks = phi.peaks(r)
+    with mpmath.workdps(30):
+        g = _exact_ratio(phi, mpmath.mpf(r))
+        for s in peaks:
+            assert g(s) >= max(g(s * (1 - 1e-6)), g(s * (1 + 1e-6))), (s, peaks)
+        for a, b, kind, _ in phi.pieces(1e-200, 1e6):
+            if kind == "generic":
+                top = _zoomed_argmax(g, a, b)
+                assert any(abs(top - x) <= 1e-6 * x for x in (a, b, *peaks)), (top, a, b, peaks)

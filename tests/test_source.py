@@ -420,6 +420,19 @@ def test_power_facts_are_read_in_one_place():
     assert readers == {("spaces.py", "_power_on"), ("spaces.py", "_piece_integral")}, readers
 
 
+def test_psi_is_built_from_the_pieces_of_phi():
+    # psi takes its supremum over phi's kinks and peaks: no base grid, and
+    # no GridFn rendering of it is left
+    tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    psi = next(top for top in tree.body
+               if isinstance(top, ast.ClassDef) and top.name == "PsiMajorantPhi")
+    names = set(_references(psi))
+    assert not names & {"geometric_grid", "geomspace", "DEFAULT_SUP_POINTS"}, names
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        assert "psi_majorant" not in {*_references(tree), *_definitions(tree)}, path.name
+
+
 def test_no_family_dispatch_outside_the_table():
     # what differs between families is read from _FAMILIES: no comparison
     # in the package names a family, or a rule name of the string field

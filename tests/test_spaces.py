@@ -6,19 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from rikit.errors import DegenerateRatio, NotQuasiconcave
+from rikit.errors import DegenerateRatio, NotQuasiconcave, UnsupportedCombination
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement, indicator_gridfn
 from rikit.spaces import (
     FundamentalFn,
     NormSpec,
     OrliczN,
+    PsiMajorantPhi,
     fundamental_function,
     is_quasiconcave,
     least_concave_majorant,
     lorentz_embedding_bound,
     lorentz_embedding_ratio,
     norm,
-    psi_majorant,
     psi_majorant_phi,
 )
 
@@ -386,13 +386,12 @@ def test_psi_constant_phi():
     assert np.allclose(np.asarray(psi(ts)), 3.0, rtol=1e-12)
 
 
-def test_psi_gridfn_contract():
-    phi = FundamentalFn.power(0.5)
-    g = psi_majorant(phi, 3.0)
-    assert g.edges[0] == 0.0
-    assert g.tail == pytest.approx(1.0)
-    ts = g.edges[1:]
-    assert np.all(g.values >= np.asarray(phi(ts)) - 1e-12)
+def test_psi_over_a_shape_without_a_peak_rule_raises():
+    # the Lambda^q fundamental of a power-log shape is generic and names no
+    # peaks: a supremum over its kinks alone could read low without warning
+    lam = NormSpec.lambda_q(FundamentalFn.power_log(0.5, 1.0), 2).fundamental_phi()
+    with pytest.raises(UnsupportedCombination, match="no peak rule"):
+        PsiMajorantPhi(lam, 2.0)
 
 
 def test_psi_power_quasiconcave_and_norm_equality():

@@ -233,14 +233,16 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
 
 
 def _default_boyd_candidates():
-    """Decreasing test functions: indicators and truncated power profiles."""
-    cands = []
-    for a in (0.125, 0.5, 1.0, 4.0):
-        cands.append(GridFn([0.0, a], [1.0]))
+    """Decreasing test functions on one edge array: indicators of (0, a] and
+    power profiles t^{-theta} sampled at the right ends of 40 geometric cells,
+    on the union of their edges."""
+    ends = (0.125, 0.5, 1.0, 4.0)
+    profile = np.geomspace(1e-4, 4.0, 40)
+    edges = np.union1d([0.0, *ends], profile)
+    cands = [GridFn(edges, edges[1:] <= a) for a in ends]
     for theta in (0.2, 0.5, 0.8):
-        edges = np.concatenate(([0.0], np.geomspace(1e-4, 4.0, 40)))
-        vals = edges[1:] ** (-theta)
-        cands.append(GridFn(edges, vals))
+        sampled = GridFn([0.0, *profile], profile ** -theta)
+        cands.append(GridFn(edges, sampled.value_at(edges[1:])))
     return tuple(cands)
 
 
@@ -253,12 +255,12 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
 
     Closed-form families report the exact index; otherwise candidate
     functions give lower bounds only (flagged, never used to certify a
-    strict inequality downstream).  One call to the family's row evaluator
-    returns every candidate's norm and the norms of all its dilations
-    E_{1/s}: column 0 divides the candidate's edges by 1, column k + 1 by
-    1/s_k, exactly as ``dilation`` does.  The sup-M_p families share the
-    points and cell search of candidates with equal edges; every other
-    family takes one norm per dilate.
+    strict inequality downstream).  The candidates share one edge array,
+    and one call to the family's row evaluator returns every candidate's
+    norm and the norms of all its dilations E_{1/s}: column 0 divides the
+    edges by 1, column k + 1 by 1/s_k, exactly as ``dilation`` does.  The
+    sup-M_p families take all candidates in one pass; every other family
+    takes one norm per dilate.
     """
     s_grid = _dilation_factors(s_grid)
     exact = spec.boyd_alpha_exact()
@@ -274,8 +276,11 @@ def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> Index
     cands = tuple(_BOYD_CANDIDATES if candidates is None else candidates)
     if not all(f.is_decreasing() for f in cands):
         raise ValueError("Boyd candidates must be decreasing GridFns")
+    if len({f.edges.tobytes() for f in cands}) > 1:
+        raise ValueError("Boyd candidates must share one edge array")
     rows = _FAMILIES[spec.family].rows
-    vals = rows(cands, spec, np.concatenate(([1.0], 1.0 / s_grid)))
+    c = np.concatenate(([1.0], 1.0 / s_grid))
+    vals = rows(cands, spec, c) if cands else np.zeros((0, len(c)))
     bases = vals[:, 0]
     usable = (bases > 0) & np.isfinite(bases)
     if not usable.any():

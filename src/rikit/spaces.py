@@ -8,7 +8,9 @@ with c != 0 against dt/t, which takes panel quadrature as the generic
 pieces (power-log, Orlicz and Lambda^q shapes) do; the psi-majorant is
 generic only where phi is.  Suprema of ``M_p u*(t) phi(t)`` over power and
 affine pieces are attained at piece endpoints, so grid maxima over merged
-breakpoints are exact.
+breakpoints are exact.  They are taken for one block of functions on one
+edge array in one pass, with the limit at infinity read off the power of an
+unbounded phi there.
 """
 
 from __future__ import annotations
@@ -331,6 +333,11 @@ class OrliczInversePhi(FundamentalFn):
         self.orlicz = orlicz
         self.cap = _positive_cap(cap)
         self.breaks = _breaks([*(1.0 / orlicz.ys[1:]), self.cap])
+        # Psi runs through the origin with slope s_1 up to the first node
+        # where its slope changes (everywhere if none does), so phi(t) =
+        # 1 / Psi^{-1}(1 / t) = s_1 t from t = 1 / y there on
+        bends = np.flatnonzero(orlicz.slopes != orlicz.slopes[0])
+        self._linear_from = float(1.0 / orlicz.ys[bends[0]]) if bends.size else 0.0
         self._top = self.value_inf()
 
     def __call__(self, t):
@@ -341,9 +348,11 @@ class OrliczInversePhi(FundamentalFn):
         return out if out.ndim else float(out)
 
     def form(self, a, b):
-        if a < self.cap:
-            return "generic", self.__call__
-        return "affine", (self._top, 0.0)
+        if a >= self.cap:
+            return "affine", (self._top, 0.0)
+        if a >= self._linear_from:
+            return "power", (float(self.orlicz.slopes[0]), 1.0)
+        return "generic", self.__call__
 
     def peaks(self, r):
         # where Psi runs with slope s from (x, y), phi = t / (A t + B) with
@@ -604,7 +613,7 @@ class _LambdaQFundamental(FundamentalFn):
         """The fundamental at every t, swept over the sorted points.
 
         The integrals of phi^q dt/t from 0 to the smallest point and between
-        sorted neighbours are one _phi_weight_rows batch, joined by a
+        sorted neighbours are one _power_integral_rows batch, joined by a
         cumulative sum: closed-form pieces stay closed form however far
         apart the points lie.
         """
@@ -614,7 +623,7 @@ class _LambdaQFundamental(FundamentalFn):
         pos = ts > 0
         if np.any(pos):
             knots = np.unique(ts[pos])
-            gaps = _phi_weight_rows(self.phi, [0.0, *knots[:-1]], knots, self.q)
+            gaps = _power_integral_rows(self.phi, [0.0, *knots[:-1]], knots, self.q, 0)
             out[pos] = np.cumsum(gaps)[np.searchsorted(knots, ts[pos])]
         out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
         return float(out[0]) if scalar else out
@@ -630,8 +639,8 @@ def _power_cuts(pcs, a, b):
     if None in pcs:
         yield a, b, None
         return
-    with np.errstate(over="ignore"):
-        ends = [x for x in _breaks(np.float64(ci / cj) ** (1.0 / (aj - ai)) for
+    with np.errstate(divide="ignore", over="ignore"):  # a zero coefficient: no crossing
+        ends = [x for x in _breaks((np.float64(ci) / cj) ** (1.0 / (aj - ai)) for
                                    (ci, ai), (cj, aj) in combinations(pcs, 2) if ai != aj)
                 if a < x < b]
     for x0, x1 in zip([a, *ends], [*ends, b]):
@@ -753,8 +762,9 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
     # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
-    rows: Callable = _dilate_rows  # (decreasing rearrangements, spec, edge
-    # divisors c) -> the norm of each dilate with edges / c_k, one row per function
+    rows: Callable = _dilate_rows  # (decreasing rearrangements on one edge
+    # array, spec, edge divisors c) -> the norm of each dilate with edges / c_k,
+    # one row per function
 
 
 def _sup_mp_family(p_of, window_hi):
@@ -948,16 +958,6 @@ def _norm_lambda_phi(ustar, phi):
             return INF
         total += ustar.tail * (top - float(phi(ustar.support_end)))
     return total
-
-
-def _phi_weight_integral(phi, a, b, q):
-    """Exact-ish integral of phi(t)^q / t over (a, b); inf on divergence."""
-    return _phi_weight_rows(phi, [a], [b], q)[0]
-
-
-def _phi_weight_rows(phi, lo, hi, q):
-    """int phi(t)^q / t over every interval (lo[i], hi[i]); inf on divergence."""
-    return _power_integral_rows(phi, lo, hi, q, 0)
 
 
 def _power_integral_rows(phi, lo, hi, r, s):
@@ -1179,7 +1179,7 @@ def _dyadic_integral(g, b):
 def _norm_lambda_q(ustar, phi, q):
     """(sum_i v_i^q int_cell_i phi^q dt/t)^{1/q} over the cells of u*.
 
-    All nonzero cells' weights are one _phi_weight_rows batch, summed in
+    All nonzero cells' weights are one _power_integral_rows batch, summed in
     cell order: bit-identical to weighting one cell at a time.
     """
     if ustar.tail > 0:
@@ -1188,7 +1188,7 @@ def _norm_lambda_q(ustar, phi, q):
     v = ustar.values
     cells = np.flatnonzero(v != 0.0)
     total = 0.0
-    for i, w in zip(cells, _phi_weight_rows(phi, e[cells], e[cells + 1], q)):
+    for i, w in zip(cells, _power_integral_rows(phi, e[cells], e[cells + 1], q, 0)):
         if not math.isfinite(w):
             return INF
         if not math.isfinite(v[i]):
@@ -1250,51 +1250,36 @@ def _mp_values(ustar, p, ts):
 _UNIT = np.ones(1)
 
 
-def _edge_groups(us):
-    """The functions of ``us`` that share one edge array, a group at a time:
-    (their positions in us, the functions, their values stacked into one
-    C-contiguous array, their tails, the edges).  Functions with neither
-    cells nor tail are left out: they are 0."""
-    groups = {}
-    for k, u in enumerate(us):
-        if u.ncells or u.tail:
-            groups.setdefault(u.edges.tobytes(), []).append(k)
-    for ks in groups.values():
-        fns = [us[k] for k in ks]
-        yield ks, fns, np.array([u.values for u in fns]), [u.tail for u in fns], fns[0].edges
-
-
 def _sup_mp_phi(us, phi, p, window_hi, c):
     """sup over the window of M_p f(t) phi(t), for each f in ``us`` and each
     edge divisor c_k: a len(us) x len(c) array.
 
-    Entry (j, k) is the value for ``GridFn(us[j].edges / c_k, us[j].values,
+    ``us`` is one block: functions on one edge array, evaluated in one pass,
+    whose points, phi on them and cell search serve every function.  Entry
+    (j, k) is the value for ``GridFn(us[j].edges / c_k, us[j].values,
     us[j].tail)``, bit for bit, so a norm is the one function at c = 1
     (``_UNIT``) and the dilations E_{1/s} take c = 1/s in the same array
-    pass.  Functions with equal edges take one pass: its points, phi on
-    them and the cell search serve them all.  Exact for power/affine phi.
-    ``window_hi=None`` is the global norm (sup over t > 0); otherwise the
-    sup runs over (0, window_hi].  It is taken at the points of
-    ``_sup_points``, plus limit candidates.
+    pass.  Exact for power/affine phi.  ``window_hi=None`` is the global
+    norm (sup over t > 0); otherwise the sup runs over (0, window_hi].  It
+    is taken at the points of ``_sup_points``, plus limit candidates.
     """
     c = np.asarray(c, dtype=float)
-    out = np.zeros((len(us), len(c)))
+    values = np.array([u.values for u in us])
+    tails = np.array([u.tail for u in us])
+    dilated = us[0].edges[None] / c[:, None]
+    ts, counts, starts = _sup_points(phi, window_hi, dilated)
+    mps = _mp_rows(values, tails, p, dilated, ts, counts.tolist())
+    best = _masked_sup(mps, np.asarray(phi(ts), dtype=float), starts)
     p0 = phi.phi0plus()
-    for rows, fns, values, tails, edges in _edge_groups(us):
-        dilated = edges[None] / c[:, None]
-        ts, counts, starts = _sup_points(phi, window_hi, dilated)
-        mps = _mp_rows(values, tails, p, dilated, ts, counts.tolist())
-        best = _masked_sup(mps, np.asarray(phi(ts), dtype=float), starts)
-        if p0 > 0:
-            # limit candidate as t -> 0+ (inf for an inf first value)
-            first = values[:, 0] if values.shape[1] else np.asarray(tails)
-            best = np.maximum(best, first[:, None] * p0)
-        if window_hi is None:
-            # tail behaviour for the global norm
-            lims = np.array([_mp_tail_rows(u, phi, p, c) for u in fns])
-            best = np.where(np.isfinite(lims), np.maximum(best, lims), INF)
-        out[rows] = best
-    return out
+    if p0 > 0:
+        # limit candidate as t -> 0+ (inf for an inf first value)
+        first = values[:, 0] if values.shape[1] else tails
+        best = np.maximum(best, first[:, None] * p0)
+    if window_hi is None:
+        # tail behaviour for the global norm
+        lims = _mp_tail_rows(values, tails, p, dilated, phi)
+        best = np.where(np.isfinite(lims), np.maximum(best, lims), INF)
+    return best
 
 
 def _sup_points(phi, window_hi, edges):
@@ -1333,45 +1318,32 @@ def _sup_points(phi, window_hi, edges):
     return ts[keep], counts, counts.cumsum() - counts
 
 
-def _mp_tail_rows(ustar, phi, p, c):
-    """Limit of M_p u*(t) phi(t) as t -> inf (0.0 when it vanishes), for
-    the dilate with edges / c_k, per k.
+def _mp_tail_rows(values, tails, p, edges, phi):
+    """Limit of M_p f(t) phi(t) as t -> inf (0.0 when it vanishes) for each
+    function of the block and each row of edges: a functions x rows array.
 
-    Only an unbounded phi and a u* without tail make it depend on the
-    edges; edges / 1.0 is exact, so the row c = 1 is u* itself.
+    A positive tail gives tail * phi(inf), approached from above.  Without
+    one, M_p f(t) = (I / t)^{1/p} with I the integral of f^p, so the limit
+    is 0 for a bounded phi and, for phi = c t^alpha at infinity, 0 where
+    alpha < 1/p, c I^{1/p} at alpha = 1/p and inf above (0 where I = 0).
+    I sums each row's cells as ``GridFn.total_integral`` does, bit for bit.
     """
     top = phi.value_inf()
-    if ustar.tail > 0:
-        # approached from above; sup candidates cover it
-        return np.full(len(c), ustar.tail * top if math.isfinite(top) else INF)
-    if math.isfinite(top):
-        return np.zeros(len(c))  # (I/t)^{1/p} * (eventually constant phi) -> 0
-    return np.array([_unbounded_tail(
-        ustar if ck == 1.0 else GridFn(ustar.edges / ck, ustar.values), phi, p)
-        for ck in c])
-
-
-def _unbounded_tail(f, phi, p):
-    """The limit of M_p f(t) phi(t) for an unbounded phi and f without tail."""
-    pe = _power_on(phi, (phi.breaks or [0.0])[-1], INF)
-    if pe is not None and pe[1] < 1.0 / p:
-        return 0.0  # t^{alpha - 1/p} I^{1/p} -> 0
-    total = f.total_integral(p)
-    if total == 0.0:
-        return 0.0
-    if pe is not None:  # alpha >= 1/p: c I^{1/p} at alpha = 1/p, else inf
-        return pe[0] * total ** (1.0 / p) if pe[1] == 1.0 / p and total < INF else INF
-    # no power form: probe far out, doubling rule
-    t0 = 4.0 * max(f.support_end, 1.0)
-    probes = [
-        float(phi(t)) * (f.integral_to(t, p) / t) ** (1.0 / p)
-        for t in (t0, 2 * t0, 4 * t0, 8 * t0, 16 * t0)
-    ]
-    if probes[-1] >= 2.0 * probes[-3] > 0:
-        return INF
-    if probes[-1] > probes[0] * 1.0000001 > 0:
-        return INF  # still growing far beyond the support: treat as divergent
-    return max(probes)
+    if math.isfinite(top) or tails.all():
+        return np.broadcast_to((tails * top)[:, None], (len(tails), len(edges)))
+    pe = _power_on(phi, (phi.breaks or [0.0])[-1], INF)  # the last piece
+    if pe is None:
+        raise UnsupportedCombination("M_p over an unbounded shape needs a power at infinity")
+    coeff, alpha = pe
+    total = np.sum((values ** p)[:, None] * np.diff(edges), axis=-1)
+    if alpha < 1.0 / p:
+        lims = np.zeros_like(total)
+    elif alpha == 1.0 / p:
+        # float_power rounds as a float pow does; an array ** can miss by an ulp
+        lims = coeff * np.float_power(total, 1.0 / p)
+    else:
+        lims = np.where(total > 0, INF, 0.0)
+    return np.where(tails[:, None] > 0, INF, lims)
 
 
 def _norm_orlicz(ustar, orlicz: OrliczN):

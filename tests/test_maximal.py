@@ -334,6 +334,30 @@ def test_boyd_rejects_zero_candidates():
         boyd_upper_lowerbound(spec, candidates=[GridFn([0.0, 1.0], [0.0])])
 
 
+@pytest.mark.parametrize("spec", [
+    NormSpec.marcinkiewicz_p(FundamentalFn.power_log(0.5, 1.0), 2.0),
+    NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0)),
+], ids=["sup-M_p", "norm-per-dilate"])
+def test_boyd_candidates_are_one_nonempty_block(spec):
+    two_edge_arrays = [GridFn([0.0, 1.0], [1.0]), GridFn([0.0, 2.0], [1.0])]
+    with pytest.raises(ValueError, match="share one edge array"):
+        boyd_upper_lowerbound(spec, candidates=two_edge_arrays)
+    with pytest.raises(ValueError, match="no candidate with nonzero finite norm"):
+        boyd_upper_lowerbound(spec, candidates=[])
+
+
+def test_an_uncapped_orlicz_shape_has_the_exact_boyd_index_one():
+    # Psi runs through the origin with slope 1 up to y = 1, so phi(t) = t
+    # from 1 on; s_1 t <= phi(t) <= s_last t makes the index 1 exactly
+    phi = FundamentalFn.orlicz_inverse(OrliczN([1, 2, 4], [1, 3, 10]))
+    f = GridFn([0, 1, 2], [2, 1])
+    assert norm(f, NormSpec.marcinkiewicz(phi)) == 3.0
+    assert norm(f, NormSpec.marcinkiewicz_p(phi, 1)) == 3.0
+    assert norm(f, NormSpec.marcinkiewicz_p(phi, 2)) == INF
+    rep = boyd_upper_lowerbound(NormSpec.lambda_phi(phi))
+    assert rep.alpha_exact and rep.alpha_lower == 1.0
+
+
 def test_index_report_invariants():
     # 1 <= k(s) <= h(s) <= s on shared s values
     for spec in (NormSpec.lp(2), NormSpec.lorentz(3, 1)):
@@ -746,7 +770,8 @@ def index_report_dict(name):
 @pytest.mark.parametrize("name", list(INDEX_SPECS))
 def test_indices_reports_match_golden(name):
     # recorded before the sup-type norms lost their per-point loops; the M^p
-    # entries since psi is built from phi's pieces
+    # entries since psi is built from phi's pieces; the swept h_samples and
+    # alpha_lower since the Boyd candidates share one edge array
     golden = json.loads(INDEX_GOLDEN.read_text())
     assert set(INDEX_SPECS) == set(golden)
     assert index_report_dict(name) == golden[name]

@@ -29,7 +29,7 @@ from rikit.spaces import (
     _gauss_log_rows,
     _MaxPhi,
     _norm_lambda_q,
-    _phi_weight_rows,
+    _power_integral_rows,
     _power_on,
     geometric_grid,
     norm,
@@ -330,7 +330,7 @@ def test_norm_lambda_q_matches_the_cell_loop(u, phi, q):
 def test_weight_rows_match_one_interval_at_a_time(phi, q, ts):
     # the head cell from 0, then cells between sorted points, empty ones too
     edges = np.concatenate(([0.0], np.sort(ts)))
-    got = _phi_weight_rows(phi, edges[:-1], edges[1:], q)
+    got = _power_integral_rows(phi, edges[:-1], edges[1:], q, 0)
     want = [loop_phi_weight_integral(phi, a, b, q) for a, b in zip(edges[:-1], edges[1:])]
     assert hexes(got) == hexes(want)
 

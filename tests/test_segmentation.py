@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from rikit.maximal import zippin_upper
+from rikit.rearrange import GridFn
 from rikit.spaces import (
     FundamentalFn,
     NormSpec,
@@ -23,11 +24,10 @@ from rikit.spaces import (
     PowerLogPhi,
     PsiMajorantPhi,
     _MaxPhi,
-    _phi_weight_integral,
-    _phi_weight_rows,
     _power_integral_rows,
     _power_on,
     _zippin_exponent,
+    norm,
     psi_majorant_phi,
 )
 
@@ -39,6 +39,8 @@ SHAPES = {
     "power_log": F.power_log(0.5, 1.0),
     "power_log/cap_below_switch": F.power_log(0.5, 1.0, cap=0.1),
     "orlicz": F.orlicz_inverse(OrliczN([1.0, 2.0, 4.0], [1.0, 3.0, 10.0])),
+    # Psi has slope 1/2 up to y = 1: phi is t / 2 from 1 to the cap
+    "orlicz/capped": F.orlicz_inverse(OrliczN([2.0, 3.0], [1.0, 4.0]), cap=5.0),
     "sampled/cap_inside": F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5], cap=1.5),
     "sampled/cap_past": F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5], cap=4.0),
     "psi_majorant": psi_majorant_phi(F.power_log(0.4, 1.0), 2.0),
@@ -103,7 +105,18 @@ def test_psi_majorant_pieces_above_one_start_at_lo():
     # that started at 1 in place of 2 would give 1.5
     psi = psi_majorant_phi(F.power(0.5, cap=3.0), 2.0)
     assert [piece[:2] for piece in psi.pieces(2.0, 2.5)] == [(2.0, 2.5)]
-    assert _phi_weight_rows(psi, [2.0], [2.5], 2.0)[0] == pytest.approx(0.5, rel=1e-14)
+    assert _power_integral_rows(psi, [2.0], [2.5], 2.0, 0)[0] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_psi_over_a_shape_below_the_floats_is_zero():
+    # phi(1) = 1e-300 * 1e-300^0.3 underflows, so the best ratio above the
+    # cap is 0, and its crossing with t^0.3 divided by a zero coefficient
+    phi = F.power(0.3, 1e-300, 1e-300)
+    psi = PsiMajorantPhi(phi, 2.0)
+    assert psi.breaks == [1e-300, 1.0]
+    assert psi(np.geomspace(1e-12, 10.0, 9)).tolist() == [0.0] * 9
+    spec = NormSpec.marcinkiewicz_p_loc(phi, 2.0)
+    assert norm(GridFn([0.0, 0.5], [1.0]), spec) == 0.0
 
 
 def test_an_affine_piece_at_s_one_takes_the_log_closed_form():
@@ -121,7 +134,7 @@ def test_weights_of_a_max_with_capped_components_match_quadrature():
     phi = SHAPES["max/capped"]
     want = integrate.quad(lambda t: phi(t) / t, 0.01, 1.0, points=phi.kinks(0.01, 1.0),
                           epsabs=0.0, epsrel=1e-13)[0]
-    assert _phi_weight_integral(phi, 0.01, 1.0, 1.0) == pytest.approx(want, rel=1e-10)
+    assert _power_integral_rows(phi, [0.01], [1.0], 1.0, 0)[0] == pytest.approx(want, rel=1e-10)
 
 
 def _near_zero(phi):
@@ -152,7 +165,10 @@ POWER_FACTS = {
     "psi/above_1_over_p": (_psi(0.7), (1.0, 0.5), (1.0, 0.7), 0.7),
     "power_log": (F.power_log(0.5, 1.0), None, None, None),
     "sampled": (F.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]), None, None, None),
-    "orlicz": (SHAPES["orlicz"], None, None, None),
+    # Psi is t on (0, 1), so phi(t) = t from 1 on
+    "orlicz": (SHAPES["orlicz"], None, (1.0, 1.0), None),
+    # one node: Psi is x / 2 everywhere, and phi is t / 2
+    "orlicz/one_node": (F.orlicz_inverse(OrliczN([2.0], [1.0])), (0.5, 1.0), (0.5, 1.0), 1.0),
 }
 
 
@@ -189,7 +205,7 @@ _PEAK_SHAPES = st.one_of(
 
 
 def _exact_ratio(phi, r):
-    """s -> phi(s) s^{-r} in 30-digit arithmetic, from the formula of a
+    """s -> phi(s) s^{-r} in the working precision, from the formula of a
     power-log or an Orlicz shape below its cap."""
     if isinstance(phi, PowerLogPhi):
         return lambda s: (phi.coeff * mpmath.mpf(s) ** (phi.alpha - r)
@@ -220,7 +236,9 @@ def test_peaks_are_the_local_maxima_of_each_piece(phi, r):
     # every peak is a local maximum of phi(s) s^{-r}, and a fine grid finds
     # the top of each generic piece at a peak or at an end (from 1e-200 to 1e6)
     peaks = phi.peaks(r)
-    with mpmath.workdps(30):
+    # at r = 1 an Orlicz piece reads 1 / (A s + B), which moves by A s / B
+    # near s = 1e-200: 250 digits resolve it, where 30 give a flat tie
+    with mpmath.workdps(250):
         g = _exact_ratio(phi, mpmath.mpf(r))
         for s in peaks:
             assert g(s) >= max(g(s * (1 - 1e-6)), g(s * (1 + 1e-6))), (s, peaks)

@@ -83,24 +83,21 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 
 def test_sup_norms_have_no_python_loops():
     # the sup-type norms take their supremum with numpy, not per point: the
-    # M_p supremum loops over groups of functions that share their edges,
-    # and within a group over its functions, never over points or rows
+    # M_p supremum takes one block of functions on one edge array in one
+    # pass, and its limit at infinity is one array expression over the block;
+    # only the block's functions ``us`` are read one by one, into arrays
     tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    names = {"_sup_mp_phi", "_mp_tail_rows", "_sup_star_phi"}
     bodies = {top.name: top for top in tree.body
-              if isinstance(top, ast.FunctionDef)
-              and top.name in ("_sup_mp_phi", "_sup_star_phi")}
-    assert set(bodies) == {"_sup_mp_phi", "_sup_star_phi"}
-    loops = [(name, node) for name, fn in bodies.items()
-             for node in ast.walk(fn) if isinstance(node, _LOOPS)]
-    groups = [node for _, node in loops if isinstance(node, ast.For)
-              and getattr(getattr(node.iter, "func", None), "id", None) == "_edge_groups"]
-    assert len(groups) == 1
-    bound = {n.id for n in ast.walk(groups[0].target) if isinstance(n, ast.Name)}
-    per_function = [node for _, node in loops if hasattr(node, "generators")
-                    and all(getattr(gen.iter, "id", None) in bound for gen in node.generators)]
-    other = [(name, node.lineno) for name, node in loops
-             if node is not groups[0] and node not in per_function]
-    assert not other, f"loops at {other}"
+              if isinstance(top, ast.FunctionDef) and top.name in names}
+    assert set(bodies) == names
+    loops = [(name, node.lineno) for name, fn in bodies.items()
+             for node in ast.walk(fn) if isinstance(node, _LOOPS)
+             and not all(getattr(gen.iter, "id", None) == "us"
+                         for gen in getattr(node, "generators", [None]))]
+    assert not loops, f"loops at {loops}"
+    defined = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert not defined & {"_edge_groups", "_unbounded_tail"}
 
 
 def test_boyd_sweep_makes_one_row_call():
@@ -177,8 +174,8 @@ def _per_iteration(loop):
     return parts
 
 
-# the log-axis quadrature and the per-interval weights built on it
-_QUADRATURE = {"_gauss_log_rows", "_phi_weight_rows", "_phi_weight_integral"}
+# the log-axis quadrature and the per-interval walker built on it
+_QUADRATURE = {"_gauss_log_rows", "_power_integral_rows"}
 
 
 def test_no_loop_calls_the_quadrature_kernel():
@@ -245,6 +242,18 @@ def test_every_definition_is_used():
               for name in _definitions(ast.parse(path.read_text()))
               if name not in used and not name.startswith("__")]
     assert not unused, f"never referenced: {unused}"
+
+
+def test_every_private_definition_is_used_by_the_library():
+    # a private helper that only tests call is a path the library never
+    # runs: tests alone cannot keep it alive
+    used = set()
+    for path in SRC:
+        used.update(_references(ast.parse(path.read_text())))
+    unused = [f"{path.name}:{name}" for path in SRC
+              for name in _definitions(ast.parse(path.read_text()))
+              if name.startswith("_") and not name.startswith("__") and name not in used]
+    assert not unused, f"referenced from tests or bench alone: {unused}"
 
 
 def _defaulted_parameters(tree):

@@ -503,12 +503,12 @@ def test_lambda_q_head_cells_below_the_log_floor_stay_finite():
 
 
 def test_dyadic_refinement_stops_before_a_subnormal_end_underflows():
-    from rikit.spaces import _phi_weight_integral
+    from rikit.spaces import _power_integral_rows
     phi = FundamentalFn.power_log(0.5, 0.0)
-    assert _phi_weight_integral(phi, 0.0, 5e-324, 1) == 0.0
+    assert _power_integral_rows(phi, [0.0], [5e-324], 1, 0)[0] == 0.0
     # int_0^x t^(1/2) dt/t = 2 sqrt(x), the piece below the last level a tail
-    assert _phi_weight_integral(phi, 0.0, 1e-310, 1) == pytest.approx(2.0 * math.sqrt(1e-310),
-                                                                      rel=1e-7)
+    assert _power_integral_rows(phi, [0.0], [1e-310], 1, 0)[0] == pytest.approx(
+        2.0 * math.sqrt(1e-310), rel=1e-7)
     spec = NormSpec.lambda_q(phi, 1)
     assert norm(GridFn([0.0, 5e-324, 1.0], [2.0, 1.0]), spec) == pytest.approx(
         norm(GridFn([0.0, 1.0], [1.0]), spec), rel=1e-8)

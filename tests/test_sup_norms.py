@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import rikit.maximal as maximal
 import rikit.spaces as spaces
+from rikit.errors import UnsupportedCombination
 from rikit.maximal import boyd_upper_lowerbound, density_criteria_report, dilation, indices_report
 from rikit.rearrange import GridFn
 from rikit.spaces import (
@@ -28,9 +29,9 @@ from rikit.spaces import (
     NormSpec,
     _LambdaQFundamental,
     _MaxPhi,
-    _mp_tail_rows,
     _mp_values,
-    _phi_weight_integral,
+    _power_integral_rows,
+    _power_on,
     _sup_mp_phi,
     _sup_star_phi,
     geometric_grid,
@@ -78,10 +79,31 @@ def loop_sup_mp_phi(ustar, phi, p, window_hi=None):
         best = max(best, first * p0)
     if window_hi is not None:
         return best
-    tail_cand = _mp_tail_rows(ustar, phi, p, [1.0])[0]
+    tail_cand = loop_mp_tail(ustar, phi, p)
     if not math.isfinite(tail_cand):
         return INF
     return max(best, tail_cand)
+
+
+def loop_mp_tail(ustar, phi, p):
+    """The per-function limit of M_p u*(t) phi(t) as t -> inf that the
+    block's array expression replaced."""
+    top = phi.value_inf()
+    if ustar.tail > 0:
+        return ustar.tail * top if math.isfinite(top) else INF
+    if math.isfinite(top):
+        return 0.0
+    pe = _power_on(phi, (phi.breaks or [0.0])[-1], INF)
+    if pe is None:
+        raise UnsupportedCombination("no power at infinity")
+    if pe[1] < 1.0 / p:
+        return 0.0
+    total = ustar.total_integral(p)
+    if total == 0.0:
+        return 0.0
+    if pe[1] == 1.0 / p and total < INF:
+        return pe[0] * total ** (1.0 / p)
+    return INF
 
 
 def loop_sup_star_phi(ustar, phi, on_array=False):
@@ -201,6 +223,17 @@ def test_corner_cases_match_loops(shape):
                              loop_sup_mp_phi(u, phi, 2.0, window))
 
 
+def test_an_unbounded_shape_needs_a_power_at_infinity():
+    # the Lambda^q fundamental over a power-log shape grows like a power of
+    # log t, with no power at infinity to read the limit of M_p f phi off
+    spec = NormSpec.marcinkiewicz(
+        NormSpec.lambda_q(FundamentalFn.power_log(0.5, 1), 2).fundamental_phi())
+    with pytest.raises(UnsupportedCombination):
+        norm(GridFn([0.0, 1.0], [1.0]), spec)
+    # a positive tail diverges against any unbounded shape
+    assert norm(GridFn([0.0, 1.0], [1.0], 0.5), spec) == INF
+
+
 def test_sup_star_phi_closed_values():
     u = GridFn([0.0, 0.5, 2.0], [INF, 1.0])
     assert _sup_star_phi(u, FundamentalFn.power(0.5)) == INF
@@ -231,7 +264,7 @@ def test_lambda_q_fundamental_sweep_matches_quadrature(shape, q):
     phi, rtol = SWEEP_SHAPES[shape]
     ts = geometric_grid(1e-12, 10.0, 120)
     got = _LambdaQFundamental(phi, q)(ts)
-    ref = np.array([_phi_weight_integral(phi, 0.0, t, q) for t in ts]) ** (1.0 / q)
+    ref = np.array([_power_integral_rows(phi, [0.0], [t], q, 0)[0] for t in ts]) ** (1.0 / q)
     np.testing.assert_allclose(got, ref, rtol=rtol, atol=0.0)
 
 
@@ -240,13 +273,13 @@ def test_lambda_q_fundamental_scalar_and_edge_points():
     f = _LambdaQFundamental(phi, 2.0)
     value = f(0.25)
     assert type(value) is float
-    assert value == _phi_weight_integral(phi, 0.0, 0.25, 2.0) ** 0.5
+    assert value == _power_integral_rows(phi, [0.0], [0.25], 2.0, 0)[0] ** 0.5
     # unsorted, repeated and nonpositive points
     ts = np.array([0.3, -1.0, 0.0, 1e-5, 0.3, 2.0])
     got = f(ts)
     assert got[1] == got[2] == 0.0
     assert got[0] == got[4]
-    ref = [_phi_weight_integral(phi, 0.0, t, 2.0) ** 0.5 for t in (0.3, 1e-5, 2.0)]
+    ref = [_power_integral_rows(phi, [0.0], [t], 2.0, 0)[0] ** 0.5 for t in (0.3, 1e-5, 2.0)]
     np.testing.assert_allclose(got[[0, 3, 5]], ref, rtol=1e-10)
 
 
@@ -352,30 +385,25 @@ def shared_edge_gridfns(draw, edges):
 
 
 @st.composite
-def row_gridfn_lists(draw):
-    """1 to 4 decreasing GridFns: each after the first has edges of its own,
-    shares the first one's edges with values and a tail of its own, or is
-    a zero function."""
+def row_gridfn_lists(draw, max_size=4):
+    """1 to max_size decreasing GridFns on one edge array: each after the
+    first shares the first one's edges with values and a tail of its own,
+    or is the zero function on them."""
     first = draw(row_gridfns())
     fns = [first]
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["own", "shared", "zero"]))
-        if kind == "own":
-            fns.append(draw(row_gridfns()))
-        elif kind == "shared":
+    for _ in range(draw(st.integers(0, max_size - 1))):
+        if draw(st.booleans()):
             fns.append(draw(shared_edge_gridfns(first.edges)))
         else:
-            fns.append(draw(st.sampled_from([GridFn([0.0], []),
-                                             GridFn(first.edges, np.zeros(first.ncells))])))
+            fns.append(GridFn(first.edges, np.zeros(first.ncells)))
     return draw(st.permutations(fns))
 
 
 # the default candidates, a sibling of the power profiles with an inf first
-# value and a tail, and the two zero functions
+# value and a tail, and the zero function on their edges
 _SIBLING = GridFn(maximal._BOYD_CANDIDATES[-1].edges,
                   [INF, *maximal._BOYD_CANDIDATES[-1].values[1:]], 0.25)
-_MIXED = [*maximal._BOYD_CANDIDATES, _SIBLING, GridFn([0.0], []),
-          GridFn(_SIBLING.edges, np.zeros(_SIBLING.ncells))]
+_MIXED = [*maximal._BOYD_CANDIDATES, _SIBLING, GridFn(_SIBLING.edges, np.zeros(_SIBLING.ncells))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,7 +420,7 @@ _MIXED = [*maximal._BOYD_CANDIDATES, _SIBLING, GridFn([0.0], []),
              GridFn([0.0, 0.1, 0.3], [INF, 0.8], 0.8)],
          family="marcinkiewicz_p_loc", shape="power(0.5)", p=2.0, s_grid=[1.5])
 def test_rows_of_many_functions_match_each_alone(us, family, shape, p, s_grid):
-    # functions with equal edges share one pass; each row must still be the
+    # the functions of a block share one pass; each row must still be the
     # function's own, bit for bit
     spec = row_spec(family, shape, p)[0]
     rows = _FAMILIES[family].rows
@@ -436,7 +464,7 @@ def report_or_error(fn, *args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(cands=st.lists(row_gridfns(), min_size=1, max_size=3),
+@given(cands=row_gridfn_lists(max_size=3),
        family=st.sampled_from(sorted(ROW_FAMILIES)),
        shape=st.sampled_from(sorted(ROW_SHAPES)), p=st.sampled_from([1.0, 1.05, 2.0, 3.0]),
        s_grid=_S_GRIDS)

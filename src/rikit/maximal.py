@@ -1,13 +1,15 @@
 """Maximal operators, Hardy and dilation operators, growth indices, and the
 boundedness criteria behind the Lipschitz-density verdicts.
 
-Half-line operators act on decreasing GridFns with exact cell calculus;
-the metric-space maximal operator enumerates the O(n^2) distinct balls by
-brute force.  Index estimates are labelled exact or not; the criteria
-report certifies an index inequality from exact indices only.  Powers of a
-shape are integrated over its pieces in spaces._power_integral_rows alone,
-and its power behaviour (near zero, on (0, x), the exact Zippin index) is
-read off its pieces in spaces alone: this module dispatches on no shape.
+Half-line operators act on decreasing GridFns with exact cell calculus, at
+finite t > 0; the metric-space maximal operator enumerates the O(n^2)
+distinct balls by brute force.  Index estimates are labelled exact or not;
+without a closed form, the Boyd bounds are those of the fundamental
+function, which indicators attain.  The criteria report certifies an index
+inequality from exact indices only.  Powers of a shape are integrated over
+its pieces in spaces._power_integral_rows alone, and its power behaviour
+(near zero, on (0, x), the exact Zippin index) is read off its pieces in
+spaces alone: this module dispatches on no shape.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def maximal_decreasing(ustar: GridFn, p, t) -> float:
     """M_p u*(t) = ((1/t) int_0^t u*^p)^{1/p}, exact per cell."""
     if p < 1:
         raise ValueError("p >= 1 required")
-    if not t > 0:
-        raise ValueError("t > 0 required")
+    if not 0 < t < INF:  # NaN too
+        raise ValueError("a finite t > 0 required")
     return float(_mp_values(ustar, p, np.asarray([t], dtype=float))[0])
 
 
@@ -54,8 +56,8 @@ def hardy(a, ustar: GridFn, t) -> float:
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
     t = float(t)
-    if t <= 0:
-        raise ValueError("t > 0 required")
+    if not 0 < t < INF:  # NaN too
+        raise ValueError("a finite t > 0 required")
     e = ustar.edges
     v = ustar.values
     total = 0.0
@@ -152,8 +154,10 @@ class IndexReport:
 
     ``beta_upper`` is the upper fundamental index: exact where the pieces
     give it (``beta_exact``), otherwise a grid estimate that bounds the
-    true index from neither side.  ``alpha_lower`` comes from candidate
-    functions only, unless a closed form applies (``alpha_exact``).
+    true index from neither side.  ``alpha_lower`` is the exact upper Boyd
+    index where a closed form applies (``alpha_exact``).  Otherwise the
+    indicators give the bounds: ``h_samples`` are the ``k_samples``, and
+    ``alpha_lower`` is ``beta_upper``, a lower bound where ``beta_exact``.
     """
 
     k_samples: list = field(default_factory=list)
@@ -202,28 +206,27 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     """k_X(s) = sup_t phi(st)/phi(t) and the upper fundamental index.
 
     Exact where ``spaces._zippin_exponent`` reads k(s) = s^alpha off the
-    pieces.  Otherwise the grid supremum under-estimates k(s), so the
-    reported index is only an estimate: it can fall below the true index
-    (0.496 against 0.55 for ``power_log(0.55, 1.0)``) and certifies no
-    inequality.
+    pieces.  Otherwise k(s) is the maximum over a geometric grid, phi's
+    kinks and the kinks divided by s.  That is exact where phi is piecewise
+    power and constant, or piecewise affine, since the ratio is monotone
+    between those points.  Over a generic piece the grid maximum
+    under-estimates k(s), so the reported index is only an estimate: it can
+    fall below the true index (0.496 against 0.55 for
+    ``power_log(0.55, 1.0)``) and certifies no inequality.
     """
     s_grid = _dilation_factors(s_grid)
     alpha = _zippin_exponent(phi)
-    ks = []
     if alpha is not None:
-        for s in s_grid:
-            ks.append((float(s), float(s ** alpha)))
+        ks = [(float(s), float(s ** alpha)) for s in s_grid]
         beta = alpha
-        exact = True
     else:
         hi = phi.cap if math.isfinite(phi.cap) else 1e4
-        tg = phi.eval_grid(1e-10, max(hi * 4, 1.0), 512)
-        den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
-        dilated = s_grid[:, None] * tg
-        vals = np.asarray(phi(dilated.ravel()), dtype=float).reshape(dilated.shape) / den
-        ks = list(zip(s_grid.tolist(), np.max(vals, axis=1).tolist()))
+        base = phi.eval_grid(1e-10, max(hi * 4, 1.0), 512)
+        _, at_t, at_st = _dilation_pairs(phi, base, phi.kinks(0.0, INF), s_grid)
+        ks = np.max(at_st / np.maximum(at_t, 1e-300), axis=1)
+        ks = list(zip(s_grid.tolist(), ks.tolist()))
         beta = min(math.log(k) / math.log(s) for (s, k) in ks if k > 0)
-        exact = False
+    exact = alpha is not None
     return IndexReport(
         k_samples=ks,
         beta_upper=float(beta),
@@ -232,72 +235,57 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     )
 
 
-def _default_boyd_candidates():
-    """Decreasing test functions on one edge array: indicators of (0, a] and
-    power profiles t^{-theta} sampled at the right ends of 40 geometric cells,
-    on the union of their edges."""
-    ends = (0.125, 0.5, 1.0, 4.0)
-    profile = np.geomspace(1e-4, 4.0, 40)
-    edges = np.union1d([0.0, *ends], profile)
-    cands = [GridFn(edges, edges[1:] <= a) for a in ends]
-    for theta in (0.2, 0.5, 0.8):
-        sampled = GridFn([0.0, *profile], profile ** -theta)
-        cands.append(GridFn(edges, sampled.value_at(edges[1:])))
-    return tuple(cands)
+def _dilation_pairs(phi, base, kinks, ss):
+    """phi(t) and phi(s t) for each s of ss, one row per s, with t over the
+    shared base grid and then phi's kinks divided by s: (t, phi(t), phi(s t)).
+
+    phi runs once on the shared base, bit-identical to a run per s whenever
+    phi acts elementwise.
+    """
+    ss = ss[:, None]
+    own = kinks / ss
+    shape = (len(ss), len(base))
+    ts = np.concatenate((np.broadcast_to(base, shape), own), axis=1)
+    at_t = np.concatenate((
+        np.broadcast_to(np.asarray(phi(base), dtype=float), shape),
+        np.asarray(phi(own.ravel()), dtype=float).reshape(own.shape)), axis=1)
+    at_st = np.asarray(phi((ss * ts).ravel()), dtype=float).reshape(ts.shape)
+    return ts, at_t, at_st
 
 
-# built once: every report without its own candidates shares them
-_BOYD_CANDIDATES = _default_boyd_candidates()
-
-
-def boyd_upper_lowerbound(spec: NormSpec, candidates=None, s_grid=None) -> IndexReport:
+def boyd_upper_lowerbound(spec: NormSpec, s_grid=None) -> IndexReport:
     """Dilation-norm samples h_X(s) and the upper Boyd index.
 
-    Closed-form families report the exact index; otherwise candidate
-    functions give lower bounds only (flagged, never used to certify a
-    strict inequality downstream).  The candidates share one edge array,
-    and one call to the family's row evaluator returns every candidate's
-    norm and the norms of all its dilations E_{1/s}: column 0 divides the
-    edges by 1, column k + 1 by 1/s_k, exactly as ``dilation`` does.  The
-    sup-M_p families take all candidates in one pass; every other family
-    takes one norm per dilate.
+    Closed-form families report the exact index.  Otherwise indicators,
+    whose norms are the fundamental function, give h(s) >= k(s): the
+    samples are those of ``zippin_upper`` on ``spec.fundamental_phi()``,
+    and ``alpha_lower`` is its fundamental index, a true lower bound for
+    the Boyd index where that index is exact (``beta_exact``).  Flagged,
+    and never used to certify a strict inequality downstream.
     """
-    s_grid = _dilation_factors(s_grid)
+    return _boyd_bounds(spec, _dilation_factors(s_grid), None)
+
+
+def _boyd_bounds(spec, s_grid, z):
+    """``boyd_upper_lowerbound`` on a checked s grid, with z the Zippin
+    report of the fundamental on it (None: computed here if needed)."""
     exact = spec.boyd_alpha_exact()
     if exact is not None:
-        hs = [(float(s), float(s ** exact)) for s in s_grid]
         return IndexReport(
-            h_samples=hs,
+            h_samples=[(float(s), float(s ** exact)) for s in s_grid],
             alpha_lower=float(exact),
             alpha_exact=True,
             lower_bound_only=False,
             note="dilation norm closed form",
         )
-    cands = tuple(_BOYD_CANDIDATES if candidates is None else candidates)
-    if not all(f.is_decreasing() for f in cands):
-        raise ValueError("Boyd candidates must be decreasing GridFns")
-    if len({f.edges.tobytes() for f in cands}) > 1:
-        raise ValueError("Boyd candidates must share one edge array")
-    rows = _FAMILIES[spec.family].rows
-    c = np.concatenate(([1.0], 1.0 / s_grid))
-    vals = rows(cands, spec, c) if cands else np.zeros((0, len(c)))
-    bases = vals[:, 0]
-    usable = (bases > 0) & np.isfinite(bases)
-    if not usable.any():
-        raise ValueError("no candidate with nonzero finite norm")
-    dilated = vals[usable, 1:]
-    ratios = np.where(np.isfinite(dilated), dilated / bases[usable, None], 0.0)
-    best = np.max(ratios, axis=0, initial=0.0)
-    hs = [(float(s), float(h)) for s, h in zip(s_grid, best)]
-    alpha_est = max(
-        math.log(h) / math.log(s) for (s, h) in hs if h > 0
-    )
+    if z is None:
+        z = zippin_upper(spec.fundamental_phi(), s_grid)
     return IndexReport(
-        h_samples=hs,
-        alpha_lower=float(alpha_est),
+        h_samples=z.k_samples,
+        alpha_lower=z.beta_upper,
         alpha_exact=False,
         lower_bound_only=True,
-        note="candidate lower bounds only",
+        note="indicator lower bounds only",
     )
 
 
@@ -306,8 +294,9 @@ def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
     phi = spec.fundamental_phi()
     if phi is None:
         raise ValueError("spec has no computable fundamental function")
+    s_grid = _dilation_factors(s_grid)
     z = zippin_upper(phi, s_grid)
-    b = boyd_upper_lowerbound(spec, s_grid=s_grid)
+    b = _boyd_bounds(spec, s_grid, z)
     return IndexReport(
         k_samples=z.k_samples,
         h_samples=b.h_samples,
@@ -369,22 +358,13 @@ def _m_phi_at(phi, ss):
     """m_phi at every s in ss at once, each over its own grid.
 
     The grid of one s is a shared base (192 geometric points, phi's kinks
-    and 1) joined with phi's kinks divided by s, all within (0, 1].  phi
-    runs once on the shared base, bit-identical to a run per s whenever phi
-    acts elementwise.
+    and 1) joined with phi's kinks divided by s, all within (0, 1].
     """
     kinks = phi.kinks(1e-12, 1.0)
     base = np.unique(np.concatenate((_M_PHI_GRID, kinks, [1.0])))
     base = base[(base > 0) & (base <= 1.0)]
-    ss = ss[:, None]
-    own = kinks / ss
-    ts = np.concatenate((np.broadcast_to(base, (len(ss), len(base))), own), axis=1)
-    num = np.concatenate((
-        np.broadcast_to(np.asarray(phi(base), dtype=float), (len(ss), len(base))),
-        np.asarray(phi(own.ravel()), dtype=float).reshape(own.shape)), axis=1)
-    den = np.asarray(phi((ss * ts).ravel()), dtype=float).reshape(ts.shape)
-    ratios = num / np.maximum(den, 1e-300)
-    return np.max(np.where((ts > 0) & (ts <= 1.0), ratios, -INF), axis=1)
+    ts, at_t, at_st = _dilation_pairs(phi, base, kinks, ss)
+    return np.max(np.where(ts <= 1.0, at_t / np.maximum(at_st, 1e-300), -INF), axis=1)
 
 
 def m_phi_norm(phi: FundamentalFn, p) -> float:
@@ -576,13 +556,12 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         {"beta_upper": beta}, note)
 
     # (ix)  upper Boyd index < 1/p; (c-iv) <= 1/p
-    alpha_exact = spec.boyd_alpha_exact()
-    if alpha_exact is not None:
-        put(["ix"], alpha_exact < 1.0 / p, {"alpha": alpha_exact, "threshold": 1.0 / p},
+    b = _boyd_bounds(spec, _S_GRID, z)
+    if b.alpha_exact:
+        put(["ix"], b.alpha_lower < 1.0 / p, {"alpha": b.alpha_lower, "threshold": 1.0 / p},
             "closed form")
-        put(["c-iv"], alpha_exact <= 1.0 / p + 1e-12, {"alpha": alpha_exact}, "closed form")
+        put(["c-iv"], b.alpha_lower <= 1.0 / p + 1e-12, {"alpha": b.alpha_lower}, "closed form")
     else:
-        b = boyd_upper_lowerbound(spec)
         put(["ix"], None, {"alpha_lower": b.alpha_lower, "threshold": 1.0 / p},
             "lower bounds cannot certify a strict upper-index inequality")
         put(["c-iv"], None, {}, "no closed form for the Boyd index")

@@ -127,8 +127,23 @@ class GridFn:
     def integrals_at(self, ts, power=1.0):
         """Vectorized integral of f^power over (0, t] for each t in ts."""
         ts = np.asarray(ts, dtype=float)
-        return _integrals_rows(self.edges[None], self.values[None], [self.tail], ts,
-                               [len(ts)], power)[0]
+        # an inf value times its positive width is the inf marker of its cell
+        pows = self.values ** power
+        cum = np.concatenate(([0.0], np.cumsum(pows * np.diff(self.edges))))
+        # the rate of each cell, then of the tail beyond the last edge
+        rates = np.append(pows, self.tail ** power if self.tail > 0 else 0.0)
+        i = np.searchsorted(self.edges, ts, side="left") - 1
+        out = np.zeros(len(ts))
+        # t <= 0 stays 0 and never multiplies an inf cell by a zero width; any
+        # other t lies above the left edge of its cell, or above the last edge,
+        # and adds its cell's rate times a positive width to the integral up
+        # to that edge; past the last edge only a positive tail adds, so
+        # t = inf gives the total
+        pos = ts > 0
+        out[pos] = cum[i[pos]]
+        grow = pos & ((i < self.ncells) | (self.tail > 0))
+        out[grow] += rates[i[grow]] * (ts[grow] - self.edges[i[grow]])
+        return out
 
     def has_inf(self):
         return bool(np.any(~np.isfinite(self.values)))
@@ -159,52 +174,6 @@ class GridFn:
             f"values={np.array2string(self.values, precision=6)}, "
             f"tail={self.tail})"
         )
-
-
-def _integrals_rows(edges, values, tails, ts, counts, power):
-    """Integral of f_jk^power over (0, t] at the points of every row k, for
-    every function j: a len(values) x len(ts) array.
-
-    f_jk has the breakpoints ``edges[k]`` (a rows x (cells + 1) array), the
-    values ``values[j]`` (a C-contiguous functions x cells array) and the
-    tail ``tails[j]``.  ``ts`` holds the points of row 0, then row 1, and so
-    on, ``counts[k]`` of them for row k.  The cell search and every gather
-    that depends on the edges and the points alone are made once for all
-    functions.  Each function's cells, cumulative sums and points take the
-    same arithmetic as a GridFn of its own, so every row is bit-identical to
-    ``integrals_at`` on that GridFn.
-    """
-    ncells = values.shape[1]
-    # numpy's array pow rounds contiguous input alike at any length, so the
-    # per-cell powers serve the cells and the points; an inf value times its
-    # positive width is the inf marker of its cell
-    pows = values ** power
-    cells = pows[:, None] * (edges[:, 1:] - edges[:, :-1])
-    # the rate of each cell, then of the tail beyond the last edge
-    rates = np.concatenate((pows, [[tail ** power if tail > 0 else 0.0] for tail in tails]),
-                           axis=1)
-    cum = np.zeros((len(values), len(edges), ncells + 1))
-    np.cumsum(cells, axis=2, out=cum[:, :, 1:])
-    idx = np.empty(len(ts), dtype=np.intp)
-    row = np.empty(len(ts), dtype=np.intp)
-    start = 0
-    for k, n in enumerate(counts):
-        idx[start:start + n] = np.searchsorted(edges[k], ts[start:start + n], side="left")
-        row[start:start + n] = k
-        start += n
-    out = np.zeros((len(values), len(ts)))
-    # t <= 0 stays 0 and never multiplies an inf cell by a zero width; any
-    # other t lies above the left edge of its cell, or above the last edge,
-    # and adds its cell's rate (the tail's beyond the last edge) times a
-    # positive width to the integral up to that edge
-    pos = ts > 0
-    if pos.all():
-        pos = slice(None)
-    i = idx[pos] - 1
-    flat = row[pos] * (ncells + 1) + i
-    out[:, pos] = (np.take(cum.reshape(len(values), -1), flat, axis=1)
-                   + np.take(rates, i, axis=1) * (ts[pos] - edges.ravel()[flat]))
-    return out
 
 
 def indicator_gridfn(measure):
@@ -342,8 +311,8 @@ def gridfn_distribution(f: GridFn, t) -> float:
 def star_star(ustar: GridFn, t) -> float:
     """Elementary maximal function: the running average (1/t) int_0^t u*."""
     t = float(t)
-    if not t > 0:  # NaN too
-        raise ValueError("star_star requires t > 0")
+    if not 0 < t < INF:  # NaN too
+        raise ValueError("star_star requires a finite t > 0")
     s = ustar.integral_to(t)
     if not math.isfinite(s):
         return INF

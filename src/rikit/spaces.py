@@ -8,9 +8,8 @@ with c != 0 against dt/t, which takes panel quadrature as the generic
 pieces (power-log, Orlicz and Lambda^q shapes) do; the psi-majorant is
 generic only where phi is.  Suprema of ``M_p u*(t) phi(t)`` over power and
 affine pieces are attained at piece endpoints, so grid maxima over merged
-breakpoints are exact.  They are taken for one block of functions on one
-edge array in one pass, with the limit at infinity read off the power of an
-unbounded phi there.
+breakpoints are exact.  Each is taken for one function in one array pass,
+with the limit at infinity read off the power of an unbounded phi there.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .rearrange import (
     INF,
     GridFn,
     WeightedSamples,
-    _integrals_rows,
     decreasing_rearrangement,
     indicator_gridfn,
 )
@@ -738,14 +736,6 @@ def _phi_from_dict(d):
 # ---------------------------------------------------------------------------
 
 
-def _dilate_rows(us, spec, c):
-    """The norm of ``GridFn(u.edges / c_k, u.values, u.tail)`` for each u in
-    ``us`` and each edge divisor c_k, one norm call each: a len(us) x len(c)
-    array.  The row evaluator of every family without one of its own."""
-    return np.array([norm(GridFn(u.edges / ck, u.values, u.tail), spec)
-                     for u in us for ck in c]).reshape(len(us), len(c))
-
-
 @dataclass(frozen=True)
 class _Family:
     """Everything that differs between norm families, declared once."""
@@ -762,17 +752,6 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
     # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
-    rows: Callable = _dilate_rows  # (decreasing rearrangements on one edge
-    # array, spec, edge divisors c) -> the norm of each dilate with edges / c_k,
-    # one row per function
-
-
-def _sup_mp_family(p_of, window_hi):
-    """evaluate and rows of a sup-M_p family: the norm is the one function
-    at c = 1."""
-    def rows(us, s, c):
-        return _sup_mp_phi(us, s.phi, p_of(s), window_hi, c)
-    return {"evaluate": lambda u, s: rows((u,), s, _UNIT)[0, 0], "rows": rows}
 
 
 def _family_of(name):
@@ -844,7 +823,7 @@ _FAMILIES = {
         fundamental=_lambda_q_fundamental, boyd=_phi_index),
     "marcinkiewicz": _Family(
         NormSpec.marcinkiewicz, "marc", (), "phi", "M_phi",
-        **_sup_mp_family(lambda s: 1.0, None),
+        lambda u, s: _sup_mp_phi(u, s.phi, 1.0, None),
         ac=_marc_ac, quasi=lambda s: False, lorentz_q=_marc_lorentz_q,
         fundamental=lambda s: s.phi, boyd=_phi_index),
     "weak_marcinkiewicz": _Family(
@@ -856,12 +835,12 @@ _FAMILIES = {
     # (0, 1] iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(
         NormSpec.marcinkiewicz_p, "marc-p", ("p",), "phi", "M^{p:g}_phi",
-        **_sup_mp_family(lambda s: s.p, None),
+        lambda u, s: _sup_mp_phi(u, s.phi, s.p, None),
         ac=lambda s: False, quasi=lambda s: True,
         fundamental=lambda s: psi_majorant_phi(s.phi, s.p), boyd=_phi_index),
     "marcinkiewicz_p_loc": _Family(
         NormSpec.marcinkiewicz_p_loc, "marc-p-loc", ("p",), "phi", "M^{p:g}_phi,loc",
-        **_sup_mp_family(lambda s: s.p, 1.0),
+        lambda u, s: _sup_mp_phi(u, s.phi, s.p, 1.0),
         ac=lambda s: False, quasi=lambda s: True,
         fundamental=lambda s: PsiMajorantPhi(s.phi, s.p), boyd=lambda s: None),
     # no shorthand: the CLI reaches it through a JSON spec file
@@ -1205,9 +1184,7 @@ def _sup_star_phi(ustar, phi):
 
     ``phi`` is evaluated once, on the array of right cell edges.
     """
-    v = ustar.values
-    pv = np.asarray(phi(ustar.edges[1:]), dtype=float)
-    best = float(_masked_sup(v, pv, [0])[0]) if len(v) else 0.0
+    best = _masked_sup(ustar.values, np.asarray(phi(ustar.edges[1:]), dtype=float))
     if ustar.tail > 0:
         top = phi.value_inf()
         if not math.isfinite(top):
@@ -1216,134 +1193,92 @@ def _sup_star_phi(ustar, phi):
     return best
 
 
-def _masked_sup(vals, phis, starts):
-    """Per nonempty run vals[..., starts[k]:starts[k + 1]]: max(0, sup of vals
-    * phis over finite vals), or inf where an infinite val meets phis > 0.
-    Nan products are skipped, as ``max(best, x)`` skips them.  ``phis`` is
-    one row, shared by every row of ``vals``.
+def _masked_sup(vals, phis):
+    """max(0, sup of vals * phis over finite vals), or inf where an infinite
+    val meets phis > 0.  Nan products are skipped, as ``max(best, x)`` skips
+    them.
     """
     finite = np.isfinite(vals)
     if finite.all():
         prods = vals * phis
     else:
         # read only where vals are infinite
-        prods = np.broadcast_to(np.where(phis > 0, INF, 0.0), vals.shape).copy()
-        prods[finite] = vals[finite] * np.broadcast_to(phis, vals.shape)[finite]
-    return np.fmax(np.fmax.reduceat(prods, starts, axis=-1), 0.0)
-
-
-def _mp_rows(values, tails, p, edges, ts, counts):
-    """M_p f(t) = ((1/t) int_0^t f^p)^{1/p} for each function of
-    ``values`` and ``tails`` at the points of each row of edges, laid out
-    as for ``rearrange._integrals_rows``."""
-    ints = _integrals_rows(edges, values, tails, ts, counts, p)
-    with np.errstate(invalid="ignore"):  # 0 / 0 at t = 0; an inf marker stays inf
-        return (ints / ts) ** (1.0 / p)
+        prods = np.where(phis > 0, INF, 0.0)
+        prods[finite] = vals[finite] * phis[finite]
+    return float(np.fmax.reduce(prods, initial=0.0))
 
 
 def _mp_values(ustar, p, ts):
-    """M_p u*(t) at the given points: ``_mp_rows`` on ustar's own edges."""
-    return _mp_rows(ustar.values[None], [ustar.tail], p, ustar.edges[None], ts, [len(ts)])[0]
+    """M_p u*(t) = ((1/t) int_0^t u*^p)^{1/p} at the given points."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 at t = 0; an inf marker stays inf
+        return (ustar.integrals_at(ts, p) / ts) ** (1.0 / p)
 
 
-# the edge divisor of a plain norm: edges / 1.0 is exact
-_UNIT = np.ones(1)
+def _sup_mp_phi(ustar, phi, p, window_hi):
+    """sup over the window of M_p u*(t) phi(t).
 
-
-def _sup_mp_phi(us, phi, p, window_hi, c):
-    """sup over the window of M_p f(t) phi(t), for each f in ``us`` and each
-    edge divisor c_k: a len(us) x len(c) array.
-
-    ``us`` is one block: functions on one edge array, evaluated in one pass,
-    whose points, phi on them and cell search serve every function.  Entry
-    (j, k) is the value for ``GridFn(us[j].edges / c_k, us[j].values,
-    us[j].tail)``, bit for bit, so a norm is the one function at c = 1
-    (``_UNIT``) and the dilations E_{1/s} take c = 1/s in the same array
-    pass.  Exact for power/affine phi.  ``window_hi=None`` is the global
-    norm (sup over t > 0); otherwise the sup runs over (0, window_hi].  It
-    is taken at the points of ``_sup_points``, plus limit candidates.
+    Exact for power/affine phi.  ``window_hi=None`` is the global norm (sup
+    over t > 0); otherwise the sup runs over (0, window_hi].  It is taken at
+    the points of ``_sup_points``, plus the limits at 0 and at infinity.
     """
-    c = np.asarray(c, dtype=float)
-    values = np.array([u.values for u in us])
-    tails = np.array([u.tail for u in us])
-    dilated = us[0].edges[None] / c[:, None]
-    ts, counts, starts = _sup_points(phi, window_hi, dilated)
-    mps = _mp_rows(values, tails, p, dilated, ts, counts.tolist())
-    best = _masked_sup(mps, np.asarray(phi(ts), dtype=float), starts)
+    ts = _sup_points(phi, window_hi, ustar.edges)
+    best = _masked_sup(_mp_values(ustar, p, ts), np.asarray(phi(ts), dtype=float))
     p0 = phi.phi0plus()
     if p0 > 0:
         # limit candidate as t -> 0+ (inf for an inf first value)
-        first = values[:, 0] if values.shape[1] else tails
-        best = np.maximum(best, first[:, None] * p0)
+        first = ustar.values[0] if ustar.ncells else ustar.tail
+        best = max(best, first * p0)
     if window_hi is None:
         # tail behaviour for the global norm
-        lims = _mp_tail_rows(values, tails, p, dilated, phi)
-        best = np.where(np.isfinite(lims), np.maximum(best, lims), INF)
+        lim = _mp_tail(ustar, p, phi)
+        best = max(best, lim) if math.isfinite(lim) else INF
     return best
 
 
 def _sup_points(phi, window_hi, edges):
-    """The points where ``_sup_mp_phi`` takes each row's supremum.
+    """The points where ``_sup_mp_phi`` takes its supremum over the cells
+    with these edges.
 
-    Row k's points are its cell edges, phi's kinks, the window end hi_k and
-    1, kept where they lie in (0, hi_k], plus a geometric grid where phi has
-    a generic piece.  All of them are positive, and duplicates stay, since
-    a maximum ignores them.  Returns the points of row 0, then row 1, and
-    so on, with each row's count and the index where its points start.
+    They are the right cell edges, phi's kinks, the window end hi and 1,
+    kept where they lie in (0, hi], plus a geometric grid where phi has a
+    generic piece.  All of them are positive, and duplicates stay, since a
+    maximum ignores them.
     """
-    rows, ncells = edges.shape[0], edges.shape[1] - 1
-    ends = edges[:, -1]
-    hi = np.maximum(ends, 1.0)
+    end = float(edges[-1])
+    hi = max(end, 1.0)
     if math.isfinite(phi.cap):
-        hi = np.maximum(hi, phi.cap)
-    hi = 2.0 * hi if window_hi is None else np.full(rows, float(window_hi))
-    # kinks are a fixed set cut to (lo, hi), so one call serves every row;
-    # so does one walk over the pieces, up to the farthest reach
-    kinks = phi.kinks(0.0, float(hi.max()))
-    reach = np.maximum(ends, 2.0)
-    start = _generic_start(phi, 1e-12, float(reach.max()))
-    grid = DEFAULT_SUP_POINTS if start < INF else 0
-    ts = np.empty((rows, ncells + len(kinks) + 2 + grid))
-    ts[:, :ncells] = edges[:, 1:]
-    ts[:, ncells:-grid - 2] = kinks
-    ts[:, -grid - 2] = hi
-    ts[:, -grid - 1] = 1.0
-    if grid:
-        lo = np.minimum(edges[:, 1] if ncells else hi, hi) * 1e-6
-        ts[:, -grid:] = np.geomspace(np.maximum(lo, hi * 1e-14), hi, grid, axis=1)
-    keep = ts <= hi[:, None]
-    if grid:
-        keep[reach <= start, -grid:] = False  # rows that end before the generic piece
-    counts = keep.sum(axis=1)
-    return ts[keep], counts, counts.cumsum() - counts
+        hi = max(hi, phi.cap)
+    hi = 2.0 * hi if window_hi is None else float(window_hi)
+    pts = [edges[1:], phi.kinks(0.0, hi), [hi, 1.0]]
+    reach = max(end, 2.0)
+    if _generic_start(phi, 1e-12, reach) < reach:
+        lo = min(edges[1] if len(edges) > 1 else hi, hi) * 1e-6
+        pts.append(np.geomspace(max(lo, hi * 1e-14), hi, DEFAULT_SUP_POINTS))
+    ts = np.concatenate(pts)
+    return ts[ts <= hi]
 
 
-def _mp_tail_rows(values, tails, p, edges, phi):
-    """Limit of M_p f(t) phi(t) as t -> inf (0.0 when it vanishes) for each
-    function of the block and each row of edges: a functions x rows array.
+def _mp_tail(ustar, p, phi):
+    """Limit of M_p u*(t) phi(t) as t -> inf (0.0 when it vanishes).
 
     A positive tail gives tail * phi(inf), approached from above.  Without
-    one, M_p f(t) = (I / t)^{1/p} with I the integral of f^p, so the limit
+    one, M_p u*(t) = (I / t)^{1/p} with I the integral of u*^p, so the limit
     is 0 for a bounded phi and, for phi = c t^alpha at infinity, 0 where
     alpha < 1/p, c I^{1/p} at alpha = 1/p and inf above (0 where I = 0).
-    I sums each row's cells as ``GridFn.total_integral`` does, bit for bit.
     """
     top = phi.value_inf()
-    if math.isfinite(top) or tails.all():
-        return np.broadcast_to((tails * top)[:, None], (len(tails), len(edges)))
+    if math.isfinite(top) or ustar.tail > 0:
+        return ustar.tail * top
     pe = _power_on(phi, (phi.breaks or [0.0])[-1], INF)  # the last piece
     if pe is None:
         raise UnsupportedCombination("M_p over an unbounded shape needs a power at infinity")
     coeff, alpha = pe
-    total = np.sum((values ** p)[:, None] * np.diff(edges), axis=-1)
     if alpha < 1.0 / p:
-        lims = np.zeros_like(total)
-    elif alpha == 1.0 / p:
-        # float_power rounds as a float pow does; an array ** can miss by an ulp
-        lims = coeff * np.float_power(total, 1.0 / p)
-    else:
-        lims = np.where(total > 0, INF, 0.0)
-    return np.where(tails[:, None] > 0, INF, lims)
+        return 0.0
+    total = ustar.total_integral(p)
+    if alpha == 1.0 / p:
+        return coeff * total ** (1.0 / p)
+    return INF if total > 0 else 0.0
 
 
 def _norm_orlicz(ustar, orlicz: OrliczN):

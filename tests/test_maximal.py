@@ -27,7 +27,7 @@ from rikit.maximal import (
     zippin_upper,
 )
 from rikit.metric import MMS, grid_space, path_space, tree_space
-from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement
+from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement, star_star
 from rikit.spaces import (
     FundamentalFn,
     NormSpec,
@@ -84,6 +84,26 @@ def test_maximal_decreasing_power_constant():
 def test_maximal_decreasing_divergent():
     f = GridFn([0.0, 1.0], [INF])
     assert maximal_decreasing(f, 2, 0.5) == INF
+
+
+@pytest.mark.parametrize("op", [
+    lambda u, t: star_star(u, t),
+    lambda u, t: maximal_decreasing(u, 2, t),
+    lambda u, t: hardy(0.5, u, t),
+    lambda u, t: hardy(0.5, GridFn(u.edges, u.values, 0.5), t),
+], ids=["star_star", "maximal_decreasing", "hardy", "hardy-tail"])
+def test_half_line_operators_need_a_finite_t(op):
+    # t = inf read nan or inf, with a RuntimeWarning from maximal_decreasing;
+    # the integral up to inf is the total, with or without a tail
+    u = GridFn([0, 1, 2], [3, 1])
+    assert u.integral_to(INF) == u.total_integral() == 4.0
+    assert u.integral_to(INF, 2.0) == u.total_integral(2.0) == 10.0
+    tailed = GridFn([0, 1, 2], [3, 1], 0.5)
+    assert tailed.integral_to(INF) == tailed.total_integral() == INF
+    for t in (INF, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            op(u, t)
+    assert op(u, 1.5) > 0
 
 
 # -- metric maximal -----------------------------------------------------------
@@ -270,13 +290,16 @@ def test_zippin_sampled_estimate_bounds():
 
 
 def _zippin_loop(phi, s_grid):
-    # phi(s t) on the grid of t, one s at a time
+    # phi(s t) on the grid of t and on phi's kinks over s, one s at a time
     hi = phi.cap if math.isfinite(phi.cap) else 1e4
-    tg = np.unique(np.concatenate((
+    grid = np.unique(np.concatenate((
         geometric_grid(1e-10, max(hi * 4, 1.0), 512), phi.kinks(1e-10, max(hi * 4, 1.0)))))
-    den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
-    return [(float(s), float(np.max(np.asarray(phi(s * tg), dtype=float) / den)))
-            for s in s_grid]
+    out = []
+    for s in s_grid:
+        tg = np.concatenate((grid, np.asarray(phi.breaks) / s))
+        den = np.maximum(np.asarray(phi(tg), dtype=float), 1e-300)
+        out.append((float(s), float(np.max(np.asarray(phi(s * tg), dtype=float) / den))))
+    return out
 
 
 @pytest.mark.parametrize("phi", [
@@ -298,13 +321,13 @@ def test_boyd_closed_forms():
 
 
 def test_boyd_candidate_lower_bound_weak_marc():
+    # the indicators are the candidates: h(s) >= k(s) = s here, phi = t up to 1
     spec = NormSpec.weak_marcinkiewicz(FundamentalFn.sampled([1.0], [1.0]))
-    cands = [GridFn([0.0, 1.0], [1.0])]
-    rep = boyd_upper_lowerbound(spec, candidates=cands, s_grid=[2.0, 8.0])
+    rep = boyd_upper_lowerbound(spec, s_grid=[2.0, 8.0])
     assert rep.lower_bound_only
-    # h(s) >= phi(s)/phi(1) is capped here; ratios must still be >= 1
     for s, h in rep.h_samples:
-        assert h >= 1.0 - 1e-12
+        assert h == pytest.approx(s, rel=1e-12)
+    assert rep.alpha_lower == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("s_grid", [[1.0], [0.5, 2.0], [2.0, math.nan], [math.inf]])
@@ -328,22 +351,68 @@ def test_index_reports_reject_an_empty_s_grid(spec):
         indices_report(spec, s_grid=[])
 
 
-def test_boyd_rejects_zero_candidates():
-    spec = NormSpec.weak_marcinkiewicz(FundamentalFn.sampled([1.0], [1.0]))
-    with pytest.raises(ValueError):
-        boyd_upper_lowerbound(spec, candidates=[GridFn([0.0, 1.0], [0.0])])
+# every family over shapes with and without a closed-form Boyd index
+_BOYD_SHAPES = {
+    "powerlog(0.5,1)": FundamentalFn.power_log(0.5, 1.0),
+    "powerlog(0.4,-1,cap 3)": FundamentalFn.power_log(0.4, -1.0, cap=3.0),
+    "sampled": FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]),
+    "power(0.5,2,cap 3)": FundamentalFn.power(0.5, 2.0, 3.0),
+    "power(0.3)": FundamentalFn.power(0.3),
+}
+BOYD_SPECS = {
+    "lp(2)": NormSpec.lp(2.0),
+    "lorentz(3,2)": NormSpec.lorentz(3.0, 2.0),
+    "lorentz_weak(2)": NormSpec.lorentz_weak(2.0),
+    "orlicz([1,2],[1,4])": NormSpec.orlicz_lux(OrliczN([1, 2], [1, 4])),
+    "max(lp(2),lambda(powerlog))": NormSpec.intersection_max(
+        NormSpec.lp(2.0), NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0))),
+    **{f"{fam}({k})": make(phi) for k, phi in _BOYD_SHAPES.items() for fam, make in [
+        ("lambda", NormSpec.lambda_phi), ("lambda_q", lambda f: NormSpec.lambda_q(f, 2.0)),
+        ("marc", NormSpec.marcinkiewicz), ("weak_marc", NormSpec.weak_marcinkiewicz),
+        ("marc_p", lambda f: NormSpec.marcinkiewicz_p(f, 2.0)),
+        ("marc_p_loc", lambda f: NormSpec.marcinkiewicz_p_loc(f, 3.0))]},
+}
 
 
-@pytest.mark.parametrize("spec", [
-    NormSpec.marcinkiewicz_p(FundamentalFn.power_log(0.5, 1.0), 2.0),
-    NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0)),
-], ids=["sup-M_p", "norm-per-dilate"])
-def test_boyd_candidates_are_one_nonempty_block(spec):
-    two_edge_arrays = [GridFn([0.0, 1.0], [1.0]), GridFn([0.0, 2.0], [1.0])]
-    with pytest.raises(ValueError, match="share one edge array"):
-        boyd_upper_lowerbound(spec, candidates=two_edge_arrays)
-    with pytest.raises(ValueError, match="no candidate with nonzero finite norm"):
-        boyd_upper_lowerbound(spec, candidates=[])
+@pytest.mark.parametrize("name", list(BOYD_SPECS))
+def test_boyd_bounds_without_a_closed_form_are_the_fundamental_ones(name):
+    # without a closed form the indicators give the bounds: h(s) = k(s) and
+    # alpha_lower = beta_upper, flagged as lower bounds
+    spec = BOYD_SPECS[name]
+    rep = indices_report(spec)
+    if spec.boyd_alpha_exact() is not None:
+        assert rep.alpha_exact and not rep.lower_bound_only
+        return
+    assert rep.h_samples == rep.k_samples
+    assert rep.alpha_lower == rep.beta_upper
+    assert rep.lower_bound_only and not rep.alpha_exact
+    assert rep.note.endswith("indicator lower bounds only")
+    assert boyd_upper_lowerbound(spec).to_dict() == {
+        **rep.to_dict(), "k_samples": [], "beta_upper": None, "beta_exact": False,
+        "note": "indicator lower bounds only"}
+
+
+def _brute_zippin(phi, s):
+    """sup_t phi(st) / phi(t) over phi's kinks, the kinks over s and 2e5
+    log-spaced points, then over 2e4 points between the best one's neighbours."""
+    pts = np.unique(np.concatenate((np.asarray(phi.breaks), np.asarray(phi.breaks) / s,
+                                    np.geomspace(1e-14, 1e6, 200_000))))
+    ratio = np.asarray(phi(s * pts)) / np.asarray(phi(pts))
+    i = int(np.argmax(ratio))
+    zoom = np.linspace(pts[max(i - 1, 0)], pts[min(i + 1, len(pts) - 1)], 20_000)
+    return max(float(ratio[i]), float(np.max(np.asarray(phi(s * zoom)) / np.asarray(phi(zoom)))))
+
+
+@pytest.mark.parametrize("phi", [
+    FundamentalFn.power_log(a, b, cap=cap)
+    for a, b in [(0.3, -1.0), (0.5, -0.5), (0.7, -2.0), (0.4, -0.1)]
+    for cap in (INF, 3.0, 0.05)
+], ids=lambda phi: f"powerlog({phi.alpha},{phi.beta},cap {phi.cap})")
+def test_zippin_tops_where_st_meets_a_kink(phi):
+    # for beta < 0, phi(st) / phi(t) grows until st reaches the switch point
+    # or the cap, so k(s) sits at a kink over s, off any fixed grid
+    for s, k in zippin_upper(phi).k_samples:
+        assert k == pytest.approx(_brute_zippin(phi, s), rel=1e-12)
 
 
 def test_an_uncapped_orlicz_shape_has_the_exact_boyd_index_one():
@@ -770,8 +839,8 @@ def index_report_dict(name):
 @pytest.mark.parametrize("name", list(INDEX_SPECS))
 def test_indices_reports_match_golden(name):
     # recorded before the sup-type norms lost their per-point loops; the M^p
-    # entries since psi is built from phi's pieces; the swept h_samples and
-    # alpha_lower since the Boyd candidates share one edge array
+    # entries since psi is built from phi's pieces; h_samples, alpha_lower and
+    # the note since the indicators give the Boyd lower bounds
     golden = json.loads(INDEX_GOLDEN.read_text())
     assert set(INDEX_SPECS) == set(golden)
     assert index_report_dict(name) == golden[name]

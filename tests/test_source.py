@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -82,37 +83,18 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 
 
 def test_sup_norms_have_no_python_loops():
-    # the sup-type norms take their supremum with numpy, not per point: the
-    # M_p supremum takes one block of functions on one edge array in one
-    # pass, and its limit at infinity is one array expression over the block;
-    # only the block's functions ``us`` are read one by one, into arrays
+    # the sup-type norms take their supremum with numpy, not per point, and
+    # the limit of the M_p supremum at infinity is read off one total
     tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
-    names = {"_sup_mp_phi", "_mp_tail_rows", "_sup_star_phi"}
+    names = {"_sup_mp_phi", "_mp_tail", "_sup_star_phi"}
     bodies = {top.name: top for top in tree.body
               if isinstance(top, ast.FunctionDef) and top.name in names}
     assert set(bodies) == names
     loops = [(name, node.lineno) for name, fn in bodies.items()
-             for node in ast.walk(fn) if isinstance(node, _LOOPS)
-             and not all(getattr(gen.iter, "id", None) == "us"
-                         for gen in getattr(node, "generators", [None]))]
+             for node in ast.walk(fn) if isinstance(node, _LOOPS)]
     assert not loops, f"loops at {loops}"
     defined = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
     assert not defined & {"_edge_groups", "_unbounded_tail"}
-
-
-def test_boyd_sweep_makes_one_row_call():
-    # every candidate and every dilation go to the row evaluator in one call:
-    # no rows(...) call runs once per candidate
-    tree = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
-    fn = next(top for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == "boyd_upper_lowerbound")
-    calls = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "rows"]
-    assert len(calls) == 1
-    looped = [node.lineno for loop in ast.walk(fn) if isinstance(loop, _LOOPS)
-              for part in _per_iteration(loop) for node in ast.walk(part)
-              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rows"]
-    assert not looped, f"rows called per iteration at {looped}"
 
 
 def _maximal_function(name):
@@ -121,12 +103,19 @@ def _maximal_function(name):
                 if isinstance(top, ast.FunctionDef) and top.name == name)
 
 
-def test_every_family_has_a_row_evaluator():
-    # the Boyd sweep has one path: every family's rows, sup-M_p or one norm
-    # per dilate, and boyd_upper_lowerbound neither calls norm nor dilates
-    assert all(callable(fam.rows) for fam in _FAMILIES.values())
-    names = set(_references(_maximal_function("boyd_upper_lowerbound")))
-    assert not names & {"norm", "dilation"}
+def test_boyd_bounds_read_the_fundamental_function():
+    # without a closed form the Boyd report reads the indicator bounds off
+    # the fundamental function: it evaluates no norm and dilates nothing,
+    # and no family carries a row evaluator for a candidate sweep
+    names = set()
+    for fn in ("boyd_upper_lowerbound", "_boyd_bounds"):
+        names |= set(_references(_maximal_function(fn)))
+    assert not names & {"norm", "dilation", "rows"}
+    assert "rows" not in {f.name for f in fields(_Family)}
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    named = {name for tree in trees for name in (*_references(tree), *_definitions(tree))}
+    assert not named & {"_BOYD_CANDIDATES", "_default_boyd_candidates", "_dilate_rows",
+                        "_integrals_rows", "_mp_rows", "_mp_tail_rows", "_sup_mp_family"}
 
 
 def test_criterion_B_and_the_coherence_check_have_no_dead_loops():

@@ -16,13 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rikit.maximal as maximal
 import rikit.spaces as spaces
 from rikit.errors import UnsupportedCombination
 from rikit.maximal import boyd_upper_lowerbound, density_criteria_report, dilation, indices_report
 from rikit.rearrange import GridFn
 from rikit.spaces import (
-    _FAMILIES,
     DEFAULT_SUP_POINTS,
     INF,
     FundamentalFn,
@@ -86,8 +84,7 @@ def loop_sup_mp_phi(ustar, phi, p, window_hi=None):
 
 
 def loop_mp_tail(ustar, phi, p):
-    """The per-function limit of M_p u*(t) phi(t) as t -> inf that the
-    block's array expression replaced."""
+    """The limit of M_p u*(t) phi(t) as t -> inf, case by case."""
     top = phi.value_inf()
     if ustar.tail > 0:
         return ustar.tail * top if math.isfinite(top) else INF
@@ -191,7 +188,7 @@ def within_ulps(a, b, n):
        window=st.sampled_from([None, 0.05, 0.5, 1.0, 7.0]))
 def test_sup_mp_phi_matches_loop_bitwise(u, shape, p, window):
     phi = SHAPES[shape]
-    assert same_bits(_sup_mp_phi((u,), phi, p, window, [1.0])[0, 0],
+    assert same_bits(_sup_mp_phi(u, phi, p, window),
                      loop_sup_mp_phi(u, phi, p, window))
 
 
@@ -219,7 +216,7 @@ def test_corner_cases_match_loops(shape):
     for u in CORNER_CASES:
         assert same_bits(_sup_star_phi(u, phi), loop_sup_star_phi(u, phi, on_array=True))
         for window in (None, 0.25, 4.0):
-            assert same_bits(_sup_mp_phi((u,), phi, 2.0, window, [1.0])[0, 0],
+            assert same_bits(_sup_mp_phi(u, phi, 2.0, window),
                              loop_sup_mp_phi(u, phi, 2.0, window))
 
 
@@ -304,7 +301,7 @@ def test_lambda_q_power_log_density_report_finishes():
     assert set(rep.to_dict()["conditions"]) >= {"i", "ix"}
 
 
-# -- every dilation in one pass -----------------------------------------------------
+# -- dilations and the Boyd bounds ------------------------------------------------
 
 # the three sup-M_p families: (constructor from phi and p, window of the supremum)
 ROW_FAMILIES = {
@@ -341,17 +338,11 @@ def row_gridfns(draw):
     return GridFn(np.concatenate(([0.0], np.cumsum(widths))), vals, tail)
 
 
-def row_spec(family, shape, p):
-    make, window = ROW_FAMILIES[family]
-    spec = make(ROW_SHAPES[shape], p)
-    return spec, (1.0 if family == "marcinkiewicz" else p), window
-
-
 @settings(max_examples=150, deadline=None)
 @given(f=row_gridfns(), family=st.sampled_from(sorted(ROW_FAMILIES)),
        shape=st.sampled_from(sorted(ROW_SHAPES)), p=st.sampled_from([1.0, 1.05, 2.0, 3.0]),
        s_grid=_S_GRIDS)
-# the supremum sits at the cap, a kink of phi, on every row
+# the supremum sits at the cap, a kink of phi, on every dilate
 @example(f=GridFn([0.0, 1.0], [1.0]), family="marcinkiewicz_p", shape="power(0.5,2,cap 3)",
          p=3.0, s_grid=[1.5, 2.0])
 # strided values: pow on them rounds one cell a last ulp apart
@@ -359,130 +350,14 @@ def row_spec(family, shape, p):
                   np.array([1.4, 4.4, 6.6])[::-1]),
          family="marcinkiewicz_p", shape="power(0.5,2,cap 3)", p=3.0, s_grid=[2.0])
 def test_rows_match_norm_of_each_dilation(f, family, shape, p, s_grid):
-    spec, p_used, window = row_spec(family, shape, p)
-    c = [1.0] + [float(1.0 / s) for s in s_grid]
-    rows = _FAMILIES[family].rows((f,), spec, c)[0]
-    assert len(rows) == len(c)
-    assert same_bits(rows[0], norm(f, spec))
-    for s, got in zip(s_grid, rows[1:]):
-        dilate = dilation(f, 1.0 / s)
-        assert same_bits(got, norm(dilate, spec))
-        assert same_bits(got, loop_sup_mp_phi(dilate, spec.phi, p_used, window))
-
-
-@st.composite
-def shared_edge_gridfns(draw, edges):
-    """Decreasing GridFns on the given edges: inf first cells, zeros, tails."""
-    n = len(edges) - 1
-    vals = sorted(draw(st.lists(_MAGNITUDES | st.just(0.0), min_size=n, max_size=n)),
-                  reverse=True)
-    if n and draw(st.booleans()):
-        vals[0] = INF
-    tail = 0.0
-    if n and draw(st.booleans()) and vals[-1] > 0:
-        tail = min(vals[-1], draw(_MAGNITUDES))
-    return GridFn(edges, vals, tail)
-
-
-@st.composite
-def row_gridfn_lists(draw, max_size=4):
-    """1 to max_size decreasing GridFns on one edge array: each after the
-    first shares the first one's edges with values and a tail of its own,
-    or is the zero function on them."""
-    first = draw(row_gridfns())
-    fns = [first]
-    for _ in range(draw(st.integers(0, max_size - 1))):
-        if draw(st.booleans()):
-            fns.append(draw(shared_edge_gridfns(first.edges)))
-        else:
-            fns.append(GridFn(first.edges, np.zeros(first.ncells)))
-    return draw(st.permutations(fns))
-
-
-# the default candidates, a sibling of the power profiles with an inf first
-# value and a tail, and the zero function on their edges
-_SIBLING = GridFn(maximal._BOYD_CANDIDATES[-1].edges,
-                  [INF, *maximal._BOYD_CANDIDATES[-1].values[1:]], 0.25)
-_MIXED = [*maximal._BOYD_CANDIDATES, _SIBLING, GridFn(_SIBLING.edges, np.zeros(_SIBLING.ncells))]
-
-
-@settings(max_examples=150, deadline=None)
-@given(us=row_gridfn_lists(), family=st.sampled_from(sorted(ROW_FAMILIES)),
-       shape=st.sampled_from(sorted(ROW_SHAPES)), p=st.sampled_from([1.0, 1.05, 2.0, 3.0]),
-       s_grid=_S_GRIDS)
-@example(us=_MIXED, family="marcinkiewicz_p_loc", shape="powerlog(0.4,1)", p=2.0,
-         s_grid=[2.0, 64.0, 4096.0])
-@example(us=_MIXED, family="marcinkiewicz", shape="power(0.5,2,cap 3)", p=1.0,
-         s_grid=[1.5, 300.0])
-@example(us=_MIXED, family="marcinkiewicz_p", shape="power(0)", p=3.0, s_grid=[2.0])
-# the window reaches past a short support, where each tail counts
-@example(us=[GridFn([0.0, 0.1, 0.3], [2.0, 1.0], 0.5), GridFn([0.0, 0.1, 0.3], [3.0, 1.0]),
-             GridFn([0.0, 0.1, 0.3], [INF, 0.8], 0.8)],
-         family="marcinkiewicz_p_loc", shape="power(0.5)", p=2.0, s_grid=[1.5])
-def test_rows_of_many_functions_match_each_alone(us, family, shape, p, s_grid):
-    # the functions of a block share one pass; each row must still be the
-    # function's own, bit for bit
-    spec = row_spec(family, shape, p)[0]
-    rows = _FAMILIES[family].rows
-    c = [1.0] + [float(1.0 / s) for s in s_grid]
-    got = rows(us, spec, c)
-    assert got.shape == (len(us), len(c))
-    for f, row in zip(us, got):
-        assert [x.hex() for x in row] == [x.hex() for x in rows((f,), spec, c)[0]]
-        assert same_bits(row[0], norm(f, spec))
-        for s, x in zip(s_grid, row[1:]):
-            assert same_bits(x, norm(dilation(f, 1.0 / s), spec))
-
-
-def loop_boyd(spec, candidates, s_grid):
-    """The per-dilation loop that the row evaluator replaced in the Boyd sweep."""
-    usable = []
-    for f in candidates:
-        if not f.is_decreasing():
-            raise ValueError("Boyd candidates must be decreasing GridFns")
-        base = norm(f, spec)
-        if base > 0 and math.isfinite(base):
-            usable.append((f, base))
-    if not usable:
-        raise ValueError("no candidate with nonzero finite norm")
-    hs = []
+    # the norm of f and of each dilate E_{1/s} f is the per-point loop's, bit for bit
+    make, window = ROW_FAMILIES[family]
+    spec = make(ROW_SHAPES[shape], p)
+    p_used = 1.0 if family == "marcinkiewicz" else p
+    assert same_bits(norm(f, spec), loop_sup_mp_phi(f, spec.phi, p_used, window))
     for s in s_grid:
-        best = 0.0
-        for f, base in usable:
-            val = norm(dilation(f, 1.0 / s), spec)
-            if math.isfinite(val):
-                best = max(best, val / base)
-        hs.append((float(s), best))
-    return hs, max(math.log(h) / math.log(s) for (s, h) in hs if h > 0)
-
-
-def report_or_error(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
-@settings(max_examples=100, deadline=None)
-@given(cands=row_gridfn_lists(max_size=3),
-       family=st.sampled_from(sorted(ROW_FAMILIES)),
-       shape=st.sampled_from(sorted(ROW_SHAPES)), p=st.sampled_from([1.0, 1.05, 2.0, 3.0]),
-       s_grid=_S_GRIDS)
-# the default candidates: different ones give the largest ratio at different s
-@example(cands=list(maximal._BOYD_CANDIDATES), family="marcinkiewicz_p_loc",
-         shape="powerlog(0.4,1)", p=2.0, s_grid=[2.0, 64.0, 4096.0])
-def test_boyd_sweep_matches_per_dilation_loop(cands, family, shape, p, s_grid):
-    spec = row_spec(family, shape, p)[0]
-    if spec.boyd_alpha_exact() is not None:
-        return  # a closed form: no candidate is evaluated
-    want = report_or_error(loop_boyd, spec, cands, s_grid)
-    rep = report_or_error(boyd_upper_lowerbound, spec, cands, s_grid)
-    if isinstance(want, tuple) and want[0] == "ValueError":
-        assert rep == want
-        return
-    hs, alpha = want
-    assert [(s, h.hex()) for s, h in rep.h_samples] == [(s, h.hex()) for s, h in hs]
-    assert rep.alpha_lower.hex() == alpha.hex()
+        dilate = dilation(f, 1.0 / s)
+        assert same_bits(norm(dilate, spec), loop_sup_mp_phi(dilate, spec.phi, p_used, window))
 
 
 @pytest.mark.parametrize("spec", [
@@ -492,35 +367,71 @@ def test_boyd_sweep_matches_per_dilation_loop(cands, family, shape, p, s_grid):
     NormSpec.intersection_max(NormSpec.lp(2.0), NormSpec.lorentz(3.0, 1.0)),
 ], ids=lambda spec: spec.describe())
 def test_one_norm_per_dilate_matches_the_per_dilation_loop(spec):
-    # families without a sup-M_p row evaluator take one norm per dilate in
-    # the same sweep; its rows must be the loop's dilations, bit for bit
-    cands, s_grid = maximal._BOYD_CANDIDATES, [1.5, 7.0, 300.0]
-    hs, alpha = loop_boyd(spec, cands, s_grid)
-    rep = boyd_upper_lowerbound(spec, cands, s_grid)
-    assert [(s, h.hex()) for s, h in rep.h_samples] == [(s, h.hex()) for s, h in hs]
-    assert rep.alpha_lower.hex() == alpha.hex()
+    # h(s) is read off the fundamental function; the same ratios taken one
+    # norm per dilated indicator, at every 8th point of the report's grid and
+    # at the best one, must agree with it
+    phi = spec.fundamental_phi()
+    hi = phi.cap if math.isfinite(phi.cap) else 1e4
+    grid = phi.eval_grid(1e-10, max(hi * 4, 1.0), 512)
+    for s, h in boyd_upper_lowerbound(spec, [1.5, 7.0, 300.0]).h_samples:
+        pts = np.concatenate((grid, phi.kinks(0.0, INF) / s))
+        best = pts[np.argmax(np.asarray(phi(s * pts)) / np.asarray(phi(pts)))]
+        loop = max(norm(dilation(GridFn([0.0, t], [1.0]), 1.0 / s), spec)
+                   / norm(GridFn([0.0, t], [1.0]), spec) for t in [*pts[::8], best])
+        assert loop == pytest.approx(h, rel=1e-9)
 
 
 def test_boyd_sweep_keeps_dilations_away_from_norm(monkeypatch):
-    # one row evaluation per report, carrying every default candidate and all
-    # 1 + 12 divisors, and no dilate reaches norm: the sweep once made
-    # 7 x (1 + 12) norm calls per report, and then one row call per candidate
-    seen, row_calls = [], []
-    real_norm, real_rows = spaces.norm, spaces._sup_mp_phi
+    # the Boyd bounds come from the fundamental function alone: no function
+    # and no dilate reaches norm or the sup-M_p evaluator
+    calls = []
 
-    def counting_norm(u, spec):
-        seen.append(u)
-        return real_norm(u, spec)
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
 
-    def counting_rows(us, phi, p, window_hi, c):
-        row_calls.append((tuple(us), len(c)))
-        return real_rows(us, phi, p, window_hi, c)
+    monkeypatch.setattr(spaces, "norm", counting("norm", spaces.norm))
+    monkeypatch.setattr(spaces, "_sup_mp_phi", counting("_sup_mp_phi", spaces._sup_mp_phi))
+    rep = indices_report(NormSpec.marcinkiewicz_p(FundamentalFn.power_log(0.5, 1.0), 2.0))
+    assert rep.lower_bound_only and calls == []
 
-    monkeypatch.setattr(spaces, "norm", counting_norm)
-    monkeypatch.setattr(spaces, "_sup_mp_phi", counting_rows)
-    indices_report(NormSpec.marcinkiewicz_p(FundamentalFn.power_log(0.5, 1.0), 2.0))
-    cands = maximal._BOYD_CANDIDATES
-    dilates = [f.edges / float(1.0 / s) for f in cands for s in maximal._S_GRID]
-    assert not any(isinstance(u, GridFn) and len(u.edges) == len(d)
-                   and np.array_equal(u.edges, d) for u in seen for d in dilates)
-    assert row_calls == [(cands, 1 + len(maximal._S_GRID))]
+
+# shapes where every piece is a power, a constant or affine: there the
+# report's k(s) is sup_t phi(st) / phi(t) itself
+EXACT_K_SHAPES = {
+    "sampled": FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5]),
+    "sampled(cap 4)": FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8, 1.0, 1.5], cap=4.0),
+    "sampled(5 nodes)": FundamentalFn.sampled([0.1, 0.3, 1.0, 5.0, 9.0],
+                                              [0.2, 0.4, 0.6, 1.0, 1.1]),
+    "power(0.5,2,cap 3)": FundamentalFn.power(0.5, 2.0, 3.0),
+    "power(0.3,cap 0.5)": FundamentalFn.power(0.3, 1.0, 0.5),
+    "power(0.8,cap 20)": FundamentalFn.power(0.8, 0.5, 20.0),
+}
+H_EQUALS_K = {
+    "lambda_phi": NormSpec.lambda_phi,
+    "marcinkiewicz": NormSpec.marcinkiewicz,
+    "weak_marcinkiewicz": NormSpec.weak_marcinkiewicz,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=row_gridfns(), family=st.sampled_from(sorted(H_EQUALS_K)),
+       shape=st.sampled_from(sorted(EXACT_K_SHAPES)), s=st.floats(1.0, 5000.0, exclude_min=True))
+# short supports, where phi(st) / phi(t) tops between the points that the
+# old candidate sweep read h(s) off: it read h(8) 1.6 times too low for M_phi
+@example(f=GridFn([0.0, 0.05], [1.0]), family="marcinkiewicz", shape="sampled", s=8.0)
+@example(f=GridFn([0.0, 0.0455, 0.2122], [5.77, 0.33]), family="lambda_phi",
+         shape="sampled", s=8.0)
+@example(f=GridFn([0.0, 0.0358], [4.75]), family="lambda_phi", shape="power(0.8,cap 20)",
+         s=512.0)
+def test_dilation_norms_stay_below_the_reported_h(f, family, shape, s):
+    # for Lambda_phi, M_phi and M*_phi the dilation norm h(s) is k_phi(s)
+    # exactly, so the report's h bounds every decreasing function's dilate
+    spec = H_EQUALS_K[family](EXACT_K_SHAPES[shape])
+    ((_, h),) = boyd_upper_lowerbound(spec, [s]).h_samples
+    base = norm(f, spec)
+    if not (0 < base < INF):
+        return
+    assert norm(dilation(f, 1.0 / s), spec) <= h * base * (1 + 1e-12)

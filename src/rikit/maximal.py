@@ -4,9 +4,9 @@ boundedness criteria behind the Lipschitz-density verdicts.
 Half-line operators act on decreasing GridFns with exact cell calculus, at
 finite t > 0; the metric-space maximal operator enumerates the O(n^2)
 distinct balls by brute force.  Index estimates are labelled exact or not;
-without a closed form, the Boyd bounds are those of the fundamental
-function, which indicators attain.  The criteria report certifies an index
-inequality from exact indices only.  Powers of a shape are integrated over
+without a closed form, the Boyd bounds are those of the norms of
+indicators.  The criteria report certifies an index inequality from exact
+indices only.  Powers of a shape are integrated over
 its pieces in spaces._power_integral_rows alone, and its power behaviour
 (near zero, on (0, x), the exact Zippin index) is read off its pieces in
 spaces alone: this module dispatches on no shape.
@@ -156,8 +156,9 @@ class IndexReport:
     give it (``beta_exact``), otherwise a grid estimate that bounds the
     true index from neither side.  ``alpha_lower`` is the exact upper Boyd
     index where a closed form applies (``alpha_exact``).  Otherwise the
-    indicators give the bounds: ``h_samples`` are the ``k_samples``, and
-    ``alpha_lower`` is ``beta_upper``, a lower bound where ``beta_exact``.
+    indicators give the bounds: ``h_samples`` are k(s) of their norms (the
+    ``k_samples``, but on M^p, whose fundamental shape majorizes them), and
+    ``alpha_lower`` is their fundamental index, a lower bound where exact.
     """
 
     k_samples: list = field(default_factory=list)
@@ -258,17 +259,20 @@ def boyd_upper_lowerbound(spec: NormSpec, s_grid=None) -> IndexReport:
 
     Closed-form families report the exact index.  Otherwise indicators,
     whose norms are the fundamental function, give h(s) >= k(s): the
-    samples are those of ``zippin_upper`` on ``spec.fundamental_phi()``,
-    and ``alpha_lower`` is its fundamental index, a true lower bound for
-    the Boyd index where that index is exact (``beta_exact``).  Flagged,
-    and never used to certify a strict inequality downstream.
+    samples are those of ``zippin_upper`` on the norms of indicators
+    (``spec.fundamental_phi()``, or the family's ``indicator`` shape where
+    that is a majorant), and ``alpha_lower`` is their fundamental index, a
+    true lower bound for the Boyd index where that index is exact
+    (``beta_exact``) and a grid estimate otherwise.  Flagged, and never
+    used to certify a strict inequality downstream.
     """
     return _boyd_bounds(spec, _dilation_factors(s_grid), None)
 
 
 def _boyd_bounds(spec, s_grid, z):
     """``boyd_upper_lowerbound`` on a checked s grid, with z the Zippin
-    report of the fundamental on it (None: computed here if needed)."""
+    report of ``spec.fundamental_phi()`` on it (None: computed here if
+    needed; unread where the family names an ``indicator`` shape)."""
     exact = spec.boyd_alpha_exact()
     if exact is not None:
         return IndexReport(
@@ -278,14 +282,16 @@ def _boyd_bounds(spec, s_grid, z):
             lower_bound_only=False,
             note="dilation norm closed form",
         )
-    if z is None:
-        z = zippin_upper(spec.fundamental_phi(), s_grid)
+    shape = _FAMILIES[spec.family].indicator(spec)
+    if shape is not None or z is None:
+        z = zippin_upper(spec.fundamental_phi() if shape is None else shape, s_grid)
     return IndexReport(
         h_samples=z.k_samples,
         alpha_lower=z.beta_upper,
         alpha_exact=False,
         lower_bound_only=True,
-        note="indicator lower bounds only",
+        note="indicator lower bounds only" + ("" if z.beta_exact else
+                                              "; alpha_lower a grid estimate"),
     )
 
 

@@ -403,35 +403,35 @@ class SampledPhi(FundamentalFn):
 
 
 class PsiMajorantPhi(FundamentalFn):
-    """psi(t) = t^{1/p} sup_{t<=s<=1} phi(s)/s^{1/p}, held at phi(1) past 1:
-    the fundamental function of M^p_{phi,loc}.
+    """psi(t) = t^{1/p} sup_{t<=s<=hi} phi(s)/s^{1/p}, held at phi(hi) past
+    hi: the fundamental function of M^p_{phi,loc} at hi = 1.
 
     The supremum runs over t and the candidates above it: phi's kinks, its
-    ``peaks(1/p)`` and 1.  Between two candidates where phi is c t^alpha or
+    ``peaks(1/p)`` and hi.  Between two candidates where phi is c t^alpha or
     a constant, psi is the larger of it and the best later ratio times
-    t^{1/p}, cut where they cross; every other piece below 1 is generic.
+    t^{1/p}, cut where they cross; every other piece below hi is generic.
     """
 
-    def __init__(self, phi: FundamentalFn, p):
+    def __init__(self, phi: FundamentalFn, p, hi=1.0):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.phi = phi
         self.p = float(p)
         r = 1.0 / self.p
-        cands = np.array(_breaks([*phi.kinks(0.0, 1.0), *(x for x in phi.peaks(r) if x < 1.0),
-                                  1.0]))
+        cands = np.array(_breaks([*phi.kinks(0.0, hi), *(x for x in phi.peaks(r) if x < hi),
+                                  hi]))
         ratios = np.asarray(phi(cands), dtype=float) / cands ** r
         self._cands = cands
         self._best = np.maximum.accumulate(ratios[::-1])[::-1]  # at or above each candidate
-        self._top = float(phi(1.0))
-        self.cap = min(phi.cap, 1.0)
+        self._top = float(phi(hi))
+        self.cap = min(phi.cap, hi)
         self._starts, self._forms = [], []  # a None form is generic
         for a, b, best in zip([0.0, *cands[:-1].tolist()], cands.tolist(), self._best.tolist()):
             pcs = [_power_or_constant(phi, a, b), (best, r)]
             for x0, _, i in _power_cuts(pcs, a, b):
                 self._starts.append(x0)
                 self._forms.append(None if i is None else ("power", pcs[i]))
-        self._starts.append(1.0)
+        self._starts.append(hi)
         self._forms.append(("affine", (self._top, 0.0)))
         self.breaks = self._starts[1:]
 
@@ -752,6 +752,8 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
     # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
+    indicator: Callable = lambda s: None  # spec -> the norms of indicators as
+    # a shape, where ``fundamental`` is not them; None: it is
 
 
 def _family_of(name):
@@ -763,6 +765,22 @@ def _family_of(name):
 def _phi_index(spec):
     pe = _power_on(spec.phi, (spec.phi.breaks or [0.0])[-1], INF)  # the last piece
     return pe[1] if pe is not None else None
+
+
+def _mp_indicators(spec):
+    """t -> the M^p_phi norm of an indicator of measure t, t^{1/p} sup_{s>=t}
+    phi(s) s^{-1/p}.  Where phi is c s^a with a <= 1/p past its last break
+    b, the ratio does not rise past b, so this is ``psi_majorant_phi`` up to
+    b, and None (the fundamental shape is it) where b <= 1; cut at 1, it
+    reads low where the ratio still rises past 1.
+    UnsupportedCombination elsewhere: for a > 1/p no indicator has a finite
+    norm, and a generic last piece names no rule."""
+    phi = spec.phi
+    last = (phi.breaks or [0.0])[-1]
+    pc = _power_or_constant(phi, last, INF)
+    if pc is None or pc[1] > 1.0 / spec.p:
+        raise UnsupportedCombination("no finite indicator norms for M^p over this shape")
+    return psi_majorant_phi(phi, spec.p, last) if last > 1.0 else None
 
 
 def _lambda_q_quasi(spec):
@@ -831,13 +849,16 @@ _FAMILIES = {
         lambda u, s: _sup_star_phi(u, s.phi),
         ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s, a: INF,
         fundamental=lambda s: s.phi, boyd=_phi_index),
-    # M^p_loc has the fundamental psi, M^p max(phi, psi); psi == phi on
-    # (0, 1] iff phi^p is quasi-concave
+    # M^p_loc has the fundamental psi; M^p reads max(phi, psi), which has its
+    # norm and is its fundamental unless phi(s) s^{-1/p} rises past 1, and
+    # reads its indicators off _mp_indicators; psi == phi on (0, 1] iff
+    # phi^p is quasi-concave
     "marcinkiewicz_p": _Family(
         NormSpec.marcinkiewicz_p, "marc-p", ("p",), "phi", "M^{p:g}_phi",
         lambda u, s: _sup_mp_phi(u, s.phi, s.p, None),
         ac=lambda s: False, quasi=lambda s: True,
-        fundamental=lambda s: psi_majorant_phi(s.phi, s.p), boyd=_phi_index),
+        fundamental=lambda s: psi_majorant_phi(s.phi, s.p), boyd=_phi_index,
+        indicator=_mp_indicators),
     "marcinkiewicz_p_loc": _Family(
         NormSpec.marcinkiewicz_p_loc, "marc-p-loc", ("p",), "phi", "M^{p:g}_phi,loc",
         lambda u, s: _sup_mp_phi(u, s.phi, s.p, 1.0),
@@ -1403,10 +1424,10 @@ def least_concave_majorant(f: GridFn) -> GridFn:
     return out
 
 
-def psi_majorant_phi(phi: FundamentalFn, p) -> FundamentalFn:
-    """max(phi, psi): psi below 1 and phi from 1 on.  M^p over it has the
-    norm of M^p over phi, globally and locally."""
-    return _MaxPhi([PsiMajorantPhi(phi, p), phi])
+def psi_majorant_phi(phi: FundamentalFn, p, hi=1.0) -> FundamentalFn:
+    """max(phi, psi): psi below hi and phi from hi on.  At hi = 1, M^p over
+    it has the norm of M^p over phi, globally and locally."""
+    return _MaxPhi([PsiMajorantPhi(phi, p, hi), phi])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_rearrange import _integral_to_loop
 
 import rikit.maximal as maximal
-from rikit.errors import InvariantViolated, ZeroFunction
+from rikit.errors import InvariantViolated, UnsupportedCombination, ZeroFunction
 from rikit.maximal import (
     boyd_upper_lowerbound,
     criterion_B,
@@ -29,6 +29,7 @@ from rikit.maximal import (
 from rikit.metric import MMS, grid_space, path_space, tree_space
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement, star_star
 from rikit.spaces import (
+    _FAMILIES,
     FundamentalFn,
     NormSpec,
     OrliczN,
@@ -36,6 +37,7 @@ from rikit.spaces import (
     _MaxPhi,
     _power_integral_rows,
     _power_on,
+    fundamental_function,
     geometric_grid,
     norm,
     psi_majorant_phi,
@@ -374,22 +376,53 @@ BOYD_SPECS = {
 }
 
 
+def _indicator_shape(spec):
+    """The shape the Boyd bounds read: the family's indicator shape, or
+    the fundamental shape where the family names none."""
+    shape = _FAMILIES[spec.family].indicator(spec)
+    return spec.fundamental_phi() if shape is None else shape
+
+
 @pytest.mark.parametrize("name", list(BOYD_SPECS))
-def test_boyd_bounds_without_a_closed_form_are_the_fundamental_ones(name):
-    # without a closed form the indicators give the bounds: h(s) = k(s) and
-    # alpha_lower = beta_upper, flagged as lower bounds
+def test_boyd_bounds_read_the_norms_of_indicators(name):
+    # h(s) >= k(s) holds for k of the indicator norms only; for M^p over the
+    # sampled shape max(psi, phi) reads 1 at t = 1, the indicator 1.5/sqrt(2).
+    # The sup norms take a grid maximum over a generic piece, 6e-8 low here
     spec = BOYD_SPECS[name]
-    rep = indices_report(spec)
+    shape = _indicator_shape(spec)
+    for t in (1e-3, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0):
+        assert shape(t) == pytest.approx(fundamental_function(spec, t), rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("name", list(BOYD_SPECS))
+def test_boyd_bounds_without_a_closed_form_are_the_indicator_ones(name):
+    # without a closed form the indicators give the bounds: h(s) = k(s) and
+    # alpha_lower = the fundamental index of their norms, flagged as lower
+    # bounds, and an estimate unless that index is exact
+    spec = BOYD_SPECS[name]
+    rep = boyd_upper_lowerbound(spec)
     if spec.boyd_alpha_exact() is not None:
         assert rep.alpha_exact and not rep.lower_bound_only
         return
-    assert rep.h_samples == rep.k_samples
-    assert rep.alpha_lower == rep.beta_upper
+    z = zippin_upper(_indicator_shape(spec))
+    assert rep.h_samples == z.k_samples
+    assert rep.alpha_lower == z.beta_upper
     assert rep.lower_bound_only and not rep.alpha_exact
-    assert rep.note.endswith("indicator lower bounds only")
-    assert boyd_upper_lowerbound(spec).to_dict() == {
-        **rep.to_dict(), "k_samples": [], "beta_upper": None, "beta_exact": False,
-        "note": "indicator lower bounds only"}
+    assert rep.note == "indicator lower bounds only" + (
+        "" if z.beta_exact else "; alpha_lower a grid estimate")
+    full = indices_report(spec)
+    assert (full.h_samples, full.alpha_lower) == (rep.h_samples, rep.alpha_lower)
+    assert full.note.endswith(rep.note)
+    if _FAMILIES[spec.family].indicator(spec) is None:
+        assert full.k_samples == z.k_samples
+
+
+def test_mp_indicators_need_a_ratio_that_does_not_rise_at_infinity():
+    # phi(s) s^{-1/p} grows without bound: no indicator of M^p has a finite norm
+    spec = NormSpec.marcinkiewicz_p(FundamentalFn.power(0.6), 2.0)
+    assert fundamental_function(spec, 1.0) == INF
+    with pytest.raises(UnsupportedCombination, match="no finite indicator norms"):
+        _FAMILIES[spec.family].indicator(spec)
 
 
 def _brute_zippin(phi, s):

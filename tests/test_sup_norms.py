@@ -413,6 +413,8 @@ H_EQUALS_K = {
     "lambda_phi": NormSpec.lambda_phi,
     "marcinkiewicz": NormSpec.marcinkiewicz,
     "weak_marcinkiewicz": NormSpec.weak_marcinkiewicz,
+    "marcinkiewicz_p": lambda phi: NormSpec.marcinkiewicz_p(phi, 2.0),
+    "marcinkiewicz_p_loc": lambda phi: NormSpec.marcinkiewicz_p_loc(phi, 3.0),
 }
 
 
@@ -428,7 +430,9 @@ H_EQUALS_K = {
          s=512.0)
 def test_dilation_norms_stay_below_the_reported_h(f, family, shape, s):
     # for Lambda_phi, M_phi and M*_phi the dilation norm h(s) is k_phi(s)
-    # exactly, so the report's h bounds every decreasing function's dilate
+    # exactly, and for M^p, global or local, it is k(s) of the indicator
+    # norms F, since the norm is sup_u F(u) M_p f*(u) over the window; so the
+    # report's h bounds every decreasing function's dilate
     spec = H_EQUALS_K[family](EXACT_K_SHAPES[shape])
     ((_, h),) = boyd_upper_lowerbound(spec, [s]).h_samples
     base = norm(f, spec)

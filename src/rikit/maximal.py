@@ -7,9 +7,11 @@ distinct balls by brute force.  Index estimates are labelled exact or not;
 without a closed form, the Boyd bounds are those of the norms of
 indicators.  The criteria report certifies an index inequality from exact
 indices only.  Powers of a shape are integrated over
-its pieces in spaces._power_integral_rows alone, and its power behaviour
-(near zero, on (0, x), the exact Zippin index) is read off its pieces in
-spaces alone: this module dispatches on no shape.
+its pieces in spaces._power_integral_rows alone, and its power and power-log
+behaviour (near zero, on (0, x), the exact Zippin index, a regularly varying
+head) is read off its pieces in spaces alone: this module dispatches on no
+shape.  On a power-log head, B takes Karamata's limit and m_phi its closed
+form.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .spaces import (
     NormSpec,
     _dyadic_integral,
     _mp_values,
+    _pow_each,
     _power_integral_rows,
     _power_on,
+    _regular_head,
     _zippin_exponent,
     geometric_grid,
 )
@@ -184,10 +188,12 @@ class IndexReport:
 
 
 def _power_diverges(phi, p):
-    """Whether phi's first piece is c t^alpha with alpha >= 1/p.  Every rule
-    compares alpha with 1.0 / p: (1/p) * p may round to 1 - 2^-53."""
-    pe = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
-    return pe is not None and pe[1] >= 1.0 / p
+    """Whether phi's first piece is c t^alpha |log t|^beta (a power: beta = 0)
+    with alpha >= 1/p, so that int_0 phi^-p and the L^p norm of m_phi
+    diverge for every beta.  Every rule compares alpha with 1.0 / p: (1/p) * p
+    may round to 1 - 2^-53."""
+    head = _regular_head(phi, 0.0)
+    return head is not None and head[1] >= 1.0 / p
 
 
 # the dilation factors s of the index reports, built once
@@ -282,9 +288,7 @@ def _boyd_bounds(spec, s_grid, z):
             lower_bound_only=False,
             note="dilation norm closed form",
         )
-    shape = _FAMILIES[spec.family].indicator(spec)
-    if shape is not None or z is None:
-        z = zippin_upper(spec.fundamental_phi() if shape is None else shape, s_grid)
+    z = _indicator_zippin(spec, s_grid, z)
     return IndexReport(
         h_samples=z.k_samples,
         alpha_lower=z.beta_upper,
@@ -293,6 +297,16 @@ def _boyd_bounds(spec, s_grid, z):
         note="indicator lower bounds only" + ("" if z.beta_exact else
                                               "; alpha_lower a grid estimate"),
     )
+
+
+def _indicator_zippin(spec, s_grid, z):
+    """The Zippin report of the norms of indicators on the s grid: z, that of
+    ``spec.fundamental_phi()`` (None: computed here), unless the family names
+    an ``indicator`` shape."""
+    shape = _FAMILIES[spec.family].indicator(spec)
+    if shape is not None or z is None:
+        z = zippin_upper(spec.fundamental_phi() if shape is None else shape, s_grid)
+    return z
 
 
 def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
@@ -325,7 +339,11 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
 
     Finiteness certifies weak boundedness of M_p between weak Marcinkiewicz
     spaces on sets of finite measure; divergence is flagged as inf.  Where
-    phi = c t^alpha on all of (0, delta) it is 1 / (1 - alpha p).
+    phi = c t^alpha on all of (0, delta) it is 1 / (1 - alpha p).  On a head
+    c t^alpha |log t|^beta, regularly varying with index alpha, the ratio
+    tends to that value as t -> 0 (Karamata's theorem; Bingham, Goldie and
+    Teugels, "Regular Variation", 1987, section 1.5), below the grid's lowest
+    point, so the supremum is at least it.
 
     The inner integral adds up the segments between grid points in order;
     spaces._power_integral_rows integrates phi^{-p} over all of them in one
@@ -344,17 +362,35 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts, -p, 1))
     if not np.all(np.isfinite(inners)):
         return INF
-    return float(np.max(np.asarray(phi(ts), dtype=float) ** p * inners / ts))
+    best = float(np.max(np.asarray(phi(ts), dtype=float) ** p * inners / ts))
+    head = _regular_head(phi, 0.0)
+    return best if head is None else max(best, 1.0 / (1.0 - head[1] * p))
 
 
 def m_phi(phi: FundamentalFn, s) -> float:
     """m_phi(s) = sup_{0<t<1} phi(t) / phi(st) for s in (0, 1)."""
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
-    pe = _power_on(phi, 0.0, 1.0)
-    if pe is not None:
-        return s ** (-pe[1])
-    return float(_m_phi_at(phi, np.asarray([s], dtype=float))[0])
+    return float(_m_phi_values(phi, np.asarray([s], dtype=float))[0])
+
+
+def _m_phi_values(phi, ss):
+    """m_phi at every s in ss at once.
+
+    Where phi below 1 is a head c t^alpha |log t|^beta on (0, b) and then a
+    constant, log phi is concave in log t for beta >= 0, so phi(t) / phi(st)
+    falls in t and m_phi(s) is its limit at 0, s^-alpha.  For beta < 0 log phi
+    is convex on the head: the ratio rises up to t = b and falls past it, so
+    m_phi(s) is phi(b) / phi(sb), the grid's value wherever the grid reaches
+    b.  Elsewhere it is the grid maximum of _m_phi_at.
+    """
+    head = _regular_head(phi, 1.0)
+    if head is None:
+        return _m_phi_at(phi, ss)
+    if head[2] >= 0:
+        return _pow_each(ss, -head[1])
+    at = np.asarray(phi(np.concatenate(([head[0]], ss * head[0]))), dtype=float)
+    return at[0] / np.maximum(at[1:], 1e-300)
 
 
 _M_PHI_GRID = geometric_grid(1e-12, 1.0, 192)
@@ -374,22 +410,19 @@ def _m_phi_at(phi, ss):
 
 
 def m_phi_norm(phi: FundamentalFn, p) -> float:
-    """L^p(0,1) norm of the quasi-concavity modulus m_phi; inf on divergence."""
+    """L^p(0,1) norm of the quasi-concavity modulus m_phi; inf on divergence.
+
+    Where m_phi(s) = s^-alpha (see _m_phi_values) it is (1 - alpha p)^{-1/p}."""
     if p < 1:
         raise ValueError("p >= 1 required")
-    pe = _power_on(phi, 0.0, 1.0)
-    if pe is not None:
-        return INF if pe[1] >= 1.0 / p else (1.0 / (1.0 - pe[1] * p)) ** (1.0 / p)
+    head = _regular_head(phi, 1.0)
+    if head is not None and head[2] >= 0:
+        return INF if head[1] >= 1.0 / p else (1.0 / (1.0 - head[1] * p)) ** (1.0 / p)
     if _power_diverges(phi, p):
         # m_phi(s) >= s^{-alpha}, so the integral diverges, at alpha p = 1 too
         return INF
-
-    def integrand(s):
-        ms = _m_phi_at(phi, np.atleast_1d(np.asarray(s, dtype=float)))
-        # scalar powers: numpy's vector pow may round apart from the C library's
-        return np.asarray([m ** p for m in ms.tolist()])
-
-    val = _dyadic_integral(integrand, 1.0)
+    # scalar powers: numpy's vector pow may round apart from the C library's
+    val = _dyadic_integral(lambda s: _pow_each(_m_phi_values(phi, np.atleast_1d(s)), p), 1.0)
     if not math.isfinite(val):
         return INF
     return val ** (1.0 / p)
@@ -562,15 +595,26 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         {"beta_upper": beta}, note)
 
     # (ix)  upper Boyd index < 1/p; (c-iv) <= 1/p
-    b = _boyd_bounds(spec, _S_GRID, z)
-    if b.alpha_exact:
-        put(["ix"], b.alpha_lower < 1.0 / p, {"alpha": b.alpha_lower, "threshold": 1.0 / p},
-            "closed form")
-        put(["c-iv"], b.alpha_lower <= 1.0 / p + 1e-12, {"alpha": b.alpha_lower}, "closed form")
+    exact = spec.boyd_alpha_exact()
+    if exact is not None:
+        alpha = float(exact)
+        put(["ix"], alpha < 1.0 / p, {"alpha": alpha, "threshold": 1.0 / p}, "closed form")
+        put(["c-iv"], alpha <= 1.0 / p + 1e-12, {"alpha": alpha}, "closed form")
     else:
-        put(["ix"], None, {"alpha_lower": b.alpha_lower, "threshold": 1.0 / p},
-            "lower bounds cannot certify a strict upper-index inequality")
-        put(["c-iv"], None, {}, "no closed form for the Boyd index")
+        # the Boyd index is at least the fundamental index of the norms of
+        # indicators: where that is exact, it fails (ix) from 1/p on and
+        # (c-iv) above 1/p
+        zi = _indicator_zippin(spec, _S_GRID, z)
+        lower, note = zi.beta_upper, "Boyd index at least the exact indicator index"
+        if zi.beta_exact and lower >= 1.0 / p:
+            put(["ix"], False, {"alpha_lower": lower, "threshold": 1.0 / p}, note)
+        else:
+            put(["ix"], None, {"alpha_lower": lower, "threshold": 1.0 / p},
+                "lower bounds cannot certify a strict upper-index inequality")
+        if zi.beta_exact and lower > 1.0 / p + 1e-12:
+            put(["c-iv"], False, {"alpha_lower": lower}, note)
+        else:
+            put(["c-iv"], None, {}, "no closed form for the Boyd index")
 
     # (i)  X embeds in M^p_loc(X): p = 1 always, else via (ii) or (iv)
     if p == 1.0:

@@ -2,14 +2,16 @@
 
 Every norm is evaluated on the decreasing rearrangement, so rearrangement
 invariance holds by construction.  A shape is cut at its ``breaks`` into
-pieces, each a power, an affine c + m t or a generic callable.  Powers of
-phi integrate in closed form over power and affine pieces, except c + m t
-with c != 0 against dt/t, which takes panel quadrature as the generic
-pieces (power-log, Orlicz and Lambda^q shapes) do; the psi-majorant is
-generic only where phi is.  Suprema of ``M_p u*(t) phi(t)`` over power and
-affine pieces are attained at piece endpoints, so grid maxima over merged
-breakpoints are exact.  Each is taken for one function in one array pass,
-with the limit at infinity read off the power of an unbounded phi there.
+pieces, each a power, a power-log head c t^a |log t|^b, an affine c + m t
+or a generic callable.  Powers of phi integrate in closed form over power,
+constant and affine pieces (except c + m t with c, m != 0 against dt/t),
+and over power-log heads through the upper incomplete gamma function where
+it converges; the other pieces (Orlicz and Lambda^q shapes) take panel
+quadrature, and the psi-majorant is generic only where phi is.  Suprema of
+``M_p u*(t) phi(t)`` over power and affine pieces are attained at piece
+endpoints, so grid maxima over merged breakpoints are exact.  Each is taken
+for one function in one array pass, with the limit at infinity read off the
+power of an unbounded phi there.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class FundamentalFn:
     def form(self, a, b):
         """(kind, params) of the shape on (a, b), which holds no breakpoint.
 
-        kind is one of "power" (params (coeff, alpha)), "affine"
-        (params (c, m)) or "generic" (params = callable).
+        kind is one of "power" (params (coeff, alpha)), "power_log" (params
+        (coeff, alpha, beta): coeff t^alpha |log t|^beta, with b <= 1/e),
+        "affine" (params (c, m)) or "generic" (params = callable).
         """
         raise NotImplementedError
 
@@ -164,6 +167,27 @@ def _power_on(phi, a, b):
         return None
     kind, params = phi.form(a, b)
     return params if kind == "power" else None
+
+
+def _regular_head(phi, hi):
+    """(b, alpha, beta) when phi is c t^alpha |log t|^beta on its first piece
+    (0, b), a power reading beta = 0, and a constant on every piece from b
+    to hi (hi <= b: the head alone); None otherwise.  Every power-log fact is
+    read here, the power ones through _power_on."""
+    b = (phi.breaks or [INF])[0]
+    kind, params = phi.form(0.0, b)
+    if kind == "power_log":
+        head = params[1:]
+    else:
+        pc = _power_on(phi, 0.0, b)
+        if pc is None:
+            return None
+        head = (pc[1], 0.0)
+    if b < hi:
+        tail = [_power_or_constant(phi, x0, x1) for x0, x1, _, _ in phi.pieces(b, hi)]
+        if any(pc is None or pc[1] != 0.0 for pc in tail):
+            return None
+    return (b, *head)
 
 
 def _power_or_constant(phi, a, b):
@@ -260,7 +284,7 @@ class PowerLogPhi(FundamentalFn):
 
     def form(self, a, b):
         if a < self.t_switch and a < self.cap:
-            return "generic", self.__call__
+            return "power_log", (self.coeff, self.alpha, self.beta)
         return "affine", (self._top, 0.0)
 
     def peaks(self, r):
@@ -620,9 +644,10 @@ class _LambdaQFundamental(FundamentalFn):
         out = np.zeros(len(ts))
         pos = ts > 0
         if np.any(pos):
-            knots = np.unique(ts[pos])
-            gaps = _power_integral_rows(self.phi, [0.0, *knots[:-1]], knots, self.q, 0)
-            out[pos] = np.cumsum(gaps)[np.searchsorted(knots, ts[pos])]
+            knots, back = np.unique(ts[pos], return_inverse=True)
+            gaps = _power_integral_rows(self.phi, np.concatenate(([0.0], knots[:-1])), knots,
+                                        self.q, 0)
+            out[pos] = np.cumsum(gaps)[back]
         out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
         return float(out[0]) if scalar else out
 
@@ -688,12 +713,14 @@ class _MaxPhi(FundamentalFn):
 
 
 def _generic_start(phi, lo, hi):
-    """Where phi's first "generic" piece in (lo, hi) starts (inf: none).
+    """Where phi's first piece in (lo, hi) that is no power and not affine
+    starts (inf: none); a power-log head counts, as a generic piece does.
 
-    A form depends on its piece alone, so phi needs quadrature somewhere in
-    (lo, h), for any h <= hi, exactly when h exceeds this start.
+    A form depends on its piece alone, so phi has no endpoint rule somewhere
+    in (lo, h), for any h <= hi, exactly when h exceeds this start.
     """
-    return next((a for (a, _, kind, _) in phi.pieces(lo, hi) if kind == "generic"), INF)
+    return next((a for (a, _, kind, _) in phi.pieces(lo, hi)
+                 if kind not in ("power", "affine")), INF)
 
 
 def _phi_to_dict(phi):
@@ -964,71 +991,234 @@ def _power_integral_rows(phi, lo, hi, r, s):
     """int phi(t)^r t^s dt/t over every interval (lo[i], hi[i]); inf on divergence.
 
     The one walker over a shape's pieces: the Lambda^q weights take r = q,
-    s = 0 and criterion_B's segments r = -p, s = 1.  Closed-form pieces
-    (_piece_integral) stay scalar; the other pieces of all intervals are one
-    _gauss_log_rows batch, or a dyadic refinement from 0.  Each interval adds
-    its pieces in order and stops at the first inf, so each value is
-    bit-identical to integrating its interval alone whenever phi acts
-    elementwise.
+    s = 0 and criterion_B's segments r = -p, s = 1.  Each piece of phi, from
+    one break to the next, takes the parts of all intervals in it at once:
+    in closed form, as one array expression of its kind (_piece_integral),
+    or else in the one _gauss_log_rows batch of all such parts, or by a
+    dyadic refinement from 0.  Quadrature runs phi itself, and an affine
+    piece as c + m t.  Each interval adds its parts in piece order and stops
+    at the first one that is not finite, so each value is bit-identical to
+    integrating its interval alone whenever phi acts elementwise.
     """
-    rows, fns, qa, qb = [], [], [], []
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    total = np.zeros(len(lo))
+    if not len(lo):
+        return total
+    cuts = [0.0, *phi.breaks, INF]
+    if phi.breaks:  # the pieces from the one holding the lowest start to the highest end's
+        cuts = cuts[bisect_right(cuts, float(lo.min())) - 1:bisect_left(cuts, float(hi.max())) + 1]
+    parts, fns, qa, qb = [], [], [], []  # parts: (rows, values, places in the batch)
+
+    def from_zero(t):
+        return np.asarray(phi(t)) ** r / t ** (1 - s)
+
     with np.errstate(over="ignore"):  # a tiny exponent: past the float range, inf
-        for a, b in zip(lo, hi):
-            terms = []
-            rows.append(terms)
-            if b <= a:
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            x0, x1 = np.maximum(lo, a), np.minimum(hi, b)
+            rows = np.flatnonzero(x0 < x1)
+            if not rows.size:
                 continue
-            for (x0, x1, kind, params) in phi.pieces(a, b):
-                term = _piece_integral(x0, x1, kind, params, r, s)
-                if term is None and x0 > 0:  # a quadrature row of the batch
-                    fns.append(params)
-                    qa.append(x0)
-                    qb.append(x1)
-                elif term is None:  # a generic piece from 0
-                    term = _dyadic_integral(
-                        lambda t: np.asarray(params(t)) ** r / t ** (1 - s), x1)
-                terms.append(term)
-                if term is not None and not math.isfinite(term):
-                    break
-        quad = _gauss_log_rows(lambda t, rows: _rowwise(fns[rows], t) ** r * t ** s, qa, qb)
-    return np.asarray(_sum_in_order(rows, quad))
+            x0, x1 = x0[rows], x1[rows]
+            kind, params = phi.form(a, b)
+            term, left = _piece_integral(x0, x1, kind, params, r, s)
+            batch = None
+            if left is not None:  # no closed form: quadrature, and a refinement from 0
+                batch = np.flatnonzero(left & (x0 > 0) if a == 0.0 else left)
+                fns += [params if kind == "affine" else phi.__call__] * batch.size
+                qa.append(x0[batch])
+                qb.append(x1[batch])
+                for k in np.flatnonzero(left & ~(x0 > 0)).tolist() if a == 0.0 else ():
+                    term[k] = _dyadic_integral(from_zero, x1[k])
+            parts.append((rows, term, batch))
+        if qa:
+            quad = _gauss_log_rows(lambda t, rows: _rowwise(fns[rows], t) ** r * t ** s,
+                                   np.concatenate(qa), np.concatenate(qb))
+    stopped = None  # the intervals past a part that is not finite
+    done = 0
+    for rows, term, batch in parts:
+        if batch is not None:
+            term[batch], done = quad[done:done + batch.size], done + batch.size
+        if stopped is not None:
+            rows, term = rows[~stopped[rows]], term[~stopped[rows]]
+        total[rows] += term
+        bad = ~np.isfinite(term)
+        if bad.any():
+            stopped = np.zeros(len(lo), dtype=bool) if stopped is None else stopped
+            stopped[rows[bad]] = True
+    return total
 
 
 def _piece_integral(x0, x1, kind, params, r, s):
-    """int phi(t)^r t^s dt/t over one piece (x0, x1) in closed form, s = 0 or 1.
+    """int phi(t)^r t^s dt/t in closed form over the parts (x0[i], x1[i]) of
+    one piece, s = 0 or 1: (values, left), left flagging the parts that have
+    no closed form (None: none).
 
     A power piece c t^alpha gives c^r (x1^e - x0^e) / e with e = r alpha + s,
     c^r log(x1/x0) at e = 0, and inf from x0 = 0 when e <= 0.  An affine
-    piece c + m t is the power m t when c = 0.  At s = 1 a constant c is the
-    power c t^0, and c + m t has the closed form of int (c + m t)^r dt.  At
-    s = 0, c + m t diverges from 0 like c^r / t, and elsewhere it takes
-    quadrature, as a generic callable does: None.
+    piece c + m t is the power m t when c = 0 and the power c t^0 when
+    m = 0.  Otherwise at s = 1 it has the closed form of int (c + m t)^r dt;
+    at s = 0 it diverges from 0 like c^r / t, and elsewhere has none.  A
+    power-log head c t^alpha |log t|^beta gives c^r (L(x1) - L(x0)) with
+    L = _log_power_integral(., e, r beta), where that converges (e > 0 and
+    r beta > -1) and L stays in the float range.  The powers and logs of
+    power and affine pieces are the C library's, one end at a time, so a
+    part has the bits it has alone.
     """
     if kind == "affine":
         c, m = params
         if c == 0.0:
             kind, params = "power", (m, 1.0)
-        elif s == 0:
-            return None if x0 > 0 else INF
         elif m == 0.0:
             kind, params = "power", (c, 0.0)
+        elif s == 0:
+            return np.full(len(x0), INF), x0 > 0
         else:
             e = r + 1
             if e == 0:
-                return (math.log(c + m * x1) - math.log(c + m * x0)) / m
-            return ((c + m * x1) ** e - (c + m * x0) ** e) / (m * e)
+                return (_log_each(c + m * x1) - _log_each(c + m * x0)) / m, None
+            return (_pow_each(c + m * x1, e) - _pow_each(c + m * x0, e)) / (m * e), None
+    if kind == "power_log":
+        c, alpha, beta = params
+        e, k = s + r * alpha, r * beta
+        if e > 0 and k > -1:
+            lo_tails, hi_tails = _joined_tails(x0, x1, e, k)
+            if np.all(np.isfinite(hi_tails)):  # else past the float range, as eta -> 0
+                return c ** r * (hi_tails - lo_tails), None
     if kind != "power":
-        return None
+        return np.zeros(len(x0)), np.ones(len(x0), dtype=bool)
     c, alpha = params
     if c == 0.0:  # phi vanishes on the piece
-        return 0.0 if r > 0 else INF
+        return np.full(len(x0), 0.0 if r > 0 else INF), None
     e = s + r * alpha
-    if x0 <= 0 and e <= 0:
-        return INF
+    if e > 0:  # 0 ** e is 0: parts from 0 too
+        return c ** r * (_pow_each(x1, e) - _pow_each(x0, e)) / e, None
+    out = np.full(len(x0), INF)  # from 0
+    inner = np.flatnonzero(x0 > 0)
     if e == 0:
-        return c ** r * math.log(x1 / x0)
-    lo_term = x0 ** e if x0 > 0 else 0.0
-    return c ** r * (x1 ** e - lo_term) / e
+        out[inner] = c ** r * _log_each(x1[inner] / x0[inner])
+    else:
+        out[inner] = c ** r * (_pow_each(x1[inner], e) - _pow_each(x0[inner], e)) / e
+    return out, None
+
+
+def _joined_tails(x0, x1, e, k):
+    """_log_power_integral at the ends of every part, 0 at 0; parts that
+    join up, each from where the one before ends, take each end once."""
+    joined = np.array_equal(x0[1:], x1[:-1])
+    ends = np.concatenate((x0[:1] if joined else x0, x1))
+    tails = np.zeros(len(ends))
+    tails[ends > 0] = _log_power_integral(ends[ends > 0], e, k)
+    return (tails[:-1], tails[1:]) if joined else (tails[:len(x0)], tails[len(x0):])
+
+
+def _pow_each(xs, e):
+    """xs ** e one float at a time (e a float or an array like xs), by the C
+    library's pow: numpy's vector pow may round a last ulp apart from it.
+    Past the float range, inf."""
+    es = e.tolist() if np.ndim(e) else [e] * len(xs)
+    try:
+        return np.array([x ** y for x, y in zip(xs.tolist(), es)], dtype=float)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        # numpy's scalar pow is the C library's too, and quiet under errstate
+        return np.array([x ** y for x, y in zip(xs, np.asarray(es, dtype=float))], dtype=float)
+
+
+def _log_each(xs):
+    """math.log of each float: numpy's vector log may round a last ulp apart."""
+    return np.array([math.log(x) for x in xs.tolist()], dtype=float)
+
+
+def _log_power_integral(x, eta, k):
+    """int_0^x t^eta |log t|^k dt/t at each 0 < x < 1, for eta > 0, k > -1.
+
+    With u = -log x, a = k + 1 and z = eta u it is eta^-a Gamma(a, z), the
+    upper incomplete gamma function (DLMF 8.2.2).  Where z >= a + 1 that is
+    x^eta u^a h, with h the continued fraction of Gamma(a, z) e^z z^-a
+    (DLMF 8.9.2), by the modified Lentz method.  Below, for a >= 1, it is
+    eta^-a (Gamma(a) - gamma(a, z)), the lower function by its series (DLMF
+    8.7.1; Press et al., "Numerical Recipes", 6.2).  For a < 1 that
+    difference would lose the digits of Gamma(a) ~ 1/a, so there it is the
+    value at z0 = a + 1 plus the integral of w^(a-1) e^-w over (z, z0).
+    """
+    a = k + 1.0
+    u = -np.log(x)
+    z = eta * u
+    scale = x ** eta * u ** a  # e^-z u^a
+    deep = z > 512.0  # there x^eta may underflow where the product does not:
+    m = np.ceil(z[deep] / 512.0)  # take it in m equal factors
+    scale[deep] = (x[deep] ** (eta / m) * u[deep] ** (a / m)) ** m
+    out = np.empty(len(z))
+    far = z >= a + 1.0
+    out[far] = scale[far] * _gamma_fraction(a, z[far])
+    near = ~far
+    if not near.any():
+        return out
+    zn = z[near]
+    if a >= 1.0:
+        out[near] = np.exp(math.lgamma(a) - a * math.log(eta)) - scale[near] * _gamma_series(a, zn)
+    else:
+        z0 = a + 1.0
+        at_z0 = math.exp(a * math.log(z0) - z0) * float(_gamma_fraction(a, np.array([z0]))[0])
+        out[near] = eta ** -a * (at_z0 + _gamma_strip(a, zn, z0))
+    return out
+
+
+def _gamma_fraction(a, z):
+    """h with Gamma(a, z) = e^-z z^a h, for z >= a + 1: the continued fraction
+    1 / (z + 1 - a - 1 (1 - a) / (z + 3 - a - 2 (2 - a) / ...)), by the
+    modified Lentz method, each z run until its factor is 1 to 1e-15."""
+    tiny = 1e-300
+    b = z + 1.0 - a
+    c = np.full(len(z), 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    rows = np.arange(len(z))
+    i = 0
+    while rows.size:
+        i += 1
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        factor = d * c
+        h[rows] *= factor
+        more = np.abs(factor - 1.0) > 1e-15
+        rows, b, c, d = rows[more], b[more], c[more], d[more]
+    return h
+
+
+def _gamma_series(a, z):
+    """sum_n z^n / (a (a + 1) ... (a + n)), so that gamma(a, z) = e^-z z^a
+    times it; each z runs until its term falls below 1e-16 of its sum."""
+    term = np.full(len(z), 1.0 / a)
+    total = term.copy()
+    rows = np.arange(len(z))
+    n = 0
+    while rows.size:
+        n += 1
+        term = term * z[rows] / (a + n)
+        total[rows] += term
+        more = term > 1e-16 * total[rows]
+        rows, term = rows[more], term[more]
+    return total
+
+
+def _gamma_strip(a, z, z0):
+    """int_z^z0 w^(a-1) e^-w dw for 0 < z < z0 <= 2, with e^-w expanded:
+    the sum of (-1)^n z0^(a+n) (1 - (z/z0)^(a+n)) / (n! (a + n)), each
+    bracket as -expm1(-(a + n) log(z0/z)) so that no digits cancel in it."""
+    gap = np.log(z0 / z)
+    total = np.zeros(len(z))
+    coeff, n = z0 ** a, 0  # (-1)^n z0^(a+n) / n!
+    while abs(coeff) > 1e-18:
+        total += coeff / (a + n) * -np.expm1(-(a + n) * gap)
+        n += 1
+        coeff *= -z0 / n
+    return total
 
 
 def _rowwise(fns, t):
@@ -1048,18 +1238,6 @@ def _rowwise(fns, t):
         else:
             out[rows] = np.asarray(fn(t[rows].ravel()), dtype=float).reshape(len(rows), -1)
     return out
-
-
-def _sum_in_order(rows, quad):
-    """Each row's terms added in order; a None term takes the next quad value."""
-    values = iter(quad)
-    sums = []
-    for terms in rows:
-        total = 0.0
-        for x in terms:
-            total += next(values) if x is None else x
-        sums.append(total)
-    return sums
 
 
 # intervals per integrand call: bounds the node arrays at about 1.5 MB
@@ -1179,24 +1357,23 @@ def _dyadic_integral(g, b):
 def _norm_lambda_q(ustar, phi, q):
     """(sum_i v_i^q int_cell_i phi^q dt/t)^{1/q} over the cells of u*.
 
-    All nonzero cells' weights are one _power_integral_rows batch, summed in
-    cell order: bit-identical to weighting one cell at a time.
+    All nonzero cells' weights are one _power_integral_rows batch, and the
+    terms a running sum in cell order: bit-identical to weighting one cell
+    at a time.
     """
     if ustar.tail > 0:
         return INF
     e = ustar.edges
     v = ustar.values
     cells = np.flatnonzero(v != 0.0)
-    total = 0.0
-    for i, w in zip(cells, _power_integral_rows(phi, e[cells], e[cells + 1], q, 0)):
-        if not math.isfinite(w):
-            return INF
-        if not math.isfinite(v[i]):
-            if w > 0:
-                return INF
-            continue
-        with np.errstate(over="ignore"):  # a finite sum past the float range: inf
-            total += v[i] ** q * w
+    w = _power_integral_rows(phi, e[cells], e[cells + 1], q, 0)
+    v = v[cells]
+    finite = np.isfinite(v)
+    if not np.all(np.isfinite(w)) or np.any(w[~finite] > 0):
+        return INF
+    with np.errstate(over="ignore"):  # a finite sum past the float range: inf
+        terms = _pow_each(v[finite], q) * w[finite]
+        total = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     return total ** (1.0 / q)
 
 

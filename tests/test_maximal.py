@@ -37,6 +37,7 @@ from rikit.spaces import (
     _MaxPhi,
     _power_integral_rows,
     _power_on,
+    _regular_head,
     fundamental_function,
     geometric_grid,
     norm,
@@ -502,7 +503,9 @@ def doubling_criterion_B(phi, p, delta):
                     return INF
             else:
                 doublings = 0
-    return best
+    # Karamata: the ratio tends to 1 / (1 - alpha p) at 0 on a regular head
+    head = _regular_head(phi, 0.0)
+    return best if head is None else max(best, 1.0 / (1.0 - head[1] * p))
 
 
 @st.composite
@@ -700,11 +703,23 @@ def _m_phi_norm_loop(phi, p):
     _MaxPhi([FundamentalFn.power(0.3), FundamentalFn.power(0.6, 2.0)]),
 ], ids=["powerlog", "powerlog-neg", "sampled", "sampled-kink", "psi", "max"])
 def test_m_phi_matches_per_s_loop(phi):
+    # log phi concave in log t (a power-log head with beta >= 0, then a
+    # constant): m_phi(s) is the limit s^-alpha at t -> 0, which no grid
+    # point exceeds; every other shape keeps the grid maximum's bits
+    head = _regular_head(phi, 1.0)
+    concave = head is not None and head[2] >= 0
     for s in (1e-9, 0.013, 0.37, 0.5, 0.99):
-        assert m_phi(phi, s) == _m_phi_loop(phi, s)
+        if concave:
+            assert m_phi(phi, s) == s ** -head[1] >= _m_phi_loop(phi, s)
+        else:
+            assert m_phi(phi, s) == _m_phi_loop(phi, s)
     for p in (1.0, 1.5):
-        got, want = m_phi_norm(phi, p), _m_phi_norm_loop(phi, p)
-        assert got == want, (got.hex(), want.hex())
+        if concave:
+            assert m_phi_norm(phi, p) == pytest.approx((1.0 - head[1] * p) ** (-1.0 / p),
+                                                       rel=1e-15)
+        else:
+            got, want = m_phi_norm(phi, p), _m_phi_norm_loop(phi, p)
+            assert got == want, (got.hex(), want.hex())
 
 
 # -- criteria report -------------------------------------------------------------------------
@@ -755,6 +770,41 @@ def test_criteria_weak_marcinkiewicz_warns():
     for cid in ("iv", "v", "vi", "vii", "viii", "ix"):
         assert rep.conditions[cid].status in ("false", "inconclusive")
     assert not rep.density_verdict
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec.marcinkiewicz_p_loc(FundamentalFn.power(0.75), 2),  # psi = t^0.5 up to 1
+    NormSpec.weak_marcinkiewicz(FundamentalFn.power(0.5, 1.0, 4.0)),
+    NormSpec.intersection_max(NormSpec.lp(2), NormSpec.lorentz(3, 1)),
+], ids=["mp-loc", "weak-marc-capped", "max"])
+def test_an_exact_fundamental_index_fails_the_boyd_conditions(spec):
+    # no closed Boyd index, but the exact fundamental index 1/2 bounds it
+    # from below: (ix) fails from p = 2 on and (c-iv) above it
+    def statuses(p):
+        rep = density_criteria_report(spec, p, complete_space=True)
+        return [rep.conditions[cid].status for cid in ("ix", "c-iv")]
+
+    assert spec.boyd_alpha_exact() is None
+    assert statuses(3.0) == ["false", "false"]
+    assert statuses(2.0) == ["false", "inconclusive"]
+    assert statuses(1.5) == ["inconclusive", "inconclusive"]
+
+
+def test_a_grid_fundamental_index_leaves_the_boyd_conditions_open():
+    # the index of a power-log shape is a grid estimate: it decides nothing
+    rep = density_criteria_report(
+        NormSpec.marcinkiewicz(FundamentalFn.power_log(0.7, 1.0)), 3.0, complete_space=True)
+    assert [rep.conditions[cid].status for cid in ("ix", "c-iv")] == ["inconclusive"] * 2
+
+
+def test_power_log_index_one_over_p_fails_iv_and_vii():
+    # Lambda over t^(1/2) |log t| at p = 2: B and ||m_phi||_2 diverge, so
+    # neither (iv) nor (vii) certifies the density verdict
+    rep = density_criteria_report(NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0)), 2)
+    assert rep.conditions["iv"].certificate["B"] == INF
+    assert rep.conditions["vii"].certificate["m_phi_Lp"] == INF
+    assert [rep.conditions[cid].status for cid in ("iv", "vii")] == ["false", "false"]
+    assert rep.density_verdict is False
 
 
 def test_criteria_implications_hold():

@@ -3,19 +3,21 @@
 The loops below integrated one interval, cell, segment or dyadic level at
 a time, and evaluated phi on the shared m_phi base grid once per s.  They
 are kept here as oracles: on elementwise shapes the batched code must match
-them bit for bit, compared through ``float.hex``.
+them bit for bit, compared through ``float.hex``.  Constant pieces and
+power-log heads take their closed forms here too, one piece at a time.
 """
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rikit.spaces as spaces
-from rikit.maximal import _m_phi_at, criterion_B, m_phi_norm
+from rikit.maximal import _m_phi_at, _m_phi_values, criterion_B, m_phi_norm
 from rikit.rearrange import GridFn
 from rikit.spaces import (
     _DYADIC_BLOCK,
@@ -27,10 +29,12 @@ from rikit.spaces import (
     OrliczN,
     _dyadic_integral,
     _gauss_log_rows,
+    _log_power_integral,
     _MaxPhi,
     _norm_lambda_q,
     _power_integral_rows,
     _power_on,
+    _regular_head,
     geometric_grid,
     norm,
     psi_majorant_phi,
@@ -96,6 +100,17 @@ def loop_dyadic_integral(g, b):
     return total + tail_est
 
 
+def loop_power_log_piece(x0, x1, params, r, s):
+    """The closed form of int phi^r t^s dt/t over one power-log piece, or
+    None where it has none."""
+    c, alpha, beta = params
+    e, k = s + r * alpha, r * beta
+    if not (e > 0 and k > -1):
+        return None
+    tails = [_log_power_integral(np.array([x]), e, k)[0] if x > 0 else 0.0 for x in (x0, x1)]
+    return c ** r * (tails[1] - tails[0])
+
+
 def loop_phi_weight_integral(phi, a, b, q):
     """int phi^q dt/t over one interval, piece by piece."""
     if b <= a:
@@ -124,9 +139,14 @@ def loop_phi_weight_integral(phi, a, b, q):
             else:
                 if x0 <= 0:
                     return INF
-                total += loop_gauss_log(lambda t: (c + m * t) ** q, x0, x1)
+                if m == 0.0:
+                    total += c ** q * math.log(x1 / x0)
+                else:
+                    total += loop_gauss_log(lambda t: (c + m * t) ** q, x0, x1)
+        elif kind == "power_log" and loop_power_log_piece(x0, x1, params, q, 0) is not None:
+            total += loop_power_log_piece(x0, x1, params, q, 0)
         else:
-            fn = params
+            fn = phi
             if x0 <= 0:
                 val = loop_dyadic_integral(lambda t: np.asarray(fn(t)) ** q / t, x1)
                 if not math.isfinite(val):
@@ -159,7 +179,7 @@ def loop_norm_lambda_q(ustar, phi, q):
     return total ** (1.0 / q)
 
 
-def loop_inv_power_piece(a, b, kind, params, p):
+def loop_inv_power_piece(phi, a, b, kind, params, p):
     if kind == "power":
         c, alpha = params
         if alpha == 0.0:
@@ -186,7 +206,9 @@ def loop_inv_power_piece(a, b, kind, params, p):
         if p == 1.0:
             return (math.log(c + m * b) - math.log(c + m * a)) / m
         return ((c + m * b) ** (1 - p) - (c + m * a) ** (1 - p)) / (m * (1 - p))
-    fn = params
+    if kind == "power_log" and loop_power_log_piece(a, b, params, -p, 1) is not None:
+        return loop_power_log_piece(a, b, params, -p, 1)
+    fn = phi
     if a <= 0:
         return loop_dyadic_integral(lambda s: np.asarray(fn(s)) ** (-p), b)
     return loop_gauss_log(lambda s: np.asarray(fn(s)) ** (-p) * s, a, b)
@@ -202,8 +224,8 @@ def loop_criterion_B(phi, p, delta=1.0):
         if alpha >= 1.0 / p:
             return INF
         return 1.0 / (1.0 - alpha * p)
-    pe = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
-    if pe is not None and pe[1] >= 1.0 / p:
+    head = _regular_head(phi, 0.0)  # a power or a power-log head
+    if head is not None and head[1] >= 1.0 / p:
         return INF
     lo = delta * 1e-18
     ts = np.unique(np.concatenate((
@@ -214,7 +236,7 @@ def loop_criterion_B(phi, p, delta=1.0):
     for j, b in enumerate(ts.tolist()):
         seg = 0.0
         for (x0, x1, kind, params) in phi.pieces(a, b):
-            seg += loop_inv_power_piece(x0, x1, kind, params, p)
+            seg += loop_inv_power_piece(phi, x0, x1, kind, params, p)
             if not math.isfinite(seg):
                 seg = INF
                 break
@@ -235,7 +257,8 @@ def loop_criterion_B(phi, p, delta=1.0):
                     return INF
             else:
                 doublings = 0
-    return best
+    # Karamata: the ratio tends to 1 / (1 - alpha p) at 0 on a regular head
+    return best if head is None else max(best, 1.0 / (1.0 - head[1] * p))
 
 
 def loop_m_phi_at(phi, ss):
@@ -495,7 +518,7 @@ def test_dyadic_reads_a_rising_head_as_no_divergence():
 
 
 def test_m_phi_norm_takes_a_kernel_call_per_block_of_levels(monkeypatch):
-    # the refinement of m_phi^1 for power_log(0.5, 1) runs 84 levels
+    # the refinement of m_phi^1 for power_log(0.5, -1) runs 95 levels
     calls = []
     kernel = spaces._gauss_log_rows
 
@@ -504,6 +527,123 @@ def test_m_phi_norm_takes_a_kernel_call_per_block_of_levels(monkeypatch):
         return kernel(f, a, b, panels)
 
     monkeypatch.setattr(spaces, "_gauss_log_rows", counted)
-    assert math.isfinite(m_phi_norm(FundamentalFn.power_log(0.5, 1.0), 1.0))
-    assert len(calls) <= math.ceil(84 / _DYADIC_BLOCK)
+    assert math.isfinite(m_phi_norm(FundamentalFn.power_log(0.5, -1.0), 1.0))
+    assert 0 < len(calls) <= math.ceil(95 / _DYADIC_BLOCK)
     assert calls[:-1] == [_DYADIC_BLOCK] * (len(calls) - 1)
+
+
+# -- power-log heads in closed form -------------------------------------------------
+
+# 50 digits, well past the 1e-12 asked of the closed forms below
+mpmath.mp.dps = 50
+
+
+def mp_head_integral(x, c, eta, k):
+    """int_0^x c t^eta |log t|^k dt/t = c eta^-(k+1) Gamma(k+1, -eta log x)
+    in mpmath: the upper incomplete gamma function."""
+    eta, k = mpmath.mpf(eta), mpmath.mpf(k)
+    return mpmath.mpf(c) * eta ** -(k + 1) * mpmath.gammainc(k + 1, -eta * mpmath.log(x))
+
+
+@st.composite
+def power_log_integrands(draw):
+    """(phi, r, s) with a closed form for int phi^r t^s dt/t on the head:
+    a Lambda^q weight (r = q, s = 0) or a criterion B segment (r = -q,
+    s = 1), with eta = r alpha + s > 0 and k = r beta > -1."""
+    q = draw(st.floats(1.0, 8.0))
+    r, s = draw(st.sampled_from([(q, 0), (-q, 1)]))
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    beta = draw(st.floats(-1.0, 24.0, exclude_min=True)) / r
+    # eta a normal float: a subnormal one has too few digits for 1e-12
+    assume(s + r * alpha > 2.3e-308 and r * beta > -1)
+    phi = FundamentalFn.power_log(alpha, beta, draw(st.floats(0.2, 5.0)))
+    assume(phi.breaks)  # exp(-beta / alpha) underflows: no head at all
+    return phi, r, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(integrand=power_log_integrands(),
+       spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(integrand=(FundamentalFn.power_log(0.5, 1.0), 2.0, 0), spots=[1.0])
+@example(integrand=(FundamentalFn.power_log(0.5, -0.4999999999), 2.0, 0), spots=[0.0, 1.0])
+@example(integrand=(FundamentalFn.power_log(0.9, 3.0), 8.0, 0), spots=[0.3, 0.95, 1.0])
+@example(integrand=(FundamentalFn.power_log(0.01, 0.999), -1.0, 1), spots=[0.0, 0.5, 1.0])
+def test_power_log_heads_match_the_incomplete_gamma_function(integrand, spots):
+    # points spread on a log scale over the head, down to the last subnormal;
+    # integrals from 0 to rel 1e-12 of the exact exponents, and each gap to
+    # 1e-13 of the integral to its right end, with the float exponents
+    # eta = r alpha + s and k = r beta that the piece integral reads
+    phi, r, s = integrand
+    c, alpha, beta = phi.form(0.0, phi.breaks[0])[1]
+    top = math.log(phi.breaks[0])
+    xs = np.unique([max(math.exp(top + f * (math.log(5e-324) - top)), 5e-324) for f in spots])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heads = _power_integral_rows(phi, np.zeros(len(xs)), xs, r, s)
+        gaps = _power_integral_rows(phi, xs[:-1], xs[1:], r, s)
+    exact = [mp_head_integral(x, mpmath.mpf(c) ** r, mpmath.mpf(r) * alpha + s,
+                              mpmath.mpf(r) * beta) for x in xs]
+    floats = [mp_head_integral(x, mpmath.mpf(c) ** r, s + r * alpha, r * beta) for x in xs]
+    # eta near 0 sends the integral past the float range, and the piece to
+    # quadrature
+    assume(floats[-1] < 1e300)
+    for got, want in zip(heads, exact):
+        if want > 1e-290:  # subnormal results keep fewer digits
+            assert abs(got - want) <= 1e-12 * want, (got, float(want))
+        else:
+            assert abs(got - want) <= 1e-300
+    for got, g0, g1 in zip(gaps, floats[:-1], floats[1:]):
+        assert abs(got - (g1 - g0)) <= 1e-13 * g1 + 1e-300, (got, float(g1 - g0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), beta=st.floats(-2.0, 2.0), coeff=st.floats(0.2, 5.0),
+       cap=caps, ss=st.lists(st.floats(1e-9, 0.999), min_size=1, max_size=6))
+@example(alpha=0.3, beta=-0.5, coeff=1.0, cap=math.inf, ss=[1e-9, 0.5])
+@example(alpha=0.5, beta=1.0, coeff=1.0, cap=0.1, ss=[1e-9, 0.99])
+@example(alpha=0.9375, beta=-2.0, coeff=1.0, cap=math.inf, ss=[0.5])
+def test_m_phi_reads_the_power_log_head(alpha, beta, coeff, cap, ss):
+    # beta < 0: phi(b) / phi(s b), the grid maximum's bits; beta >= 0: the
+    # limit s^-alpha, which no point of the grid exceeds.  Within 1e-6 of
+    # beta = 0 the ratio is flat to a few ulps over the head, and the grid
+    # maximum lands on its rounding; a head that ends below the grid's 1e-12
+    # (alpha near 1, beta < 0) puts the peak at b out of the grid's reach
+    phi = FundamentalFn.power_log(alpha, beta, coeff, cap)
+    ss = np.asarray(ss)
+    grid = loop_m_phi_at(phi, ss)
+    got = _m_phi_values(phi, ss)
+    if beta < 0 and phi.breaks[0] < 1e-12:
+        assert np.all(got >= grid)
+    elif beta <= -1e-6:
+        assert hexes(got) == hexes(grid)
+    elif beta < 0:
+        np.testing.assert_allclose(got, grid, rtol=1e-15, atol=0.0)
+    else:
+        assert hexes(got) == hexes([x ** -alpha for x in ss.tolist()])
+        # up to the grid's rounding: t^alpha / (st)^alpha for a power head
+        assert np.all(grid <= got * (1 + 1e-15))
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha, p", [(0.5, 2.0), (0.25, 4.0), (0.5, 3.0)])
+def test_power_log_heads_diverge_from_alpha_p_one(alpha, beta, p):
+    # phi^-p ~ t^-alpha p |log t|^-beta p: at alpha p = 1 the ratio of B
+    # grows like |log t| where the integral converges (beta p > 1), and
+    # m_phi(s)^p >= c s^-1 |log s|^-beta p in every case
+    phi = FundamentalFn.power_log(alpha, beta)
+    assert criterion_B(phi, p) == INF
+    assert m_phi_norm(phi, p) == INF
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.4, 1.0), (0.3, 0.5), (0.4, -1.0), (0.6, -0.5)])
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_criterion_B_is_at_least_karamatas_limit(alpha, beta, p):
+    # phi^p(t) / t int_0^t phi^-p -> 1 / (1 - alpha p) as t -> 0.  For
+    # beta >= 0, |log s|^beta falls in s, so the ratio stays below the limit
+    # on the head and past it: B is the limit.  For beta < 0 it stays above
+    phi = FundamentalFn.power_log(alpha, beta)
+    limit = 1.0 / (1.0 - alpha * p)
+    if beta >= 0:
+        assert criterion_B(phi, p) == limit
+    else:
+        assert criterion_B(phi, p) > limit

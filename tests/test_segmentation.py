@@ -71,6 +71,9 @@ def _form_value(kind, params, t):
     if kind == "affine":
         c, m = params
         return c + m * t
+    if kind == "power_log":
+        c, alpha, beta = params
+        return c * t ** alpha * abs(math.log(t)) ** beta
     assert kind == "generic"
     return float(params(t))
 

@@ -39,6 +39,19 @@ def test_import_does_not_load_scipy_optimize():
     assert out.strip() == "False"
 
 
+def test_half_line_density_report_loads_no_scipy_special():
+    # the incomplete gamma function of the power-log heads is the library's
+    # own: a report over one loads nothing of scipy.special
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = ("import rikit, sys; from rikit.spaces import FundamentalFn, NormSpec; "
+            "rikit.density_criteria_report("
+            "NormSpec.lambda_q(FundamentalFn.power_log(0.5, 1), 2), 1); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_generators_do_not_load_scipy():
     # the generators certify their spaces with numpy alone; an import of
     # scipy.sparse.csgraph alone would cost about 0.4 s of start-up
@@ -384,10 +397,29 @@ def test_newton_loop_is_lean():
     assert not rows, f"_family_rows called per iteration: {rows}"
 
 
+def _kind_readers(kind):
+    """(module, function) of every comparison of a name ``kind`` with the
+    string ``kind``, in an operand or inside a tuple, list or set operand."""
+    readers = set()
+    for path in SRC:
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                operands += [x for op in operands
+                             if isinstance(op, (ast.Tuple, ast.List, ast.Set)) for x in op.elts]
+                if any(isinstance(x, ast.Constant) and x.value == kind for x in operands) and any(
+                        isinstance(x, ast.Name) and x.id == "kind" for x in operands):
+                    readers.add((path.name, name))
+    return readers
+
+
 def test_power_facts_are_read_in_one_place():
     # maximal neither imports nor dispatches on a shape class; a shape's
     # power behaviour is read off its pieces, and only _power_on (besides
-    # the closed-form piece integral) turns a "power" form into a fact
+    # the closed-form piece integral) turns a "power" form into a fact; a
+    # power-log head is read in _regular_head and the piece integral alone
     spaces = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
     maximal = ast.parse((SRC_DIR / "rikit" / "maximal.py").read_text())
     shapes = {top.name for top in spaces.body if isinstance(top, ast.ClassDef)
@@ -416,6 +448,8 @@ def test_power_facts_are_read_in_one_place():
                         for x in [node.left, *node.comparators]):
                     readers.add((path.name, name))
     assert readers == {("spaces.py", "_power_on"), ("spaces.py", "_piece_integral")}, readers
+    assert _kind_readers("power_log") == {("spaces.py", "_regular_head"),
+                                          ("spaces.py", "_piece_integral")}
 
 
 def test_psi_is_built_from_the_pieces_of_phi():

@@ -45,7 +45,7 @@ def loop_sup_mp_phi(ustar, phi, p, window_hi=None):
     if ustar.ncells == 0 and ustar.tail == 0:
         return 0.0
     has_generic = any(
-        kind == "generic"
+        kind not in ("power", "affine")  # a power-log head has no endpoint rule
         for (_, _, kind, _) in phi.pieces(1e-12, max(1.0, ustar.support_end, 2.0))
     )
     hi_default = max(ustar.support_end, 1.0)

@@ -30,6 +30,7 @@ from .spaces import (
     NormSpec,
     _dyadic_integral,
     _mp_values,
+    _near_unit,
     _pow_each,
     _power_integral_rows,
     _power_on,
@@ -348,7 +349,9 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     The inner integral adds up the segments between grid points in order;
     spaces._power_integral_rows integrates phi^{-p} over all of them in one
     walk, bit-identical to a segment-by-segment sweep whenever phi acts
-    elementwise.
+    elementwise.  B is the same for c phi: where phi^{-p} or phi^p passes the
+    float range, it is taken again over phi times the power of two nearest
+    1 / phi(delta).
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -359,12 +362,23 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
         # inner integral already diverges at zero
         return INF
     ts = phi.eval_grid(delta * 1e-18, delta, 160)
-    inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts, -p, 1))
-    if not np.all(np.isfinite(inners)):
-        return INF
-    best = float(np.max(np.asarray(phi(ts), dtype=float) ** p * inners / ts))
+    best = _grid_B(phi, ts, p)
+    unit = phi if math.isfinite(best) else _near_unit(phi, delta)
+    if unit is not phi:  # phi's powers may pass the float range; B is that of c phi
+        best = _grid_B(unit, ts, p)
     head = _regular_head(phi, 0.0)
     return best if head is None else max(best, 1.0 / (1.0 - head[1] * p))
+
+
+def _grid_B(phi, ts, p):
+    """The maximum over ts of phi(t)^p (1/t) int_0^t phi^-p; inf where an
+    inner integral is not finite, nan where phi^p is not."""
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts,
+                                                -p, 1))
+        if not np.all(np.isfinite(inners)):
+            return INF
+        return float(np.max(np.asarray(phi(ts), dtype=float) ** p * inners / ts))
 
 
 def m_phi(phi: FundamentalFn, s) -> float:

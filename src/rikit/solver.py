@@ -4,7 +4,8 @@ Every solver-backed operation runs on one program class, the separable
 power program  min sum_i c_i x_i^p  s.t.  A x >= b, x >= 0.  It is solved
 in the dual (closed-form primal recovery per dual iterate) by projected
 dual Newton steps, from zero duals in the first round of constraint
-generation and warm from the previous round's duals after it; a stalled
+generation and warm from the previous round's duals after it (a small
+program's first round holds every row, and ends the loop); a stalled
 Newton run restarts once from p times the HiGHS duals of the same rows.
 The formulas of a dual point and its certificate (``_power_primal``,
 ``_dual_point``, ``_certificate``) hold no errstate: their callers do, a
@@ -36,6 +37,11 @@ INFEASIBLE = math.inf
 # HiGHS feasibility tolerances: its 1e-7 defaults accept x = 0 for right-hand
 # sides below them
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# programs whose rows hold at most this many entries start constraint
+# generation from every row: one Newton run then beats warm rounds, and
+# above it the rounds' smaller models win (Hajlasz on a 75-point path has
+# 208k entries, on a 100-point path 495k)
+ALL_ROWS_MAX = 1 << 18
 
 
 @dataclass
@@ -354,17 +360,19 @@ def _solve_lp_min(cost, A, b, tol):
 def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     """Solve the separable power program by generating violated rows.
 
-    ``rows`` is the full (possibly large) constraint matrix.  For p > 1
-    the working set starts from the most-violated row at x = 0; each
-    round solves it and adds the most-violated row and every row violated
-    by at least half as much (ties to the lowest index).  The first round
-    starts Newton from zero duals, each later one from the last duals,
-    zeros for new rows.  p = 1 is a linear program whose rows are all in
-    memory: its first working set is every row, so one HiGHS solve ends
-    the loop.  The certificate carries the last solve's ``duality_gap``
-    (zero duals on the other rows extend its dual to the full program),
-    the summed ``iterations`` and ``rounds``; ``telemetry`` sums the
-    rounds' and lists the working-set size per round.
+    ``rows`` is the full (possibly large) constraint matrix.  The first
+    working set is every row when p = 1 (a linear program whose rows are
+    all in memory) or when ``rows`` holds at most ``ALL_ROWS_MAX`` entries:
+    one solve, from zero duals, ends the loop, and Newton's entering rule
+    still admits at most n violated rows a step.  Otherwise it is the
+    most-violated row at x = 0; each round solves the working set and adds
+    the most-violated row, then every other row violated by at least half
+    as much, in ascending index.  The first round starts Newton from zero
+    duals, each later one from the last duals, zeros for new rows.  The
+    certificate carries the last solve's ``duality_gap`` (zero duals on the
+    other rows extend its dual to the full program), the summed
+    ``iterations`` and ``rounds``; ``telemetry`` sums the rounds' and lists
+    the working-set size per round.
     """
     rows, b = np.asarray(rows, dtype=float), np.asarray(b, dtype=float)
     m, n = rows.shape
@@ -372,30 +380,34 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
         x = np.zeros(n)
         return SolveResult(0.0, x, _power_certificate(x, np.zeros(m), rows, b, np.asarray(cost),
                                                       p), tol, _telemetry("trivial", []))
-    active = list(range(m)) if p == 1.0 else [int(np.argmax(b))]
-    in_active = set(active)
+    # every row at once: then A is rows, uncopied, and one round ends the loop
+    full = p == 1.0 or rows.size <= ALL_ROWS_MAX
+    active = np.arange(m) if full else np.array([int(np.argmax(b))])
+    in_active = np.zeros(m, dtype=bool)
+    in_active[active] = True
     lam = np.zeros(len(active))
     tele = _telemetry("", [])
     scale = _scale(b)
     for rounds in range(1, m + 2):
-        A = rows if p == 1.0 else rows[active]  # p = 1: every row, uncopied
+        A = rows if full else rows[active]
         sub = solve_separable_power(cost, A, b[active], p, tol, lam)
         _add_telemetry(tele, sub.telemetry)
         x = sub.minimizer
         viol = b - rows @ x
         worst = int(np.argmax(viol))
-        if viol[worst] <= tol * scale or worst in in_active:
+        if viol[worst] <= tol * scale or in_active[worst]:
             break
         # most violated first, then every row violated at a comparable level
-        batch = np.nonzero(viol >= 0.5 * viol[worst])[0]
-        new = [worst] + [int(i) for i in batch if int(i) != worst and int(i) not in in_active]
-        active += new
-        in_active.update(new)
+        batch = (viol >= 0.5 * viol[worst]) & ~in_active
+        batch[worst] = False
+        new = np.concatenate(([worst], np.flatnonzero(batch)))
+        active = np.concatenate((active, new))
+        in_active[new] = True
         lam = np.concatenate((sub.certificate["duals"], np.zeros(len(new))))
     duals_full = np.zeros(m)
     duals_full[active] = sub.certificate["duals"]
     cert, _ = _feasibility(rows @ x - b, duals_full, b)
-    cert.update(active_set=list(map(int, active)), rounds=rounds)
+    cert.update(active_set=active.tolist(), rounds=rounds)
     cert.update({k: sub.certificate[k]
                  for k in ("duality_gap", "vertex", "dual_degenerate")
                  if k in sub.certificate})

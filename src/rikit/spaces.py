@@ -712,6 +712,35 @@ class _MaxPhi(FundamentalFn):
         return max(p.value_inf() for p in self.phis)
 
 
+class _Pow2Phi(FundamentalFn):
+    """phi times 2^k, exactly: phi's breaks, and each form's coefficients
+    times 2^k (a generic piece runs the scaled shape)."""
+
+    def __init__(self, phi, k):
+        self.phi, self.k, self.cap, self.breaks = phi, k, phi.cap, phi.breaks
+
+    def __call__(self, t):
+        out = np.ldexp(np.asarray(self.phi(t), dtype=float), self.k)
+        return out if out.ndim else float(out)
+
+    def form(self, a, b):
+        kind, params = self.phi.form(a, b)
+        if kind == "generic":
+            return kind, self.__call__
+        if kind == "affine":
+            return kind, tuple(math.ldexp(v, self.k) for v in params)
+        return kind, (math.ldexp(params[0], self.k), *params[1:])
+
+
+def _near_unit(phi, t):
+    """phi times the power of two nearest 1 / phi(t), exactly; phi itself
+    where that power is 1.  A ratio of phi's powers that does not change
+    under phi -> c phi, criterion B's, can be computed over it where phi's
+    own powers pass the float range."""
+    k = -round(math.log2(float(phi(t))))
+    return phi if k == 0 else _Pow2Phi(phi, k)
+
+
 def _generic_start(phi, lo, hi):
     """Where phi's first piece in (lo, hi) that is no power and not affine
     starts (inf: none); a power-log head counts, as a generic piece does.
@@ -1063,7 +1092,7 @@ def _piece_integral(x0, x1, kind, params, r, s):
     L = _log_power_integral(., e, r beta), where that converges (e > 0 and
     r beta > -1) and L stays in the float range.  The powers and logs of
     power and affine pieces are the C library's, one end at a time, so a
-    part has the bits it has alone.
+    part has the bits it has alone; c^r past the float range is inf.
     """
     if kind == "affine":
         c, m = params
@@ -1080,6 +1109,7 @@ def _piece_integral(x0, x1, kind, params, r, s):
             return (_pow_each(c + m * x1, e) - _pow_each(c + m * x0, e)) / (m * e), None
     if kind == "power_log":
         c, alpha, beta = params
+        c = np.float64(c)
         e, k = s + r * alpha, r * beta
         if e > 0 and k > -1:
             lo_tails, hi_tails = _joined_tails(x0, x1, e, k)
@@ -1087,7 +1117,7 @@ def _piece_integral(x0, x1, kind, params, r, s):
                 return c ** r * (hi_tails - lo_tails), None
     if kind != "power":
         return np.zeros(len(x0)), np.ones(len(x0), dtype=bool)
-    c, alpha = params
+    c, alpha = np.float64(params[0]), params[1]
     if c == 0.0:  # phi vanishes on the piece
         return np.full(len(x0), 0.0 if r > 0 else INF), None
     e = s + r * alpha

@@ -233,6 +233,18 @@ def test_criteria_cli_max_space_with_a_zero_power_law_exponent(tmp_path, capsys)
     assert iv["certificate"]["B"] == pytest.approx(2 + math.log(5), rel=1e-12)
 
 
+def test_criteria_cli_scales_out_a_tiny_coefficient(tmp_path, capsys):
+    # c^-p passes the float range at c = 1e-200; B is that of coefficient 1
+    b = []
+    for coeff in ("1e-200", "1"):
+        rc = main(["--out", str(tmp_path), "criteria", "--space",
+                   f"lambda:power:0.3,{coeff},0.5", "--p", "2"])
+        assert rc == 0
+        b.append(json.loads((tmp_path / "criteria.json").read_text())
+                 ["conditions"]["iv"]["certificate"]["B"])
+    assert b[0] == pytest.approx(b[1], rel=1e-12)
+
+
 def test_indices_cli(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "indices", "--space", "lp:2"])
     assert rc == 0

@@ -581,6 +581,19 @@ def test_criterion_b_numeric_capped_power_vs_quad():
     assert val == pytest.approx(oracle, rel=1e-3)
 
 
+@pytest.mark.parametrize("coeff", [1e-300, 1e-200, 1e-100, 1e200])
+@pytest.mark.parametrize("shape,p,delta", [
+    (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 2.0, 1.0),
+    (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 3.0, 0.37),
+    (lambda c: FundamentalFn.power_log(0.4, -1.0, coeff=c), 2.0, 1.0),
+    (lambda c: FundamentalFn.power_log(0.2, 1.0, coeff=c, cap=0.05), 3.0, 5.0)])
+def test_criterion_b_scales_out_the_coefficient(shape, p, delta, coeff):
+    # B is the same for c phi, also where (c phi)^-p passes the float range
+    want = criterion_B(shape(1.0), p, delta)
+    assert math.isfinite(want)
+    assert criterion_B(shape(coeff), p, delta) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_criterion_b_weak_bound_inequality():
     # B finite implies sup M_p u* phi <= B^{1/p} sup u* phi on (0, delta)
     rng = np.random.default_rng(10)

@@ -351,8 +351,9 @@ def test_constraint_generation_certificate_carries_gap_and_counts(p, monkeypatch
         return res
 
     monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
-    u = np.cumsum(np.random.default_rng(12).uniform(0.1, 1.0, 12))
-    res = minimal_hajlasz(path_space(12), u, p)
+    # 81 points: the fewest whose program is past the size rule and takes rounds
+    u = np.cumsum(np.random.default_rng(12).uniform(0.1, 1.0, 81))
+    res = minimal_hajlasz(path_space(81), u, p)
     cert = res.certificate
     assert cert["rounds"] == len(iterations) >= 2
     assert cert["iterations"] == sum(iterations)

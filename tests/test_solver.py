@@ -64,6 +64,11 @@ def lines(k):
                        + [Curve(tuple(r * k + c for r in range(k))) for c in range(k)])
 
 
+# the fewest path points whose Hajlasz program (one row per pair) holds more
+# than solver.ALL_ROWS_MAX entries, so that it takes constraint-generation rounds
+PAST_ALL_ROWS = 81
+
+
 PROGRAMS = {
     "modulus_path": lambda p: modulus(path_space(30), CurveFamily.path_subpaths(12), p),
     "modulus_grid": lambda p: modulus(grid_space(5, 5), crossings(5), p),
@@ -126,6 +131,50 @@ def test_golden_optima(name, p):
     assert res.optimum == pytest.approx(want, rel=1e-9 + 2.0 * kkt, abs=0.0)
 
 
+def test_past_all_rows_is_the_first_path_past_the_size_rule():
+    def entries(n):
+        return n * (n - 1) // 2 * n
+    assert entries(PAST_ALL_ROWS - 1) <= solver.ALL_ROWS_MAX < entries(PAST_ALL_ROWS)
+
+
+def hajlasz_ramp(n):
+    return lambda p: minimal_hajlasz(path_space(n), ramp(n), p)
+
+
+# the programs at the bench's sizes: the Hajlasz ladder, modulus of the
+# subpaths of 12 on a 30-point path and the upper-gradient instances
+ONE_RUN = {**{f"hajlasz_path{n}": hajlasz_ramp(n) for n in (8, 12, 16, 20)},
+           **{name: PROGRAMS[name]
+              for name in ("modulus_path", "upper_path", "upper_grid", "upper_tree")}}
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 3.0])
+@pytest.mark.parametrize("name", sorted(ONE_RUN))
+def test_small_programs_take_every_row_in_one_run(name, p, monkeypatch):
+    subsolve = solver.solve_separable_power
+    calls = []
+
+    def recording_subsolve(*args):
+        calls.append(args[1].shape[0])
+        return subsolve(*args)
+
+    monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
+    cert = ONE_RUN[name](p).certificate
+    m = len(cert["slacks"])
+    assert calls == [m]
+    assert cert["rounds"] == 1 and cert["active_set"] == list(range(m))
+
+
+@pytest.mark.parametrize("name,p", sorted(GOLDEN))
+def test_rounds_agree_with_one_run(name, p, monkeypatch):
+    one_run = PROGRAMS[name](p)
+    monkeypatch.setattr(solver, "ALL_ROWS_MAX", 0)
+    rounds = PROGRAMS[name](p)
+    assert one_run.certificate["rounds"] == 1 and rounds.certificate["rounds"] >= 2
+    assert rounds.certificate["kkt_residual"] <= rounds.tolerance
+    assert rounds.optimum == pytest.approx(one_run.optimum, rel=1e-9, abs=0.0)
+
+
 def test_hajlasz_sine_path_100():
     # the previous solver took about 27 s on this instance
     n = 100
@@ -155,11 +204,24 @@ def test_warm_rounds_never_call_lbfgs(p, monkeypatch):
 
     monkeypatch.setattr(solver, "_solve_lp_min", counting_lp)
     monkeypatch.setattr(solver, "solve_separable_power", recording_subsolve)
-    for n in (8, 12, 16, 20):
-        minimal_hajlasz(path_space(n), ramp(n), p)
+    # a path past the size rule: smaller programs take every row in one run
+    minimal_hajlasz(path_space(PAST_ALL_ROWS), ramp(PAST_ALL_ROWS), p)
     # every round, the first too, starts Newton from given duals
     assert len(rounds) >= 12 and all(given for given, _ in rounds)
     assert not any(c for _, c in rounds)
+
+
+def test_rounds_past_the_size_rule_keep_their_working_sets():
+    # each round adds the most violated row, then the rows violated at least
+    # half as much in ascending index: these sizes, round by round
+    n = 150
+    res = minimal_hajlasz(path_space(n), np.sin(np.arange(n) / 3.0), 2)
+    sizes, active = res.telemetry["working_set"], res.certificate["active_set"]
+    assert sizes == [1, 4097, 4104, 4108, 4174, 4189, 4194, 4196, 4197, 4198]
+    assert len(set(active)) == len(active) == sizes[-1]
+    for lo, hi in zip(sizes[:-1], sizes[1:]):
+        assert active[lo + 1:hi] == sorted(active[lo + 1:hi])
+    assert res.optimum == pytest.approx(float.fromhex("0x1.c6dc980a20344p+0"), rel=1e-12)
 
 
 def test_telemetry_survives_json():

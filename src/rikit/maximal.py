@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolated, ZeroFunction
+from .errors import DegenerateRatio, InvariantViolated, ZeroFunction
 from .metric import MMS, _ball_index
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
@@ -233,7 +233,10 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
         _, at_t, at_st = _dilation_pairs(phi, base, phi.kinks(0.0, INF), s_grid)
         ks = np.max(at_st / np.maximum(at_t, 1e-300), axis=1)
         ks = list(zip(s_grid.tolist(), ks.tolist()))
-        beta = min(math.log(k) / math.log(s) for (s, k) in ks if k > 0)
+        betas = [math.log(k) / math.log(s) for (s, k) in ks if k > 0]
+        if not betas:
+            raise DegenerateRatio("k(s) is positive at no s: phi vanishes on the grid")
+        beta = min(betas)
     exact = alpha is not None
     return IndexReport(
         k_samples=ks,

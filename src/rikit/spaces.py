@@ -75,7 +75,11 @@ class FundamentalFn:
     Concrete shapes are built with the factory methods ``power``,
     ``power_log``, ``orlicz_inverse`` and ``sampled``.  Each shape is held
     constant beyond ``cap`` (the measure proxy of the underlying space).
-    A shape sets its sorted ``breaks`` when built and defines ``form``.
+    A shape sets its sorted ``breaks`` when built, and next to them its
+    ``forms``: one (kind, params) per piece from 0 to inf, or None for a
+    generic piece.  kind is "power" (params (coeff, alpha)), "power_log"
+    (params (coeff, alpha, beta): coeff t^alpha |log t|^beta, on a piece
+    below 1/e) or "affine" (params (c, m): c + m t).
     """
 
     cap = INF
@@ -104,14 +108,10 @@ class FundamentalFn:
     def __call__(self, t):
         raise NotImplementedError
 
-    def form(self, a, b):
-        """(kind, params) of the shape on (a, b), which holds no breakpoint.
-
-        kind is one of "power" (params (coeff, alpha)), "power_log" (params
-        (coeff, alpha, beta): coeff t^alpha |log t|^beta, with b <= 1/e),
-        "affine" (params (c, m)) or "generic" (params = callable).
-        """
-        raise NotImplementedError
+    def form(self, a):
+        """(kind, params) of the piece that starts at or holds a > 0, or starts
+        at a = 0; a generic piece is ("generic", the shape itself)."""
+        return self.forms[bisect_right(self.breaks, a)] or ("generic", self.__call__)
 
     @cached_property
     def _break_array(self):
@@ -127,15 +127,9 @@ class FundamentalFn:
 
     def pieces(self, lo, hi):
         """Yield (a, b, kind, params): (lo, hi) cut at the kinks, each with its ``form``."""
-        a = lo
-        if self.breaks:
-            i = bisect_right(self.breaks, lo)
-            j = bisect_left(self.breaks, hi, i)
-            if i < j:
-                for b in self._break_array[i:j]:
-                    yield (a, b, *self.form(a, b))
-                    a = b
-        yield (a, hi, *self.form(a, hi))
+        cuts = [lo, *self.kinks(lo, hi), hi]
+        for a, b, form in zip(cuts[:-1], cuts[1:], self.forms[bisect_right(self.breaks, lo):]):
+            yield (a, b, *(form or ("generic", self.__call__)))
 
     def peaks(self, r):
         """The local maxima of phi(s) s^{-r}, 0 < r <= 1, inside the pieces.
@@ -165,7 +159,7 @@ def _power_on(phi, a, b):
     the power near zero, (last break, inf) the power at infinity."""
     if len(phi.kinks(a, b)):
         return None
-    kind, params = phi.form(a, b)
+    kind, params = phi.form(a)
     return params if kind == "power" else None
 
 
@@ -175,7 +169,7 @@ def _regular_head(phi, hi):
     to hi (hi <= b: the head alone); None otherwise.  Every power-log fact is
     read here, the power ones through _power_on."""
     b = (phi.breaks or [INF])[0]
-    kind, params = phi.form(0.0, b)
+    kind, params = phi.form(0.0)
     if kind == "power_log":
         head = params[1:]
     else:
@@ -192,7 +186,7 @@ def _regular_head(phi, hi):
 
 def _power_or_constant(phi, a, b):
     """``_power_on`` on a piece (a, b), reading a constant c > 0 as (c, 0.0)."""
-    kind, params = phi.form(a, b)
+    kind, params = phi.form(a)
     if kind == "affine" and params[1] == 0.0 and params[0] > 0:
         return params[0], 0.0
     return _power_on(phi, a, b)
@@ -204,13 +198,10 @@ def _zippin_exponent(phi):
     It exists when every piece is a power or a constant and the largest
     exponent is on the first or the last piece: log phi is continuous and
     piecewise linear in log t, and an unbounded piece holds every window."""
-    cuts = [0.0, *phi.breaks, INF]
-    alphas = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        pc = _power_or_constant(phi, a, b)
-        if pc is None:
-            return None
-        alphas.append(pc[1])
+    pcs = [_power_or_constant(phi, a, b) for a, b, _, _ in phi.pieces(0.0, INF)]
+    if None in pcs:
+        return None
+    alphas = [pc[1] for pc in pcs]
     top = max(alphas)
     return top if top in (alphas[0], alphas[-1]) else None
 
@@ -228,17 +219,14 @@ class PowerPhi(FundamentalFn):
         self.cap = _positive_cap(cap)
         self.breaks = _breaks([self.cap])
         self._top = float(self(self.cap))
+        top = ("affine", (self._top, 0.0))
+        self.forms = [("power", (self.coeff, self.alpha))] + [top] * len(self.breaks)
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
         with np.errstate(divide="ignore"):
             out = self.coeff * np.where(t > 0, t ** self.alpha, 0.0)
         return out if out.ndim else float(out)
-
-    def form(self, a, b):
-        if a < self.cap:
-            return "power", (self.coeff, self.alpha)
-        return "affine", (self._top, 0.0)
 
     def phi0plus(self):
         return self.coeff if self.alpha == 0.0 else 0.0
@@ -271,6 +259,9 @@ class PowerLogPhi(FundamentalFn):
         self.cap = _positive_cap(cap)
         self.breaks = _breaks([t_sw, self.cap])
         self._top = float(self(t_sw))
+        head = ("power_log", (self.coeff, self.alpha, self.beta))
+        self.forms = [head if a < min(t_sw, self.cap) else ("affine", (self._top, 0.0))
+                      for a in [0.0, *self.breaks]]
 
     def _raw(self, t):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,11 +272,6 @@ class PowerLogPhi(FundamentalFn):
         t_eff = np.minimum(t, self.t_switch)
         out = np.where(t_eff > 0, self._raw(t_eff), 0.0)
         return out if out.ndim else float(out)
-
-    def form(self, a, b):
-        if a < self.t_switch and a < self.cap:
-            return "power_log", (self.coeff, self.alpha, self.beta)
-        return "affine", (self._top, 0.0)
 
     def peaks(self, r):
         # in u = -log s, log(phi s^{-r}) = beta log u - (alpha - r) u is
@@ -359,8 +345,11 @@ class OrliczInversePhi(FundamentalFn):
         # where its slope changes (everywhere if none does), so phi(t) =
         # 1 / Psi^{-1}(1 / t) = s_1 t from t = 1 / y there on
         bends = np.flatnonzero(orlicz.slopes != orlicz.slopes[0])
-        self._linear_from = float(1.0 / orlicz.ys[bends[0]]) if bends.size else 0.0
-        self._top = self.value_inf()
+        linear_from = float(1.0 / orlicz.ys[bends[0]]) if bends.size else 0.0
+        top = ("affine", (self.value_inf(), 0.0))
+        line = ("power", (float(orlicz.slopes[0]), 1.0))
+        self.forms = [top if a >= self.cap else line if a >= linear_from else None
+                      for a in [0.0, *self.breaks]]
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
@@ -368,13 +357,6 @@ class OrliczInversePhi(FundamentalFn):
         inv = self.orlicz.inverse(1.0 / t)
         out = np.where(np.asarray(t) > 1e-299, 1.0 / np.maximum(inv, 1e-300), 0.0)
         return out if out.ndim else float(out)
-
-    def form(self, a, b):
-        if a >= self.cap:
-            return "affine", (self._top, 0.0)
-        if a >= self._linear_from:
-            return "power", (float(self.orlicz.slopes[0]), 1.0)
-        return "generic", self.__call__
 
     def peaks(self, r):
         # where Psi runs with slope s from (x, y), phi = t / (A t + B) with
@@ -409,21 +391,18 @@ class SampledPhi(FundamentalFn):
         self.vals = np.concatenate(([0.0], vals))
         self.cap = float(ts[-1]) if cap is None else _positive_cap(cap)
         self.breaks = _breaks([*ts, self.cap])
-        # (c, m) of c + m t from each node on, constant from min(cap, last node)
-        flat = min(self.cap, float(ts[-1]))
-        self._nodes = [x for x in self.ts.tolist() if x < flat] + [flat]
+        # c + m t from each node below min(cap, last node), constant from there
+        flat, top = min(self.cap, float(ts[-1])), (float(self(self.cap)), 0.0)
         slopes = np.diff(self.vals) / np.diff(self.ts)
-        lines = zip(self.vals[:-1] - slopes * self.ts[:-1], slopes)
-        self._lines = [*lines][:len(self._nodes) - 1] + [(float(self(self.cap)), 0.0)]
+        lines = [*zip(self.vals[:-1] - slopes * self.ts[:-1], slopes)]
+        self.forms = [("affine", lines[i] if a < flat else top)
+                      for i, a in enumerate([0.0, *self.breaks])]
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
         t = np.minimum(t, self.ts[-1])
         out = np.interp(t, self.ts, self.vals)
         return out if out.ndim else float(out)
-
-    def form(self, a, b):
-        return "affine", self._lines[bisect_right(self._nodes, a) - 1]
 
 
 class PsiMajorantPhi(FundamentalFn):
@@ -449,15 +428,14 @@ class PsiMajorantPhi(FundamentalFn):
         self._best = np.maximum.accumulate(ratios[::-1])[::-1]  # at or above each candidate
         self._top = float(phi(hi))
         self.cap = min(phi.cap, hi)
-        self._starts, self._forms = [], []  # a None form is generic
+        starts, self.forms = [], []
         for a, b, best in zip([0.0, *cands[:-1].tolist()], cands.tolist(), self._best.tolist()):
             pcs = [_power_or_constant(phi, a, b), (best, r)]
             for x0, _, i in _power_cuts(pcs, a, b):
-                self._starts.append(x0)
-                self._forms.append(None if i is None else ("power", pcs[i]))
-        self._starts.append(hi)
-        self._forms.append(("affine", (self._top, 0.0)))
-        self.breaks = self._starts[1:]
+                starts.append(x0)
+                self.forms.append(None if i is None else ("power", pcs[i]))
+        self.breaks = starts[1:] + [hi]
+        self.forms.append(("affine", (self._top, 0.0)))
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -469,9 +447,6 @@ class PsiMajorantPhi(FundamentalFn):
             later = self._best[np.searchsorted(self._cands, tb, side="right")]
             out[below] = tb ** (1.0 / self.p) * np.maximum(own, later)
         return out if np.ndim(t) else float(out[0])
-
-    def form(self, a, b):
-        return self._forms[bisect_right(self._starts, a) - 1] or ("generic", self.__call__)
 
     def peaks(self, r):
         # psi s^{-r} is phi s^{-r}, a power, or the larger of the two
@@ -623,13 +598,18 @@ def _lambda_q_fundamental(spec):
 
 
 class _LambdaQFundamental(FundamentalFn):
-    """Fundamental function of Lambda^q_phi: (int_0^t phi^q ds/s)^{1/q}."""
+    """Fundamental function of Lambda^q_phi: W(t) = (int_0^t phi^q ds/s)^{1/q}.
+    W of 2^k phi is 2^k W, so W is taken over _near_unit(phi, 1), whose powers
+    stay in the float range where phi's may not, and scaled back exactly."""
 
     def __init__(self, phi, q):
         self.phi = phi
         self.q = float(q)
         self.cap = phi.cap
         self.breaks = phi.breaks
+        self.forms = [None] * (len(phi.breaks) + 1)
+        self._unit = _near_unit(phi, 1.0)
+        self._k = 0 if self._unit is phi else self._unit.k
 
     def __call__(self, t):
         """The fundamental at every t, swept over the sorted points.
@@ -645,14 +625,11 @@ class _LambdaQFundamental(FundamentalFn):
         pos = ts > 0
         if np.any(pos):
             knots, back = np.unique(ts[pos], return_inverse=True)
-            gaps = _power_integral_rows(self.phi, np.concatenate(([0.0], knots[:-1])), knots,
+            gaps = _power_integral_rows(self._unit, np.concatenate(([0.0], knots[:-1])), knots,
                                         self.q, 0)
             out[pos] = np.cumsum(gaps)[back]
-        out = np.where(np.isfinite(out), out, INF) ** (1.0 / self.q)
+        out = np.ldexp(np.where(np.isfinite(out), out, INF) ** (1.0 / self.q), -self._k)
         return float(out[0]) if scalar else out
-
-    def form(self, a, b):
-        return "generic", self.__call__
 
 
 def _power_cuts(pcs, a, b):
@@ -687,19 +664,16 @@ class _MaxPhi(FundamentalFn):
         self.phis = list(phis)
         self.cap = max(p.cap for p in self.phis)
         cuts = [0.0, *_breaks(x for p in self.phis for x in p.breaks), INF]
-        self._starts, self._forms = [], []  # a None form is generic
+        starts, self.forms = [], []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            for x0, x1, i in _power_cuts([_power_or_constant(p, a, b) for p in self.phis], a, b):
-                self._starts.append(x0)
-                self._forms.append(None if i is None else self.phis[i].form(x0, x1))
-        self.breaks = self._starts[1:]
+            for x0, _, i in _power_cuts([_power_or_constant(p, a, b) for p in self.phis], a, b):
+                starts.append(x0)
+                self.forms.append(None if i is None else self.phis[i].form(x0))
+        self.breaks = starts[1:]
 
     def __call__(self, t):
         out = np.max([np.asarray(p(t), dtype=float) for p in self.phis], axis=0)
         return out if out.ndim else float(out)
-
-    def form(self, a, b):
-        return self._forms[bisect_right(self._starts, a) - 1] or ("generic", self.__call__)
 
     def peaks(self, r):
         # a local maximum of the larger is one of the component on top
@@ -713,31 +687,31 @@ class _MaxPhi(FundamentalFn):
 
 
 class _Pow2Phi(FundamentalFn):
-    """phi times 2^k, exactly: phi's breaks, and each form's coefficients
-    times 2^k (a generic piece runs the scaled shape)."""
+    """phi times 2^k, exactly: phi's breaks, and each form's coefficients (c
+    and m of c + m t, c of the other kinds) times 2^k; generic stays generic."""
 
     def __init__(self, phi, k):
         self.phi, self.k, self.cap, self.breaks = phi, k, phi.cap, phi.breaks
+        self.forms = [form and (form[0], tuple(math.ldexp(v, k) if form[0] == "affine" or j == 0
+                                               else v for j, v in enumerate(form[1])))
+                      for form in phi.forms]
 
     def __call__(self, t):
         out = np.ldexp(np.asarray(self.phi(t), dtype=float), self.k)
         return out if out.ndim else float(out)
-
-    def form(self, a, b):
-        kind, params = self.phi.form(a, b)
-        if kind == "generic":
-            return kind, self.__call__
-        if kind == "affine":
-            return kind, tuple(math.ldexp(v, self.k) for v in params)
-        return kind, (math.ldexp(params[0], self.k), *params[1:])
 
 
 def _near_unit(phi, t):
     """phi times the power of two nearest 1 / phi(t), exactly; phi itself
     where that power is 1.  A ratio of phi's powers that does not change
     under phi -> c phi, criterion B's, can be computed over it where phi's
-    own powers pass the float range."""
-    k = -round(math.log2(float(phi(t))))
+    own powers pass the float range.  UnsupportedCombination where phi(t)
+    is 0 or not finite: no power of two brings it near 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = float(phi(t))
+    if not 0.0 < at < INF:
+        raise UnsupportedCombination(f"the shape is {at!r} at {t!r}, outside the float range")
+    k = -round(math.log2(at))
     return phi if k == 0 else _Pow2Phi(phi, k)
 
 
@@ -1034,22 +1008,18 @@ def _power_integral_rows(phi, lo, hi, r, s):
     total = np.zeros(len(lo))
     if not len(lo):
         return total
-    cuts = [0.0, *phi.breaks, INF]
-    if phi.breaks:  # the pieces from the one holding the lowest start to the highest end's
-        cuts = cuts[bisect_right(cuts, float(lo.min())) - 1:bisect_left(cuts, float(hi.max())) + 1]
     parts, fns, qa, qb = [], [], [], []  # parts: (rows, values, places in the batch)
 
     def from_zero(t):
         return np.asarray(phi(t)) ** r / t ** (1 - s)
 
     with np.errstate(over="ignore"):  # a tiny exponent: past the float range, inf
-        for a, b in zip(cuts[:-1], cuts[1:]):
+        for a, b, kind, params in phi.pieces(float(lo.min()), float(hi.max())):
             x0, x1 = np.maximum(lo, a), np.minimum(hi, b)
             rows = np.flatnonzero(x0 < x1)
             if not rows.size:
                 continue
             x0, x1 = x0[rows], x1[rows]
-            kind, params = phi.form(a, b)
             term, left = _piece_integral(x0, x1, kind, params, r, s)
             batch = None
             if left is not None:  # no closed form: quadrature, and a refinement from 0

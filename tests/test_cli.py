@@ -245,6 +245,28 @@ def test_criteria_cli_scales_out_a_tiny_coefficient(tmp_path, capsys):
     assert b[0] == pytest.approx(b[1], rel=1e-12)
 
 
+def test_criteria_cli_scales_out_a_huge_lambda_q_coefficient(tmp_path, capsys):
+    # W^q passes the float range at c = 1e200; the report is that of c = 1
+    reports = []
+    for coeff in ("1e200", "1"):
+        rc = main(["--out", str(tmp_path), "criteria", "--space",
+                   f"lambda-q:2:power:0.3,{coeff},0.5", "--p", "2"])
+        assert rc == 0
+        reports.append(json.loads((tmp_path / "criteria.json").read_text())["conditions"])
+    huge, unit = reports
+    assert {k: v["status"] for k, v in huge.items()} == {k: v["status"] for k, v in unit.items()}
+    assert huge["iv"]["certificate"]["B"] == pytest.approx(unit["iv"]["certificate"]["B"],
+                                                           rel=1e-13)
+
+
+def test_criteria_cli_names_a_shape_outside_the_float_range(tmp_path, capsys):
+    # phi(1) = 1e-300 * 1e-300^0.3 underflows to 0: a typed error, exit 2
+    rc = main(["--out", str(tmp_path), "criteria", "--space",
+               "lambda:power:0.3,1e-300,1e-300", "--p", "2"])
+    assert rc == 2
+    assert "outside the float range" in capsys.readouterr().err
+
+
 def test_indices_cli(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "indices", "--space", "lp:2"])
     assert rc == 0

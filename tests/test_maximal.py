@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from test_rearrange import _integral_to_loop
 
 import rikit.maximal as maximal
-from rikit.errors import InvariantViolated, UnsupportedCombination, ZeroFunction
+from rikit.errors import (
+    DegenerateRatio,
+    InvariantViolated,
+    UnsupportedCombination,
+    ZeroFunction,
+)
 from rikit.maximal import (
     boyd_upper_lowerbound,
     criterion_B,
@@ -592,6 +597,63 @@ def test_criterion_b_scales_out_the_coefficient(shape, p, delta, coeff):
     want = criterion_B(shape(1.0), p, delta)
     assert math.isfinite(want)
     assert criterion_B(shape(coeff), p, delta) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# (shape over its coefficient c, q, p, c): the Lambda^q shapes whose reports
+# raised, or read (iv) false, before W was taken over phi near 1 at t = 1
+LAMBDA_Q_SCALES = [
+    (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 2.0, 2.0, 1e200),
+    (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 2.0, 2.0, 1e-200),
+    (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 2.0, 2.0, 1e-150),
+    (lambda c: FundamentalFn.power_log(0.5, 1.0, coeff=c), 1.5, 3.0, 1e-200),
+    (lambda c: FundamentalFn.power_log(0.4, -1.0, coeff=c), 2.5, 3.0, 1e150),
+    (lambda c: FundamentalFn.power(0.3, c, cap=2.0), 2.0, 1.0, 1e-150),
+    (lambda c: FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8 * c, c, 1.5 * c]), 1.5, 2.0, 1e200),
+]
+
+
+def _report_numbers(spec, p):
+    """Every status, numeric certificate value and index of the density and
+    index reports of spec at p."""
+    out = {}
+    for cid, verdict in density_criteria_report(spec, p).conditions.items():
+        out[cid] = verdict.status
+        out.update({(cid, k): float(v) for k, v in (verdict.certificate or {}).items()
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)})
+    rep = indices_report(spec)
+    return {**out, "beta": rep.beta_upper, "alpha": rep.alpha_lower,
+            **{("k", s): k for s, k in rep.k_samples}}
+
+
+@pytest.mark.parametrize("shape,q,p,coeff", LAMBDA_Q_SCALES)
+def test_lambda_q_reports_scale_out_the_coefficient(shape, q, p, coeff):
+    # W of c phi is c W: the fundamental scales by c, and every status,
+    # certificate value and index reads as at c = 1
+    spec, unit = (NormSpec.lambda_q(shape(c), q) for c in (coeff, 1.0))
+    ts = np.geomspace(1e-9, 10.0, 7)
+    np.testing.assert_allclose(spec.fundamental_phi()(ts) / coeff, unit.fundamental_phi()(ts),
+                               rtol=1e-14, atol=0.0)
+    got, want = _report_numbers(spec, p), _report_numbers(unit, p)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == (value if isinstance(value, str) or not math.isfinite(value)
+                            else pytest.approx(value, rel=1e-13, abs=0.0)), key
+
+
+@pytest.mark.parametrize("phi,delta", [
+    (lambda: FundamentalFn.power(0.3, 1e-300, cap=1e-300), 1.0),  # phi(1) underflows to 0
+    (lambda: FundamentalFn.power(0.3, 1e308, cap=1e5), 1e10)])  # phi(1e10) overflows
+def test_criterion_b_raises_where_phi_leaves_the_float_range(phi, delta):
+    # no power of two brings phi(delta) near 1: a typed error, not a math error
+    with np.errstate(over="ignore"):  # the capped value is inf
+        phi = phi()
+    with pytest.raises(UnsupportedCombination, match="outside the float range"):
+        criterion_B(phi, 2.0, delta)
+
+
+def test_zippin_upper_of_a_vanishing_shape_is_degenerate():
+    with pytest.raises(DegenerateRatio, match="positive at no s"):
+        zippin_upper(FundamentalFn.sampled([1.0, 2.0], [0.0, 0.0]))
 
 
 def test_criterion_b_weak_bound_inequality():

@@ -574,7 +574,7 @@ def test_power_log_heads_match_the_incomplete_gamma_function(integrand, spots):
     # 1e-13 of the integral to its right end, with the float exponents
     # eta = r alpha + s and k = r beta that the piece integral reads
     phi, r, s = integrand
-    c, alpha, beta = phi.form(0.0, phi.breaks[0])[1]
+    c, alpha, beta = phi.form(0.0)[1]
     top = math.log(phi.breaks[0])
     xs = np.unique([max(math.exp(top + f * (math.log(5e-324) - top)), 5e-324) for f in spots])
     with warnings.catch_warnings():

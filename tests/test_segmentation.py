@@ -187,6 +187,19 @@ def test_power_facts_are_read_off_the_pieces(name):
         assert rep.beta_upper == zippin
 
 
+# every shape above, each once: its table of forms
+TABLES = {**SHAPES, **{"facts/" + name: facts[0] for name, facts in POWER_FACTS.items()}}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_each_piece_declares_one_form(name):
+    # one entry per piece from 0 to inf: None (generic) or a closed-form kind
+    phi = TABLES[name]
+    assert len(phi.forms) == len(phi.breaks) + 1
+    assert all(form is None or form[0] in {"power", "power_log", "affine"}
+               for form in phi.forms), phi.forms
+
+
 # -- the peaks of phi(s) s^{-r} ------------------------------------------------------
 
 _CAPS = st.one_of(st.just(math.inf), st.floats(1e-4, 10.0))

@@ -324,15 +324,18 @@ def test_only_spaces_walks_the_pieces_of_a_shape():
 
 
 def test_one_segmentation_per_shape():
-    # a shape declares its breaks and forms; FundamentalFn alone cuts an
-    # interval into kinks and pieces, so the two cannot disagree
+    # a shape declares its breaks and a table of forms; FundamentalFn alone
+    # cuts an interval into kinks and pieces and looks a form up, so the
+    # three cannot disagree
     tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
     cutters = [(top.name, node.name) for top in tree.body if isinstance(top, ast.ClassDef)
                for node in top.body if isinstance(node, ast.FunctionDef)
-               and node.name in ("kinks", "pieces")]
-    assert sorted(cutters) == [("FundamentalFn", "kinks"), ("FundamentalFn", "pieces")]
-    names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(tree)}
-    assert "_clip_pieces" not in names
+               and node.name in ("kinks", "pieces", "form")]
+    assert sorted(cutters) == [("FundamentalFn", "form"), ("FundamentalFn", "kinks"),
+                               ("FundamentalFn", "pieces")]
+    names = {getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+             for node in ast.walk(tree)}
+    assert not names & {"_clip_pieces", "_starts", "_forms"}
 
 
 def test_one_status_rule():

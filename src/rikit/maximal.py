@@ -16,12 +16,13 @@ form.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRatio, InvariantViolated, ZeroFunction
+from .errors import DegenerateRatio, InvariantViolated, UnsupportedCombination, ZeroFunction
 from .metric import MMS, _ball_index
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
@@ -220,7 +221,9 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     between those points.  Over a generic piece the grid maximum
     under-estimates k(s), so the reported index is only an estimate: it can
     fall below the true index (0.496 against 0.55 for
-    ``power_log(0.55, 1.0)``) and certifies no inequality.
+    ``power_log(0.55, 1.0)``) and certifies no inequality.  The grid ratios
+    are those of ``_near_unit(phi, 1)`` where phi(1) is positive and finite,
+    so that a tiny coefficient does not push phi below their floor.
     """
     s_grid = _dilation_factors(s_grid)
     alpha = _zippin_exponent(phi)
@@ -230,6 +233,8 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     else:
         hi = phi.cap if math.isfinite(phi.cap) else 1e4
         base = phi.eval_grid(1e-10, max(hi * 4, 1.0), 512)
+        with contextlib.suppress(UnsupportedCombination):  # phi(1) is 0 or not finite
+            phi = _near_unit(phi, 1.0)  # k(s) is that of c phi: take it near 1 at t = 1
         _, at_t, at_st = _dilation_pairs(phi, base, phi.kinks(0.0, INF), s_grid)
         ks = np.max(at_st / np.maximum(at_t, 1e-300), axis=1)
         ks = list(zip(s_grid.tolist(), ks.tolist()))
@@ -410,19 +415,14 @@ def _m_phi_values(phi, ss):
     return at[0] / np.maximum(at[1:], 1e-300)
 
 
-_M_PHI_GRID = geometric_grid(1e-12, 1.0, 192)
-
-
 def _m_phi_at(phi, ss):
     """m_phi at every s in ss at once, each over its own grid.
 
-    The grid of one s is a shared base (192 geometric points, phi's kinks
-    and 1) joined with phi's kinks divided by s, all within (0, 1].
+    The grid of one s is a shared base (192 geometric points from 1e-12 to
+    1 and phi's kinks between) joined with phi's kinks divided by s.
     """
-    kinks = phi.kinks(1e-12, 1.0)
-    base = np.unique(np.concatenate((_M_PHI_GRID, kinks, [1.0])))
-    base = base[(base > 0) & (base <= 1.0)]
-    ts, at_t, at_st = _dilation_pairs(phi, base, kinks, ss)
+    ts, at_t, at_st = _dilation_pairs(phi, phi.eval_grid(1e-12, 1.0, 192),
+                                      phi.kinks(1e-12, 1.0), ss)
     return np.max(np.where(ts <= 1.0, at_t / np.maximum(at_st, 1e-300), -INF), axis=1)
 
 

@@ -254,31 +254,24 @@ def grid_space(rows, cols):
 
 
 def tree_space(branching, depth):
-    """Complete rooted tree with unit edges; distances via ancestor depths.
+    """Complete rooted tree with unit edges.
 
     Nodes are numbered breadth first, so node i > 0 has parent
-    (i - 1) // branching.
+    (i - 1) // branching; two nodes meet at their common ancestor when the
+    larger number steps to its parent each time, in at most 2 * depth steps.
     """
     if branching < 0 or depth < 0:
         raise ValueError(f"a tree needs branching, depth >= 0, got {branching}, {depth}")
     n = sum(branching ** k for k in range(depth + 1))
-    # up[k, i]: the k-th ancestor of node i, held at the root once reached
-    up = [np.arange(n)]
-    for _ in range(depth):
-        up.append(np.maximum(up[-1] - 1, 0) // max(branching, 1))
-    up = np.asarray(up)
-    level = np.sum(up > 0, axis=0)
-    # two nodes share their ancestors at depths 0 .. the depth of their
-    # common ancestor; anc holds each node's ancestor at depth k, or -1
-    common = np.full((n, n), -1)
-    for k in range(depth + 1):
-        steps = level - k
-        anc = np.where(steps >= 0, up[np.maximum(steps, 0), np.arange(n)], -1)
-        common += (anc[:, None] == anc[None, :]) & (anc[:, None] >= 0)
-    dist = level[:, None] + level[None, :] - 2 * common
+    lo, hi = np.sort(np.indices((n, n)), axis=0)
+    dist = np.zeros((n, n))
+    for _ in range(2 * depth):
+        apart = hi != lo
+        dist += apart
+        hi = np.where(apart, (hi - 1) // max(branching, 1), hi)
+        hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
     child = np.arange(1, n)
-    return MMS._graph(dist.astype(float), np.ones(n),
-                      ((child - 1) // max(branching, 1), child))
+    return MMS._graph(dist, np.ones(n), ((child - 1) // max(branching, 1), child))
 
 
 _GENERATORS = {"path": (path_space, "path:n"), "grid": (grid_space, "grid:m,n"),
@@ -328,17 +321,20 @@ def _family_rows(space: MMS, curves):
 
 def line_integral(space: MMS, g, curve: Curve) -> float:
     """Trapezoidal edge rule along the curve; inf markers propagate."""
-    g = np.asarray(g, dtype=float)
-    total = 0.0
-    for a, b in zip(curve.vertices[:-1], curve.vertices[1:]):
-        d = space.dist[a, b]
-        ga, gb = g[a], g[b]
-        if not (math.isfinite(ga) and math.isfinite(gb)):
-            if d > 0:
-                return INF
-            continue
-        total += d * (ga + gb) / 2.0
-    return total
+    return float(_curve_integrals(_family_rows(space, [curve]), np.asarray(g, dtype=float))[0])
+
+
+def _curve_integrals(rows, g):
+    """rows @ g, inf where a row loads a point whose g is not finite."""
+    bad = ~np.isfinite(g)
+    out = rows @ np.where(bad, 0.0, g)
+    out[np.any(rows[:, bad] > 0, axis=1)] = INF
+    return out
+
+
+def _curve_ends(curves):
+    """(first vertex, last vertex) of every curve, one row each."""
+    return np.array([(c.vertices[0], c.vertices[-1]) for c in curves], np.intp).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -351,34 +347,26 @@ class UpperGradientVerdict:
         return self.ok
 
 
-def _endpoint_drop(u, curve: Curve) -> float:
-    """|u(start) - u(end)| with the convention |(+-inf)-(+-inf)| = inf."""
-    a = float(u[curve.vertices[0]])
-    b = float(u[curve.vertices[-1]])
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return INF
-    return abs(a - b)
+def _endpoint_drops(u, curves):
+    """|u(start) - u(end)| per curve, inf where either end is not finite."""
+    at = u[_curve_ends(curves)]
+    with np.errstate(invalid="ignore"):  # inf - inf, where the drop is inf
+        return np.where(np.all(np.isfinite(at), axis=1), np.abs(at[:, 0] - at[:, 1]), INF)
 
 
 def is_upper_gradient(space: MMS, u, g, curves: CurveFamily,
                       tol=1e-10) -> UpperGradientVerdict:
-    """Check the upper-gradient inequality on every curve of the family."""
+    """Check the upper-gradient inequality on every curve of the family, each
+    integral the curve's row of ``_family_rows`` (the programs' rows) times g."""
     u = np.asarray(u, dtype=float)
-    g = np.asarray(g, dtype=float)
-    worst = None
-    worst_gap = 0.0
-    for c in curves:
-        lhs = _endpoint_drop(u, c)
-        rhs = line_integral(space, g, c)
-        if math.isinf(lhs) and math.isinf(rhs):
-            continue
-        gap = lhs - rhs
-        if gap > worst_gap:
-            worst_gap = gap
-            worst = c
+    drops = _endpoint_drops(u, curves)
+    ints = _curve_integrals(_family_rows(space, curves), np.asarray(g, dtype=float))
+    both = np.isinf(drops) & np.isinf(ints)
+    gap = np.append(np.where(both, 0.0, drops) - np.where(both, 0.0, ints), 0.0)
+    worst = int(np.argmax(gap))  # the appended 0 where no curve is violated
     scale = 1.0 + float(np.max(np.abs(u[np.isfinite(u)]), initial=0.0))
-    if worst is not None and worst_gap > tol * scale:
-        return UpperGradientVerdict(False, worst, worst_gap)
+    if gap[worst] > max(tol * scale, 0.0):
+        return UpperGradientVerdict(False, curves.curves[worst], float(gap[worst]))
     return UpperGradientVerdict(True)
 
 
@@ -425,7 +413,7 @@ def minimal_upper_gradient(space: MMS, u, curves: CurveFamily, p) -> SolveResult
         raise ValueError("p >= 1 required")
     u = np.asarray(u, dtype=float)
     rows = _family_rows(space, curves)
-    b = np.asarray([_endpoint_drop(u, c) for c in curves], dtype=float)
+    b = _endpoint_drops(u, curves)
     res = constraint_generation(space.weights, rows, b, float(p), 1e-8)
     res.optimum = res.optimum ** (1.0 / p)
     res.certificate["objective"] = "weighted p-norm"
@@ -485,7 +473,7 @@ def capacity(space: MMS, fixed_set, curves: CurveFamily, p,
             "norm_parts": [opt, 0.0]}, tol)
     p, q = float(p), INF if p == 1 else p / (p - 1.0)  # q: the dual exponent
     coef = _family_rows(space, curves)
-    ends = np.array([(c.vertices[0], c.vertices[-1]) for c in curves])
+    ends = _curve_ends(curves)
     k = np.arange(len(curves))
     A = np.zeros((2 * len(k) + len(fixed), 2 * n))
     A[:2 * len(k), n:] = np.repeat(coef, 2, axis=0)

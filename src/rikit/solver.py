@@ -37,10 +37,10 @@ INFEASIBLE = math.inf
 # HiGHS feasibility tolerances: its 1e-7 defaults accept x = 0 for right-hand
 # sides below them
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-# programs whose rows hold at most this many entries start constraint
-# generation from every row: one Newton run then beats warm rounds, and
-# above it the rounds' smaller models win (Hajlasz on a 75-point path has
-# 208k entries, on a 100-point path 495k)
+# programs with at most this many row entries (every `programs` bench
+# program; Hajlasz on a 75-point path has 208k, on 100 points 495k) start
+# constraint generation from every row, one Newton run.  Above it neither
+# that run nor the rounds wins everywhere, so the rounds stay there
 ALL_ROWS_MAX = 1 << 18
 
 
@@ -90,13 +90,11 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
     tol and times each stage, the restart's LP as ``highs``.
     p = 1 is a linear program solved by HiGHS.  Raises SolverStall when
     the residual (which includes the relative duality gap) exceeds tol.
+    A has rows: ``constraint_generation`` ends a program without a positive
+    b by itself, and capacity has a row per point of its nonempty set.
     """
     cost, A, b = (np.asarray(v, dtype=float) for v in (cost, A, b))
-    m, n = A.shape
-    if m == 0:
-        x = np.zeros(n)
-        return SolveResult(0.0, x, _power_certificate(x, np.zeros(0), A, b, cost, p), tol,
-                           _telemetry("trivial", [0]))
+    m = len(A)
     if p == 1.0:
         return _solve_lp_min(cost, A, b, tol)
     tele = _telemetry("newton", [m])
@@ -411,5 +409,4 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     cert.update({k: sub.certificate[k]
                  for k in ("duality_gap", "vertex", "dual_degenerate")
                  if k in sub.certificate})
-    return _finish(SolveResult(float(np.sum(np.asarray(cost) * x ** p)) if p > 1
-                               else float(np.asarray(cost) @ x), x, cert, tol, tele))
+    return _finish(SolveResult(sub.optimum, x, cert, tol, tele))

@@ -628,7 +628,7 @@ class _LambdaQFundamental(FundamentalFn):
             gaps = _power_integral_rows(self._unit, np.concatenate(([0.0], knots[:-1])), knots,
                                         self.q, 0)
             out[pos] = np.cumsum(gaps)[back]
-        out = np.ldexp(np.where(np.isfinite(out), out, INF) ** (1.0 / self.q), -self._k)
+        out = np.ldexp(out ** (1.0 / self.q), -self._k)
         return float(out[0]) if scalar else out
 
 
@@ -999,9 +999,9 @@ def _power_integral_rows(phi, lo, hi, r, s):
     in closed form, as one array expression of its kind (_piece_integral),
     or else in the one _gauss_log_rows batch of all such parts, or by a
     dyadic refinement from 0.  Quadrature runs phi itself, and an affine
-    piece as c + m t.  Each interval adds its parts in piece order and stops
-    at the first one that is not finite, so each value is bit-identical to
-    integrating its interval alone whenever phi acts elementwise.
+    piece as c + m t.  Each interval adds all its parts in piece order, so
+    each value is bit-identical to integrating its interval alone whenever
+    phi acts elementwise, and a total that is not finite reads inf.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -1033,18 +1033,13 @@ def _power_integral_rows(phi, lo, hi, r, s):
         if qa:
             quad = _gauss_log_rows(lambda t, rows: _rowwise(fns[rows], t) ** r * t ** s,
                                    np.concatenate(qa), np.concatenate(qb))
-    stopped = None  # the intervals past a part that is not finite
     done = 0
-    for rows, term, batch in parts:
-        if batch is not None:
-            term[batch], done = quad[done:done + batch.size], done + batch.size
-        if stopped is not None:
-            rows, term = rows[~stopped[rows]], term[~stopped[rows]]
-        total[rows] += term
-        bad = ~np.isfinite(term)
-        if bad.any():
-            stopped = np.zeros(len(lo), dtype=bool) if stopped is None else stopped
-            stopped[rows[bad]] = True
+    with np.errstate(invalid="ignore"):  # inf - inf: a total that is not finite
+        for rows, term, batch in parts:
+            if batch is not None:
+                term[batch], done = quad[done:done + batch.size], done + batch.size
+            total[rows] += term
+    total[~np.isfinite(total)] = INF
     return total
 
 

@@ -234,6 +234,17 @@ def test_hardy_zero():
     assert hardy(0.5, f, 0.7) == 0.0
 
 
+def test_hardy_over_an_infinite_cell_is_inf():
+    assert hardy(0.5, GridFn([0.0, 1.0, 2.0], [INF, 1.0]), 1.5) == INF
+
+
+def test_hardy_past_the_support_adds_the_tail():
+    # 2 on (0, 1) and the tail 0.5 from 1 to t = 4: t^-a (2 * 1 + 0.5 (4^a - 1)) / a
+    f = GridFn([0.0, 1.0], [2.0], 0.5)
+    assert hardy(0.5, f, 4.0) == pytest.approx((2.0 + 0.5 * (2.0 - 1.0)) / 0.5 / 2.0,
+                                               rel=1e-15)
+
+
 def test_hardy_sandwich_vs_maximal():
     # P_{1/q} u* <= C1 M_p u* <= C2 P_{1/p} u* for q < p (frozen constants)
     rng = np.random.default_rng(5)
@@ -654,6 +665,24 @@ def test_criterion_b_raises_where_phi_leaves_the_float_range(phi, delta):
 def test_zippin_upper_of_a_vanishing_shape_is_degenerate():
     with pytest.raises(DegenerateRatio, match="positive at no s"):
         zippin_upper(FundamentalFn.sampled([1.0, 2.0], [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("spec,k2", [
+    (lambda c: NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0, c)), 1.371641492118183),
+    (lambda c: NormSpec.lambda_phi(FundamentalFn.sampled([0.5, 1.0, 2.0],
+                                                         [0.8 * c, c, 1.5 * c])),
+     2.000000000000027),
+    (lambda c: NormSpec.lambda_q(FundamentalFn.power(0.3, c, cap=0.5), 2), 1.231144413344918),
+], ids=["power-log", "sampled", "lambda-q"])
+def test_zippin_upper_does_not_drift_at_a_tiny_coefficient(spec, k2):
+    # k(s) of c phi is that of phi: at c = 1e-300 the grid ratios are taken
+    # over phi scaled near 1; ratios floored at 1e-300 would read k(2) =
+    # 0.736, 1.5 and 1.204, and the power-log index -0.443
+    tiny, unit = (zippin_upper(spec(c).fundamental_phi()) for c in (1e-300, 1.0))
+    assert dict(tiny.k_samples)[2.0] == pytest.approx(k2, rel=1e-13)
+    for (s, got), (_, want) in zip(tiny.k_samples, unit.k_samples, strict=True):
+        assert got == pytest.approx(want, rel=1e-13), s
+    assert tiny.beta_upper == pytest.approx(unit.beta_upper, rel=1e-13)
 
 
 def test_criterion_b_weak_bound_inequality():

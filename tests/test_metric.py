@@ -112,6 +112,93 @@ def test_upper_gradient_inf_convention():
     assert is_upper_gradient(s, u, [INF, 1.0], fam).ok
 
 
+def _loop_integral(space, g, curve):
+    """The trapezoid rule curve by curve, edge by edge: the reference."""
+    total = 0.0
+    for a, b in zip(curve.vertices[:-1], curve.vertices[1:]):
+        d = space.dist[a, b]
+        ga, gb = g[a], g[b]
+        if not (math.isfinite(ga) and math.isfinite(gb)):
+            if d > 0:
+                return INF
+            continue
+        total += d * (ga + gb) / 2.0
+    return total
+
+
+def _loop_gaps(space, u, g, curves):
+    """|u(start) - u(end)| minus the loop integral per curve; -inf where
+    both sides are inf (the curve holds)."""
+    gaps = []
+    for c in curves:
+        a, b = u[c.vertices[0]], u[c.vertices[-1]]
+        lhs = abs(a - b) if math.isfinite(a) and math.isfinite(b) else INF
+        rhs = _loop_integral(space, g, c)
+        gaps.append(-INF if math.isinf(lhs) and math.isinf(rhs) else lhs - rhs)
+    return gaps
+
+
+def test_upper_gradient_witness_is_the_first_of_a_tie():
+    # the loop keeps the first curve of largest violation: (2, 1), (1, 0)
+    # and (1, 2) all miss by exactly 2 - 0.25, and the tie goes to the first
+    s = path_space(3)
+    fam = CurveFamily([Curve((0, 2)), Curve((2, 1)), Curve((1, 0)), Curve((1, 2))])
+    v = is_upper_gradient(s, [0.0, 2.0, 0.0], [0.0, 0.5, 0.0], fam)
+    assert (v.ok, v.worst_curve, v.violation) == (False, Curve((2, 1)), 1.75)
+
+
+@st.composite
+def curve_checks(draw):
+    """A space (random points, or a path, grid or tree), a family of random
+    curves, and u and g with inf markers."""
+    kind = draw(st.sampled_from(("points", "path", "grid", "tree")))
+    if kind == "points":
+        space = random_space(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    elif kind == "path":
+        space = path_space(draw(st.integers(2, 6)), draw(st.sampled_from((1.0, 0.5, 0.3))))
+    elif kind == "grid":
+        space = grid_space(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    else:
+        space = tree_space(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    n = space.n
+    curves = []
+    for _ in range(draw(st.integers(0, 8))):
+        v = [draw(st.integers(0, n - 1))]
+        for step in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=5)):
+            v.append((v[-1] + step) % n)  # consecutive vertices stay distinct
+        curves.append(Curve(tuple(v)))
+    value = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(0.0, 10.0))
+    u = draw(st.lists(st.one_of(value, value.map(lambda x: -x), st.sampled_from((INF, -INF))),
+                      min_size=n, max_size=n))
+    g = draw(st.lists(st.one_of(value, st.just(INF)), min_size=n, max_size=n))
+    return space, CurveFamily(curves), np.array(u), np.array(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_checks())
+def test_upper_gradient_check_matches_the_per_curve_loop(check):
+    # the check reads the program rows: each curve's integral, and so the
+    # verdict, its witness and its violation, are those of the loop
+    space, curves, u, g = check
+    for c in curves:
+        want, got = _loop_integral(space, g, c), line_integral(space, g, c)
+        assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-12)
+    gaps = _loop_gaps(space, u, g, curves)
+    worst = max(gaps, default=0.0)
+    scale = 1.0 + float(np.max(np.abs(u[np.isfinite(u)]), initial=0.0))
+    verdict = is_upper_gradient(space, u, g, curves)
+    assert verdict.ok == (not worst > 1e-10 * scale)
+    if verdict.ok:
+        assert verdict.worst_curve is None and verdict.violation == 0.0
+        return
+    assert verdict.violation == pytest.approx(worst, rel=1e-12)
+    # the witness is the loop's, the first curve of largest violation; a tie
+    # within rounding between distinct curves may go to any of them
+    want = next(c for c, gap in zip(curves, gaps) if gap == worst)
+    near = {c.vertices for c, gap in zip(curves, gaps) if gap >= worst * (1 - 1e-12)}
+    assert verdict.worst_curve == want if len(near) == 1 else verdict.worst_curve.vertices in near
+
+
 # -- modulus ------------------------------------------------------------------
 
 
@@ -517,6 +604,18 @@ def test_tree_space_matches_loop(branching, depth):
     d = tree_space(branching, depth).dist
     assert d.dtype == np.float64
     assert np.array_equal(d, _tree_dist_loop(branching, depth))
+
+
+@pytest.mark.parametrize("branching", range(5))
+@pytest.mark.parametrize("depth", range(6))
+def test_tree_space_matches_networkx(branching, depth):
+    # networkx numbers a balanced tree breadth first, as tree_space does
+    nx = pytest.importorskip("networkx")
+    tree = nx.balanced_tree(branching, depth)
+    lengths = dict(nx.all_pairs_shortest_path_length(tree))
+    n = tree.number_of_nodes()
+    want = np.array([[lengths[i][j] for j in range(n)] for i in range(n)], dtype=float)
+    assert np.array_equal(tree_space(branching, depth).dist, want)
 
 
 def _path_dist_loop(n, spacing):

@@ -75,6 +75,16 @@ def test_gridfn_distribution_rejects_nan_t():
         gridfn_distribution(GridFn([0.0, 1.0], [2.0]), math.nan)
 
 
+def test_gridfn_distribution_of_a_tail_above_t_is_inf():
+    f = GridFn([0.0, 1.0], [2.0], 0.5)
+    assert gridfn_distribution(f, 0.25) == INF
+    assert gridfn_distribution(f, 0.5) == 1.0
+
+
+def test_star_star_over_an_infinite_cell_is_inf():
+    assert star_star(GridFn([0.0, 1.0, 2.0], [INF, 1.0]), 0.5) == INF
+
+
 # -- decreasing rearrangement ------------------------------------------------
 
 

@@ -400,6 +400,22 @@ def test_newton_loop_is_lean():
     assert not rows, f"_family_rows called per iteration: {rows}"
 
 
+def test_curve_checks_read_the_program_rows():
+    # the trapezoid rule lives in _family_rows alone: the line integral, the
+    # upper-gradient check and the upper-gradient program take their curve
+    # integrals and endpoint drops as arrays, with no loop per curve; no
+    # scalar drop, no second m_phi base grid and no stop mask in the walker
+    fns = dict(_functions(ast.parse((SRC_DIR / "rikit" / "metric.py").read_text())))
+    loops = [(name, node.lineno) for name in
+             ("line_integral", "is_upper_gradient", "minimal_upper_gradient")
+             for node in ast.walk(fns[name]) if isinstance(node, _LOOPS)]
+    assert not loops, f"loops at {loops}"
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        named = {*_references(tree), *_definitions(tree)}
+        assert not named & {"_M_PHI_GRID", "_endpoint_drop", "stopped"}, path.name
+
+
 def _kind_readers(kind):
     """(module, function) of every comparison of a name ``kind`` with the
     string ``kind``, in an operand or inside a tuple, list or set operand."""

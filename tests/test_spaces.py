@@ -219,6 +219,25 @@ def test_lorentz_embedding_degenerate():
         lorentz_embedding_ratio(zero, phi, 1, 2)
 
 
+def test_lorentz_embedding_with_an_infinite_low_norm():
+    # a positive tail: both norms diverge
+    with pytest.raises(DegenerateRatio, match="both Lorentz norms diverge"):
+        lorentz_embedding_ratio(GridFn([0.0, 1.0], [1.0], 0.5), FundamentalFn.power(0.5), 1, 2)
+    # over t^1e-308 the Lambda^1 weight of (0, 1/2) is 1e308, so 1.85 times
+    # it passes the float range, while the Lambda^2 term 1.85^2 * 5e307 stays
+    # in it: the ratio reads 0
+    r = lorentz_embedding_ratio(GridFn([0.0, 0.5], [1.85]), FundamentalFn.power(1e-308), 1, 2)
+    assert (r.ratio, r.norm_low) == (0.0, INF)
+    assert r.norm_high == pytest.approx(math.sqrt(1.85 ** 2 * 5e307), rel=1e-12)
+
+
+def test_lambda_phi_norm_diverges_where_its_terms_do():
+    # an infinite first value over phi(0+) > 0: the atom at 0 is inf
+    assert norm(GridFn([0.0, 1.0], [INF]), NormSpec.lambda_phi(FundamentalFn.power(0.0))) == INF
+    # a positive tail over an unbounded phi
+    assert norm(GridFn([0.0, 1.0], [2.0], 0.5), NormSpec.lambda_phi(FundamentalFn.power(0.5))) == INF
+
+
 # -- fundamental functions ---------------------------------------------------------
 
 
@@ -272,6 +291,16 @@ def test_quasiconcave_power_cases():
 def test_quasiconcave_linear_boundary():
     phi = FundamentalFn.power(1.0, coeff=3.0)
     assert is_quasiconcave(phi, power=1, window=(1e-6, 1.0)).ok
+
+
+def test_quasiconcave_prechecks():
+    # no edge of the GridFn in the window: it is checked at the window's end
+    assert is_quasiconcave(GridFn([0.0, 10.0], [1.0])).ok
+    v = is_quasiconcave(GridFn([0.0, 0.5, 2.0], [INF, 1.0]))
+    assert (v.ok, v.witness, v.reason) == (False, (0.5, 0.5), "not finite on window")
+    v = is_quasiconcave(FundamentalFn.sampled([1.0, 2.0], [0.0, 0.0]))
+    assert (v.ok, v.witness, v.reason) == (False, (1e-8, 1e-8),
+                                           "not strictly positive on window")
 
 
 def _quasiconcave_loop(f, power, window, rel_tol=1e-10):

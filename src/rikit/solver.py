@@ -11,8 +11,9 @@ The formulas of a dual point and its certificate (``_power_primal``,
 ``_dual_point``, ``_certificate``) hold no errstate: their callers do, a
 Newton run once around the whole run, and the run compares its steps by
 the scalar ``_kkt_residual``.  The p = 1 corner is a linear program: all
-its rows go to HiGHS at once, as a sparse matrix, and it returns a vertex
-optimum and exact duals.
+its rows go to HiGHS at once, through scipy's own HiGHS binding, as the
+model and options that ``scipy.optimize.linprog`` would pass it, and it
+returns a vertex optimum and exact duals.
 Capacity's norm-sum program reduces to a family of these
 (``metric.capacity``).
 """
@@ -37,6 +38,10 @@ INFEASIBLE = math.inf
 # HiGHS feasibility tolerances: its 1e-7 defaults accept x = 0 for right-hand
 # sides below them
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# linprog's fixed method="highs" settings (silent, presolve on, dual
+# simplex, no debug checks), then LP_OPTIONS
+_HIGHS_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
+                  "simplex_strategy": 1, "highs_debug_level": 0, **LP_OPTIONS}
 # programs with at most this many row entries (every `programs` bench
 # program; Hajlasz on a 75-point path has 208k, on 100 points 495k) start
 # constraint generation from every row, one Newton run.  Above it neither
@@ -331,21 +336,17 @@ def _feasibility(slacks, lam, b):
 def _solve_lp_min(cost, A, b, tol):
     """min cost @ x s.t. A x >= b, x >= 0 (vertex optimum via HiGHS).
 
-    HiGHS gets A as a sparse matrix: a dense -A would copy every row.
+    Raises ValueError on a non-finite cost, A or b, before HiGHS runs, and
+    SolverStall with a partial result, its ``status`` the HiGHS model
+    status, when HiGHS finds no optimum.
     """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_array
     m, n = A.shape
     tele = _telemetry("highs", [m])
-    res = _timed(tele, "highs", lambda: linprog(c=cost, A_ub=-csr_array(A), b_ub=-b,
-                                                 bounds=[(0.0, None)] * n, method="highs",
-                                                 options=LP_OPTIONS))
-    if not res.success:
+    status, x, lam = _timed(tele, "highs", _run_highs, cost, A, b)
+    if x is None:
         partial = SolveResult(INFEASIBLE, np.zeros(n), {
-            "status": res.message, "duals": np.zeros(m), "kkt_residual": INFEASIBLE}, tol, tele)
-        raise SolverStall(partial, f"LP failed: {res.message}")
-    x = np.asarray(res.x)
-    lam = np.asarray(res.ineqlin.marginals) * -1.0  # >=-form multipliers
+            "status": status, "duals": np.zeros(m), "kkt_residual": INFEASIBLE}, tol, tele)
+        raise SolverStall(partial, f"LP failed: HiGHS model status {status!r}")
     slacks = A @ x - b
     cert, scale = _feasibility(slacks, lam, b)
     stat = float(np.max(A.T @ lam - cost, initial=0.0))
@@ -353,6 +354,50 @@ def _solve_lp_min(cost, A, b, tol):
     cert.update(stationarity=stat, vertex=True, dual_degenerate=degenerate,
                 kkt_residual=max(cert["kkt_residual"], stat / scale))
     return _finish(SolveResult(float(cost @ x), x, cert, tol, tele))
+
+
+def _run_highs(cost, A, b):
+    """The HiGHS model status of min cost @ x s.t. A x >= b, x >= 0, its x
+    and its >=-form duals (None, None without an optimum).
+
+    HiGHS gets the model and options of ``linprog(method="highs")``, from
+    scipy's own binding: columns x >= 0, rows -A x <= -b with -A in CSC
+    arrays, and ``_HIGHS_OPTIONS``.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    m, n = A.shape
+    # the nonzeros of A by column, rows ascending: a row-major scan, sorted
+    # stably, reads A in memory order.  An inf or a nan is nonzero, so the
+    # check of A needs its nonzeros alone
+    rows, cols = np.nonzero(A)
+    by_col = np.argsort(cols, kind="stable")
+    rows, cols = rows[by_col], cols[by_col]
+    values = A[rows, cols]
+    if not all(np.isfinite(v).all() for v in (cost, values, b)):
+        raise ValueError("LP input must be finite: cost, A or b holds an inf or a nan")
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, math.inf)
+    lp.row_lower_, lp.row_upper_ = np.full(m, -math.inf), -b
+    mat = lp.a_matrix_
+    mat.format_ = highs.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = n, m
+    mat.start_ = np.searchsorted(cols, np.arange(n + 1))
+    mat.index_ = rows
+    mat.value_ = -values
+    engine = highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        engine.setOptionValue(key, value)
+    if engine.passModel(lp) == highs.HighsStatus.kError:
+        return engine.modelStatusToString(highs.HighsModelStatus.kModelError), None, None
+    ran = engine.run()
+    status = engine.getModelStatus()
+    if ran == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+        return engine.modelStatusToString(status), None, None
+    sol = engine.getSolution()
+    return engine.modelStatusToString(status), np.array(sol.col_value), -np.array(sol.row_dual)
 
 
 def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):

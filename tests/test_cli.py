@@ -188,6 +188,29 @@ def test_modulus_cli(tmp_path, capsys, sample_space):
     assert data["optimum"] == pytest.approx(lib.optimum)
 
 
+def test_p1_programs_write_nothing(tmp_path, capfd, sample_space):
+    # HiGHS logs to the console unless told not to, and the CLI's output is
+    # read off stdout: a p = 1 solve, a solve HiGHS refuses and a CLI call
+    # at p = 1 print only what the CLI means to print
+    from rikit.metric import capacity, modulus
+
+    s, spath = sample_space
+    curves = CurveFamily([Curve((0, 1, 2)), Curve((1, 2, 3, 4))])
+    lib = modulus(s, curves, 1.0)
+    capacity(s, [0, 4], curves, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        minimal_hajlasz(path_space(3), [0.0, math.inf, 1.0], 1.0)
+    assert capfd.readouterr() == ("", "")
+    cpath = tmp_path / "curves.json"
+    cpath.write_text(json.dumps(curves.to_dict()))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rikit.cli", "--out", str(tmp_path),
+                           "modulus", "--space", str(spath), "--curves", str(cpath), "--p", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == repr(lib.optimum) + "\n"
+
+
 def test_capacity_cli_empty_family(tmp_path, capsys, sample_space):
     s, spath = sample_space
     rc = main(["--out", str(tmp_path), "capacity", "--space", str(spath),

@@ -368,6 +368,93 @@ def test_p1_is_one_lp_over_every_row(program):
     assert res.optimum == pytest.approx(lp.fun, rel=1e-9, abs=0.0)
 
 
+@st.composite
+def raw_lps(draw):
+    """min cost @ x s.t. A x >= b, x >= 0, up to the size of a bench program
+    (30 rows, 12 columns), so that presolve leaves HiGHS a simplex to run:
+    entries of either sign and zeros, rows that load no column, zero
+    entries of b and rows no x >= 0 meets."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros, negative = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 0.5))
+    A = rng.uniform(0.05, 3.0, (m, n)) * np.where(rng.random((m, n)) < negative, -1.0, 1.0)
+    A[rng.random((m, n)) < zeros] = 0.0
+    b = np.where(rng.random(m) < zeros, 0.0, rng.uniform(-2.0, 5.0, m))
+    if draw(st.booleans()):  # a row that loads no column
+        A[draw(st.integers(0, m - 1))] = 0.0
+    b[~np.any(A > 0, axis=1)] = 0.0  # else most draws would be infeasible
+    cost = rng.uniform(0.0, 5.0, n)
+    if draw(st.integers(0, 3)) == 0:  # a row no x >= 0 meets
+        i = draw(st.integers(0, m - 1))
+        A[i], b[i] = -np.abs(A[i]), draw(st.floats(0.1, 5.0))
+    if draw(st.integers(0, 3)) == 0:  # a cost that may leave the program unbounded
+        cost[draw(st.integers(0, n - 1))] = draw(st.floats(-1.0, 0.0))
+    return cost, A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_lps())
+@example((np.ones(2), np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2)))
+@example((np.array([-1.0, 1.0]), np.array([[1.0, 1.0]]), np.ones(1)))
+@example((np.ones(2), np.array([[1.0, 0.5]]), np.array([2.0**-24])))  # below 1e-7
+def test_lp_matches_linprog_bit_for_bit(lp):
+    # HiGHS gets linprog's model and options: the same x, duals and
+    # optimum, and where one side fails, so does the other
+    cost, A, b = lp
+    try:
+        res = solver._solve_lp_min(cost, A, b, solver.DEFAULT_TOL)
+    except SolverStall as err:
+        res = err.result
+    ref = scipy.optimize.linprog(cost, A_ub=-A, b_ub=-b, bounds=[(0.0, None)] * len(cost),
+                                 method="highs", options=solver.LP_OPTIONS)
+    assert math.isfinite(res.optimum) == ref.success, ref.message
+    if ref.success:
+        assert _same_bits(res.minimizer, ref.x)
+        assert _same_bits(res.certificate["duals"], -ref.ineqlin.marginals)
+        assert _same_bits(res.optimum, float(cost @ ref.x))
+
+
+def test_highs_takes_every_option():
+    # the binding reports a rejected option by its return value alone
+    from scipy.optimize._highspy import _core as highs
+
+    h = highs._Highs()
+    for key, value in solver._HIGHS_OPTIONS.items():
+        assert h.setOptionValue(key, value) == highs.HighsStatus.kOk, key
+        assert h.getOptionValue(key)[1] == value, key
+
+
+@pytest.mark.parametrize("where", ["cost", "A", "b"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_lp_rejects_non_finite_input_before_highs(where, bad, monkeypatch):
+    from scipy.optimize._highspy import _core as highs
+
+    def no_highs(*args):
+        raise AssertionError("HiGHS ran")
+
+    monkeypatch.setattr(highs, "_Highs", no_highs)
+    lp = {"cost": np.ones(2), "A": np.array([[1.0, 2.0], [0.0, 1.0]]), "b": np.ones(2)}
+    lp[where].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solver._solve_lp_min(lp["cost"], lp["A"], lp["b"], solver.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("cost, A, b, status", [
+    # a row that loads no column; an unbounded cost; an entry HiGHS refuses
+    (np.ones(2), np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2), "Infeasible"),
+    (np.array([-1.0, 1.0]), np.array([[1.0, 1.0]]), np.ones(1), "Unbounded"),
+    (np.ones(2), np.array([[1e16, 1.0]]), np.ones(1), "Model error"),
+])
+def test_lp_failure_names_the_model_status(cost, A, b, status):
+    with pytest.raises(SolverStall, match=f"LP failed: HiGHS model status '{status}'") as err:
+        solver._solve_lp_min(cost, A, b, solver.DEFAULT_TOL)
+    res = err.value.result
+    assert res.optimum == math.inf and res.certificate["status"] == status
+    assert not res.minimizer.any() and not res.certificate["duals"].any()
+    assert res.certificate["kkt_residual"] == math.inf
+    assert "highs" in res.telemetry["wall_s"]
+
+
 def _same_bits(a, b):
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

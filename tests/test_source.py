@@ -92,6 +92,30 @@ def test_one_solver_path():
     assert users == set()
 
 
+def _modules(tree):
+    """Every module the tree imports, and every name it mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+    yield from _references(tree)
+
+
+def test_one_lp_path():
+    # every p = 1 program goes to HiGHS through scipy's binding in
+    # solver.py, with linprog's model and options but not its wrapper, and
+    # no sparse matrix is built on the way
+    binders = []
+    for path in SRC:
+        parts = {part for name in _modules(ast.parse(path.read_text()))
+                 for part in name.split(".")}
+        assert not parts & {"linprog", "sparse"}, path.name
+        if "_highspy" in parts:
+            binders.append(path.name)
+    assert binders == ["solver.py"]
+
+
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRatio, InvariantViolated, UnsupportedCombination, ZeroFunction
-from .metric import MMS, _ball_index
+from .metric import MMS, _ball_index, _ball_input
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
     _FAMILIES,
@@ -97,24 +97,26 @@ def maximal_metric(space: MMS, u, p) -> np.ndarray:
 
     Balls are the distance-sorted prefixes per center (the point sets
     realized by open balls with radii at midpoints between consecutive
-    distinct distances); the supremum is order-independent.
+    distinct distances); the supremum is order-independent.  M_p u is
+    (M_1 |u|^p)^{1/p}: the sweep takes the largest mean of |u|^p over the
+    balls holding each point and one power 1/p per point at the end.  That
+    keeps every bit of a power per ball, since t -> t^{1/p} is monotone,
+    so the power of the largest mean is the largest of the powers.
     """
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    u = np.abs(np.asarray(u, dtype=float))
+    u = np.abs(_ball_input(space, u, p))
     w = space.weights
     wup = w * u ** p
     out = np.zeros(space.n)
     for _, order, ds, last in _ball_index(space):
-        cw = np.cumsum(w[order], axis=1)
-        cf = np.cumsum(wup[order], axis=1)
-        ends = last & (ds < INF)
-        means = np.full(ds.shape, -INF)
-        means[ends] = (cf[ends] / cw[ends]) ** (1.0 / p)
+        means = wup[order]
+        np.cumsum(means, axis=1, out=means)
+        means /= np.cumsum(w[order], axis=1)
+        np.copyto(means, -INF, where=~(last & (ds < INF)))
         # the balls about a center holding its k-th nearest point end at k or later
-        suffix = np.maximum.accumulate(means[:, ::-1], axis=1)[:, ::-1]
-        np.maximum.at(out, order.ravel(), suffix.ravel())
-    return out
+        suffix = means[:, ::-1]
+        np.maximum.accumulate(suffix, axis=1, out=suffix)
+        np.maximum.at(out, order.ravel(), means.ravel())
+    return out ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ class MMS:
     ``MMS(dist, weights)`` and ``MMS.from_dict``, and so every matrix read
     from a file, check the shape, symmetry, zero diagonal, positive
     off-diagonal entries and positive weights in O(n^2), and the triangle
-    inequality in O(n^3).  The path, grid and tree generators run the same
+    inequality in O(n^3), a block of max(1, BLOCK // n^2) middle points at a
+    time.  The path, grid and tree generators run the same
     O(n^2) checks and then certify their matrix as the shortest-path metric
     of their edge list in O(n^2 * degree) (``_certify_shortest_paths``).
     """
@@ -46,9 +47,14 @@ class MMS:
 
     def __init__(self, dist, weights):
         d, w = _checked(dist, weights)
-        # triangle inequality within declared slack
-        for k in range(len(w)):
-            if np.any(d > d[:, [k]] + d[[k], :] + TRIANGLE_SLACK):
+        # d[i, j] <= (d[i, k] + d[k, j]) + slack for a block of k at a time,
+        # with temporaries of about max(BLOCK, n^2) entries
+        n = len(w)
+        step = max(1, BLOCK // max(n * n, 1))
+        for k in range(0, n, step):
+            via = d[:, k:k + step].T[:, :, None] + d[k:k + step, None, :]
+            via += TRIANGLE_SLACK
+            if np.any(d > via):
                 raise ValueError("triangle inequality violated")
         self.dist = d
         self.weights = w
@@ -563,6 +569,16 @@ class BallInfo:
     members: tuple
 
 
+def _ball_input(space: MMS, u, p=1.0) -> np.ndarray:
+    """u as floats, checked to hold one value per point, with 1 <= p < inf."""
+    if not 1 <= p < INF:  # NaN too
+        raise ValueError(f"1 <= p < inf required, got {p!r}")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (space.n,):
+        raise ValueError(f"one value per point required: {u.shape} values on {space.n} points")
+    return u
+
+
 def _ball_index(space: MMS):
     """Distance-sorted rows, in blocks of max(1, BLOCK // n) centres.
 
@@ -576,7 +592,7 @@ def _ball_index(space: MMS):
     for first in range(0, space.n, step):
         rows = space.dist[first:first + step]
         order = np.argsort(rows, axis=1, kind="stable")
-        ds = np.take_along_axis(rows, order, axis=1)
+        ds = np.sort(rows, axis=1)  # the values of rows[order]: tied entries are equal
         last = np.ones(ds.shape, dtype=bool)
         np.not_equal(ds[:, 1:], ds[:, :-1], out=last[:, :-1])
         yield first, order, ds, last
@@ -657,8 +673,8 @@ def poincare_ratio(space: MMS, u, g, p, lam=1.0):
     """
     if not lam >= 0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    u = np.asarray(u, dtype=float)
-    g = np.asarray(g, dtype=float)
+    u = _ball_input(space, u, p)
+    g = _ball_input(space, g)
     w = space.weights
     best = None
     best_ball = None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (BudgetExhausted, HajlaszViolated, InvariantViolated,
                      NotLipschitzOnSubset)
-from .metric import (MMS, CurveFamily, _ball_deviation, _ball_index,
+from .metric import (MMS, CurveFamily, _ball_deviation, _ball_index, _ball_input,
                      is_upper_gradient)
 from .rearrange import WeightedSamples
 from .spaces import NormSpec, norm
@@ -132,7 +132,7 @@ def sharp_maximal(space: MMS, u) -> np.ndarray:
     with the mean deviations in ``metric._ball_deviation``, so no
     temporary exceeds max(BLOCK, n) entries beside the block's own rows.
     """
-    u = np.asarray(u, dtype=float)
+    u = _ball_input(space, u)
     w = space.weights
     out = np.zeros(space.n)
     for first, order, ds, last in _ball_index(space):

@@ -4,7 +4,9 @@
 distance-sorted rows of a space in blocks.  The loop versions below are
 the per-center, per-ball implementations they replaced; they are kept
 here as oracles.  ``maximal_metric`` only reorders exact operations (max)
-around the same prefix sums, so it must match its reference bit for bit;
+around the same prefix sums, and takes the monotone power 1/p of the
+largest mean in place of the largest power, so it must match its reference
+bit for bit;
 the other two sum deviations in another order and match to 1e-12
 relative.
 """
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import rikit.metric as metric
 from rikit.errors import AllDegenerate
-from rikit.maximal import maximal_metric
+from rikit.maximal import herz_riesz_ratios, maximal_metric
 from rikit.metric import MMS, BallInfo, grid_space, path_space, poincare_ratio, tree_space
 from rikit.regularize import sharp_maximal
 
@@ -224,6 +226,115 @@ def test_maximal_metric_infinite_distances_bit_identical():
     out = maximal_metric(s, u, 2.0)
     np.testing.assert_array_equal(out, ref_maximal_metric(s, u, 2.0))
     np.testing.assert_array_equal(out[2], 4.0)
+
+
+@st.composite
+def wide_space_and_fn(draw):
+    """A space with weights from 1e-3 to 1e3 and a u with inf markers."""
+    s = draw(spaces())
+    weight = st.one_of(st.floats(1e-3, 1e3), st.sampled_from((1e-3, 1e3)))
+    w = np.asarray(draw(st.lists(weight, min_size=s.n, max_size=s.n)))
+    vals = st.one_of(st.just(0.0), st.floats(-5.0, 5.0), st.sampled_from((INF, -INF)))
+    u = np.asarray(draw(st.lists(vals, min_size=s.n, max_size=s.n)))
+    return MMS(s.dist, w), u
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_space_and_fn(), st.sampled_from((1.0, 1.05, 2.0, 3.0, 7.0)))
+def test_maximal_metric_bit_identical_on_wide_inputs(su, p):
+    # one power per point after the sweep keeps the bits of a power per ball
+    s, u = su
+    out = maximal_metric(s, u, p)
+    np.testing.assert_array_equal(out, ref_maximal_metric(s, u, p))
+    assert_close(out, set_maximal_metric(s, u, p))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the reference
+@pytest.mark.parametrize("p", [1.0, 1.05, 7.0])
+def test_maximal_metric_inf_markers_on_infinite_distances_bit_identical(p):
+    d = np.array([[0.0, 1.0, INF, INF], [1.0, 0.0, INF, INF],
+                  [INF, INF, 0.0, 2.0], [INF, INF, 2.0, 0.0]])
+    s = MMS(d, [1e-3, 2.0, 1e3, 0.5])
+    u = np.array([1.0, 0.0, -INF, 3.0])
+    out = maximal_metric(s, u, p)
+    np.testing.assert_array_equal(out, ref_maximal_metric(s, u, p))
+    np.testing.assert_array_equal(out[2:], INF)
+
+
+# -- _ball_index --------------------------------------------------------------------------
+
+
+def assert_ball_index_sorts(space):
+    """ds is rows[order] bit for bit, order the stable argsort, over every block."""
+    covered = 0
+    for first, order, ds, last in metric._ball_index(space):
+        assert first == covered
+        rows = space.dist[first:first + len(order)]
+        assert np.array_equal(order, np.argsort(rows, axis=1, kind="stable"))
+        want = np.take_along_axis(rows, order, axis=1)
+        assert ds.dtype == want.dtype and ds.tobytes() == want.tobytes()
+        ends = np.ones(ds.shape, dtype=bool)
+        ends[:, :-1] = want[:, 1:] != want[:, :-1]
+        assert np.array_equal(last, ends)
+        covered += len(order)
+    assert covered == space.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_ball_index_sorted_distances_match_the_gather(s):
+    assert_ball_index_sorts(s)
+
+
+INFINITE = MMS(np.array([[0.0, 1.0, INF], [1.0, 0.0, INF], [INF, INF, 0.0]]), [1.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("block", [1, 5, 13, 30, metric.BLOCK])
+@pytest.mark.parametrize("space", [INFINITE, tree_space(2, 2), grid_space(3, 3)],
+                         ids=["infinite", "tree2,2", "grid3x3"])
+def test_ball_index_across_block_boundaries(monkeypatch, block, space):
+    monkeypatch.setattr(metric, "BLOCK", block)
+    assert_ball_index_sorts(space)
+
+
+# -- input checks -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [INF, math.nan, 0.5, 0.0, -1.0])
+def test_maximal_metric_rejects_p_outside_one_to_inf(p):
+    # at p = inf every mean of u^p with an entry above 1 was inf, so
+    # maximal_metric(path_space(4), [0, 2, 0, 0], inf) read 1 everywhere
+    s = path_space(4)
+    u = [0.0, 2.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        maximal_metric(s, u, p)
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        herz_riesz_ratios(s, u, p)
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, 0.5, INF, math.nan])
+def test_poincare_ratio_rejects_p_outside_one_to_inf(p):
+    # p = -1 read 0.667 and p = 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        poincare_ratio(path_space(4), [0.0, 2.0, 0.0, 1.0], np.ones(4), p)
+
+
+@pytest.mark.parametrize("u", [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0],
+                               [[0.0, 1.0], [2.0, 3.0]]], ids=["3", "5", "2x2"])
+def test_ball_operators_reject_u_of_the_wrong_length(u):
+    # 3 values on 4 points raised numpy's "operands could not be broadcast"
+    s = path_space(4)
+    match = "one value per point"
+    with pytest.raises(ValueError, match=match):
+        maximal_metric(s, u, 2.0)
+    with pytest.raises(ValueError):  # the rearrangement of u raises first
+        herz_riesz_ratios(s, u, 1.0)
+    with pytest.raises(ValueError, match=match):
+        sharp_maximal(s, u)
+    with pytest.raises(ValueError, match=match):
+        poincare_ratio(s, u, np.ones(4), 1.0)
+    with pytest.raises(ValueError, match=match):
+        poincare_ratio(s, np.ones(4), u, 1.0)
 
 
 # -- sharp_maximal ----------------------------------------------------------------------

@@ -234,6 +234,22 @@ def test_generate_and_maximal(tmp_path, capsys):
     assert np.allclose(data["values"], lib)
 
 
+@pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
+def test_maximal_cli_rejects_p_outside_one_to_inf(tmp_path, capsys, p):
+    # M_p at p = inf is no p-mean: an input error, exit 2, and no output file
+    assert main(["--out", str(tmp_path), "generate", "path:4"]) == 0
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"values": [0.0, 2.0, 0.0, 0.0]}))
+    capsys.readouterr()
+    rc = main(["--out", str(tmp_path), "maximal", "--space",
+               str(tmp_path / "mms.json"), "--fn", str(fn), "--p", p])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1 <= p < inf" in captured.err
+    assert not (tmp_path / "maximal.json").exists()
+
+
 def test_criteria_cli(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "criteria", "--space", "lorentz:3,2",
                "--p", "2", "--complete"])

@@ -755,6 +755,33 @@ def test_certificate_accepts_only_metrics(graph, data):
     assert _triangle_loop_ok(s.dist)
 
 
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_blocked_triangle_check_rejects_what_the_per_k_loop_rejects(graph, data):
+    # one planted pair d[i, j] = d[j, i]: an arbitrary length, or the sum
+    # d[i, k] + d[k, j] at the slack or one ulp past it, where d[k, i] may sit
+    # up to 5e-13 off d[i, k], inside the symmetry tolerance
+    d, _ = graph
+    n = len(d)
+    bad = d * data.draw(st.sampled_from((1.0, 0.1, 1.0 / 3.0)))
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    if i != k:
+        bad[k, i] += data.draw(st.sampled_from((0.0, 5e-13, -5e-13)))
+    if i != j:
+        edge = bad[i, k] + bad[k, j] + TRIANGLE_SLACK
+        bad[i, j] = bad[j, i] = data.draw(st.one_of(
+            st.integers(1, 8).map(float), st.just(edge), st.just(np.nextafter(edge, INF))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "BLOCK", data.draw(st.sampled_from((1, 8, 50, metric.BLOCK))))
+        try:
+            MMS(bad, np.ones(n))
+        except ValueError as err:
+            assert str(err) == "triangle inequality violated"
+            assert not _triangle_loop_ok(bad)
+        else:
+            assert _triangle_loop_ok(bad)
+
+
 def _hajlasz_rows_loop(space, u):
     n = space.n
     rows, b = [], []

@@ -179,6 +179,21 @@ def test_ball_sweeps_loop_only_over_blocks(module, name):
     assert getattr(loops[0].iter.func, "id", None) == "_ball_index"
 
 
+def test_maximal_metric_takes_one_power_per_point():
+    # M_p u = (M_1 |u|^p)^{1/p}: the block loop takes the means of |u|^p and
+    # no power; the ball index reads its distances off one sort of the rows
+    loop = next(node for node in ast.walk(_maximal_function("maximal_metric"))
+                if isinstance(node, ast.For))
+    powers = [node.lineno for node in ast.walk(loop)
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+              or isinstance(node, ast.Attribute) and node.attr in ("power", "float_power")]
+    assert not powers, f"powers at lines {powers}"
+    tree = ast.parse((SRC_DIR / "rikit" / "metric.py").read_text())
+    index = next(top for top in tree.body
+                 if isinstance(top, ast.FunctionDef) and top.name == "_ball_index")
+    assert "take_along_axis" not in set(_references(index))
+
+
 def _functions(tree):
     """(name, node) of every top-level function and method of a top-level class."""
     for top in tree.body:

@@ -16,13 +16,12 @@ form.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRatio, InvariantViolated, UnsupportedCombination, ZeroFunction
+from .errors import DegenerateRatio, InvariantViolated, ZeroFunction
 from .metric import MMS, _ball_index, _ball_input
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
@@ -179,16 +178,8 @@ class IndexReport:
     note: str = ""
 
     def to_dict(self):
-        return {
-            "k_samples": [[float(s), float(k)] for (s, k) in self.k_samples],
-            "h_samples": [[float(s), float(h)] for (s, h) in self.h_samples],
-            "beta_upper": self.beta_upper,
-            "alpha_lower": self.alpha_lower,
-            "alpha_exact": self.alpha_exact,
-            "beta_exact": self.beta_exact,
-            "lower_bound_only": self.lower_bound_only,
-            "note": self.note,
-        }
+        return {**vars(self), **{name: [[float(s), float(k)] for (s, k) in getattr(self, name)]
+                                 for name in ("k_samples", "h_samples")}}
 
 
 def _power_diverges(phi, p):
@@ -223,9 +214,9 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     between those points.  Over a generic piece the grid maximum
     under-estimates k(s), so the reported index is only an estimate: it can
     fall below the true index (0.496 against 0.55 for
-    ``power_log(0.55, 1.0)``) and certifies no inequality.  The grid ratios
-    are those of ``_near_unit(phi, 1)`` where phi(1) is positive and finite,
-    so that a tiny coefficient does not push phi below their floor.
+    ``power_log(0.55, 1.0)``) and certifies no inequality.  k(s) is the
+    same for c phi, so the grid ratios are those of ``phi.unit``: a tiny or
+    huge coefficient leaves them as at phi(1) near 1.
     """
     s_grid = _dilation_factors(s_grid)
     alpha = _zippin_exponent(phi)
@@ -235,9 +226,8 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
     else:
         hi = phi.cap if math.isfinite(phi.cap) else 1e4
         base = phi.eval_grid(1e-10, max(hi * 4, 1.0), 512)
-        with contextlib.suppress(UnsupportedCombination):  # phi(1) is 0 or not finite
-            phi = _near_unit(phi, 1.0)  # k(s) is that of c phi: take it near 1 at t = 1
-        _, at_t, at_st = _dilation_pairs(phi, base, phi.kinks(0.0, INF), s_grid)
+        _, at_t, at_st = _dilation_pairs(phi.unit, base, phi.kinks(0.0, INF), s_grid)
+        # the floor holds where phi has no unit: phi(1) is 0, as on a vanishing shape
         ks = np.max(at_st / np.maximum(at_t, 1e-300), axis=1)
         ks = list(zip(s_grid.tolist(), ks.tolist()))
         betas = [math.log(k) / math.log(s) for (s, k) in ks if k > 0]
@@ -245,12 +235,8 @@ def zippin_upper(phi: FundamentalFn, s_grid=None) -> IndexReport:
             raise DegenerateRatio("k(s) is positive at no s: phi vanishes on the grid")
         beta = min(betas)
     exact = alpha is not None
-    return IndexReport(
-        k_samples=ks,
-        beta_upper=float(beta),
-        beta_exact=exact,
-        note="k exact (power shape)" if exact else "k by grid supremum",
-    )
+    return IndexReport(k_samples=ks, beta_upper=float(beta), beta_exact=exact,
+                       note="k exact (power shape)" if exact else "k by grid supremum")
 
 
 def _dilation_pairs(phi, base, kinks, ss):
@@ -292,22 +278,13 @@ def _boyd_bounds(spec, s_grid, z):
     needed; unread where the family names an ``indicator`` shape)."""
     exact = spec.boyd_alpha_exact()
     if exact is not None:
-        return IndexReport(
-            h_samples=[(float(s), float(s ** exact)) for s in s_grid],
-            alpha_lower=float(exact),
-            alpha_exact=True,
-            lower_bound_only=False,
-            note="dilation norm closed form",
-        )
-    z = _indicator_zippin(spec, s_grid, z)
-    return IndexReport(
-        h_samples=z.k_samples,
-        alpha_lower=z.beta_upper,
-        alpha_exact=False,
-        lower_bound_only=True,
-        note="indicator lower bounds only" + ("" if z.beta_exact else
-                                              "; alpha_lower a grid estimate"),
-    )
+        return IndexReport(h_samples=[(float(s), float(s ** exact)) for s in s_grid],
+                           alpha_lower=float(exact), alpha_exact=True, lower_bound_only=False,
+                           note="dilation norm closed form")
+    z = _indicator_zippin(spec, s_grid, z)  # alpha_exact, lower_bound_only: the defaults
+    return IndexReport(h_samples=z.k_samples, alpha_lower=z.beta_upper,
+                       note="indicator lower bounds only" + ("" if z.beta_exact else
+                                                             "; alpha_lower a grid estimate"))
 
 
 def _indicator_zippin(spec, s_grid, z):
@@ -359,9 +336,9 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
     The inner integral adds up the segments between grid points in order;
     spaces._power_integral_rows integrates phi^{-p} over all of them in one
     walk, bit-identical to a segment-by-segment sweep whenever phi acts
-    elementwise.  B is the same for c phi: where phi^{-p} or phi^p passes the
-    float range, it is taken again over phi times the power of two nearest
-    1 / phi(delta).
+    elementwise.  B is the same for c phi: where phi^{-p} or phi^p leaves the
+    normal floats, it is taken again over ``_near_unit(phi, delta)``, phi near
+    1 at delta; phi goes first, so B keeps the bits of a sweep over phi itself.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -382,20 +359,21 @@ def criterion_B(phi: FundamentalFn, p, delta=1.0) -> float:
 
 def _grid_B(phi, ts, p):
     """The maximum over ts of phi(t)^p (1/t) int_0^t phi^-p; inf where an
-    inner integral is not finite, nan where phi^p is not."""
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+    inner integral is not finite or, having lost digits, not normal, nan
+    where phi^p is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # past the floats
         inners = np.cumsum(_power_integral_rows(phi, np.concatenate(([0.0], ts[:-1])), ts,
                                                 -p, 1))
-        if not np.all(np.isfinite(inners)):
+        if not (np.all(np.isfinite(inners)) and inners[0] >= np.finfo(float).tiny):
             return INF
         return float(np.max(np.asarray(phi(ts), dtype=float) ** p * inners / ts))
 
 
 def m_phi(phi: FundamentalFn, s) -> float:
-    """m_phi(s) = sup_{0<t<1} phi(t) / phi(st) for s in (0, 1)."""
+    """m_phi(s) = sup_{0<t<1} phi(t) / phi(st) for s in (0, 1), over ``phi.unit``."""
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
-    return float(_m_phi_values(phi, np.asarray([s], dtype=float))[0])
+    return float(_m_phi_values(phi.unit, np.asarray([s], dtype=float))[0])
 
 
 def _m_phi_values(phi, ss):
@@ -406,7 +384,8 @@ def _m_phi_values(phi, ss):
     falls in t and m_phi(s) is its limit at 0, s^-alpha.  For beta < 0 log phi
     is convex on the head: the ratio rises up to t = b and falls past it, so
     m_phi(s) is phi(b) / phi(sb), the grid's value wherever the grid reaches
-    b.  Elsewhere it is the grid maximum of _m_phi_at.
+    b.  Elsewhere it is the grid maximum of _m_phi_at.  Over a unit phi, no
+    phi(s t) needs a floor: quasi-concavity gives phi(t) >= t phi(1) >= t / sqrt(2), t <= 1.
     """
     head = _regular_head(phi, 1.0)
     if head is None:
@@ -414,7 +393,7 @@ def _m_phi_values(phi, ss):
     if head[2] >= 0:
         return _pow_each(ss, -head[1])
     at = np.asarray(phi(np.concatenate(([head[0]], ss * head[0]))), dtype=float)
-    return at[0] / np.maximum(at[1:], 1e-300)
+    return at[0] / at[1:]
 
 
 def _m_phi_at(phi, ss):
@@ -425,7 +404,7 @@ def _m_phi_at(phi, ss):
     """
     ts, at_t, at_st = _dilation_pairs(phi, phi.eval_grid(1e-12, 1.0, 192),
                                       phi.kinks(1e-12, 1.0), ss)
-    return np.max(np.where(ts <= 1.0, at_t / np.maximum(at_st, 1e-300), -INF), axis=1)
+    return np.max(np.where(ts <= 1.0, at_t / at_st, -INF), axis=1)
 
 
 def m_phi_norm(phi: FundamentalFn, p) -> float:
@@ -441,7 +420,8 @@ def m_phi_norm(phi: FundamentalFn, p) -> float:
         # m_phi(s) >= s^{-alpha}, so the integral diverges, at alpha p = 1 too
         return INF
     # scalar powers: numpy's vector pow may round apart from the C library's
-    val = _dyadic_integral(lambda s: _pow_each(_m_phi_values(phi, np.atleast_1d(s)), p), 1.0)
+    unit = phi.unit
+    val = _dyadic_integral(lambda s: _pow_each(_m_phi_values(unit, np.atleast_1d(s)), p), 1.0)
     if not math.isfinite(val):
         return INF
     return val ** (1.0 / p)

@@ -16,6 +16,7 @@ power of an unbounded phi there.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
@@ -79,10 +80,13 @@ class FundamentalFn:
     ``forms``: one (kind, params) per piece from 0 to inf, or None for a
     generic piece.  kind is "power" (params (coeff, alpha)), "power_log"
     (params (coeff, alpha, beta): coeff t^alpha |log t|^beta, on a piece
-    below 1/e) or "affine" (params (c, m): c + m t).
+    below 1/e) or "affine" (params (c, m): c + m t).  ``times_pow2(k)`` is
+    the shape times 2^k, exactly, and ``unit`` the one of those near 1 at 1.
     """
 
     cap = INF
+    pow2 = 0  # the k of times_pow2 summed: this shape is 2^pow2 times the one built
+    _scaled = ()  # the fields times_pow2 scales: values of phi, or component shapes
 
     # factories -------------------------------------------------------------
 
@@ -152,6 +156,30 @@ class FundamentalFn:
         """n geometric points from lo to hi, both exact, and the kinks between."""
         return np.unique(np.concatenate((geometric_grid(lo, hi, n), self.kinks(lo, hi))))
 
+    def times_pow2(self, k):
+        """This shape times 2^k, exactly: ``_scaled`` and the forms' c (and m of c + m t)."""
+        out = object.__new__(type(self))  # a copy, without the caches of this one
+        vars(out).update((n, v) for n, v in vars(self).items()
+                         if n not in ("unit", "_break_array"))
+        for name in self._scaled:
+            v = getattr(self, name)
+            setattr(out, name, [s.times_pow2(k) for s in v] if isinstance(v, list)
+                    else v.times_pow2(k) if hasattr(v, "times_pow2")
+                    else np.ldexp(v, k) if isinstance(v, np.ndarray) else math.ldexp(v, k))
+        out.pow2 += k
+        out.forms = [form and (form[0], tuple(math.ldexp(v, k) if form[0] == "affine" or j == 0
+                                              else v for j, v in enumerate(form[1])))
+                     for form in self.forms]
+        return out
+
+    @cached_property
+    def unit(self):
+        """``_near_unit(self, 1)``, or the shape itself where phi(1) is 0 or not finite."""
+        try:
+            return _near_unit(self, 1.0)
+        except UnsupportedCombination:
+            return self
+
 
 def _power_on(phi, a, b):
     """(c, alpha) when phi = c t^alpha on all of (a, b): no kink inside and
@@ -208,6 +236,7 @@ def _zippin_exponent(phi):
 
 class PowerPhi(FundamentalFn):
     """phi(t) = coeff * min(t, cap)^alpha, alpha in [0, 1]."""
+    _scaled = ("coeff", "_top")
 
     def __init__(self, alpha, coeff=1.0, cap=INF):
         if not 0.0 <= alpha <= 1.0:
@@ -241,6 +270,7 @@ class PowerLogPhi(FundamentalFn):
     The switch point is the largest t where both monotonicity requirements
     of quasi-concavity still hold; beyond it the shape is constant.
     """
+    _scaled = ("coeff", "_top")
 
     def __init__(self, alpha, beta, coeff=1.0, cap=INF):
         if not 0.0 < alpha < 1.0:
@@ -250,12 +280,8 @@ class PowerLogPhi(FundamentalFn):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.coeff = float(coeff)
-        t_sw = math.exp(-1.0)
-        if beta > 0:
-            t_sw = min(t_sw, math.exp(-beta / alpha))
-        elif beta < 0:
-            t_sw = min(t_sw, math.exp(beta / (1.0 - alpha)))
-        self.t_switch = t_sw
+        self.t_switch = t_sw = min(math.exp(-1.0), math.exp(-beta / alpha) if beta > 0
+                                   else math.exp(beta / (1.0 - alpha)))
         self.cap = _positive_cap(cap)
         self.breaks = _breaks([t_sw, self.cap])
         self._top = float(self(t_sw))
@@ -326,6 +352,12 @@ class OrliczN:
             )
         return out
 
+    def times_pow2(self, k):
+        """Psi(2^k x), exactly: its 1 / Psi^{-1}(1 / t) is 2^k times this one's."""
+        out = copy.copy(self)
+        out.xs, out.slopes = np.ldexp(self.xs, -k), np.ldexp(self.slopes, k)
+        return out
+
     def to_dict(self):
         return {"x": list(map(float, self.xs[1:])), "y": list(map(float, self.ys[1:]))}
 
@@ -336,6 +368,7 @@ class OrliczN:
 
 class OrliczInversePhi(FundamentalFn):
     """phi(t) = 1 / Psi^{-1}(1 / t), the Orlicz fundamental function."""
+    _scaled = ("orlicz",)
 
     def __init__(self, orlicz: OrliczN, cap=INF):
         self.orlicz = orlicz
@@ -353,9 +386,8 @@ class OrliczInversePhi(FundamentalFn):
 
     def __call__(self, t):
         t = np.minimum(np.asarray(t, dtype=float), self.cap)
-        t = np.maximum(t, 1e-300)
-        inv = self.orlicz.inverse(1.0 / t)
-        out = np.where(np.asarray(t) > 1e-299, 1.0 / np.maximum(inv, 1e-300), 0.0)
+        with np.errstate(divide="ignore", over="ignore"):  # 0 at 0, past the floats, inf
+            out = 1.0 / self.orlicz.inverse(1.0 / t)
         return out if out.ndim else float(out)
 
     def peaks(self, r):
@@ -377,6 +409,7 @@ class SampledPhi(FundamentalFn):
 
     Constant at the last node value beyond ``cap`` (default: the last node).
     """
+    _scaled = ("vals",)
 
     def __init__(self, ts, vals, cap=None):
         ts = np.asarray(ts, dtype=float)
@@ -399,8 +432,7 @@ class SampledPhi(FundamentalFn):
                       for i, a in enumerate([0.0, *self.breaks])]
 
     def __call__(self, t):
-        t = np.minimum(np.asarray(t, dtype=float), self.cap)
-        t = np.minimum(t, self.ts[-1])
+        t = np.minimum(np.asarray(t, dtype=float), min(self.cap, self.ts[-1]))
         out = np.interp(t, self.ts, self.vals)
         return out if out.ndim else float(out)
 
@@ -414,6 +446,7 @@ class PsiMajorantPhi(FundamentalFn):
     a constant, psi is the larger of it and the best later ratio times
     t^{1/p}, cut where they cross; every other piece below hi is generic.
     """
+    _scaled = ("phi", "_best", "_top")
 
     def __init__(self, phi: FundamentalFn, p, hi=1.0):
         if p < 1:
@@ -599,8 +632,9 @@ def _lambda_q_fundamental(spec):
 
 class _LambdaQFundamental(FundamentalFn):
     """Fundamental function of Lambda^q_phi: W(t) = (int_0^t phi^q ds/s)^{1/q}.
-    W of 2^k phi is 2^k W, so W is taken over _near_unit(phi, 1), whose powers
+    W of 2^k phi is 2^k W, so W is taken over phi's ``unit``, whose powers
     stay in the float range where phi's may not, and scaled back exactly."""
+    _scaled = ("phi",)
 
     def __init__(self, phi, q):
         self.phi = phi
@@ -608,8 +642,6 @@ class _LambdaQFundamental(FundamentalFn):
         self.cap = phi.cap
         self.breaks = phi.breaks
         self.forms = [None] * (len(phi.breaks) + 1)
-        self._unit = _near_unit(phi, 1.0)
-        self._k = 0 if self._unit is phi else self._unit.k
 
     def __call__(self, t):
         """The fundamental at every t, swept over the sorted points.
@@ -623,12 +655,13 @@ class _LambdaQFundamental(FundamentalFn):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(len(ts))
         pos = ts > 0
+        unit = self.phi.unit
         if np.any(pos):
             knots, back = np.unique(ts[pos], return_inverse=True)
-            gaps = _power_integral_rows(self._unit, np.concatenate(([0.0], knots[:-1])), knots,
+            gaps = _power_integral_rows(unit, np.concatenate(([0.0], knots[:-1])), knots,
                                         self.q, 0)
             out[pos] = np.cumsum(gaps)[back]
-        out = np.ldexp(out ** (1.0 / self.q), -self._k)
+        out = np.ldexp(out ** (1.0 / self.q), self.phi.pow2 - unit.pow2)
         return float(out[0]) if scalar else out
 
 
@@ -657,6 +690,7 @@ class _MaxPhi(FundamentalFn):
     breaks, their crossings are breaks too (none past the floats) and a
     piece takes the form of the component on top; elsewhere it is generic.
     """
+    _scaled = ("phis",)
 
     def __init__(self, phis):
         if any(p is None for p in phis):
@@ -686,33 +720,16 @@ class _MaxPhi(FundamentalFn):
         return max(p.value_inf() for p in self.phis)
 
 
-class _Pow2Phi(FundamentalFn):
-    """phi times 2^k, exactly: phi's breaks, and each form's coefficients (c
-    and m of c + m t, c of the other kinds) times 2^k; generic stays generic."""
-
-    def __init__(self, phi, k):
-        self.phi, self.k, self.cap, self.breaks = phi, k, phi.cap, phi.breaks
-        self.forms = [form and (form[0], tuple(math.ldexp(v, k) if form[0] == "affine" or j == 0
-                                               else v for j, v in enumerate(form[1])))
-                      for form in phi.forms]
-
-    def __call__(self, t):
-        out = np.ldexp(np.asarray(self.phi(t), dtype=float), self.k)
-        return out if out.ndim else float(out)
-
-
 def _near_unit(phi, t):
-    """phi times the power of two nearest 1 / phi(t), exactly; phi itself
-    where that power is 1.  A ratio of phi's powers that does not change
-    under phi -> c phi, criterion B's, can be computed over it where phi's
-    own powers pass the float range.  UnsupportedCombination where phi(t)
-    is 0 or not finite: no power of two brings it near 1."""
+    """phi times the power of two nearest 1 / phi(t), exactly (phi itself at
+    2^0), over which a ratio that c phi leaves unchanged stays in the float
+    range; UnsupportedCombination where phi(t) is 0 or not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         at = float(phi(t))
     if not 0.0 < at < INF:
         raise UnsupportedCombination(f"the shape is {at!r} at {t!r}, outside the float range")
     k = -round(math.log2(at))
-    return phi if k == 0 else _Pow2Phi(phi, k)
+    return phi if k == 0 else phi.times_pow2(k)
 
 
 def _generic_start(phi, lo, hi):

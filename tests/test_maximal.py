@@ -1,5 +1,6 @@
 """Maximal operators, indices, and boundedness criteria."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -610,8 +611,18 @@ def test_criterion_b_scales_out_the_coefficient(shape, p, delta, coeff):
     assert criterion_B(shape(coeff), p, delta) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _power_log_c(c):
+    return FundamentalFn.power_log(0.4, -1.0, coeff=c)
+
+
+def _sampled_c(c):
+    return FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8 * c, c, 1.5 * c])
+
+
 # (shape over its coefficient c, q, p, c): the Lambda^q shapes whose reports
-# raised, or read (iv) false, before W was taken over phi near 1 at t = 1
+# raised, or read (iv) false, before W was taken over phi near 1 at t = 1;
+# the last four raised InvariantViolated, or read numbers apart from c = 1,
+# while W's values were read subnormal and scaled after evaluation
 LAMBDA_Q_SCALES = [
     (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 2.0, 2.0, 1e200),
     (lambda c: FundamentalFn.power(0.3, c, cap=0.5), 2.0, 2.0, 1e-200),
@@ -620,6 +631,9 @@ LAMBDA_Q_SCALES = [
     (lambda c: FundamentalFn.power_log(0.4, -1.0, coeff=c), 2.5, 3.0, 1e150),
     (lambda c: FundamentalFn.power(0.3, c, cap=2.0), 2.0, 1.0, 1e-150),
     (lambda c: FundamentalFn.sampled([0.5, 1.0, 2.0], [0.8 * c, c, 1.5 * c]), 1.5, 2.0, 1e200),
+    *(pytest.param(shape, 2.0, 2.0, c, id=f"{shape.__name__}-{name}")
+      for shape in (_power_log_c, _sampled_c) for c, name in ((1e-300, "1e-300"),
+                                                              (2.0 ** -1000, "2^-1000"))),
 ]
 
 
@@ -636,19 +650,37 @@ def _report_numbers(spec, p):
             **{("k", s): k for s, k in rep.k_samples}}
 
 
+@functools.cache
+def _lambda_q_numbers(shape, q, p, c):
+    """_report_numbers of Lambda^q over shape(c), once per process."""
+    return _report_numbers(NormSpec.lambda_q(shape(c), q), p)
+
+
 @pytest.mark.parametrize("shape,q,p,coeff", LAMBDA_Q_SCALES)
 def test_lambda_q_reports_scale_out_the_coefficient(shape, q, p, coeff):
     # W of c phi is c W: the fundamental scales by c, and every status,
     # certificate value and index reads as at c = 1
     spec, unit = (NormSpec.lambda_q(shape(c), q) for c in (coeff, 1.0))
     ts = np.geomspace(1e-9, 10.0, 7)
-    np.testing.assert_allclose(spec.fundamental_phi()(ts) / coeff, unit.fundamental_phi()(ts),
-                               rtol=1e-14, atol=0.0)
-    got, want = _report_numbers(spec, p), _report_numbers(unit, p)
+    got, want = spec.fundamental_phi()(ts), unit.fundamental_phi()(ts)
+    normal = got >= np.finfo(float).tiny  # W(1e-9) at c = 2^-1000 is subnormal: fewer digits
+    np.testing.assert_allclose(got[normal] / coeff, want[normal], rtol=1e-14, atol=0.0)
+    got, want = (_lambda_q_numbers(shape, q, p, c) for c in (coeff, 1.0))
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert got[key] == (value if isinstance(value, str) or not math.isfinite(value)
                             else pytest.approx(value, rel=1e-13, abs=0.0)), key
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-300, 2.0 ** -1000], ids=["1", "1e-300", "2^-1000"])
+def test_lambda_q_over_a_tiny_power_log_reads_the_numbers_of_coefficient_1(c):
+    # m_phi read 0.462 < 1 at c = 1e-300, B inf, and the density report
+    # raised InvariantViolated, while W's values were subnormal
+    assert m_phi(NormSpec.lambda_q(_power_log_c(c), 2).fundamental_phi(), 0.5) == pytest.approx(
+        1.7400, abs=5e-5)
+    numbers = _lambda_q_numbers(_power_log_c, 2.0, 2.0, c)
+    assert numbers[("vii", "m_phi_Lp")] == pytest.approx(8.9991, abs=5e-5)
+    assert numbers[("iv", "B")] == pytest.approx(80.2458, abs=5e-5)
 
 
 @pytest.mark.parametrize("phi,delta", [
@@ -667,22 +699,69 @@ def test_zippin_upper_of_a_vanishing_shape_is_degenerate():
         zippin_upper(FundamentalFn.sampled([1.0, 2.0], [0.0, 0.0]))
 
 
-@pytest.mark.parametrize("spec,k2", [
-    (lambda c: NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0, c)), 1.371641492118183),
-    (lambda c: NormSpec.lambda_phi(FundamentalFn.sampled([0.5, 1.0, 2.0],
-                                                         [0.8 * c, c, 1.5 * c])),
-     2.000000000000027),
-    (lambda c: NormSpec.lambda_q(FundamentalFn.power(0.3, c, cap=0.5), 2), 1.231144413344918),
-], ids=["power-log", "sampled", "lambda-q"])
-def test_zippin_upper_does_not_drift_at_a_tiny_coefficient(spec, k2):
-    # k(s) of c phi is that of phi: at c = 1e-300 the grid ratios are taken
-    # over phi scaled near 1; ratios floored at 1e-300 would read k(2) =
-    # 0.736, 1.5 and 1.204, and the power-log index -0.443
-    tiny, unit = (zippin_upper(spec(c).fundamental_phi()) for c in (1e-300, 1.0))
+@pytest.mark.parametrize("spec,k2,c", [
+    pytest.param(lambda c: NormSpec.lambda_phi(FundamentalFn.power_log(0.5, 1.0, c)),
+                 1.371641492118183, 1e-300, id="power-log"),
+    pytest.param(lambda c: NormSpec.lambda_phi(_sampled_c(c)), 2.000000000000027, 1e-300,
+                 id="sampled"),
+    pytest.param(lambda c: NormSpec.lambda_q(FundamentalFn.power(0.3, c, cap=0.5), 2),
+                 1.231144413344918, 1e-300, id="lambda-q"),
+    *(pytest.param(lambda c, shape=shape: NormSpec.lambda_q(shape(c), 2), k2, c,
+                   id=f"lambda-q-{shape.__name__}-{name}")
+      for shape, k2 in ((_power_log_c, 1.7394153121360387), (_sampled_c, 2.000000000000001))
+      for c, name in ((1e-300, "1e-300"), (2.0 ** -1000, "2^-1000"))),
+])
+def test_zippin_upper_does_not_drift_at_a_tiny_coefficient(spec, k2, c):
+    # k(s) of c phi is that of phi: the grid ratios are taken over phi's
+    # unit; ratios floored at 1e-300 would read k(2) = 0.736, 1.5 and 1.204
+    # for the first three, and the power-log index -0.443
+    tiny, unit = (zippin_upper(spec(c).fundamental_phi()) for c in (c, 1.0))
     assert dict(tiny.k_samples)[2.0] == pytest.approx(k2, rel=1e-13)
     for (s, got), (_, want) in zip(tiny.k_samples, unit.k_samples, strict=True):
         assert got == pytest.approx(want, rel=1e-13), s
     assert tiny.beta_upper == pytest.approx(unit.beta_upper, rel=1e-13)
+
+
+_ORLICZ = OrliczN([0.5, 1.0, 2.0, 4.0], [0.25, 0.75, 2.0, 6.0])
+
+# c -> a spec whose fundamental shape is c times that of c = 1
+_SCALED_SPECS = st.one_of(
+    st.builds(lambda a: lambda c: NormSpec.lambda_phi(FundamentalFn.power(a, c)),
+              st.floats(0.05, 1.0)),
+    st.builds(lambda a, cap: lambda c: NormSpec.lambda_phi(FundamentalFn.power(a, c, cap)),
+              st.floats(0.05, 1.0), st.floats(0.05, 20.0)),
+    st.builds(lambda a, b: lambda c: NormSpec.lambda_phi(FundamentalFn.power_log(a, b, c)),
+              st.floats(0.1, 0.9), st.sampled_from([-1.5, -0.5, 0.5, 1.5])),
+    st.builds(lambda: lambda c: NormSpec.lambda_phi(_sampled_c(c))),
+    st.builds(lambda: lambda c: NormSpec.orlicz_lux(OrliczN(_ORLICZ.xs[1:] / c,
+                                                            _ORLICZ.ys[1:]))),
+    st.builds(lambda b, p: lambda c: NormSpec.marcinkiewicz_p(_power_log_c(c) if b else
+                                                              _sampled_c(c), p),
+              st.booleans(), st.sampled_from([1.5, 2.0, 3.0])),
+    st.builds(lambda b, q: lambda c: NormSpec.lambda_q(
+        FundamentalFn.power_log(0.4, 1.0, c) if b else _sampled_c(c), q),
+              st.booleans(), st.sampled_from([1.5, 2.0])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(make=_SCALED_SPECS, j=st.integers(-1000, 1000), p=st.sampled_from([1.0, 2.0, 3.0]))
+def test_unit_and_reports_do_not_see_a_power_of_two_coefficient(make, j, p):
+    # (2^j phi).unit is 2^k phi for one k, bit for bit wherever both are
+    # normal, with unit(1) within a half power of two of 1; the reports read
+    # the statuses of c = 1 and its numbers to 1e-13
+    phi, scaled = make(1.0).fundamental_phi(), make(2.0 ** j).fundamental_phi()
+    unit = scaled.unit
+    assert 2.0 ** -0.5 <= unit(1.0) <= 2.0 ** 0.5
+    ts = np.geomspace(1e-9, 1e3, 25)
+    got, want = np.asarray(unit(ts)), np.ldexp(np.asarray(phi(ts)), j + unit.pow2)
+    normal = (got >= np.finfo(float).tiny) & (want >= np.finfo(float).tiny)
+    assert got[normal].tobytes() == want[normal].tobytes()
+    assert m_phi(scaled, 0.5) >= 1.0
+    got, want = _report_numbers(make(2.0 ** j), p), _report_numbers(make(1.0), p)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == (value if isinstance(value, str) or not math.isfinite(value)
+                            else pytest.approx(value, rel=1e-13, abs=0.0)), key
 
 
 def test_criterion_b_weak_bound_inequality():

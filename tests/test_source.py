@@ -540,3 +540,26 @@ def test_no_family_dispatch_outside_the_table():
     assert not found, found
     assert "density" not in _Family.__dataclass_fields__
     assert "lorentz_q" in _Family.__dataclass_fields__
+
+
+def test_one_scale_rule_for_shapes():
+    # a shape scales by 2^k through its stored fields (times_pow2), and the
+    # readers that do not see a constant factor take it near 1 through
+    # FundamentalFn.unit; criterion_B alone rescales at delta, and only Lambda^q
+    # scales its values back after evaluation
+    fns = {(path.name, name): fn for path in SRC
+           for name, fn in _functions(ast.parse(path.read_text()))}
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        assert "_Pow2Phi" not in {*_references(tree), *_definitions(tree)}, path.name
+    near = {name for (_, name), fn in fns.items()
+            if name != "_near_unit" and "_near_unit" in set(_references(fn))}
+    assert near == {"FundamentalFn.unit", "criterion_B"}, near
+    readers = {name.split(".")[0] for (_, name), fn in fns.items()
+               if any(isinstance(node, ast.Attribute) and node.attr == "unit"
+                      for node in ast.walk(fn))}
+    assert {"zippin_upper", "m_phi", "m_phi_norm", "_LambdaQFundamental"} <= readers, readers
+    scaled_back = {name for (module, name), fn in fns.items()
+                   if module == "spaces.py" and name.endswith(".__call__")
+                   and "ldexp" in _calls(fn, {})}
+    assert scaled_back == {"_LambdaQFundamental.__call__"}, scaled_back

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRatio, InvariantViolated, ZeroFunction
+from .errors import DegenerateRatio, InvariantViolated, UnsupportedCombination, ZeroFunction
 from .metric import MMS, _ball_index, _ball_input
 from .rearrange import GridFn, WeightedSamples, decreasing_rearrangement
 from .spaces import (
@@ -163,9 +163,9 @@ class IndexReport:
     give it (``beta_exact``), otherwise a grid estimate that bounds the
     true index from neither side.  ``alpha_lower`` is the exact upper Boyd
     index where a closed form applies (``alpha_exact``).  Otherwise the
-    indicators give the bounds: ``h_samples`` are k(s) of their norms (the
-    ``k_samples``, but on M^p, whose fundamental shape majorizes them), and
-    ``alpha_lower`` is their fundamental index, a lower bound where exact.
+    indicators give the bounds: ``h_samples`` are k(s) of their norms, the
+    ``k_samples``, and ``alpha_lower`` is their fundamental index, a lower
+    bound where exact.
     """
 
     k_samples: list = field(default_factory=list)
@@ -262,12 +262,11 @@ def boyd_upper_lowerbound(spec: NormSpec, s_grid=None) -> IndexReport:
 
     Closed-form families report the exact index.  Otherwise indicators,
     whose norms are the fundamental function, give h(s) >= k(s): the
-    samples are those of ``zippin_upper`` on the norms of indicators
-    (``spec.fundamental_phi()``, or the family's ``indicator`` shape where
-    that is a majorant), and ``alpha_lower`` is their fundamental index, a
-    true lower bound for the Boyd index where that index is exact
-    (``beta_exact``) and a grid estimate otherwise.  Flagged, and never
-    used to certify a strict inequality downstream.
+    samples are those of ``zippin_upper`` on ``spec.fundamental_phi()``,
+    and ``alpha_lower`` is their fundamental index, a true lower bound for
+    the Boyd index where that index is exact (``beta_exact``) and a grid
+    estimate otherwise.  Flagged, and never used to certify a strict
+    inequality downstream.
     """
     return _boyd_bounds(spec, _dilation_factors(s_grid), None)
 
@@ -275,26 +274,18 @@ def boyd_upper_lowerbound(spec: NormSpec, s_grid=None) -> IndexReport:
 def _boyd_bounds(spec, s_grid, z):
     """``boyd_upper_lowerbound`` on a checked s grid, with z the Zippin
     report of ``spec.fundamental_phi()`` on it (None: computed here if
-    needed; unread where the family names an ``indicator`` shape)."""
+    needed)."""
     exact = spec.boyd_alpha_exact()
     if exact is not None:
         return IndexReport(h_samples=[(float(s), float(s ** exact)) for s in s_grid],
                            alpha_lower=float(exact), alpha_exact=True, lower_bound_only=False,
                            note="dilation norm closed form")
-    z = _indicator_zippin(spec, s_grid, z)  # alpha_exact, lower_bound_only: the defaults
+    if z is None:
+        z = zippin_upper(spec.fundamental_phi(), s_grid)
+    # alpha_exact, lower_bound_only: the defaults
     return IndexReport(h_samples=z.k_samples, alpha_lower=z.beta_upper,
                        note="indicator lower bounds only" + ("" if z.beta_exact else
                                                              "; alpha_lower a grid estimate"))
-
-
-def _indicator_zippin(spec, s_grid, z):
-    """The Zippin report of the norms of indicators on the s grid: z, that of
-    ``spec.fundamental_phi()`` (None: computed here), unless the family names
-    an ``indicator`` shape."""
-    shape = _FAMILIES[spec.family].indicator(spec)
-    if shape is not None or z is None:
-        z = zippin_upper(spec.fundamental_phi() if shape is None else shape, s_grid)
-    return z
 
 
 def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
@@ -386,6 +377,8 @@ def _m_phi_values(phi, ss):
     m_phi(s) is phi(b) / phi(sb), the grid's value wherever the grid reaches
     b.  Elsewhere it is the grid maximum of _m_phi_at.  Over a unit phi, no
     phi(s t) needs a floor: quasi-concavity gives phi(t) >= t phi(1) >= t / sqrt(2), t <= 1.
+    Where s t leaves the normal floats, phi(s t) can be 0 or subnormal:
+    UnsupportedCombination there.
     """
     head = _regular_head(phi, 1.0)
     if head is None:
@@ -393,7 +386,18 @@ def _m_phi_values(phi, ss):
     if head[2] >= 0:
         return _pow_each(ss, -head[1])
     at = np.asarray(phi(np.concatenate(([head[0]], ss * head[0]))), dtype=float)
-    return at[0] / at[1:]
+    return at[0] / _normal_rows(at[1:], ss)
+
+
+def _normal_rows(at_st, ss):
+    """at_st, the values phi(s t) of one s of ss per row (or per entry);
+    UnsupportedCombination naming the first s whose row holds a 0 or a
+    subnormal."""
+    low = np.min(at_st.reshape(len(ss), -1), axis=1) < np.finfo(float).tiny
+    if np.any(low):
+        raise UnsupportedCombination(
+            f"phi(s t) leaves the normal floats at s = {float(ss[np.argmax(low)])!r}")
+    return at_st
 
 
 def _m_phi_at(phi, ss):
@@ -404,7 +408,7 @@ def _m_phi_at(phi, ss):
     """
     ts, at_t, at_st = _dilation_pairs(phi, phi.eval_grid(1e-12, 1.0, 192),
                                       phi.kinks(1e-12, 1.0), ss)
-    return np.max(np.where(ts <= 1.0, at_t / at_st, -INF), axis=1)
+    return np.max(np.where(ts <= 1.0, at_t / _normal_rows(at_st, ss), -INF), axis=1)
 
 
 def m_phi_norm(phi: FundamentalFn, p) -> float:
@@ -594,23 +598,22 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         {"beta_upper": beta}, note)
 
     # (ix)  upper Boyd index < 1/p; (c-iv) <= 1/p
-    exact = spec.boyd_alpha_exact()
-    if exact is not None:
-        alpha = float(exact)
+    b = _boyd_bounds(spec, _S_GRID, z)
+    if b.alpha_exact:
+        alpha = b.alpha_lower
         put(["ix"], alpha < 1.0 / p, {"alpha": alpha, "threshold": 1.0 / p}, "closed form")
         put(["c-iv"], alpha <= 1.0 / p + 1e-12, {"alpha": alpha}, "closed form")
     else:
         # the Boyd index is at least the fundamental index of the norms of
         # indicators: where that is exact, it fails (ix) from 1/p on and
         # (c-iv) above 1/p
-        zi = _indicator_zippin(spec, _S_GRID, z)
-        lower, note = zi.beta_upper, "Boyd index at least the exact indicator index"
-        if zi.beta_exact and lower >= 1.0 / p:
+        lower, note = b.alpha_lower, "Boyd index at least the exact indicator index"
+        if z.beta_exact and lower >= 1.0 / p:
             put(["ix"], False, {"alpha_lower": lower, "threshold": 1.0 / p}, note)
         else:
             put(["ix"], None, {"alpha_lower": lower, "threshold": 1.0 / p},
                 "lower bounds cannot certify a strict upper-index inequality")
-        if zi.beta_exact and lower > 1.0 / p + 1e-12:
+        if z.beta_exact and lower > 1.0 / p + 1e-12:
             put(["c-iv"], False, {"alpha_lower": lower}, note)
         else:
             put(["c-iv"], None, {}, "no closed form for the Boyd index")

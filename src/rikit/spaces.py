@@ -668,14 +668,18 @@ class _LambdaQFundamental(FundamentalFn):
 def _power_cuts(pcs, a, b):
     """Yield (x0, x1, i): (a, b) cut where the powers c t^alpha of ``pcs``
     cross (none past the floats), with the index i of the one on top
-    between; one uncut piece with i None where any of pcs is None."""
+    between; one uncut piece with i None where any of pcs is None.
+
+    A crossing at a or b may round a few ulps inside: no cut where the two
+    powers agree to 8 ulps all the way from it to a or b."""
     if None in pcs:
         yield a, b, None
         return
     with np.errstate(divide="ignore", over="ignore"):  # a zero coefficient: no crossing
-        ends = [x for x in _breaks((np.float64(ci) / cj) ** (1.0 / (aj - ai)) for
-                                   (ci, ai), (cj, aj) in combinations(pcs, 2) if ai != aj)
-                if a < x < b]
+        cross = [((np.float64(ci) / cj) ** (1.0 / (aj - ai)), aj - ai)
+                 for (ci, ai), (cj, aj) in combinations(pcs, 2) if ai != aj]
+    ends = _breaks(x for x, d in cross if a < x < b and all(
+        abs(d * math.log(x / e)) > 8 * np.finfo(float).eps for e in (a, b) if 0 < e < INF))
     for x0, x1 in zip([a, *ends], [*ends, b]):
         # no two cross inside (x0, x1): compare them at one point there
         t = (math.sqrt(x0) * math.sqrt(x1) if 0 < x0 and x1 < INF
@@ -799,8 +803,6 @@ class _Family:
     boyd: Callable          # spec -> exact upper Boyd index, or None
     lorentz_q: Callable = lambda s, a: None  # (spec, a) -> q0: the space is
     # L^(1/a,q0) near 0 wherever its fundamental is c t^a there; None: no index
-    indicator: Callable = lambda s: None  # spec -> the norms of indicators as
-    # a shape, where ``fundamental`` is not them; None: it is
 
 
 def _family_of(name):
@@ -812,22 +814,6 @@ def _family_of(name):
 def _phi_index(spec):
     pe = _power_on(spec.phi, (spec.phi.breaks or [0.0])[-1], INF)  # the last piece
     return pe[1] if pe is not None else None
-
-
-def _mp_indicators(spec):
-    """t -> the M^p_phi norm of an indicator of measure t, t^{1/p} sup_{s>=t}
-    phi(s) s^{-1/p}.  Where phi is c s^a with a <= 1/p past its last break
-    b, the ratio does not rise past b, so this is ``psi_majorant_phi`` up to
-    b, and None (the fundamental shape is it) where b <= 1; cut at 1, it
-    reads low where the ratio still rises past 1.
-    UnsupportedCombination elsewhere: for a > 1/p no indicator has a finite
-    norm, and a generic last piece names no rule."""
-    phi = spec.phi
-    last = (phi.breaks or [0.0])[-1]
-    pc = _power_or_constant(phi, last, INF)
-    if pc is None or pc[1] > 1.0 / spec.p:
-        raise UnsupportedCombination("no finite indicator norms for M^p over this shape")
-    return psi_majorant_phi(phi, spec.p, last) if last > 1.0 else None
 
 
 def _lambda_q_quasi(spec):
@@ -896,16 +882,17 @@ _FAMILIES = {
         lambda u, s: _sup_star_phi(u, s.phi),
         ac=lambda s: False, quasi=lambda s: True, lorentz_q=lambda s, a: INF,
         fundamental=lambda s: s.phi, boyd=_phi_index),
-    # M^p_loc has the fundamental psi; M^p reads max(phi, psi), which has its
-    # norm and is its fundamental unless phi(s) s^{-1/p} rises past 1, and
-    # reads its indicators off _mp_indicators; psi == phi on (0, 1] iff
-    # phi^p is quasi-concave
+    # M^p_loc has the fundamental psi; M^p takes psi up to max(1, b), b phi's
+    # last break, then phi: past b phi is c s^a, and where a <= 1/p the ratio
+    # phi(s) s^{-1/p} rises no further, so that is the norm of an indicator
+    # (for a > 1/p none is finite, and the shape is a finite stand-in);
+    # psi == phi on (0, 1] iff phi^p is quasi-concave
     "marcinkiewicz_p": _Family(
         NormSpec.marcinkiewicz_p, "marc-p", ("p",), "phi", "M^{p:g}_phi",
         lambda u, s: _sup_mp_phi(u, s.phi, s.p, None),
         ac=lambda s: False, quasi=lambda s: True,
-        fundamental=lambda s: psi_majorant_phi(s.phi, s.p), boyd=_phi_index,
-        indicator=_mp_indicators),
+        fundamental=lambda s: psi_majorant_phi(s.phi, s.p, max([1.0, *s.phi.breaks])),
+        boyd=_phi_index),
     "marcinkiewicz_p_loc": _Family(
         NormSpec.marcinkiewicz_p_loc, "marc-p-loc", ("p",), "phi", "M^{p:g}_phi,loc",
         lambda u, s: _sup_mp_phi(u, s.phi, s.p, 1.0),
@@ -1615,7 +1602,9 @@ def least_concave_majorant(f: GridFn) -> GridFn:
 
 def psi_majorant_phi(phi: FundamentalFn, p, hi=1.0) -> FundamentalFn:
     """max(phi, psi): psi below hi and phi from hi on.  At hi = 1, M^p over
-    it has the norm of M^p over phi, globally and locally."""
+    it has the norm of M^p over phi, globally and locally.  Where phi(s)
+    s^{-1/p} rises nowhere past hi, it is t^{1/p} sup_{s>=t} phi(s) s^{-1/p},
+    the norm of an indicator of measure t in M^p_phi."""
     return _MaxPhi([PsiMajorantPhi(phi, p, hi), phi])
 
 

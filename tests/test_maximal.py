@@ -35,7 +35,6 @@ from rikit.maximal import (
 from rikit.metric import MMS, grid_space, path_space, tree_space
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement, star_star
 from rikit.spaces import (
-    _FAMILIES,
     FundamentalFn,
     NormSpec,
     OrliczN,
@@ -395,10 +394,9 @@ BOYD_SPECS = {
 
 
 def _indicator_shape(spec):
-    """The shape the Boyd bounds read: the family's indicator shape, or
-    the fundamental shape where the family names none."""
-    shape = _FAMILIES[spec.family].indicator(spec)
-    return spec.fundamental_phi() if shape is None else shape
+    """The shape the Boyd bounds read: the fundamental shape, the norms of
+    indicators."""
+    return spec.fundamental_phi()
 
 
 @pytest.mark.parametrize("name", list(BOYD_SPECS))
@@ -431,16 +429,35 @@ def test_boyd_bounds_without_a_closed_form_are_the_indicator_ones(name):
     full = indices_report(spec)
     assert (full.h_samples, full.alpha_lower) == (rep.h_samples, rep.alpha_lower)
     assert full.note.endswith(rep.note)
-    if _FAMILIES[spec.family].indicator(spec) is None:
-        assert full.k_samples == z.k_samples
+    assert full.k_samples == z.k_samples
 
 
 def test_mp_indicators_need_a_ratio_that_does_not_rise_at_infinity():
     # phi(s) s^{-1/p} grows without bound: no indicator of M^p has a finite norm
     spec = NormSpec.marcinkiewicz_p(FundamentalFn.power(0.6), 2.0)
     assert fundamental_function(spec, 1.0) == INF
-    with pytest.raises(UnsupportedCombination, match="no finite indicator norms"):
-        _FAMILIES[spec.family].indicator(spec)
+    # the fundamental shape stays a finite stand-in there: max(phi, psi) cut at 1
+    want = psi_majorant_phi(spec.phi, 2.0)
+    ts = np.geomspace(1e-3, 20.0, 40)
+    assert np.array_equal(spec.fundamental_phi()(ts), want(ts))
+    assert np.all(np.isfinite(want(ts)))
+
+
+_CAP8 = NormSpec.marcinkiewicz_p(FundamentalFn.power(1.0, 0.5, 8.0), 2.0)
+
+
+@pytest.mark.parametrize("spec, beta", [
+    (NormSpec.marcinkiewicz_p(FundamentalFn.power(0.8, 1.0, 4.0), 3.0), 1.0 / 3),
+    (_CAP8, 0.5), (NormSpec.intersection_max(NormSpec.lp(2.0), _CAP8), 0.5)],
+    ids=["marc_p3(power(0.8,cap 4))", "marc_p2(power(1,0.5,cap 8))", "max(lp2,marc_p2)"])
+def test_mp_index_reports_read_the_norms_of_indicators(spec, beta):
+    # phi(s) s^{-1/p} rises up to the cap: the norms of indicators are
+    # c t^{1/p} below it, and both indices are exactly 1/p (a shape cut at 1
+    # read grid estimates 0.4111, 0.625 and 0.5417).  Over the cap 8 psi's
+    # power and phi's cross at 8, computed 2 ulps inside: no sliver piece
+    # with phi's exponent 1 on top is cut there
+    rep = indices_report(spec)
+    assert (rep.beta_upper, rep.beta_exact, rep.alpha_lower) == (beta, True, beta)
 
 
 def _brute_zippin(phi, s):
@@ -786,6 +803,21 @@ def test_m_phi_closed_forms():
     assert m_phi_norm(phi, 2) == pytest.approx((3.0 / (3 - 2)) ** 0.5, rel=1e-6)
     assert m_phi_norm(FundamentalFn.power(0.0), 2) == pytest.approx(1.0)
     assert m_phi_norm(FundamentalFn.power(0.5), 2) == INF
+
+
+@pytest.mark.parametrize("phi, s", [
+    (FundamentalFn.orlicz_inverse(OrliczN([0.5, 1, 2, 4], [0.25, 0.75, 2, 6])), 1e-300),
+    # the head rule: s b rounds to 0 at the head's end b
+    (FundamentalFn.power_log(0.9, -1.0), 1e-320)], ids=["orlicz", "power_log_head"])
+def test_m_phi_raises_where_phi_st_leaves_the_normal_floats(phi, s):
+    # phi(s t) is 0 or subnormal there: the ratio divided by 0 and read inf
+    with pytest.raises(UnsupportedCombination, match=f"at s = {s!r}"):
+        m_phi(phi, s)
+
+
+def test_m_phi_keeps_a_tiny_s_where_phi_st_is_normal():
+    phi = FundamentalFn.orlicz_inverse(OrliczN([0.5, 1, 2, 4], [0.25, 0.75, 2, 6]))
+    assert m_phi(phi, 1e-290) == 9.99999999998e+289
 
 
 BORDERLINE = [

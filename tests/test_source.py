@@ -155,6 +155,21 @@ def test_boyd_bounds_read_the_fundamental_function():
                         "_integrals_rows", "_mp_rows", "_mp_tail_rows", "_sup_mp_family"}
 
 
+def test_one_fundamental_shape_per_space():
+    # the fundamental shape is the norm of an indicator in every family: no
+    # family names a second shape for the Boyd bounds, and the density report
+    # reads (viii), (ix) and (c-iv) off one Zippin report of the one shape
+    assert "indicator" not in _Family.__dataclass_fields__
+    named = [path.name for path in SRC for name in ("_mp_indicators", "_indicator_zippin")
+             if name in path.read_text()]
+    assert not named, named
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(_maximal_function("density_criteria_report"))
+             if isinstance(node, ast.Call)]
+    assert calls.count("fundamental_phi") == 1 and calls.count("zippin_upper") == 1, calls
+    assert not {"boyd_alpha_exact", "indicator"} & set(calls), calls
+
+
 def test_criterion_B_and_the_coherence_check_have_no_dead_loops():
     # no refinement-doubling loop in criterion B (it could never fire), and
     # one pass over the implications in the report (no verdict is upgraded)

@@ -291,8 +291,6 @@ def _boyd_bounds(spec, s_grid, z):
 def indices_report(spec: NormSpec, s_grid=None) -> IndexReport:
     """Combined Zippin/Boyd report for a norm specification."""
     phi = spec.fundamental_phi()
-    if phi is None:
-        raise ValueError("spec has no computable fundamental function")
     s_grid = _dilation_factors(s_grid)
     z = zippin_upper(phi, s_grid)
     b = _boyd_bounds(spec, s_grid, z)
@@ -534,8 +532,6 @@ def density_criteria_report(spec: NormSpec, p, complete_space=False,
         raise ValueError("p >= 1 required")
     p = float(p)
     phi = spec.fundamental_phi()
-    if phi is None:
-        raise ValueError("spec has no computable fundamental function")
     pe0 = _power_on(phi, 0.0, (phi.breaks or [INF])[0])
     q0 = None if pe0 is None else _FAMILIES[spec.family].lorentz_q(spec, pe0[1])
     verdicts = {}

@@ -570,12 +570,15 @@ class BallInfo:
 
 
 def _ball_input(space: MMS, u, p=1.0) -> np.ndarray:
-    """u as floats, checked to hold one value per point, with 1 <= p < inf."""
+    """u as floats, checked to hold one value per point and no nan (an inf
+    marker stays), with 1 <= p < inf."""
     if not 1 <= p < INF:  # NaN too
         raise ValueError(f"1 <= p < inf required, got {p!r}")
     u = np.asarray(u, dtype=float)
     if u.shape != (space.n,):
         raise ValueError(f"one value per point required: {u.shape} values on {space.n} points")
+    if np.isnan(u).any():
+        raise ValueError("point values must not be nan")
     return u
 
 

@@ -93,12 +93,14 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
     that stalls restarts once from ``_lp_start``.  ``iterations`` in the
     certificate counts Newton steps; ``telemetry`` names the stage that met
     tol and times each stage, the restart's LP as ``highs``.
-    p = 1 is a linear program solved by HiGHS.  Raises SolverStall when
-    the residual (which includes the relative duality gap) exceeds tol.
+    p = 1 is a linear program solved by HiGHS.  Raises ValueError where
+    cost or b is not finite, at every p, and SolverStall unless the
+    residual (which includes the relative duality gap) is at most tol.
     A has rows: ``constraint_generation`` ends a program without a positive
     b by itself, and capacity has a row per point of its nonempty set.
     """
     cost, A, b = (np.asarray(v, dtype=float) for v in (cost, A, b))
+    _finite(cost, b)
     m = len(A)
     if p == 1.0:
         return _solve_lp_min(cost, A, b, tol)
@@ -112,6 +114,12 @@ def solve_separable_power(cost, A, b, p, tol=DEFAULT_TOL, lam0=None):
             x, cert, its = _timed(tele, "newton", _dual_newton, lam, A, b, cost, p, tol)
             tele["newton_iterations"] += its
     return _finish(SolveResult(float(np.sum(cost * x ** p)), x, cert, tol, tele))
+
+
+def _finite(*vectors):
+    """ValueError unless every entry of the vectors is finite."""
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise ValueError("LP input must be finite: cost, A or b holds an inf or a nan")
 
 
 def _lp_start(cost, A, b, p, tol):
@@ -152,7 +160,7 @@ def _finish(result):
     tele = result.telemetry
     result.certificate["iterations"] = tele["newton_iterations"]
     kkt = result.certificate["kkt_residual"]
-    if kkt > result.tolerance:
+    if not kkt <= result.tolerance:  # a nan residual certifies nothing
         raise SolverStall(result, f"solver stalled in stage {result.telemetry['stage']!r} "
                                   f"at kkt_residual {kkt:.3g} > tol {result.tolerance:g}")
     return result
@@ -374,8 +382,7 @@ def _run_highs(cost, A, b):
     by_col = np.argsort(cols, kind="stable")
     rows, cols = rows[by_col], cols[by_col]
     values = A[rows, cols]
-    if not all(np.isfinite(v).all() for v in (cost, values, b)):
-        raise ValueError("LP input must be finite: cost, A or b holds an inf or a nan")
+    _finite(cost, values, b)
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_ = cost
@@ -419,6 +426,7 @@ def constraint_generation(cost, rows, b, p, tol=DEFAULT_TOL):
     """
     rows, b = np.asarray(rows, dtype=float), np.asarray(b, dtype=float)
     m, n = rows.shape
+    _finite(np.asarray(cost, dtype=float), b)  # an all-nan b is no trivial program
     if not np.any(b > 0):
         x = np.zeros(n)
         return SolveResult(0.0, x, _power_certificate(x, np.zeros(m), rows, b, np.asarray(cost),

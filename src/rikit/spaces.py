@@ -23,6 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -510,7 +511,7 @@ class NormSpec:
     parts: tuple = ()
 
     def __post_init__(self):
-        _family_of(self.family)
+        _checked_args(self.family, vars(self))
 
     @cached_property
     def quasi_only(self):
@@ -610,10 +611,13 @@ class NormSpec:
     @classmethod
     def from_dict(cls, d):
         fam = _family_of(d["family"])
-        args = {f: d[f] for f in fam.fields}
-        if fam.part is not None:
-            args[fam.part] = _PART_CODECS[fam.part][1](d[fam.part])
-        return fam.make(**args)
+        args = {f: d.get(f) for f in fam.fields}
+        if d.get(fam.part) is not None:
+            try:
+                args[fam.part] = _PART_CODECS[fam.part][1](d[fam.part])
+            except (KeyError, TypeError) as err:  # a field missing or of the wrong kind
+                raise UnsupportedCombination(f"{d['family']}: malformed {fam.part}: {err}") from err
+        return fam.make(**_checked_args(d["family"], args))
 
 
 def _lambda_q_fundamental(spec):
@@ -697,8 +701,6 @@ class _MaxPhi(FundamentalFn):
     _scaled = ("phis",)
 
     def __init__(self, phis):
-        if any(p is None for p in phis):
-            raise UnsupportedCombination("component without fundamental function")
         self.phis = list(phis)
         self.cap = max(p.cap for p in self.phis)
         cuts = [0.0, *_breaks(x for p in self.phis for x in p.breaks), INF]
@@ -811,6 +813,21 @@ def _family_of(name):
     return _FAMILIES[name]
 
 
+def _checked_args(family, args):
+    """args, once the family's numeric fields in them are real numbers and
+    its part is what the family holds; else UnsupportedCombination naming
+    the field."""
+    fam = _family_of(family)
+    for f in fam.fields:
+        x = args.get(f)
+        if isinstance(x, bool) or not isinstance(x, Real) or x != x:
+            raise UnsupportedCombination(f"{family} needs a real number {f}, not {x!r}")
+    if fam.part is not None and not _PART_CODECS[fam.part][2](args.get(fam.part)):
+        raise UnsupportedCombination(
+            f"{family} needs {fam.part}: {_PART_CODECS[fam.part][3]}, not {args.get(fam.part)!r}")
+    return args
+
+
 def _phi_index(spec):
     pe = _power_on(spec.phi, (spec.phi.breaks or [0.0])[-1], INF)  # the last piece
     return pe[1] if pe is not None else None
@@ -839,12 +856,15 @@ def _max_ac(spec):
     return False if False in vals else None if None in vals else True
 
 
-# structural arguments: (to_dict, from_dict) per kind
+# structural arguments: (to_dict, from_dict, check, what the check asks) per kind
 _PART_CODECS = {
-    "phi": (_phi_to_dict, _phi_from_dict),
-    "orlicz": (OrliczN.to_dict, OrliczN.from_dict),
+    "phi": (_phi_to_dict, _phi_from_dict, lambda x: isinstance(x, FundamentalFn), "a shape"),
+    "orlicz": (OrliczN.to_dict, OrliczN.from_dict, lambda x: isinstance(x, OrliczN),
+               "an OrliczN"),
     "parts": (lambda parts: [s.to_dict() for s in parts],
-              lambda ds: [NormSpec.from_dict(d) for d in ds]),
+              lambda ds: tuple(NormSpec.from_dict(d) for d in ds),
+              lambda x: isinstance(x, tuple) and x != () and all(
+                  isinstance(s, NormSpec) for s in x), "a nonempty tuple of specs"),
 }
 
 _FAMILIES = {
@@ -929,10 +949,7 @@ def _as_decreasing(u):
             raise UnsupportedCombination(
                 "non-decreasing GridFn with positive tail cannot be rearranged"
             )
-        widths = np.diff(u.edges)
-        return decreasing_rearrangement(
-            WeightedSamples(u.values, np.maximum(widths, 1e-300))
-        )
+        return decreasing_rearrangement(WeightedSamples(u.values, np.diff(u.edges)))
     raise TypeError("norm input must be WeightedSamples or GridFn")
 
 
@@ -1002,17 +1019,17 @@ def _power_integral_rows(phi, lo, hi, r, s):
     one break to the next, takes the parts of all intervals in it at once:
     in closed form, as one array expression of its kind (_piece_integral),
     or else in the one _gauss_log_rows batch of all such parts, or by a
-    dyadic refinement from 0.  Quadrature runs phi itself, and an affine
-    piece as c + m t.  Each interval adds all its parts in piece order, so
-    each value is bit-identical to integrating its interval alone whenever
-    phi acts elementwise, and a total that is not finite reads inf.
+    dyadic refinement from 0; quadrature integrates phi itself, affine
+    pieces too.  Each interval adds all its parts in piece order, so each
+    value is bit-identical to integrating its interval alone whenever phi
+    acts elementwise, and a total that is not finite reads inf.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     total = np.zeros(len(lo))
     if not len(lo):
         return total
-    parts, fns, qa, qb = [], [], [], []  # parts: (rows, values, places in the batch)
+    parts, qa, qb = [], [], []  # parts: (rows, values, places in the batch)
 
     def from_zero(t):
         return np.asarray(phi(t)) ** r / t ** (1 - s)
@@ -1028,14 +1045,13 @@ def _power_integral_rows(phi, lo, hi, r, s):
             batch = None
             if left is not None:  # no closed form: quadrature, and a refinement from 0
                 batch = np.flatnonzero(left & (x0 > 0) if a == 0.0 else left)
-                fns += [params if kind == "affine" else phi.__call__] * batch.size
                 qa.append(x0[batch])
                 qb.append(x1[batch])
                 for k in np.flatnonzero(left & ~(x0 > 0)).tolist() if a == 0.0 else ():
                     term[k] = _dyadic_integral(from_zero, x1[k])
             parts.append((rows, term, batch))
         if qa:
-            quad = _gauss_log_rows(lambda t, rows: _rowwise(fns[rows], t) ** r * t ** s,
+            quad = _gauss_log_rows(lambda t: phi(t) ** r * t ** s,
                                    np.concatenate(qa), np.concatenate(qb))
     done = 0
     with np.errstate(invalid="ignore"):  # inf - inf: a total that is not finite
@@ -1220,25 +1236,6 @@ def _gamma_strip(a, z, z0):
     return total
 
 
-def _rowwise(fns, t):
-    """fns[i] at the nodes t[i] of every row of the 2-D array t.
-
-    An entry is a shape callable, run once on all its rows, or the pair
-    (c, m) of an affine piece c + m t.
-    """
-    out = np.empty(t.shape)
-    groups = {}
-    for i, fn in enumerate(fns):
-        groups.setdefault(fn if callable(fn) else None, []).append(i)
-    for fn, rows in groups.items():
-        if fn is None:
-            c, m = np.asarray([fns[i] for i in rows], dtype=float).T
-            out[rows] = c[:, None] + m[:, None] * t[rows]
-        else:
-            out[rows] = np.asarray(fn(t[rows].ravel()), dtype=float).reshape(len(rows), -1)
-    return out
-
-
 # intervals per integrand call: bounds the node arrays at about 1.5 MB
 _GAUSS_BLOCK = 2048
 
@@ -1247,12 +1244,11 @@ def _gauss_log_rows(f, a, b, panels=4):
     """Integral of f(t)/t over every interval (a[i], b[i]), 0 < a[i] <= b[i].
 
     ``panels`` equal pieces of log t per interval, 24 Gauss-Legendre nodes
-    each.  ``f(t, rows)`` runs once per block of up to _GAUSS_BLOCK
-    intervals: ``rows`` slices the intervals, row k of t holds the nodes of
-    interval rows[k], and f returns values in t's shape.  Panels are summed
-    over their nodes without a BLAS dot and added in order, so each row is
-    bit-identical to integrating its interval alone, panel by panel,
-    whenever f acts elementwise.
+    each.  ``f(t)`` runs once per block of up to _GAUSS_BLOCK intervals, on
+    one flat array of the block's nodes, interval by interval, and returns
+    a value per node.  Panels are summed over their nodes without a BLAS
+    dot and added in order, so each interval is bit-identical to
+    integrating it alone, panel by panel, whenever f acts elementwise.
     """
     if not len(a):
         return np.zeros(0)
@@ -1270,7 +1266,7 @@ def _gauss_log_rows(f, a, b, panels=4):
         rows = slice(start, start + _GAUSS_BLOCK)
         h = half[rows]
         t = np.exp(mid[rows, :, None] + h[:, :, None] * _GAUSS_X)
-        vals = np.asarray(f(t.reshape(len(t), -1), rows), dtype=float).reshape(t.shape)
+        vals = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
         sums = h * np.add.reduce(_GAUSS_W * vals, axis=2)
         acc = out[rows]
         for panel in sums.T:
@@ -1306,9 +1302,6 @@ def _dyadic_integral(g, b):
     integrating its level alone whenever g acts elementwise; a block may
     run g on a few levels past the stop.
     """
-    def f(t, rows):
-        return np.asarray(g(t.ravel())).reshape(t.shape) * t
-
     total = 0.0
     hi = b
     doublings = 0
@@ -1325,7 +1318,8 @@ def _dyadic_integral(g, b):
             hi /= 2.0
         if not his:
             return total + tail_est
-        for piece in _gauss_log_rows(f, [x / 2.0 for x in his], his, panels=1):
+        for piece in _gauss_log_rows(lambda t: np.asarray(g(t)) * t,
+                                     [x / 2.0 for x in his], his, panels=1):
             total += piece
             if prev_total > 0 and total >= 2.0 * prev_total:
                 doublings += 1
@@ -1479,35 +1473,32 @@ def _mp_tail(ustar, p, phi):
 
 
 def _norm_orlicz(ustar, orlicz: OrliczN):
+    """The Luxemburg norm inf {lam > 0: sum_i w_i Psi(v_i / lam) <= 1}, exactly.
+
+    Psi is c_k + s_k x on its segment k, so between the sorted breakpoints
+    v_i / x_k (cell values over Psi's bends) the modular is A + B / lam.  It
+    falls as lam grows: a binary search over the breakpoints brackets its
+    crossing of 1, each v_i's segment is read off the bracket's upper end,
+    and there lam = B / (1 - A).  Psi is convex through 0, so every c_k <= 0
+    and neither sum cancels.  A norm past the float range reads inf; where
+    A is past it, the norm is the bracket's upper end to a relative 1 / (1 - A).
+    """
     if ustar.tail > 0 or ustar.has_inf():
         return INF
-    v = ustar.values
-    if len(v) == 0 or float(np.max(v)) == 0.0:
+    cells = np.flatnonzero(ustar.values > 0)
+    if not cells.size:
         return 0.0
-    widths = np.diff(ustar.edges)
-
-    def modular(lam):
-        return float(np.sum(widths * orlicz.value(v / lam)))
-
-    hi = float(np.max(v)) * max(1.0, float(np.sum(widths)))
-    lo = hi
-    while modular(lo) <= 1.0 and lo > 1e-300:
-        hi = lo
-        lo /= 2.0
-    while modular(hi) > 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            return INF
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return hi
+    v, w = ustar.values[cells], np.diff(ustar.edges)[cells]
+    xs, ys, slopes = orlicz.xs, orlicz.ys, orlicz.slopes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cuts = v[:, None] / xs[1:-1]
+        lams = np.sort(cuts, axis=None)
+        j = bisect_left(lams, True, key=lambda lam: np.sum(w * orlicz.value(v / lam)) <= 1.0)
+        top = lams[j] if j < len(lams) else INF
+        k = np.count_nonzero(cuts >= top, axis=1)
+        a = np.sum(w * (ys[k] - slopes[k] * xs[k]))
+        lam = np.sum(w * slopes[k] * v) / (1.0 - a)
+    return float(lam if a > -INF else top)
 
 
 # ---------------------------------------------------------------------------

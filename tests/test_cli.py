@@ -131,6 +131,26 @@ def test_parse_space_rejects_unknown():
         parse_space("banach:2")
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "lp", "p": None}, "real number p"),
+    ({"family": "lambda_phi", "phi": None}, "phi: a shape"),
+    ({"family": "lorentz_pq", "p": 2, "q": "3"}, "real number q"),
+    ({"family": "lambda_phi", "phi": {"form": "power", "alpha": None}}, "malformed phi"),
+    ({"family": "intersection_max", "parts": [{"p": 2}]}, "malformed parts"),
+])
+def test_malformed_spec_file_exits_2(tmp_path, capsys, sample_fn, spec, field):
+    # a field of the wrong kind is named, with no traceback and no output
+    _, path = sample_fn
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "norm", "--space", f"@{spec_path}", "--fn", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert field in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
 # -- golden equivalence ----------------------------------------------------------
 
 
@@ -248,6 +268,18 @@ def test_maximal_cli_rejects_p_outside_one_to_inf(tmp_path, capsys, p):
     assert captured.out == ""
     assert "1 <= p < inf" in captured.err
     assert not (tmp_path / "maximal.json").exists()
+
+
+def test_maximal_cli_rejects_a_nan_value(tmp_path, capsys):
+    # a nan would be written as NaN, which is no JSON; an inf marker stays allowed
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"values": [1.0, math.nan, 2.0]}))
+    rc = main(["--out", str(tmp_path), "maximal", "--space", "path:3", "--fn", str(fn)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and "nan" in captured.err
+    assert not (tmp_path / "maximal.json").exists()
+    fn.write_text(json.dumps({"values": [1.0, math.inf, 2.0]}))
+    assert main(["--out", str(tmp_path), "maximal", "--space", "path:3", "--fn", str(fn)]) == 0
 
 
 def test_criteria_cli(tmp_path, capsys):

@@ -17,7 +17,7 @@ from test_maximal import concave_sampled
 from rikit.cli import parse_space, spec_shorthand
 from rikit.errors import RikitError, UnsupportedCombination
 from rikit.maximal import density_criteria_report
-from rikit.rearrange import WeightedSamples
+from rikit.rearrange import GridFn, WeightedSamples
 from rikit.spaces import (
     FundamentalFn,
     NormSpec,
@@ -98,7 +98,7 @@ GOLDEN = {
         NormSpec.orlicz_lux(OrliczN([1.0, 2.0], [1.0, 4.0])), "L^Psi",
         {"family": "orlicz_lux", "orlicz": {"x": [1.0, 2.0], "y": [1.0, 4.0]}},
         None,
-        None, False, None, [0.5, 1.0, 3.0], 4.187500000000023),
+        None, False, None, [0.5, 1.0, 3.0], 4.1875),
     "intersection_max": (
         NormSpec.intersection_max(NormSpec.lp(2), NormSpec.lorentz(3, 1)),
         "max(L^2, L^(3,1))",
@@ -150,6 +150,18 @@ def test_parse_space_rejects_malformed(text):
 
 
 @pytest.mark.parametrize("family", list(GOLDEN))
+def test_rearrangement_invariance_on_subnormal_cells(family):
+    # widths of 7 and 11 times 2^-1060, far below the normal floats, whose
+    # sums are exact: the increasing GridFn and its decreasing twin are
+    # equimeasurable, so every norm reads the same bits on both
+    a, b = math.ldexp(7.0, -1060), math.ldexp(11.0, -1060)
+    rising = GridFn([0.0, a, a + b], [1.0, 2.0])
+    falling = GridFn([0.0, b, a + b], [2.0, 1.0])
+    spec = GOLDEN[family][0]
+    assert norm(rising, spec) == norm(falling, spec)
+
+
+@pytest.mark.parametrize("family", list(GOLDEN))
 def test_quasi_only_same_for_direct_construction(family):
     # the family decides quasi_only, not which constructor built the spec;
     # lipschitz_truncation's default c_delta reads it
@@ -163,6 +175,22 @@ def test_quasi_only_direct_lorentz_and_weak_marcinkiewicz():
     assert NormSpec("lorentz_pq", p=2.0, q=3.0).quasi_only is True
     assert NormSpec("lorentz_pq", p=3.0, q=2.0).quasi_only is False
     assert NormSpec("weak_marcinkiewicz", phi=power(0.5)).quasi_only is True
+
+
+@pytest.mark.parametrize("args, field", [
+    ({"family": "lambda_phi"}, "phi"),
+    ({"family": "lp", "p": math.nan}, "p"),
+    ({"family": "lorentz_pq", "p": 2.0, "q": "3"}, "q"),
+    ({"family": "orlicz_lux", "orlicz": power(0.5)}, "orlicz"),
+    ({"family": "intersection_max", "parts": ()}, "parts"),
+    ({"family": "intersection_max", "parts": (NormSpec.lp(2), None)}, "parts"),
+])
+def test_a_spec_holds_real_fields_and_its_part(args, field):
+    # a spec whose numeric field is not a real number, or whose part is
+    # missing or of the wrong kind, is refused where it is built, naming the
+    # field (tests/test_cli.py reads such specs from a file)
+    with pytest.raises(UnsupportedCombination, match=f"needs .*{field}"):
+        NormSpec(**args)
 
 
 # -- density reports -----------------------------------------------------------------

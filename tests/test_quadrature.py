@@ -141,8 +141,8 @@ def loop_phi_weight_integral(phi, a, b, q):
                     return INF
                 if m == 0.0:
                     total += c ** q * math.log(x1 / x0)
-                else:
-                    total += loop_gauss_log(lambda t: (c + m * t) ** q, x0, x1)
+                else:  # the quadrature runs the shape itself, as on a generic piece
+                    total += loop_gauss_log(lambda t: np.asarray(phi(t)) ** q, x0, x1)
         elif kind == "power_log" and loop_power_log_piece(x0, x1, params, q, 0) is not None:
             total += loop_power_log_piece(x0, x1, params, q, 0)
         else:
@@ -304,8 +304,7 @@ def orlicz_shapes(draw):
 powers = st.builds(FundamentalFn.power, st.floats(0.0, 1.0), st.floats(0.2, 5.0), caps)
 power_logs = st.builds(FundamentalFn.power_log, st.floats(0.1, 0.9), st.floats(-2.0, 2.0),
                        st.floats(0.2, 5.0), caps)
-# over an Orlicz shape with kinks past 1 the batch calls psi and phi, each
-# on its own rows
+# over an Orlicz shape with kinks past 1 the batch calls psi, which calls phi
 psi_majorants = st.builds(psi_majorant_phi, st.one_of(power_logs, sampled_shapes(),
                                                       orlicz_shapes()), st.floats(1.0, 3.0))
 # two quadrature shapes in one, generic wherever either component is
@@ -392,7 +391,7 @@ def test_m_phi_at_matches_a_grid_per_s(phi, ss):
 def test_kernel_rows_match_one_interval_at_a_time(ends, panels, alpha):
     a = [x for x, _ in ends]
     b = [x * r for x, r in ends]
-    got = _gauss_log_rows(lambda t, rows: t ** alpha, a, b, panels)
+    got = _gauss_log_rows(lambda t: t ** alpha, a, b, panels)
     want = [loop_gauss_log(lambda t: t ** alpha, x, y, panels) for x, y in zip(a, b)]
     assert hexes(got) == hexes(want)
 
@@ -403,12 +402,13 @@ def test_kernel_blocks_do_not_change_a_row(monkeypatch):
     a = np.geomspace(1e-4, 1.0, 10)
     calls = []
 
-    def f(t, rows):
-        calls.append(rows)
+    def f(t):
+        calls.append(t.size)
         return np.sqrt(t) * np.log1p(t)
 
     got = _gauss_log_rows(f, a, 2.0 * a)
-    assert [(r.start, r.stop) for r in calls] == [(0, 3), (3, 6), (6, 9), (9, 12)]
+    # 4 panels of 24 nodes per interval, 3 intervals per call
+    assert calls == [3 * 96, 3 * 96, 3 * 96, 96]
     want = [loop_gauss_log(lambda t: np.sqrt(t) * np.log1p(t), x, 2.0 * x) for x in a]
     assert hexes(got) == hexes(want)
 
@@ -417,7 +417,7 @@ def test_kernel_logs_match_the_c_library():
     # numpy's vector log rounds a last ulp apart from math.log for a few
     # endpoints in a thousand near 1; the loop took math.log
     a = np.linspace(0.5, 2.0, 4001)
-    got = _gauss_log_rows(lambda t, rows: np.sqrt(t), a, 1.5 * a)
+    got = _gauss_log_rows(lambda t: np.sqrt(t), a, 1.5 * a)
     want = [loop_gauss_log(np.sqrt, x, 1.5 * x) for x in a]
     assert hexes(got) == hexes(want)
 

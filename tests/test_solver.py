@@ -282,6 +282,30 @@ def test_stall_names_stage_and_residual():
         solve_separable_power(np.ones(2), A, np.ones(2), 2.0)
 
 
+def test_a_nan_residual_certifies_nothing():
+    result = solver.SolveResult(0.0, np.zeros(2), {"kkt_residual": math.nan}, 1e-8,
+                                solver._telemetry("newton", [1]))
+    with pytest.raises(SolverStall, match="kkt_residual nan"):
+        solver._finish(result)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("p", [1.0, 1.05, 2.0])
+def test_programs_refuse_values_that_are_not_finite(bad, p):
+    # a nan or an inf marker in u puts one in b: every p refuses it, as the
+    # LP at p = 1 did, where p > 1 returned optimum 0 with a nan residual
+    u = [0.0, bad, 1.0, 2.0]
+    with pytest.raises(ValueError, match="must be finite"):
+        minimal_hajlasz(path_space(4), u, p)
+    with pytest.raises(ValueError, match="must be finite"):
+        minimal_upper_gradient(path_space(4), u, CurveFamily.path_edges(4), p)
+    # an all-nan b is refused before the trivial branch reads it as no rows
+    with pytest.raises(ValueError, match="must be finite"):
+        constraint_generation(np.ones(2), np.ones((1, 2)), [math.nan], p)
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_separable_power([1.0, bad], np.ones((1, 2)), [1.0], p)
+
+
 @st.composite
 def separable_programs(draw):
     n = draw(st.integers(1, 6))

@@ -265,6 +265,30 @@ def test_one_quadrature_kernel():
     assert readers == {("spaces.py", "_gauss_log_rows")}
 
 
+def _spaces_function(name):
+    tree = ast.parse((SRC_DIR / "rikit" / "spaces.py").read_text())
+    return dict(_functions(tree))[name]
+
+
+def test_the_kernel_integrates_one_flat_array_of_nodes():
+    # every shape evaluates itself, so no per-row table of integrands is left
+    # to slice: the kernel calls its integrand on the nodes alone
+    assert [path.name for path in SRC if "_rowwise" in path.read_text()] == []
+    kernel = _spaces_function("_gauss_log_rows")
+    integrand = kernel.args.args[0].arg
+    calls = [node for node in ast.walk(kernel)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == integrand]
+    assert calls and all(len(c.args) == 1 and not c.keywords for c in calls)
+
+
+def test_the_luxemburg_norm_is_solved_not_bisected():
+    # the modular is A + B / lam between breakpoints: one binary search over
+    # them and one division, with no bisection or doubling loop
+    loops = [node.lineno for node in ast.walk(_spaces_function("_norm_orlicz"))
+             if isinstance(node, (ast.For, ast.While))]
+    assert not loops, f"loops at {loops}"
+
+
 def _definitions(tree):
     """Top-level functions and classes, and the methods of those classes."""
     for top in tree.body:

@@ -2,9 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rikit.errors import DegenerateRatio, NotQuasiconcave, UnsupportedCombination
 from rikit.rearrange import GridFn, WeightedSamples, decreasing_rearrangement, indicator_gridfn
@@ -275,6 +278,71 @@ def test_orlicz_lux_scaling():
     u = WeightedSamples([1.0, 2.0, 0.5], [0.5, 1.0, 2.0])
     v = WeightedSamples([3.0, 6.0, 1.5], [0.5, 1.0, 2.0])
     assert norm(v, spec) == pytest.approx(3 * norm(u, spec), rel=1e-10)
+
+
+def luxemburg_oracle(orlicz, edges, vals):
+    """The Luxemburg norm in rational arithmetic on the float inputs.
+
+    Between the breakpoints v_i / x_k the modular is A + B / lam, so the
+    crossing of 1 is lam = B / (1 - A) exactly, each v_i on the segment of
+    Psi it takes just below the first breakpoint where the modular is <= 1.
+    """
+    xs, ys = [Fraction(x) for x in orlicz.xs], [Fraction(y) for y in orlicz.ys]
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    cells = [(Fraction(v), Fraction(b) - Fraction(a))
+             for a, b, v in zip(edges, edges[1:], vals) if v > 0]
+
+    def segment(x):  # Psi's segment at x, the last one running on
+        return sum(1 for node in xs[1:-1] if x >= node)
+
+    def modular(lam):
+        return sum(w * (ys[k] + slopes[k] * (v / lam - xs[k]))
+                   for v, w in cells for k in [segment(v / lam)])
+
+    top = next((lam for lam in sorted({v / x for v, _ in cells for x in xs[1:-1]})
+                if modular(lam) <= 1), None)
+    ks = [0 if top is None else segment(v / top) for v, _ in cells]
+    a = sum(w * (ys[k] - slopes[k] * xs[k]) for (_, w), k in zip(cells, ks))
+    b = sum(w * slopes[k] * v for (v, w), k in zip(cells, ks))
+    lam = b / (1 - a)
+    assert modular(lam) == 1
+    return lam
+
+
+@st.composite
+def luxemburg_inputs(draw):
+    """A convex Psi of 1-5 nodes and a decreasing u of 1-12 cells, whose
+    values span six decades, with ties and zero cells."""
+    n = draw(st.integers(1, 5))
+    xs = np.cumsum(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+    slopes = np.cumsum(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+    ys = np.cumsum(slopes * np.diff(np.concatenate(([0.0], xs))))
+    m = draw(st.integers(1, 12))
+    levels = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=m))
+    vals = sorted(draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m)), reverse=True)
+    edges = np.concatenate(([0.0], np.cumsum(
+        draw(st.lists(st.floats(1e-3, 10.0), min_size=m, max_size=m)))))
+    return OrliczN(xs, ys), edges, vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(luxemburg_inputs())
+# the rearranged golden input of tests/test_families.py, whose norm is 4.1875
+@example((OrliczN([1.0, 2.0], [1.0, 4.0]), np.array([0.0, 0.5, 0.75, 1.75, 3.75, 4.5]),
+          [3.0, 2.0, 1.0, 0.5, 0.25]))
+def test_luxemburg_norm_matches_the_rational_oracle(case):
+    orlicz, edges, vals = case
+    got = norm(GridFn(edges, vals), NormSpec.orlicz_lux(orlicz))
+    want = luxemburg_oracle(orlicz, edges, vals) if any(vals) else 0
+    assert abs(Fraction(got) - want) <= 1e-15 * want
+
+
+def test_luxemburg_norm_past_the_float_range():
+    # Psi's second segment has slope about 1e298, so A and B pass the float
+    # range, and the crossing rounds to the bracket's end v / x_1 = 1.5
+    orlicz = OrliczN([1e10, 2e10], [1e-10, 1e308])
+    assert norm(GridFn([0.0, 1e10], [1.5e10]), NormSpec.orlicz_lux(orlicz)) == 1.5
+    assert norm(GridFn([0.0, 1e9], [1.5e10]), NormSpec.orlicz_lux(orlicz)) == 1.5
 
 
 # -- quasi-concavity ------------------------------------------------------------------
